@@ -49,7 +49,7 @@
 //! recording is O(children of open elements) and is not included in that
 //! figure.
 
-use crate::invoke::Invoker;
+use crate::invoke::{Invoker, RefusingInvoker};
 use crate::rewrite::{
     enforce_possible_with, enforce_with, RewriteError, RewriteReport, Rewriter, Strategy,
 };
@@ -756,6 +756,27 @@ pub fn enforce_stream_to(
         .rewrite_stream(input, opts.strategy, invoker, sink)
 }
 
+/// Verifies that `input` is already an instance of `compiled`: the
+/// receiving side of an exchange, where rewriting is the sender's burden.
+///
+/// The streaming engine runs with a [`RefusingInvoker`] into a discarding
+/// sink. A rewrite that invokes nothing is the identity, so the run
+/// succeeds exactly on valid documents, and no output is kept. On an
+/// anomaly it returns the DOM pipeline's verdict; unlike
+/// [`Rewriter::rewrite_stream`] it never reports a divergence, because
+/// nothing written has to be taken back. The `enforce.stream.*` metrics
+/// are published as for every streaming run.
+pub fn verify_stream(
+    compiled: &Compiled,
+    input: &str,
+    opts: &StreamOptions,
+) -> Result<StreamReport, RewriteError> {
+    let cache = resolve_cache(opts);
+    let mut inv = Inv::Ready(&mut RefusingInvoker);
+    stream_or_fall_back(compiled, input, opts, &cache, &mut inv, &mut io::sink())
+        .map(|(_, report)| report)
+}
+
 fn enforce_stream_buffered(
     compiled: &Compiled,
     input: &str,
@@ -763,8 +784,27 @@ fn enforce_stream_buffered(
     cache: &SolveCache,
     inv: &mut Inv<'_, '_>,
 ) -> Result<(String, StreamReport), RewriteError> {
-    let mut report = StreamReport::default();
     let mut buf: Vec<u8> = Vec::new();
+    let (dom, report) = stream_or_fall_back(compiled, input, opts, cache, inv, &mut buf)?;
+    let out = match dom {
+        Some(out) => out,
+        None => String::from_utf8(buf).expect("serializer emits UTF-8"),
+    };
+    Ok((out, report))
+}
+
+/// Streams `input` through the engine into `sink`. On an anomaly the DOM
+/// pipeline re-runs on the same input and its output comes back as
+/// `Some`, replacing whatever reached `sink`. Publishes the run's metrics.
+fn stream_or_fall_back(
+    compiled: &Compiled,
+    input: &str,
+    opts: &StreamOptions,
+    cache: &SolveCache,
+    inv: &mut Inv<'_, '_>,
+    sink: &mut dyn io::Write,
+) -> Result<(Option<String>, StreamReport), RewriteError> {
+    let mut report = StreamReport::default();
     let res = {
         let mut rw = Rewriter::new(compiled).with_k(opts.k).with_cache(cache);
         run_engine(
@@ -773,15 +813,14 @@ fn enforce_stream_buffered(
             &mut rw,
             opts.strategy,
             inv,
-            &mut buf,
+            sink,
             &mut report,
         )
     };
     match res {
         Ok(()) => {
             publish(&report);
-            let out = String::from_utf8(buf).expect("serializer emits UTF-8");
-            Ok((out, report))
+            Ok((None, report))
         }
         Err(Stop::Io(e)) => Err(RewriteError::Invalid(format!("output write error: {e}"))),
         Err(Stop::Fallback(_)) => {
@@ -802,7 +841,7 @@ fn enforce_stream_buffered(
                     report.bytes_rewritten = out.len() as u64;
                     report.rewrite = rep;
                     publish(&report);
-                    Ok((out, report))
+                    Ok((Some(out), report))
                 }
                 Err(e) => {
                     publish(&report);
@@ -1096,6 +1135,35 @@ mod tests {
             .unwrap();
         assert_eq!(String::from_utf8(sink).unwrap(), buffered);
         assert_eq!(rep.bytes_out as usize, buffered.len());
+    }
+
+    #[test]
+    fn verify_stream_agrees_with_refused_enforcement() {
+        let refused = |c: &Compiled, input: &str| {
+            enforce_stream_with(c, input, &StreamOptions::default(), &mut RefusingInvoker)
+        };
+        // Valid as sent: accepted, with the byte accounting of a full run.
+        let c = star();
+        let input = paper_xml();
+        let (out, expected) = refused(&c, &input).unwrap();
+        let rep = verify_stream(&c, &input, &StreamOptions::default()).unwrap();
+        assert!(!rep.fell_back);
+        assert_eq!(rep.bytes_out, out.len() as u64);
+        assert_eq!(
+            (rep.bytes_copied, rep.bytes_rewritten),
+            (expected.bytes_copied, expected.bytes_rewritten)
+        );
+        // A call the schema wants materialized, a dead DFA move, and an
+        // unknown root: the refusal is the same typed error.
+        let c = star_star();
+        for input in [
+            paper_xml(),
+            "<newspaper><date>d</date><title>t</title><temp>1</temp></newspaper>".to_owned(),
+            "<mystery/>".to_owned(),
+        ] {
+            let err = verify_stream(&c, &input, &StreamOptions::default()).unwrap_err();
+            assert_eq!(err, refused(&c, &input).unwrap_err(), "{input}");
+        }
     }
 
     #[test]

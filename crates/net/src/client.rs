@@ -32,7 +32,7 @@ use axml_support::clock::Clock;
 use axml_support::hash::Fnv64;
 use axml_support::rng::{RngExt, SeedableRng, StdRng};
 use axml_support::sync::Mutex;
-use std::io::BufReader;
+use std::io::{BufReader, Write};
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -367,6 +367,10 @@ impl NetClient {
     /// itself buffers. The server must advertise [`wire::CAP_CHUNKED`];
     /// check [`NetClient::server_caps`] first to fall back to a
     /// single-frame call against old peers.
+    ///
+    /// A `name` longer than the 65 535 bytes a `DocChunkStart` frame can
+    /// declare fails with [`ClientError::Wire`] before any frame is
+    /// written, and is not retried.
     pub fn send_document_chunked(
         &self,
         id: Option<u64>,
@@ -374,6 +378,7 @@ impl NetClient {
         chunk_bytes: usize,
         mut produce: impl FnMut(&mut dyn std::io::Write) -> std::io::Result<()>,
     ) -> Result<String, ClientError> {
+        wire::check_doc_name(name).map_err(ClientError::Wire)?;
         // A chunk frame carries a 4-byte sequence number before the data.
         let chunk = chunk_bytes.clamp(1, self.config.max_frame.saturating_sub(4).max(1));
         self.run_call(|started| self.chunked_once(id, name, chunk, &mut produce, started))
@@ -401,15 +406,7 @@ impl NetClient {
         wire::write_frame(&mut conn.writer, &wire::doc_chunk_start(id, name))
             .map_err(ClientError::Wire)?;
         let (count, total, digest) = {
-            let mut sink = ChunkSink {
-                writer: &mut conn.writer,
-                id,
-                chunk,
-                buf: Vec::new(),
-                seq: 0,
-                total: 0,
-                digest: Fnv64::new(),
-            };
+            let mut sink = ChunkSink::new(&mut conn.writer, id, chunk);
             // A mid-stream producer failure leaves the transfer half-sent;
             // the connection is dropped (never pooled), which the server
             // accounts as an abort. The retry loop re-dials and re-invokes
@@ -608,23 +605,49 @@ impl NetClient {
 
 /// An [`std::io::Write`] that cuts its input into `DocChunk` frames as
 /// bytes arrive, tracking the sequence number, cumulative length, and
-/// running FNV-64 digest the closing `DocChunkEnd` must declare. Holds at
-/// most one chunk of data at a time.
+/// running FNV-64 digest the closing `DocChunkEnd` must declare.
+///
+/// Each frame is encoded in place in one reusable buffer: the header and
+/// sequence number are reserved up front, written data is appended once,
+/// and the header is filled in when the frame goes out. Holds at most one
+/// chunk of data at a time.
 struct ChunkSink<'a> {
     writer: &'a mut Box<dyn Duplex>,
-    id: u64,
     chunk: usize,
-    buf: Vec<u8>,
+    /// The frame being filled: [`wire::DOC_CHUNK_PREFIX`] bytes, then up
+    /// to `chunk` bytes of data.
+    frame: Vec<u8>,
     seq: u32,
     total: u64,
     digest: Fnv64,
 }
 
-impl ChunkSink<'_> {
-    fn emit(&mut self, piece: &[u8]) -> Result<(), WireError> {
-        self.digest.update(piece);
-        self.total += piece.len() as u64;
-        wire::write_frame(self.writer, &wire::doc_chunk(self.id, self.seq, piece))?;
+impl<'a> ChunkSink<'a> {
+    fn new(writer: &'a mut Box<dyn Duplex>, id: u64, chunk: usize) -> Self {
+        let mut frame = Vec::with_capacity(wire::DOC_CHUNK_PREFIX + chunk);
+        wire::begin_doc_chunk(&mut frame, id);
+        ChunkSink {
+            writer,
+            chunk,
+            frame,
+            seq: 0,
+            total: 0,
+            digest: Fnv64::new(),
+        }
+    }
+
+    /// Data bytes held in the current frame.
+    fn held(&self) -> usize {
+        self.frame.len() - wire::DOC_CHUNK_PREFIX
+    }
+
+    /// Sends the current frame as one write plus a flush, as
+    /// [`wire::write_frame`] does, and starts the next one.
+    fn emit(&mut self) -> Result<(), WireError> {
+        wire::seal_doc_chunk(&mut self.frame, self.seq)?;
+        self.writer.write_all(&self.frame)?;
+        self.writer.flush()?;
+        self.frame.truncate(wire::DOC_CHUNK_PREFIX);
         self.seq += 1;
         Ok(())
     }
@@ -632,9 +655,8 @@ impl ChunkSink<'_> {
     /// Flushes the final partial chunk and returns what `DocChunkEnd`
     /// must carry: `(count, total bytes, digest)`.
     fn finish(mut self) -> Result<(u32, u64, u64), WireError> {
-        if !self.buf.is_empty() {
-            let piece = std::mem::take(&mut self.buf);
-            self.emit(&piece)?;
+        if self.held() > 0 {
+            self.emit()?;
         }
         Ok((self.seq, self.total, self.digest.finish()))
     }
@@ -642,12 +664,17 @@ impl ChunkSink<'_> {
 
 impl std::io::Write for ChunkSink<'_> {
     fn write(&mut self, data: &[u8]) -> std::io::Result<usize> {
-        self.buf.extend_from_slice(data);
-        while self.buf.len() >= self.chunk {
-            let rest = self.buf.split_off(self.chunk);
-            let piece = std::mem::replace(&mut self.buf, rest);
-            self.emit(&piece)
-                .map_err(|e| std::io::Error::new(std::io::ErrorKind::Other, e.to_string()))?;
+        let mut rest = data;
+        while !rest.is_empty() {
+            let (piece, tail) = rest.split_at(rest.len().min(self.chunk - self.held()));
+            self.digest.update(piece);
+            self.frame.extend_from_slice(piece);
+            self.total += piece.len() as u64;
+            rest = tail;
+            if self.held() == self.chunk {
+                self.emit()
+                    .map_err(|e| std::io::Error::other(e.to_string()))?;
+            }
         }
         Ok(data.len())
     }
@@ -797,7 +824,15 @@ mod tests {
         server.shutdown().unwrap();
     }
 
+    /// Answers a chunk-shipped document with its name, length and FNV-64
+    /// digest, so a reply pins the exact bytes received.
     struct StoreDoc;
+
+    fn receipt(name: &str, text: &[u8]) -> String {
+        let mut digest = Fnv64::new();
+        digest.update(text);
+        format!("got:{name}:{}:{:016x}", text.len(), digest.finish())
+    }
 
     impl Handler for StoreDoc {
         fn handle(&self, _id: u64, envelope: &str) -> Result<String, WireFault> {
@@ -809,7 +844,7 @@ mod tests {
             name: &str,
             text: &str,
         ) -> Result<String, WireFault> {
-            Ok(format!("got:{name}:{}", text.len()))
+            Ok(receipt(name, text.as_bytes()))
         }
     }
 
@@ -830,8 +865,62 @@ mod tests {
                 Ok(())
             })
             .unwrap();
-        assert_eq!(reply, format!("got:news.xml:{}", doc.len()));
+        assert_eq!(reply, receipt("news.xml", doc.as_bytes()));
         assert_eq!(client.pooled(), 1, "the transfer connection was pooled back");
+
+        // Chunk sizes at the edges: one byte, a size coprime to the
+        // document, an exact divisor, and one past the end; plus an empty
+        // document, which ships as Start and End with no chunk between.
+        let small = "<doc>".to_string() + &"x".repeat(4085) + "</doc>";
+        assert_eq!(small.len() % 512, 0);
+        for (doc, chunk) in [
+            (small.as_str(), 1),
+            (small.as_str(), 7),
+            (small.as_str(), 512),
+            (small.as_str(), small.len() + 1),
+            ("", 64),
+        ] {
+            let reply = client
+                .send_document_chunked(None, "edge.xml", chunk, |w| {
+                    for piece in doc.as_bytes().chunks(333) {
+                        w.write_all(piece)?;
+                    }
+                    Ok(())
+                })
+                .unwrap();
+            assert_eq!(
+                reply,
+                receipt("edge.xml", doc.as_bytes()),
+                "chunk size {chunk}"
+            );
+        }
+        assert_eq!(
+            client.pooled(),
+            1,
+            "every transfer reused the one connection"
+        );
+
+        // A name the chunk-start frame cannot declare is refused before
+        // anything is dialed or written, and never retried.
+        let registry = axml_obs::Registry::new();
+        let fresh = NetClient::new(
+            server.local_addr(),
+            ClientConfig {
+                metrics: registry.clone(),
+                ..ClientConfig::default()
+            },
+        )
+        .unwrap();
+        let long = "n".repeat(wire::MAX_DOC_NAME + 1);
+        let err = fresh
+            .send_document_chunked(None, &long, 64, |w| w.write_all(b"<d/>"))
+            .unwrap_err();
+        assert!(
+            matches!(err, ClientError::Wire(WireError::Malformed(ref m)) if m.contains("name")),
+            "expected a typed name refusal, got {err:?}"
+        );
+        assert_eq!(fresh.pooled(), 0, "nothing was dialed");
+        assert_eq!(registry.snapshot().counter("client.attempts_total"), 0);
         server.shutdown().unwrap();
     }
 

@@ -15,6 +15,12 @@
 //! `WouldBlock` or `TimedOut` (what `TcpStream` does), because
 //! [`wire::read_frame`](crate::wire::read_frame) distinguishes *idle*
 //! from *stalled mid-frame* by exactly those kinds.
+//!
+//! Every TCP stream [`TcpTransport`] dials or accepts runs with
+//! `TCP_NODELAY`. Frames go out as one write each, so Nagle's algorithm
+//! has nothing to coalesce; left on, it holds back a small frame that
+//! follows a large one (the `DocChunkEnd` after the last `DocChunk`)
+//! until the peer's delayed ACK, ~40 ms on Linux.
 
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -82,16 +88,22 @@ fn resolve(endpoint: &str) -> io::Result<SocketAddr> {
     })
 }
 
+impl TcpTransport {
+    /// Dials `endpoint` with Nagle's algorithm off.
+    fn dial(endpoint: &str, timeout: Duration) -> io::Result<TcpStream> {
+        let stream = TcpStream::connect_timeout(&resolve(endpoint)?, timeout)?;
+        stream.set_nodelay(true)?;
+        Ok(stream)
+    }
+}
+
 impl Transport for TcpTransport {
     fn connect(&self, endpoint: &str, timeout: Duration) -> io::Result<Box<dyn Duplex>> {
-        let stream = TcpStream::connect_timeout(&resolve(endpoint)?, timeout)?;
-        Ok(Box::new(stream))
+        Ok(Box::new(TcpTransport::dial(endpoint, timeout)?))
     }
 
     fn bind(&self, endpoint: &str) -> io::Result<Box<dyn Acceptor>> {
-        let listener = TcpListener::bind(endpoint)?;
-        listener.set_nonblocking(true)?;
-        Ok(Box::new(TcpAcceptor { listener }))
+        Ok(Box::new(TcpAcceptor::bind(endpoint)?))
     }
 }
 
@@ -118,6 +130,21 @@ pub struct TcpAcceptor {
     listener: TcpListener,
 }
 
+impl TcpAcceptor {
+    fn bind(endpoint: &str) -> io::Result<TcpAcceptor> {
+        let listener = TcpListener::bind(endpoint)?;
+        listener.set_nonblocking(true)?;
+        Ok(TcpAcceptor { listener })
+    }
+
+    /// Accepts one pending connection with Nagle's algorithm off.
+    fn accept_tcp(&self) -> io::Result<TcpStream> {
+        let (stream, _peer) = self.listener.accept()?;
+        stream.set_nodelay(true)?;
+        Ok(stream)
+    }
+}
+
 impl Acceptor for TcpAcceptor {
     fn local_endpoint(&self) -> String {
         self.listener
@@ -131,8 +158,7 @@ impl Acceptor for TcpAcceptor {
     }
 
     fn accept(&self) -> io::Result<Box<dyn Duplex>> {
-        let (stream, _peer) = self.listener.accept()?;
-        Ok(Box::new(stream))
+        Ok(Box::new(self.accept_tcp()?))
     }
 }
 
@@ -174,6 +200,27 @@ mod tests {
         accepted.write_all(b"pong").unwrap();
         clone.read_exact(&mut buf).unwrap();
         assert_eq!(&buf, b"pong");
+    }
+
+    #[test]
+    fn dialed_and_accepted_streams_run_with_nagle_off() {
+        let acceptor = TcpAcceptor::bind("127.0.0.1:0").unwrap();
+        let dialed =
+            TcpTransport::dial(&acceptor.local_endpoint(), Duration::from_secs(2)).unwrap();
+        let accepted = loop {
+            match acceptor.accept_tcp() {
+                Ok(s) => break s,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    std::thread::sleep(Duration::from_millis(5));
+                }
+                Err(e) => panic!("accept failed: {e}"),
+            }
+        };
+        assert!(dialed.nodelay().unwrap(), "dialed stream keeps Nagle on");
+        assert!(
+            accepted.nodelay().unwrap(),
+            "accepted stream keeps Nagle on"
+        );
     }
 
     #[test]

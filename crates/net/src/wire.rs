@@ -79,6 +79,10 @@ pub const DEFAULT_MAX_FRAME: usize = 4 << 20;
 /// what a reassembling receiver will buffer in total.
 pub const DEFAULT_MAX_DOC: usize = 64 << 20;
 
+/// Longest document name, in bytes, a `DocChunkStart` frame can carry:
+/// the name length travels as a `u16`.
+pub(crate) const MAX_DOC_NAME: usize = u16::MAX as usize;
+
 /// Handshake capability bit: the peer understands the
 /// `DocChunkStart`/`DocChunk`/`DocChunkEnd` frame family.
 pub const CAP_CHUNKED: u8 = 0x01;
@@ -572,11 +576,30 @@ pub fn stats_response(id: u64, snapshot_json: &str) -> Frame {
     }
 }
 
+/// Checks that `doc_name` fits a `DocChunkStart` frame (at most
+/// [`MAX_DOC_NAME`] bytes). A sender checks before it writes the first
+/// frame of a transfer: a longer name cannot be declared, and a receiver
+/// would only reject the transfer after the whole document had streamed.
+pub(crate) fn check_doc_name(doc_name: &str) -> Result<(), WireError> {
+    if doc_name.len() > MAX_DOC_NAME {
+        return Err(WireError::Malformed(format!(
+            "document name of {} bytes exceeds the {MAX_DOC_NAME}-byte chunk-start limit",
+            doc_name.len()
+        )));
+    }
+    Ok(())
+}
+
 /// Builds the `DocChunkStart` frame opening a chunked document transfer.
+///
+/// Panics when `doc_name` is longer than 65 535 bytes, which the frame
+/// cannot declare; a sender refuses such a name before it writes any
+/// frame of the transfer.
 pub fn doc_chunk_start(id: u64, doc_name: &str) -> Frame {
     let name = doc_name.as_bytes();
+    let len = u16::try_from(name.len()).expect("document names are checked against MAX_DOC_NAME");
     let mut payload = Vec::with_capacity(2 + name.len());
-    payload.extend_from_slice(&(name.len().min(u16::MAX as usize) as u16).to_be_bytes());
+    payload.extend_from_slice(&len.to_be_bytes());
     payload.extend_from_slice(name);
     Frame {
         kind: FrameType::DocChunkStart,
@@ -613,6 +636,33 @@ pub fn doc_chunk(id: u64, seq: u32, data: &[u8]) -> Frame {
         id,
         payload,
     }
+}
+
+/// Bytes of an encoded `DocChunk` frame before its data: the header and
+/// the sequence number.
+pub(crate) const DOC_CHUNK_PREFIX: usize = HEADER_LEN + 4;
+
+/// Starts encoding a `DocChunk` frame in place: clears `buf` and writes
+/// the type byte and request id, leaving [`DOC_CHUNK_PREFIX`] bytes
+/// whose payload length and sequence number [`seal_doc_chunk`] fills in
+/// once the data has been appended. The sealed bytes are exactly what
+/// [`write_frame`] puts on the wire for [`doc_chunk`].
+pub(crate) fn begin_doc_chunk(buf: &mut Vec<u8>, id: u64) {
+    buf.clear();
+    buf.push(FrameType::DocChunk.to_byte());
+    buf.extend_from_slice(&id.to_be_bytes());
+    // Payload length and sequence number.
+    buf.extend_from_slice(&[0; 8]);
+}
+
+/// Completes a frame begun with [`begin_doc_chunk`] whose data follows
+/// the prefix in `buf`.
+pub(crate) fn seal_doc_chunk(buf: &mut [u8], seq: u32) -> Result<(), WireError> {
+    let len = u32::try_from(buf.len() - HEADER_LEN)
+        .map_err(|_| WireError::Malformed("payload exceeds u32 length".to_owned()))?;
+    buf[9..HEADER_LEN].copy_from_slice(&len.to_be_bytes());
+    buf[HEADER_LEN..DOC_CHUNK_PREFIX].copy_from_slice(&seq.to_be_bytes());
+    Ok(())
 }
 
 /// Decodes a `DocChunk` payload, returning `(sequence number, bytes)`.
@@ -658,9 +708,11 @@ pub fn decode_envelope(payload: &[u8]) -> Result<String, WireError> {
         .map_err(|_| WireError::Malformed("envelope is not UTF-8".to_owned()))
 }
 
-/// Applies read/write timeouts to a TCP stream (`None` disables them)
-/// and turns Nagle off — frames are written whole and a request/reply
-/// protocol has nothing to gain from coalescing, only latency to lose.
+/// Applies read/write timeouts to a raw TCP stream (`None` disables them)
+/// and turns Nagle off: a test helper for hand-driven sockets. Production
+/// streams get `TCP_NODELAY` where they are made, in
+/// [`TcpTransport`](crate::transport::TcpTransport) and the poll engine's
+/// accept loop.
 pub fn set_stream_timeouts(
     stream: &std::net::TcpStream,
     read: Option<Duration>,
@@ -759,6 +811,28 @@ mod tests {
             decode_chunk_start(&[0, 5, b'x']),
             Err(WireError::Malformed(_))
         ));
+        // The longest declarable name round-trips; one byte more is
+        // refused before a frame exists.
+        let longest = "n".repeat(MAX_DOC_NAME);
+        assert_eq!(check_doc_name(&longest), Ok(()));
+        let mut buf = Vec::new();
+        write_frame(&mut buf, &doc_chunk_start(6, &longest)).unwrap();
+        let back = read_frame(&mut buf.as_slice(), DEFAULT_MAX_FRAME).unwrap();
+        assert_eq!(decode_chunk_start(&back.payload).unwrap(), longest);
+        assert!(matches!(
+            check_doc_name(&"n".repeat(MAX_DOC_NAME + 1)),
+            Err(WireError::Malformed(m)) if m.contains("65536 bytes")
+        ));
+        // A chunk frame encoded in place is byte-identical to the built one.
+        for data in [&b""[..], b"<doc>", &[b'x'; 300]] {
+            let mut built = Vec::new();
+            write_frame(&mut built, &doc_chunk(9, 3, data)).unwrap();
+            let mut in_place = Vec::new();
+            begin_doc_chunk(&mut in_place, 9);
+            in_place.extend_from_slice(data);
+            seal_doc_chunk(&mut in_place, 3).unwrap();
+            assert_eq!(in_place, built);
+        }
     }
 
     #[test]

@@ -21,9 +21,11 @@
 //! and `axml-net` fault frames.
 
 use crate::peer::{EnforceMode, Peer, PeerError};
-use axml_core::invoke::{InvokeError, Invoker, RefusingInvoker};
+use axml_core::invoke::{InvokeError, Invoker};
 use axml_core::rewrite::RewriteReport;
-use axml_core::stream::{enforce_stream_to, enforce_stream_with, StreamOptions, StreamReport};
+use axml_core::stream::{
+    enforce_stream_to, enforce_stream_with, verify_stream, StreamOptions, StreamReport,
+};
 use axml_net::wire::{FaultCode, WireFault, CAP_CHUNKED};
 use axml_net::{
     ClientConfig, ClientError, Handler, NetClient, NetServer, ServerConfig, ServerStats, Transport,
@@ -259,11 +261,11 @@ fn handle_net_document(peer: &Peer, rid: u64, name: &str, text: &str) -> Result<
 /// Receiver side of a *chunked* Fig. 1 exchange: the document arrives as
 /// raw XML text (chunked transfers carry no SOAP envelope — the name
 /// rides in the `DocChunkStart` frame). Verification happens on the text
-/// itself: in streaming mode the streaming enforcer with a refusing
-/// invoker runs *before* any tree is built, so enforcement memory stays
-/// at the stream engine's `peak_buffer_bytes` even for documents far
-/// larger than the frame cap; the parse into the repository's [`ITree`]
-/// form afterwards is the storage cost, not an enforcement cost.
+/// itself: in streaming mode [`verify_stream`] runs *before* any tree is
+/// built and keeps no output, so enforcement memory stays at the stream
+/// engine's `peak_buffer_bytes` even for documents far larger than the
+/// frame cap; the parse into the repository's [`ITree`] form afterwards
+/// is the storage cost, not an enforcement cost.
 pub fn receive_document_text(peer: &Peer, name: &str, text: &str) -> Result<String, PeerError> {
     if name.trim().is_empty() {
         return Err(PeerError::Enforcement(format!(
@@ -271,13 +273,7 @@ pub fn receive_document_text(peer: &Peer, name: &str, text: &str) -> Result<Stri
         )));
     }
     if peer.enforce.mode == EnforceMode::Streaming {
-        let opts = StreamOptions {
-            k: peer.enforce.k,
-            cache: Some(peer.enforce.cache.clone()),
-            ..StreamOptions::default()
-        };
-        enforce_stream_with(&peer.compiled, text, &opts, &mut RefusingInvoker)
-            .map_err(|e| PeerError::Enforcement(e.to_string()))?;
+        verify_received(peer, text)?;
     }
     let doc = axml_xml::parse_document(text)
         .map_err(|e| PeerError::Enforcement(format!("chunked document: {e}")))
@@ -313,23 +309,16 @@ fn receive_document(peer: &Peer, params: &[ITree]) -> Result<String, PeerError> 
     // Receiver-side Schema Enforcement (verify step): the document must
     // already be an instance of the receiver's schema — rewriting is the
     // *sender's* burden under the agreed exchange schema. In streaming
-    // mode the verify is the streaming enforcer with a refusing invoker:
-    // a rewrite with zero invocations is the identity, so it succeeds
-    // exactly on valid documents, while keeping the daemon's memory
-    // bounded and its `enforce.stream.*` metrics live.
+    // mode the verify is `verify_stream`, which succeeds exactly on
+    // valid documents while keeping the daemon's `enforce.stream.*`
+    // metrics live.
     match (peer.enforce.mode, doc) {
         (EnforceMode::Streaming, ITree::Elem { .. }) => {
             let text = axml_xml::element_to_string(
                 &doc.to_xml(),
                 &axml_xml::WriteOptions::compact(),
             );
-            let opts = StreamOptions {
-                k: peer.enforce.k,
-                cache: Some(peer.enforce.cache.clone()),
-                ..StreamOptions::default()
-            };
-            enforce_stream_with(&peer.compiled, &text, &opts, &mut RefusingInvoker)
-                .map_err(|e| PeerError::Enforcement(e.to_string()))?;
+            verify_received(peer, &text)?;
         }
         _ => validate(doc, &peer.compiled).map_err(|e| PeerError::Enforcement(e.to_string()))?,
     }
@@ -337,6 +326,19 @@ fn receive_document(peer: &Peer, params: &[ITree]) -> Result<String, PeerError> 
     peer.repository.store(name, doc.clone());
     axml_obs::global().counter("peer.received_total").inc();
     Ok(name.clone())
+}
+
+/// The receiver's streaming verify of an arrived document's text against
+/// its own schema, at its own depth bound and solver cache.
+fn verify_received(peer: &Peer, text: &str) -> Result<(), PeerError> {
+    let opts = StreamOptions {
+        k: peer.enforce.k,
+        cache: Some(peer.enforce.cache.clone()),
+        ..StreamOptions::default()
+    };
+    verify_stream(&peer.compiled, text, &opts)
+        .map(|_| ())
+        .map_err(|e| PeerError::Enforcement(e.to_string()))
 }
 
 /// A client handle to a remote peer daemon.

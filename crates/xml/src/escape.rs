@@ -4,54 +4,54 @@ use std::borrow::Cow;
 
 /// Escapes text content: `&`, `<`, `>`.
 pub fn escape_text(s: &str) -> Cow<'_, str> {
-    escape(s, false)
+    escape::<false>(s)
 }
 
 /// Escapes attribute values: `&`, `<`, `>`, `"`, `'`.
 pub fn escape_attr(s: &str) -> Cow<'_, str> {
-    escape(s, true)
+    escape::<true>(s)
 }
 
-/// Finds the first byte at or after `from` that needs escaping, scanning a
-/// word at a time (memchr-style: all special characters are ASCII, so plain
-/// byte positions are always valid UTF-8 boundaries).
-fn find_special(bytes: &[u8], from: usize, attr: bool) -> Option<usize> {
-    const CHUNK: usize = 8;
-    let is_special = |b: u8| matches!(b, b'&' | b'<' | b'>') || (attr && matches!(b, b'"' | b'\''));
-    let mut i = from;
-    while i + CHUNK <= bytes.len() {
-        let w = u64::from_ne_bytes(bytes[i..i + CHUNK].try_into().expect("chunk is 8 bytes"));
-        // A zero byte in `x ^ splat(c)` marks an occurrence of `c`; the
-        // classic SWAR has-zero test flags the chunk for the precise scan.
-        let mut hit = has_zero_byte(w ^ splat(b'&'))
-            | has_zero_byte(w ^ splat(b'<'))
-            | has_zero_byte(w ^ splat(b'>'));
-        if attr {
-            hit |= has_zero_byte(w ^ splat(b'"')) | has_zero_byte(w ^ splat(b'\''));
+/// Whether `b` must be escaped: `&`, `<`, `>`, and in attribute values
+/// also `"` and `'`.
+fn is_special<const ATTR: bool>(b: u8) -> bool {
+    matches!(b, b'&' | b'<' | b'>') || (ATTR && matches!(b, b'"' | b'\''))
+}
+
+/// Finds the first byte at or after `from` that needs escaping. All
+/// special characters are ASCII, so a byte position found is always a
+/// UTF-8 boundary.
+///
+/// Whole 64-byte blocks are tested with a branch-free fold over their
+/// bytes, which the compiler turns into vector compares; only a block
+/// that holds a special byte, and the tail shorter than a block, are
+/// searched byte by byte.
+fn find_special<const ATTR: bool>(bytes: &[u8], from: usize) -> Option<usize> {
+    const BLOCK: usize = 64;
+    let mut blocks = bytes[from..].chunks_exact(BLOCK);
+    let mut at = from;
+    for block in blocks.by_ref() {
+        if block
+            .iter()
+            .fold(false, |hit, &b| hit | is_special::<ATTR>(b))
+        {
+            return block
+                .iter()
+                .position(|&b| is_special::<ATTR>(b))
+                .map(|j| at + j);
         }
-        if hit {
-            for (j, &b) in bytes[i..i + CHUNK].iter().enumerate() {
-                if is_special(b) {
-                    return Some(i + j);
-                }
-            }
-        }
-        i += CHUNK;
+        at += BLOCK;
     }
-    bytes[i..].iter().position(|&b| is_special(b)).map(|j| i + j)
+    blocks
+        .remainder()
+        .iter()
+        .position(|&b| is_special::<ATTR>(b))
+        .map(|j| at + j)
 }
 
-fn splat(b: u8) -> u64 {
-    u64::from_ne_bytes([b; 8])
-}
-
-fn has_zero_byte(w: u64) -> bool {
-    w.wrapping_sub(0x0101_0101_0101_0101) & !w & 0x8080_8080_8080_8080 != 0
-}
-
-fn escape(s: &str, attr: bool) -> Cow<'_, str> {
+fn escape<const ATTR: bool>(s: &str) -> Cow<'_, str> {
     let bytes = s.as_bytes();
-    let Some(first) = find_special(bytes, 0, attr) else {
+    let Some(first) = find_special::<ATTR>(bytes, 0) else {
         return Cow::Borrowed(s);
     };
     let mut out = String::with_capacity(s.len() + 8);
@@ -68,7 +68,7 @@ fn escape(s: &str, attr: bool) -> Cow<'_, str> {
             other => unreachable!("find_special returned non-special byte {other}"),
         }
         start = i + 1;
-        match find_special(bytes, start, attr) {
+        match find_special::<ATTR>(bytes, start) {
             Some(j) => i = j,
             None => {
                 out.push_str(&s[start..]);
@@ -168,24 +168,62 @@ mod tests {
         assert!(unescape("&unterminated").is_err());
     }
 
+    /// Escapes one char at a time: the reference the block scan must match.
+    fn reference(s: &str, attr: bool) -> String {
+        s.chars()
+            .map(|c| match c {
+                '&' => "&amp;".to_owned(),
+                '<' => "&lt;".to_owned(),
+                '>' => "&gt;".to_owned(),
+                '"' if attr => "&quot;".to_owned(),
+                '\'' if attr => "&apos;".to_owned(),
+                c => c.to_string(),
+            })
+            .collect()
+    }
+
     #[test]
     fn byte_scan_chunk_boundaries() {
-        // Specials at every offset relative to the 8-byte SWAR chunks.
-        for n in 0..40 {
-            let mut s = "x".repeat(n);
-            s.push('<');
-            s.push_str(&"y".repeat(40 - n));
-            let escaped = escape_text(&s);
-            assert_eq!(escaped, s.replace('<', "&lt;"));
+        // Every special at every offset across two 64-byte blocks and the
+        // tail behind them, alone and followed by a second special in the
+        // tail, so the scan resumes after a hit.
+        let len = 2 * 64 + 37;
+        for special in ['&', '<', '>', '"', '\''] {
+            for n in 0..len {
+                for second in ["", "&"] {
+                    let mut s = "x".repeat(n);
+                    s.push(special);
+                    s.push_str(&"y".repeat(len - 1 - n));
+                    s.push_str(second);
+                    assert_eq!(
+                        escape_text(&s),
+                        reference(&s, false),
+                        "text, {special} at {n}"
+                    );
+                    assert_eq!(
+                        escape_attr(&s),
+                        reference(&s, true),
+                        "attr, {special} at {n}"
+                    );
+                }
+            }
         }
+        let quoted = format!("{}\"{}'", "q".repeat(64), "r".repeat(70));
+        assert!(matches!(escape_text(&quoted), Cow::Borrowed(_)));
         // Multi-byte UTF-8 around specials survives the byte-level scan.
         let s = "héllo <wörld> & “quotes”";
         assert_eq!(
             escape_text(s),
             "héllo &lt;wörld&gt; &amp; “quotes”"
         );
-        let clean = "ünïcodé only, no specials, long enough to cross chunks……";
-        assert!(matches!(escape_text(clean), Cow::Borrowed(_)));
+        let clean = "ünïcodé only, no specials, long enough to cross blocks……".repeat(3);
+        assert!(matches!(escape_text(&clean), Cow::Borrowed(_)));
+        assert!(matches!(escape_attr(&clean), Cow::Borrowed(_)));
+        // Multi-byte characters straddling block boundaries, with specials
+        // between them.
+        let mixed = "é<ü>“&”'\"".repeat(30);
+        assert_eq!(escape_text(&mixed), reference(&mixed, false));
+        assert_eq!(escape_attr(&mixed), reference(&mixed, true));
     }
 
     #[test]

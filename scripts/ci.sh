@@ -72,7 +72,7 @@ axml_bin="target/release/axml"
 daemon_pid=$!
 addr=""
 for _ in $(seq 1 100); do
-    addr="$(sed -n 's/^listening on //p' "$obs_dir/serve.out")"
+    addr="$(sed -n 's/^listening on //p' "$obs_dir/serve.out" 2>/dev/null || true)"
     if [ -n "$addr" ]; then break; fi
     sleep 0.1
 done
@@ -167,7 +167,7 @@ EOF
 daemon_pid=$!
 addr=""
 for _ in $(seq 1 100); do
-    addr="$(sed -n 's/^listening on //p' "$obs_dir/serve-poll.out")"
+    addr="$(sed -n 's/^listening on //p' "$obs_dir/serve-poll.out" 2>/dev/null || true)"
     if [ -n "$addr" ]; then break; fi
     sleep 0.1
 done
@@ -267,8 +267,10 @@ cat > "$obs_dir/prog.xml" <<'XML'
 <r><exhibit><title>Monet</title><int:fun xmlns:int="http://www.activexml.com/ns/int" methodName="Get_Date"><int:params><int:param><title>Monet</title></int:param></int:params></int:fun></exhibit></r>
 XML
 store_dir="$obs_dir/warm"
+# Always run in the background: `exec` makes `$!` the daemon itself, so
+# `kill "$daemon_pid"` stops the daemon rather than only its subshell.
 serve_store() {
-    "$axml_bin" serve "$obs_dir/sched.schema" 127.0.0.1:0 --name store-gate \
+    exec "$axml_bin" serve "$obs_dir/sched.schema" 127.0.0.1:0 --name store-gate \
         --doc program="$obs_dir/prog.xml" --export Get_Program=program \
         --builtin-services --store-dir "$store_dir" "$@"
 }
@@ -276,7 +278,7 @@ serve_store --requests 2 > "$obs_dir/serve-cold.out" 2> "$obs_dir/serve-cold.err
 daemon_pid=$!
 addr=""
 for _ in $(seq 1 100); do
-    addr="$(sed -n 's/^listening on //p' "$obs_dir/serve-cold.out")"
+    addr="$(sed -n 's/^listening on //p' "$obs_dir/serve-cold.out" 2>/dev/null || true)"
     if [ -n "$addr" ]; then break; fi
     sleep 0.1
 done
@@ -295,7 +297,7 @@ serve_store > "$obs_dir/serve-warm.out" 2> "$obs_dir/serve-warm.err" &
 daemon_pid=$!
 addr=""
 for _ in $(seq 1 100); do
-    addr="$(sed -n 's/^listening on //p' "$obs_dir/serve-warm.out")"
+    addr="$(sed -n 's/^listening on //p' "$obs_dir/serve-warm.out" 2>/dev/null || true)"
     if [ -n "$addr" ]; then break; fi
     sleep 0.1
 done
@@ -416,7 +418,7 @@ EOF
 daemon_pid=$!
 addr=""
 for _ in $(seq 1 100); do
-    addr="$(sed -n 's/^listening on //p' "$obs_dir/serve-stream.out")"
+    addr="$(sed -n 's/^listening on //p' "$obs_dir/serve-stream.out" 2>/dev/null || true)"
     if [ -n "$addr" ]; then break; fi
     sleep 0.1
 done
@@ -456,7 +458,7 @@ echo "== tier-1: chunking gate (wire parity + fuzz + 4x-cap ship, DESIGN.md §14
 # all run under one wall-clock budget.
 chunk_started=$(date +%s)
 timeout --kill-after=10 60 cargo test -q --offline --test chunk_parity
-timeout --kill-after=10 60 cargo test -q --offline --test poller_frames \
+timeout --kill-after=10 60 cargo test -q --offline --test poller_frames -- \
     seeded_chunk_fuzz_taxonomy_matches_across_readers \
     chunk_corruption_messages_are_pinned
 chunk_elapsed=$(( $(date +%s) - chunk_started ))
@@ -470,7 +472,16 @@ echo "chunking suites ok in ${chunk_elapsed}s (budget 60s)"
 # end through both engines with sender- and receiver-side buffer
 # accounting. Release mode — the test builds ~17 MB of XML.
 timeout --kill-after=10 120 \
-    cargo test -q --release --offline --test chunk_parity -- --ignored
+    cargo test -q --release --offline --test chunk_parity -- --ignored \
+    spot_4x_frame_cap_ships_end_to_end
+
+# The stall witness: 200 chunked 1 MiB transfers per engine, fewer than 5
+# of them at >= 30 ms. A transfer whose DocChunkEnd waits on the
+# receiver's delayed ACK (a socket with Nagle on) takes ~40 ms. Run alone,
+# so no other test competes for the CPU while it times.
+timeout --kill-after=10 120 \
+    cargo test -q --release --offline --test chunk_parity -- --ignored --exact \
+    stall_witness_chunked_transfers_never_wait_for_delayed_acks
 
 AXML_BENCH_SMOKE=1 AXML_BENCH_JSON="$json_dir" \
     timeout --kill-after=10 300 \
@@ -517,7 +528,7 @@ EOF
 daemon_pid=$!
 addr=""
 for _ in $(seq 1 100); do
-    addr="$(sed -n 's/^listening on //p' "$obs_dir/serve-chunk.out")"
+    addr="$(sed -n 's/^listening on //p' "$obs_dir/serve-chunk.out" 2>/dev/null || true)"
     if [ -n "$addr" ]; then break; fi
     sleep 0.1
 done

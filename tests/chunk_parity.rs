@@ -17,7 +17,9 @@
 //!   stores, on both engines;
 //! * an ignored spot run shipping a document ≥4× the frame cap through
 //!   both engines with sender- and receiver-side buffer accounting — the
-//!   bounded-memory witness behind the B15 bench.
+//!   bounded-memory witness behind the B15 bench;
+//! * an ignored stall witness timing hundreds of 1 MiB transfers on both
+//!   engines: none may wait on the receiver's delayed ACK.
 //!
 //! Failing seeds replay from `regressions/chunk_parity.seeds`.
 
@@ -396,6 +398,83 @@ fn spot_4x_frame_cap_ships_end_to_end() {
         assert!(snap.counter("net.chunk.frames_total") >= 2 + (input.len() / (256 << 10)) as u64);
         assert_eq!(snap.counter("net.chunk.aborts_total"), 0, "{io:?}");
         assert_eq!(snap.gauge("net.chunk.reassembly_bytes"), 0, "{io:?}");
+        server.shutdown().unwrap();
+    }
+}
+
+// ---------------------------------------------------------------------
+// Stall witness: no chunked transfer waits on a delayed ACK.
+// ---------------------------------------------------------------------
+
+/// Answers each chunk-shipped document with its byte count and drops it.
+struct Drain;
+
+impl Handler for Drain {
+    fn handle(&self, _id: u64, _envelope: &str) -> Result<String, WireFault> {
+        Ok("<ok/>".to_owned())
+    }
+
+    fn handle_document(&self, _id: u64, _name: &str, text: &str) -> Result<String, WireFault> {
+        Ok(format!("<stored bytes=\"{}\"/>", text.len()))
+    }
+}
+
+/// Ships 200 transfers of 1 MiB in 256 KiB chunks to a loopback daemon on
+/// each engine and times each one. With Nagle's algorithm on, the short
+/// `DocChunkEnd` behind the last chunk waits for the receiver's delayed
+/// ACK, and a sizeable share of transfers take 40 ms or more instead of a
+/// few milliseconds. Fails when 5 or more transfers take 30 ms or more.
+/// Ignored by default (it measures time); `scripts/ci.sh` runs it in
+/// release mode.
+#[test]
+#[ignore = "times 400 transfers of 1 MiB; run explicitly in release mode"]
+fn stall_witness_chunked_transfers_never_wait_for_delayed_acks() {
+    const TRANSFERS: usize = 200;
+    const STALL_MS: f64 = 30.0;
+    let doc: String = (0..1usize << 20)
+        .map(|i| char::from(b'a' + (i % 26) as u8))
+        .collect();
+    let reply = format!("<stored bytes=\"{}\"/>", doc.len());
+    for io in IO_MODES {
+        let server = NetServer::bind(
+            "127.0.0.1:0",
+            Arc::new(Drain),
+            ServerConfig {
+                io,
+                ..ServerConfig::default()
+            },
+        )
+        .unwrap();
+        let client = NetClient::new(server.local_addr(), ClientConfig::default()).unwrap();
+        let ship = || {
+            client
+                .send_document_chunked(None, "feed.xml", 256 << 10, |sink| {
+                    sink.write_all(doc.as_bytes())
+                })
+                .unwrap()
+        };
+        // The first transfer dials and handshakes; it is not timed.
+        assert_eq!(ship(), reply);
+        let mut ms: Vec<f64> = (0..TRANSFERS)
+            .map(|_| {
+                let t = std::time::Instant::now();
+                assert_eq!(ship(), reply);
+                t.elapsed().as_secs_f64() * 1e3
+            })
+            .collect();
+        ms.sort_by(f64::total_cmp);
+        let stalled = ms.iter().filter(|&&m| m >= STALL_MS).count();
+        println!(
+            "{io:?}: p50 {:.1} ms, p90 {:.1} ms, max {:.1} ms, {stalled}/{TRANSFERS} at >= {STALL_MS} ms",
+            ms[TRANSFERS / 2],
+            ms[TRANSFERS * 9 / 10],
+            ms[TRANSFERS - 1]
+        );
+        assert!(
+            stalled < 5,
+            "{io:?}: {stalled} of {TRANSFERS} transfers took >= {STALL_MS} ms"
+        );
+        drop(client);
         server.shutdown().unwrap();
     }
 }

@@ -1,7 +1,8 @@
 //! End-to-end tests of the `axml` command-line tool.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::Command;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_axml"))
@@ -55,20 +56,29 @@ function Get_Date : title -> date
 root newspaper
 "#;
 
+/// Writes `contents` to `path` through a rename. The tests of this binary
+/// run in parallel and rewrite the same fixture files, so a plain write
+/// could truncate a file another test's child process is reading.
+fn write_atomic(path: &Path, contents: &str) {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let tmp = path.with_extension(format!("tmp{}", NEXT.fetch_add(1, Ordering::Relaxed)));
+    std::fs::write(&tmp, contents).unwrap();
+    std::fs::rename(&tmp, path).unwrap();
+}
+
 fn write_fixtures() -> (PathBuf, PathBuf, PathBuf, PathBuf) {
     let dir = fixture_dir();
     let star = dir.join("star.schema");
     let star2 = dir.join("star2.schema");
     let star3 = dir.join("star3.schema");
     let doc = dir.join("newspaper.xml");
-    std::fs::write(&star, STAR_DSL).unwrap();
-    std::fs::write(&star2, STAR2_DSL).unwrap();
-    std::fs::write(&star3, STAR3_DSL).unwrap();
-    std::fs::write(
+    write_atomic(&star, STAR_DSL);
+    write_atomic(&star2, STAR2_DSL);
+    write_atomic(&star3, STAR3_DSL);
+    write_atomic(
         &doc,
-        axml::schema::newspaper_example().to_xml().to_pretty_xml(),
-    )
-    .unwrap();
+        &axml::schema::newspaper_example().to_xml().to_pretty_xml(),
+    );
     (star, star2, star3, doc)
 }
 

@@ -1,27 +1,18 @@
-//! B11: the cross-request solver cache and parallel subtree enforcement.
+//! B11: the cross-request solver cache.
 //!
 //! One wide document (many independent `exhibit` subtrees with distinct
-//! children words) is enforced against its exchange schema four ways:
+//! children words) is enforced against its exchange schema two ways:
 //!
 //! * `cold_sequential` — a fresh cache every iteration: the full
 //!   Glushkov → determinize → complement → `A_w^k` → fixpoint pipeline
 //!   runs for the root game and every distinct subtree word;
 //! * `warm_sequential` — one shared pre-warmed [`SolveCache`]: every
-//!   game and DFA is answered from the cache, only execution remains;
-//! * `cold_parallel_w4` / `warm_parallel_w4` — the same two regimes
-//!   with independent root subtrees rewritten on 4 scoped threads
-//!   (byte-identical output, see `Rewriter::rewrite_safe_parallel`).
+//!   game and DFA is answered from the cache, only execution remains.
 //!
 //! The warm cache's registry snapshot (hit/miss/eviction counters)
 //! rides along in the JSON report.
-//!
-//! Note on the parallel variants: they prove the merge machinery and
-//! measure its coordination cost. Wall-clock speedup requires real
-//! cores — on a single-core host (as in CI containers) the scoped
-//! threads time-slice one CPU, so `*_parallel_w4` reads as sequential
-//! time plus thread overhead, not as a 4× win.
 
-use axml_core::invoke::{Invoker, ScriptedInvoker};
+use axml_core::invoke::ScriptedInvoker;
 use axml_core::rewrite::Rewriter;
 use axml_core::solve_cache::SolveCache;
 use axml_obs::Registry;
@@ -30,7 +21,6 @@ use axml_support::bench::{criterion_group, criterion_main, Criterion, Throughput
 use std::hint::black_box;
 
 const EXHIBITS: usize = 16;
-const WORKERS: usize = 4;
 
 fn exchange_compiled() -> Compiled {
     Compiled::new(
@@ -111,28 +101,6 @@ fn bench(c: &mut Criterion) {
         let mut rw = Rewriter::new(&compiled).with_k(5).with_cache(&warm_cache);
         b.iter(|| {
             let (out, _) = rw.rewrite_safe(black_box(&doc), &mut invoker()).unwrap();
-            assert_eq!(out, reference);
-            black_box(out.size())
-        })
-    });
-    group.bench_function("cold_parallel_w4", |b| {
-        b.iter(|| {
-            let cache = SolveCache::unpublished(512);
-            let mut rw = Rewriter::new(&compiled).with_k(5).with_cache(&cache);
-            let mut mk = || -> Box<dyn Invoker + Send> { Box::new(invoker()) };
-            let (out, _) = rw
-                .rewrite_safe_parallel(black_box(&doc), &mut mk, WORKERS)
-                .unwrap();
-            black_box(out.size())
-        })
-    });
-    group.bench_function("warm_parallel_w4", |b| {
-        let mut rw = Rewriter::new(&compiled).with_k(5).with_cache(&warm_cache);
-        b.iter(|| {
-            let mut mk = || -> Box<dyn Invoker + Send> { Box::new(invoker()) };
-            let (out, _) = rw
-                .rewrite_safe_parallel(black_box(&doc), &mut mk, WORKERS)
-                .unwrap();
             assert_eq!(out, reference);
             black_box(out.size())
         })

@@ -70,9 +70,10 @@ impl ScriptedInvoker {
 }
 
 /// An invoker that refuses every call. Useful where an enforcement pass
-/// is expected to succeed without invoking anything — e.g. a receiver
-/// verifying that a shipped document needs no further materialization —
-/// so that any attempted call surfaces as a hard error.
+/// must not reach any service, so that any attempted call surfaces as a
+/// hard error — e.g. a benchmark timing the enforcement engine on a
+/// receiver's schema. Receivers themselves never need it: they validate
+/// what arrives and never run the rewriting engine.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct RefusingInvoker;
 

@@ -156,61 +156,6 @@ pub struct Rewriter<'c> {
     /// the Sec. 2 cost discussion motivates bounding it).
     pub max_calls: Option<usize>,
     cache: SolveCache,
-    /// When set, original element children met during the word walk are
-    /// not recursed into; they are queued here and replaced by markers
-    /// for the parallel pass (see [`Rewriter::rewrite_safe_parallel`]).
-    defer: Option<Vec<Deferred>>,
-}
-
-/// A subtree whose rewriting was postponed by the parallel path, plus
-/// where in the invocation stream its calls belong.
-struct Deferred {
-    tree: ITree,
-    /// `report.invoked.len()` at the moment the subtree was skipped —
-    /// splicing the subtree's own calls back at this offset reproduces
-    /// the sequential call order exactly.
-    invoked_at: usize,
-}
-
-/// Marker label prefix for deferred subtrees. A NUL byte cannot appear
-/// in a parsed XML name, so markers can never collide with document
-/// content.
-const DEFER_MARK: &str = "\u{0}axml-defer-";
-
-fn defer_marker(idx: usize) -> ITree {
-    ITree::elem(&format!("{DEFER_MARK}{idx}"), Vec::new())
-}
-
-fn defer_marker_index(tree: &ITree) -> Option<usize> {
-    match tree {
-        ITree::Elem { label, children } if children.is_empty() => {
-            label.strip_prefix(DEFER_MARK)?.parse().ok()
-        }
-        _ => None,
-    }
-}
-
-type SubtreeResult = Result<(ITree, RewriteReport), RewriteError>;
-
-/// Replaces every defer marker by the corresponding worker result; each
-/// substitute is consumed exactly once.
-fn substitute_markers(tree: &ITree, subs: &mut [Option<ITree>]) -> Result<ITree, RewriteError> {
-    if let Some(idx) = defer_marker_index(tree) {
-        return subs
-            .get_mut(idx)
-            .and_then(|s| s.take())
-            .ok_or_else(|| RewriteError::Invalid("deferred subtree marker out of sync".into()));
-    }
-    match tree {
-        ITree::Elem { label, children } => {
-            let kids = children
-                .iter()
-                .map(|c| substitute_markers(c, subs))
-                .collect::<Result<Vec<_>, _>>()?;
-            Ok(ITree::elem(label, kids))
-        }
-        other => Ok(other.clone()),
-    }
 }
 
 /// Which rewriting notion drives execution.
@@ -317,7 +262,6 @@ impl<'c> Rewriter<'c> {
             limits: AwkLimits::default(),
             max_calls: None,
             cache: SolveCache::unpublished(crate::solve_cache::DEFAULT_CAPACITY),
-            defer: None,
         }
     }
 
@@ -415,94 +359,6 @@ impl<'c> Rewriter<'c> {
         self.analyze_params(tree, &mut pre)?;
         let mut report = RewriteReport::default();
         let out = self.rewrite_node(tree, Strategy::Safe, invoker, &mut report)?;
-        Ok((out, report))
-    }
-
-    /// Executes a *safe* rewriting with the direct element children of the
-    /// root rewritten concurrently on up to `workers` scoped threads.
-    ///
-    /// Safe mode never backtracks, so each independent sibling subtree can
-    /// be rewritten in isolation; the root-level word walk queues them,
-    /// leaves markers, and the merge step splices the workers' results —
-    /// and their invocation streams, at the positions the sequential walk
-    /// would have produced them — back in left-to-right order. The output
-    /// tree and report are identical to [`Rewriter::rewrite_safe`]; on
-    /// failure the leftmost subtree error is returned (workers to its
-    /// right may already have invoked services).
-    ///
-    /// `make_invoker` is called once on the calling thread per worker, so
-    /// invokers need [`Send`] but not [`Sync`].
-    pub fn rewrite_safe_parallel<'i>(
-        &mut self,
-        tree: &ITree,
-        make_invoker: &mut dyn FnMut() -> Box<dyn Invoker + Send + 'i>,
-        workers: usize,
-    ) -> Result<(ITree, RewriteReport), RewriteError> {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let mut pre = Analysis::default();
-        self.analyze_params(tree, &mut pre)?;
-        // Root walk with deferral active: direct element children are
-        // queued and replaced by markers; everything else (root games,
-        // root-level calls) happens inline, exactly as sequentially.
-        self.defer = Some(Vec::new());
-        let mut root_invoker = make_invoker();
-        let mut report = RewriteReport::default();
-        let walked = self.rewrite_node(tree, Strategy::Safe, &mut *root_invoker, &mut report);
-        let deferred = self.defer.take().unwrap_or_default();
-        let skeleton = walked?;
-        if deferred.is_empty() {
-            return Ok((skeleton, report));
-        }
-        let worker_count = workers.max(1).min(deferred.len());
-        let slots: Vec<axml_support::sync::Mutex<Option<SubtreeResult>>> =
-            (0..deferred.len()).map(|_| Default::default()).collect();
-        let next = AtomicUsize::new(0);
-        let mut invokers: Vec<Box<dyn Invoker + Send + 'i>> =
-            (0..worker_count).map(|_| make_invoker()).collect();
-        let compiled = self.compiled;
-        let (k, mode, limits, max_calls) = (self.k, self.mode, self.limits, self.max_calls);
-        let cache = &self.cache;
-        let (deferred_ref, slots_ref, next_ref) = (&deferred, &slots, &next);
-        std::thread::scope(|scope| {
-            for invoker in invokers.iter_mut() {
-                scope.spawn(move || {
-                    let mut rw = Rewriter::new(compiled).with_cache(cache);
-                    (rw.k, rw.mode, rw.limits, rw.max_calls) = (k, mode, limits, max_calls);
-                    loop {
-                        let i = next_ref.fetch_add(1, Ordering::Relaxed);
-                        let Some(item) = deferred_ref.get(i) else {
-                            break;
-                        };
-                        let mut rep = RewriteReport::default();
-                        let res = rw
-                            .rewrite_node(&item.tree, Strategy::Safe, &mut **invoker, &mut rep)
-                            .map(|t| (t, rep));
-                        *slots_ref[i].lock() = Some(res);
-                    }
-                });
-            }
-        });
-        // Deterministic merge, left to right; the leftmost error wins.
-        let mut results = Vec::with_capacity(deferred.len());
-        for slot in slots {
-            results.push(slot.into_inner().expect("every slot is claimed")?);
-        }
-        // Splice invocation streams right-to-left so earlier offsets stay
-        // valid; sums are order-independent.
-        for (d, (_, rep)) in deferred.iter().zip(&results).rev() {
-            report.games += rep.games;
-            report.wasted_calls += rep.wasted_calls;
-            let tail = report.invoked.split_off(d.invoked_at);
-            report.invoked.extend(rep.invoked.iter().cloned());
-            report.invoked.extend(tail);
-        }
-        let mut subs: Vec<Option<ITree>> = results.into_iter().map(|(t, _)| Some(t)).collect();
-        let out = substitute_markers(&skeleton, &mut subs)?;
-        if subs.iter().any(|s| s.is_some()) {
-            return Err(RewriteError::Invalid(
-                "deferred subtree was never spliced back".into(),
-            ));
-        }
         Ok((out, report))
     }
 
@@ -800,10 +656,7 @@ impl<'c> Rewriter<'c> {
             .expect("function symbols carry signatures")
             .input
             .clone();
-        // Deferral applies only to the level that activated it: parameter
-        // forests are always materialized inline, never queued.
-        let defer = self.defer.take();
-        let out = self.rewrite_forest(
+        self.rewrite_forest(
             &f.params,
             &input,
             TargetSlot::Input(sym),
@@ -811,9 +664,7 @@ impl<'c> Rewriter<'c> {
             strategy,
             invoker,
             report,
-        );
-        self.defer = defer;
-        out
+        )
     }
 
     /// Rewrites a forest (children of an element, or call parameters) into
@@ -992,20 +843,7 @@ impl<'c> Rewriter<'c> {
                     .step_symbol(game, cur, sym, context)?
                     .ok_or(Fail::Dead)?;
                 let processed = if *original {
-                    if let Some(defer) = self.defer.as_mut() {
-                        // Parallel path: queue the subtree instead of
-                        // recursing; a worker rewrites it later and the
-                        // marker is spliced out. Safe mode never replays
-                        // this branch, so each subtree is queued once.
-                        let idx = defer.len();
-                        defer.push(Deferred {
-                            tree: tree.clone(),
-                            invoked_at: report.invoked.len(),
-                        });
-                        defer_marker(idx)
-                    } else {
-                        self.rewrite_node(tree, strategy, invoker, report)?
-                    }
+                    self.rewrite_node(tree, strategy, invoker, report)?
                 } else {
                     tree.clone()
                 };
@@ -1315,48 +1153,26 @@ pub fn enforce(
         .rewrite_safe(tree, invoker)
 }
 
-/// [`enforce`] with a shared [`SolveCache`] and an optional parallel
-/// subtree pass: with `workers > 1` the root's element children are
-/// rewritten concurrently (byte-identical output, see
-/// [`Rewriter::rewrite_safe_parallel`]); otherwise the sequential path
-/// runs, still warm from the cache.
-pub fn enforce_with<'i>(
+/// [`enforce`] under either notion, through a shared [`SolveCache`]:
+/// returns `tree` unchanged when it already conforms, otherwise runs a
+/// safe or possible rewriting (the latter may invoke speculatively and
+/// backtrack).
+pub fn enforce_with(
     compiled: &Compiled,
     tree: &ITree,
     k: u32,
-    cache: &SolveCache,
-    workers: usize,
-    make_invoker: &mut dyn FnMut() -> Box<dyn Invoker + Send + 'i>,
-) -> Result<(ITree, RewriteReport), RewriteError> {
-    if axml_schema::validate(tree, compiled).is_ok() {
-        return Ok((tree.clone(), RewriteReport::default()));
-    }
-    let mut rw = Rewriter::new(compiled).with_k(k).with_cache(cache);
-    if workers > 1 {
-        rw.rewrite_safe_parallel(tree, make_invoker, workers)
-    } else {
-        let mut invoker = make_invoker();
-        rw.rewrite_safe(tree, &mut *invoker)
-    }
-}
-
-/// [`enforce`] under the *possible* notion: returns `tree` unchanged when
-/// it already conforms, otherwise attempts a possible rewriting (which may
-/// invoke speculatively and backtrack) through the shared [`SolveCache`].
-pub fn enforce_possible_with(
-    compiled: &Compiled,
-    tree: &ITree,
-    k: u32,
+    strategy: Strategy,
     cache: &SolveCache,
     invoker: &mut dyn Invoker,
 ) -> Result<(ITree, RewriteReport), RewriteError> {
     if axml_schema::validate(tree, compiled).is_ok() {
         return Ok((tree.clone(), RewriteReport::default()));
     }
-    Rewriter::new(compiled)
-        .with_k(k)
-        .with_cache(cache)
-        .rewrite_possible(tree, invoker)
+    let mut rw = Rewriter::new(compiled).with_k(k).with_cache(cache);
+    match strategy {
+        Strategy::Safe => rw.rewrite_safe(tree, invoker),
+        Strategy::Possible => rw.rewrite_possible(tree, invoker),
+    }
 }
 
 #[cfg(test)]
@@ -1981,49 +1797,6 @@ mod budget_tests {
             })
             .collect();
         ITree::elem("r", kids)
-    }
-
-    #[test]
-    fn parallel_safe_rewriting_matches_sequential() {
-        let c = exhibits_compiled();
-        let doc = exhibits_doc(8);
-        let answer = vec![ITree::data("date", "Mon")];
-        let mut seq_inv = ScriptedInvoker::new().answer("Get_Date", answer.clone());
-        let (seq_out, seq_rep) = Rewriter::new(&c)
-            .with_k(1)
-            .rewrite_safe(&doc, &mut seq_inv)
-            .unwrap();
-        for workers in [1, 2, 4] {
-            let cache = SolveCache::unpublished(64);
-            let template = ScriptedInvoker::new().answer("Get_Date", answer.clone());
-            let mut mk = || -> Box<dyn Invoker + Send> { Box::new(template.clone()) };
-            let (par_out, par_rep) = Rewriter::new(&c)
-                .with_k(1)
-                .with_cache(&cache)
-                .rewrite_safe_parallel(&doc, &mut mk, workers)
-                .unwrap();
-            assert_eq!(par_out, seq_out, "workers={workers}");
-            assert_eq!(par_rep, seq_rep, "workers={workers}");
-            assert!(cache.stats().hits > 0, "siblings must share cached games");
-        }
-    }
-
-    #[test]
-    fn parallel_failure_reports_the_sequential_error() {
-        let c = exhibits_compiled();
-        let doc = exhibits_doc(5);
-        // No scripted answer for Get_Date: every subtree fails to invoke.
-        let mut seq_inv = ScriptedInvoker::new();
-        let seq_err = Rewriter::new(&c)
-            .with_k(1)
-            .rewrite_safe(&doc, &mut seq_inv)
-            .unwrap_err();
-        let mut mk = || -> Box<dyn Invoker + Send> { Box::new(ScriptedInvoker::new()) };
-        let par_err = Rewriter::new(&c)
-            .with_k(1)
-            .rewrite_safe_parallel(&doc, &mut mk, 3)
-            .unwrap_err();
-        assert_eq!(par_err, seq_err, "leftmost subtree error must win");
     }
 
     #[test]

@@ -49,10 +49,8 @@
 //! recording is O(children of open elements) and is not included in that
 //! figure.
 
-use crate::invoke::{Invoker, RefusingInvoker};
-use crate::rewrite::{
-    enforce_possible_with, enforce_with, RewriteError, RewriteReport, Rewriter, Strategy,
-};
+use crate::invoke::Invoker;
+use crate::rewrite::{enforce_with, RewriteError, RewriteReport, Rewriter, Strategy};
 use crate::solve_cache::{SolveCache, TargetSlot, DEFAULT_CAPACITY};
 use axml_automata::{Dfa, Regex, Symbol, NO_STATE};
 use axml_schema::{forest_from_nodes, validate, words_of, Compiled, CompiledContent, ITree, INT_NS};
@@ -70,9 +68,6 @@ pub struct StreamOptions {
     pub k: u32,
     /// Safe or possible rewriting.
     pub strategy: Strategy,
-    /// Worker threads for the DOM fallback's parallel subtree pass
-    /// (the streaming path itself is single-threaded).
-    pub workers: usize,
     /// Shared solver cache; `None` uses a private unpublished cache.
     pub cache: Option<SolveCache>,
 }
@@ -82,7 +77,6 @@ impl Default for StreamOptions {
         StreamOptions {
             k: 2,
             strategy: Strategy::Safe,
-            workers: 1,
             cache: None,
         }
     }
@@ -666,13 +660,14 @@ fn dom_with_cache<'i>(
 ) -> Result<(String, RewriteReport), RewriteError> {
     let doc = parse_document(input).map_err(|e| RewriteError::Invalid(e.to_string()))?;
     let tree = ITree::from_xml(&doc.root).map_err(RewriteError::Invalid)?;
-    let (out, rep) = match opts.strategy {
-        Strategy::Safe => enforce_with(compiled, &tree, opts.k, cache, opts.workers, make_invoker)?,
-        Strategy::Possible => {
-            let mut inv = make_invoker();
-            enforce_possible_with(compiled, &tree, opts.k, cache, &mut *inv)?
-        }
-    };
+    let (out, rep) = enforce_with(
+        compiled,
+        &tree,
+        opts.k,
+        opts.strategy,
+        cache,
+        &mut *make_invoker(),
+    )?;
     Ok((
         element_to_string(&out.to_xml(), &WriteOptions::compact()),
         rep,
@@ -723,8 +718,8 @@ pub fn enforce_stream<'i>(
 }
 
 /// Like [`enforce_stream`], but materializing calls through a borrowed
-/// [`Invoker`] instead of a factory. The DOM fallback is single-threaded
-/// here (the factory form is what allows parallel subtree workers).
+/// [`Invoker`] instead of a factory. The DOM fallback reuses that same
+/// invoker (the factory form hands the fallback a fresh one).
 pub fn enforce_stream_with(
     compiled: &Compiled,
     input: &str,
@@ -756,27 +751,6 @@ pub fn enforce_stream_to(
         .rewrite_stream(input, opts.strategy, invoker, sink)
 }
 
-/// Verifies that `input` is already an instance of `compiled`: the
-/// receiving side of an exchange, where rewriting is the sender's burden.
-///
-/// The streaming engine runs with a [`RefusingInvoker`] into a discarding
-/// sink. A rewrite that invokes nothing is the identity, so the run
-/// succeeds exactly on valid documents, and no output is kept. On an
-/// anomaly it returns the DOM pipeline's verdict; unlike
-/// [`Rewriter::rewrite_stream`] it never reports a divergence, because
-/// nothing written has to be taken back. The `enforce.stream.*` metrics
-/// are published as for every streaming run.
-pub fn verify_stream(
-    compiled: &Compiled,
-    input: &str,
-    opts: &StreamOptions,
-) -> Result<StreamReport, RewriteError> {
-    let cache = resolve_cache(opts);
-    let mut inv = Inv::Ready(&mut RefusingInvoker);
-    stream_or_fall_back(compiled, input, opts, &cache, &mut inv, &mut io::sink())
-        .map(|(_, report)| report)
-}
-
 fn enforce_stream_buffered(
     compiled: &Compiled,
     input: &str,
@@ -784,27 +758,8 @@ fn enforce_stream_buffered(
     cache: &SolveCache,
     inv: &mut Inv<'_, '_>,
 ) -> Result<(String, StreamReport), RewriteError> {
-    let mut buf: Vec<u8> = Vec::new();
-    let (dom, report) = stream_or_fall_back(compiled, input, opts, cache, inv, &mut buf)?;
-    let out = match dom {
-        Some(out) => out,
-        None => String::from_utf8(buf).expect("serializer emits UTF-8"),
-    };
-    Ok((out, report))
-}
-
-/// Streams `input` through the engine into `sink`. On an anomaly the DOM
-/// pipeline re-runs on the same input and its output comes back as
-/// `Some`, replacing whatever reached `sink`. Publishes the run's metrics.
-fn stream_or_fall_back(
-    compiled: &Compiled,
-    input: &str,
-    opts: &StreamOptions,
-    cache: &SolveCache,
-    inv: &mut Inv<'_, '_>,
-    sink: &mut dyn io::Write,
-) -> Result<(Option<String>, StreamReport), RewriteError> {
     let mut report = StreamReport::default();
+    let mut buf: Vec<u8> = Vec::new();
     let res = {
         let mut rw = Rewriter::new(compiled).with_k(opts.k).with_cache(cache);
         run_engine(
@@ -813,14 +768,15 @@ fn stream_or_fall_back(
             &mut rw,
             opts.strategy,
             inv,
-            sink,
+            &mut buf,
             &mut report,
         )
     };
     match res {
         Ok(()) => {
             publish(&report);
-            Ok((None, report))
+            let out = String::from_utf8(buf).expect("serializer emits UTF-8");
+            Ok((out, report))
         }
         Err(Stop::Io(e)) => Err(RewriteError::Invalid(format!("output write error: {e}"))),
         Err(Stop::Fallback(_)) => {
@@ -841,7 +797,7 @@ fn stream_or_fall_back(
                     report.bytes_rewritten = out.len() as u64;
                     report.rewrite = rep;
                     publish(&report);
-                    Ok((Some(out), report))
+                    Ok((out, report))
                 }
                 Err(e) => {
                     publish(&report);
@@ -1135,35 +1091,6 @@ mod tests {
             .unwrap();
         assert_eq!(String::from_utf8(sink).unwrap(), buffered);
         assert_eq!(rep.bytes_out as usize, buffered.len());
-    }
-
-    #[test]
-    fn verify_stream_agrees_with_refused_enforcement() {
-        let refused = |c: &Compiled, input: &str| {
-            enforce_stream_with(c, input, &StreamOptions::default(), &mut RefusingInvoker)
-        };
-        // Valid as sent: accepted, with the byte accounting of a full run.
-        let c = star();
-        let input = paper_xml();
-        let (out, expected) = refused(&c, &input).unwrap();
-        let rep = verify_stream(&c, &input, &StreamOptions::default()).unwrap();
-        assert!(!rep.fell_back);
-        assert_eq!(rep.bytes_out, out.len() as u64);
-        assert_eq!(
-            (rep.bytes_copied, rep.bytes_rewritten),
-            (expected.bytes_copied, expected.bytes_rewritten)
-        );
-        // A call the schema wants materialized, a dead DFA move, and an
-        // unknown root: the refusal is the same typed error.
-        let c = star_star();
-        for input in [
-            paper_xml(),
-            "<newspaper><date>d</date><title>t</title><temp>1</temp></newspaper>".to_owned(),
-            "<mystery/>".to_owned(),
-        ] {
-            let err = verify_stream(&c, &input, &StreamOptions::default()).unwrap_err();
-            assert_eq!(err, refused(&c, &input).unwrap_err(), "{input}");
-        }
     }
 
     #[test]

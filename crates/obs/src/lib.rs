@@ -78,6 +78,7 @@ pub fn register_catalogue(registry: &Registry) {
         "client.faults_total",
         "peer.exchanges_total",
         "peer.exchange_faults_total",
+        "peer.validated_total",
         "peer.received_total",
         "peer.panics_total",
         "services.calls_total",

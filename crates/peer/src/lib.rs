@@ -21,7 +21,5 @@ mod repository;
 
 pub use negotiate::{negotiate, negotiate_with_matrix, MatrixUse, Negotiation, Proposal};
 pub use net::{envelope_handler, NetInvoker, NetPeer, RemotePeer, RECEIVE_METHOD};
-pub use peer::{
-    EnforceMode, EnforceOptions, InboundPolicy, Peer, PeerError, PeerServer, Query, RemoteInvoker,
-};
+pub use peer::{EnforceOptions, InboundPolicy, Peer, PeerError, PeerServer, Query, RemoteInvoker};
 pub use repository::{RepoError, Repository, UpdateOp};

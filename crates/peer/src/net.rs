@@ -20,18 +20,18 @@
 //! [`soap_fault`] give the 1:1 mapping between [`soap::Fault`] envelopes
 //! and `axml-net` fault frames.
 
-use crate::peer::{EnforceMode, Peer, PeerError};
+use crate::peer::{Peer, PeerError};
 use axml_core::invoke::{InvokeError, Invoker};
 use axml_core::rewrite::RewriteReport;
-use axml_core::stream::{
-    enforce_stream_to, enforce_stream_with, verify_stream, StreamOptions, StreamReport,
-};
+use axml_core::stream::{enforce_stream_to, enforce_stream_with, StreamOptions, StreamReport};
 use axml_net::wire::{FaultCode, WireFault, CAP_CHUNKED};
 use axml_net::{
     ClientConfig, ClientError, Handler, NetClient, NetServer, ServerConfig, ServerStats, Transport,
 };
 use axml_support::clock::Clock;
-use axml_schema::{validate, validate_output_instance, Compiled, ITree};
+use axml_schema::{
+    validate, validate_output_instance, validate_xml_stream, Compiled, ITree, SchemaError,
+};
 use axml_services::soap;
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::Arc;
@@ -223,7 +223,7 @@ fn handle_net_envelope_inner(
     match message {
         soap::Message::Request { method, params } if method == RECEIVE_METHOD => {
             sp.set("method", RECEIVE_METHOD);
-            receive_document(peer, &params)
+            receive_document(peer, params)
                 .map(|name| soap::response(&[ITree::text(&name)]).to_xml())
                 .map_err(|e| wire_fault(&e.to_fault()))
         }
@@ -260,85 +260,61 @@ fn handle_net_document(peer: &Peer, rid: u64, name: &str, text: &str) -> Result<
 
 /// Receiver side of a *chunked* Fig. 1 exchange: the document arrives as
 /// raw XML text (chunked transfers carry no SOAP envelope — the name
-/// rides in the `DocChunkStart` frame). Verification happens on the text
-/// itself: in streaming mode [`verify_stream`] runs *before* any tree is
-/// built and keeps no output, so enforcement memory stays at the stream
-/// engine's `peak_buffer_bytes` even for documents far larger than the
-/// frame cap; the parse into the repository's [`ITree`] form afterwards
-/// is the storage cost, not an enforcement cost.
+/// rides in the `DocChunkStart` frame). [`validate_xml_stream`] checks the
+/// text against the receiver's schema before any tree is built; the parse
+/// into the repository's [`ITree`] form afterwards is the storage cost.
 pub fn receive_document_text(peer: &Peer, name: &str, text: &str) -> Result<String, PeerError> {
-    if name.trim().is_empty() {
-        return Err(PeerError::Enforcement(format!(
-            "{RECEIVE_METHOD}: document name must be non-empty"
-        )));
-    }
-    if peer.enforce.mode == EnforceMode::Streaming {
-        verify_received(peer, text)?;
-    }
+    check_name(name)?;
+    validated(validate_xml_stream(text, &peer.compiled))?;
     let doc = axml_xml::parse_document(text)
         .map_err(|e| PeerError::Enforcement(format!("chunked document: {e}")))
         .and_then(|d| ITree::from_xml(&d.root).map_err(PeerError::Enforcement))?;
-    if peer.enforce.mode != EnforceMode::Streaming {
-        validate(&doc, &peer.compiled).map_err(|e| PeerError::Enforcement(e.to_string()))?;
-    }
-    peer.inbound.check(std::slice::from_ref(&doc))?;
-    peer.repository.store(name, doc);
-    axml_obs::global().counter("peer.received_total").inc();
-    Ok(name.to_owned())
+    accept(peer, name, doc)
 }
 
-/// Receiver side of the Fig. 1 exchange: verify the shipped document
+/// Receiver side of the Fig. 1 exchange: validate the shipped document
 /// against this peer's schema and inbound policy, then store it.
-fn receive_document(peer: &Peer, params: &[ITree]) -> Result<String, PeerError> {
-    let [name, doc] = params else {
-        return Err(PeerError::Enforcement(format!(
+fn receive_document(peer: &Peer, params: Vec<ITree>) -> Result<String, PeerError> {
+    let [name, doc]: [ITree; 2] = params.try_into().map_err(|params: Vec<ITree>| {
+        PeerError::Enforcement(format!(
             "{RECEIVE_METHOD} expects (name, document), got {} parameters",
             params.len()
-        )));
-    };
+        ))
+    })?;
     let ITree::Text(name) = name else {
         return Err(PeerError::Enforcement(format!(
             "{RECEIVE_METHOD}: document name must be text"
         )));
     };
+    check_name(&name)?;
+    validated(validate(&doc, &peer.compiled))?;
+    accept(peer, &name, doc)
+}
+
+fn check_name(name: &str) -> Result<(), PeerError> {
     if name.trim().is_empty() {
         return Err(PeerError::Enforcement(format!(
             "{RECEIVE_METHOD}: document name must be non-empty"
         )));
     }
-    // Receiver-side Schema Enforcement (verify step): the document must
-    // already be an instance of the receiver's schema — rewriting is the
-    // *sender's* burden under the agreed exchange schema. In streaming
-    // mode the verify is `verify_stream`, which succeeds exactly on
-    // valid documents while keeping the daemon's `enforce.stream.*`
-    // metrics live.
-    match (peer.enforce.mode, doc) {
-        (EnforceMode::Streaming, ITree::Elem { .. }) => {
-            let text = axml_xml::element_to_string(
-                &doc.to_xml(),
-                &axml_xml::WriteOptions::compact(),
-            );
-            verify_received(peer, &text)?;
-        }
-        _ => validate(doc, &peer.compiled).map_err(|e| PeerError::Enforcement(e.to_string()))?,
-    }
-    peer.inbound.check(std::slice::from_ref(doc))?;
-    peer.repository.store(name, doc.clone());
-    axml_obs::global().counter("peer.received_total").inc();
-    Ok(name.clone())
+    Ok(())
 }
 
-/// The receiver's streaming verify of an arrived document's text against
-/// its own schema, at its own depth bound and solver cache.
-fn verify_received(peer: &Peer, text: &str) -> Result<(), PeerError> {
-    let opts = StreamOptions {
-        k: peer.enforce.k,
-        cache: Some(peer.enforce.cache.clone()),
-        ..StreamOptions::default()
-    };
-    verify_stream(&peer.compiled, text, &opts)
-        .map(|_| ())
-        .map_err(|e| PeerError::Enforcement(e.to_string()))
+/// Receiver-side Schema Enforcement is a membership check: the document
+/// must already be an instance of the receiver's schema, because
+/// rewriting is the *sender's* burden under the agreed exchange schema.
+/// Counts every receipt that reaches it, accepted or refused.
+fn validated(verdict: Result<(), SchemaError>) -> Result<(), PeerError> {
+    axml_obs::global().counter("peer.validated_total").inc();
+    verdict.map_err(|e| PeerError::Enforcement(e.to_string()))
+}
+
+/// The step both receive paths end in: inbound policy, then storage.
+fn accept(peer: &Peer, name: &str, doc: ITree) -> Result<String, PeerError> {
+    peer.inbound.check(std::slice::from_ref(&doc))?;
+    peer.repository.store(name, doc);
+    axml_obs::global().counter("peer.received_total").inc();
+    Ok(name.to_owned())
 }
 
 /// A client handle to a remote peer daemon.
@@ -463,37 +439,32 @@ impl RemotePeer {
         result
     }
 
-    /// Sender-side whole-document enforcement, honoring the caller's
-    /// [`EnforceMode`]: element documents stream through
-    /// [`enforce_stream_with`] (warming the caller's solver cache and its
-    /// `enforce.stream.*` metrics), everything else — and
-    /// [`EnforceMode::Dom`] — takes the DOM pipeline. Both produce the
-    /// same document.
+    /// Sender-side whole-document enforcement: element documents stream
+    /// through [`enforce_stream_with`] (warming the caller's solver cache
+    /// and its `enforce.stream.*` metrics); any other root takes the DOM
+    /// pipeline.
     fn enforce_outbound(
         caller: &Peer,
         exchange: &Compiled,
         doc: &ITree,
         invoker: &mut dyn Invoker,
     ) -> Result<(ITree, RewriteReport), PeerError> {
-        if caller.enforce.mode == EnforceMode::Streaming && matches!(doc, ITree::Elem { .. }) {
-            let text = axml_xml::element_to_string(
-                &doc.to_xml(),
-                &axml_xml::WriteOptions::compact(),
-            );
-            let opts = StreamOptions {
-                k: caller.enforce.k,
-                cache: Some(caller.enforce.cache.clone()),
-                ..StreamOptions::default()
-            };
-            let (out, rep) = enforce_stream_with(exchange, &text, &opts, invoker)
-                .map_err(PeerError::from)?;
-            let sent = axml_xml::parse_document(&out)
-                .map_err(|e| PeerError::Enforcement(format!("re-parsing enforced output: {e}")))
-                .and_then(|d| ITree::from_xml(&d.root).map_err(PeerError::Enforcement))?;
-            return Ok((sent, rep.rewrite));
+        if !matches!(doc, ITree::Elem { .. }) {
+            return axml_core::rewrite::enforce(exchange, doc, caller.enforce.k, invoker)
+                .map_err(PeerError::from);
         }
-        axml_core::rewrite::enforce(exchange, doc, caller.enforce.k, invoker)
-            .map_err(PeerError::from)
+        let text = axml_xml::element_to_string(&doc.to_xml(), &axml_xml::WriteOptions::compact());
+        let opts = StreamOptions {
+            k: caller.enforce.k,
+            cache: Some(caller.enforce.cache.clone()),
+            ..StreamOptions::default()
+        };
+        let (out, rep) =
+            enforce_stream_with(exchange, &text, &opts, invoker).map_err(PeerError::from)?;
+        let sent = axml_xml::parse_document(&out)
+            .map_err(|e| PeerError::Enforcement(format!("re-parsing enforced output: {e}")))
+            .and_then(|d| ITree::from_xml(&d.root).map_err(PeerError::Enforcement))?;
+        Ok((sent, rep.rewrite))
     }
 
     /// Ships a document as a *chunked* wire transfer — the path for
@@ -769,19 +740,29 @@ mod tests {
             "exhibit",
             vec![ITree::data("title", "Rodin"), ITree::data("date", "Tue")],
         );
-        let name = receive_document(
-            &peer,
-            &[ITree::text("inbox-exhibit"), doc.clone()],
-        )
-        .unwrap();
+        let name =
+            receive_document(&peer, vec![ITree::text("inbox-exhibit"), doc.clone()]).unwrap();
         assert_eq!(name, "inbox-exhibit");
         assert_eq!(peer.repository.load("inbox-exhibit").unwrap(), doc);
         // A document outside the receiver's schema is refused.
         let bad = ITree::elem("exhibit", vec![ITree::data("title", "No date")]);
-        let err = receive_document(&peer, &[ITree::text("bad"), bad]).unwrap_err();
+        let err = receive_document(&peer, vec![ITree::text("bad"), bad]).unwrap_err();
         assert!(matches!(err, PeerError::Enforcement(_)), "{err}");
         // Malformed parameter lists are refused, not panicked on.
-        assert!(receive_document(&peer, &[]).is_err());
-        assert!(receive_document(&peer, &[ITree::text(" "), ITree::text("x")]).is_err());
+        assert!(receive_document(&peer, vec![]).is_err());
+        assert!(receive_document(&peer, vec![ITree::text(" "), ITree::text("x")]).is_err());
+        // A call the schema wants materialized is refused on both paths
+        // without solving a game: the receiver never rewrites.
+        let lazy = ITree::elem(
+            "listings",
+            vec![ITree::func("Get_Exhibits", vec![ITree::text("all")])],
+        );
+        let err = receive_document(&peer, vec![ITree::text("lazy"), lazy.clone()]).unwrap_err();
+        assert!(matches!(err, PeerError::Enforcement(_)), "{err}");
+        let text = axml_xml::element_to_string(&lazy.to_xml(), &axml_xml::WriteOptions::compact());
+        let err = receive_document_text(&peer, "lazy", &text).unwrap_err();
+        assert!(matches!(err, PeerError::Enforcement(_)), "{err}");
+        assert!(peer.repository.load("lazy").is_err());
+        assert_eq!(peer.solve_cache().stats().lookups, 0);
     }
 }

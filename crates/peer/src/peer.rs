@@ -16,7 +16,7 @@
 
 use crate::repository::Repository;
 use axml_core::invoke::{InvokeError, Invoker};
-use axml_core::rewrite::{RewriteError, RewriteReport, Rewriter};
+use axml_core::rewrite::{enforce_with, RewriteError, RewriteReport, Rewriter, Strategy};
 use axml_core::solve_cache::SolveCache;
 use axml_schema::{validate_output_instance, Compiled, ITree};
 use axml_services::{soap, Registry, ServiceDef};
@@ -149,31 +149,13 @@ struct Exported {
     query: Query,
 }
 
-/// Which pipeline the enforcement module drives over a whole document.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EnforceMode {
-    /// Drive enforcement off the pull parser: conforming regions stream
-    /// straight to the output and only call-bearing subtrees are
-    /// materialized (`axml_core::stream`). Falls back to the DOM pipeline
-    /// on any anomaly, with byte-identical results — safe as a default.
-    #[default]
-    Streaming,
-    /// Materialize the whole document before rewriting.
-    Dom,
-}
-
 /// The Schema Enforcement module's tuning knobs, grouped in one struct
 /// so a new knob extends this type instead of growing [`Peer`] another
-/// parallel field (rewriting depth, subtree workers, solver cache).
+/// parallel field (rewriting depth, solver cache).
 #[derive(Clone)]
 pub struct EnforceOptions {
     /// Rewriting depth used by the enforcement module (Sec. 5's `k`).
     pub k: u32,
-    /// Worker threads used by [`Peer::send_document`] to rewrite
-    /// independent root subtrees concurrently (1 = sequential).
-    pub workers: usize,
-    /// Streaming or DOM whole-document enforcement.
-    pub mode: EnforceMode,
     /// The solver cache shared by every rewriter the peer creates.
     /// Cloning an [`EnforceOptions`] shares the cache (it is `Arc`ed).
     pub cache: SolveCache,
@@ -183,8 +165,6 @@ impl Default for EnforceOptions {
     fn default() -> Self {
         EnforceOptions {
             k: 2,
-            workers: 1,
-            mode: EnforceMode::default(),
             cache: SolveCache::default(),
         }
     }
@@ -194,8 +174,6 @@ impl std::fmt::Debug for EnforceOptions {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EnforceOptions")
             .field("k", &self.k)
-            .field("workers", &self.workers)
-            .field("mode", &self.mode)
             .finish()
     }
 }
@@ -232,13 +210,6 @@ impl Peer {
         }
     }
 
-    /// Replaces the whole knob set at once.
-    pub fn with_enforce(mut self, options: EnforceOptions) -> Self {
-        self.enforce = options;
-        self.enforce.workers = self.enforce.workers.max(1);
-        self
-    }
-
     /// Sets the enforcement module's rewriting depth.
     pub fn with_k(mut self, k: u32) -> Self {
         self.enforce.k = k;
@@ -249,18 +220,6 @@ impl Peer {
     /// capacity differently, or to share one cache between peers).
     pub fn with_solve_cache(mut self, cache: SolveCache) -> Self {
         self.enforce.cache = cache;
-        self
-    }
-
-    /// Sets the [`Peer::send_document`] worker count.
-    pub fn with_enforce_workers(mut self, workers: usize) -> Self {
-        self.enforce.workers = workers.max(1);
-        self
-    }
-
-    /// Selects streaming or DOM whole-document enforcement.
-    pub fn with_enforce_mode(mut self, mode: EnforceMode) -> Self {
-        self.enforce.mode = mode;
         self
     }
 
@@ -480,18 +439,13 @@ impl Peer {
         exchange: &Arc<Compiled>,
         receiver_policy: &InboundPolicy,
     ) -> Result<(ITree, RewriteReport), PeerError> {
-        fn boxed(registry: &Registry) -> Box<dyn Invoker + Send + '_> {
-            Box::new(registry.invoker(None))
-        }
-        let registry = &*self.registry;
-        let mut make_invoker = move || boxed(registry);
-        let (sent, report) = axml_core::rewrite::enforce_with(
+        let (sent, report) = enforce_with(
             exchange,
             doc,
             self.enforce.k,
+            Strategy::Safe,
             &self.enforce.cache,
-            self.enforce.workers,
-            &mut make_invoker,
+            &mut self.registry.invoker(None),
         )?;
         receiver_policy.check(std::slice::from_ref(&sent))?;
         Ok((sent, report))

@@ -7,20 +7,20 @@
 //! axml plan     <schema> <doc.xml> [--k N]
 //! axml serve    <schema> <addr> [--name PEER] [--doc NAME=FILE]...
 //!               [--export FUNC=DOC]... [--workers N] [--requests N]
-//!               [--io threads|poll] [--shards N] [--enforce streaming|dom]
+//!               [--io threads|poll] [--shards N] [--cache-capacity N]
 //!               [--builtin-services] [--store-dir DIR] [--snapshot-every N]
 //! axml send     <schema> <addr> <doc.xml> [--name DOCNAME] [--k N]
-//!               [--enforce streaming|dom] [--chunk-bytes N]
+//!               [--chunk-bytes N]
 //! axml invoke   <schema> <addr> <method> [param]... [--k N]
 //! axml stats    <addr>
 //! ```
 //!
-//! `--enforce streaming` (the default) drives whole-document enforcement
-//! off the pull parser: conforming regions are copied straight through
-//! and only subtrees containing `int:fun` calls are materialized, so
-//! memory stays proportional to the active subtree rather than the
-//! document (DESIGN.md §13). `--enforce dom` forces the classical
-//! materialize-everything pipeline; both produce identical bytes.
+//! `send` enforces the document off the pull parser: conforming regions
+//! are copied straight through and only subtrees containing `int:fun`
+//! calls are materialized, so memory stays proportional to the active
+//! subtree rather than the document (DESIGN.md §13). A `serve` daemon
+//! never rewrites what it receives: it validates the document against
+//! its own schema and refuses it when it does not conform.
 //!
 //! `serve --store-dir DIR` gives the daemon persistent warm state
 //! (DESIGN.md §11): the solver cache is loaded from `DIR` before the
@@ -55,7 +55,7 @@ fn fail(msg: &str) -> ExitCode {
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  axml validate <schema> <doc.xml> [--stream]\n  axml rewrite  <schema> <doc.xml> [--k N] [--possible] [--execute SEED]\n  axml plan     <schema> <doc.xml> [--k N]\n  axml compat   <sender-schema> <exchange-schema> --root LABEL [--k N]\n  axml serve    <schema> <addr> [--name PEER] [--doc NAME=FILE]... [--export FUNC=DOC]... [--workers N] [--io threads|poll] [--shards N] [--requests N] [--cache-capacity N] [--enforce streaming|dom] [--builtin-services] [--store-dir DIR] [--snapshot-every N]\n  axml send     <schema> <addr> <doc.xml> [--name DOCNAME] [--k N] [--enforce-workers N] [--enforce streaming|dom] [--chunk-bytes N]\n  axml invoke   <schema> <addr> <method> [param]... [--k N]\n  axml stats    <addr>"
+        "usage:\n  axml validate <schema> <doc.xml> [--stream]\n  axml rewrite  <schema> <doc.xml> [--k N] [--possible] [--execute SEED]\n  axml plan     <schema> <doc.xml> [--k N]\n  axml compat   <sender-schema> <exchange-schema> --root LABEL [--k N]\n  axml serve    <schema> <addr> [--name PEER] [--doc NAME=FILE]... [--export FUNC=DOC]... [--workers N] [--io threads|poll] [--shards N] [--requests N] [--cache-capacity N] [--builtin-services] [--store-dir DIR] [--snapshot-every N]\n  axml send     <schema> <addr> <doc.xml> [--name DOCNAME] [--k N] [--chunk-bytes N]\n  axml invoke   <schema> <addr> <method> [param]... [--k N]\n  axml stats    <addr>"
     );
     ExitCode::from(2)
 }
@@ -73,17 +73,6 @@ fn load_doc(path: &str) -> Result<ITree, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let parsed = axml::xml::parse_document(&text).map_err(|e| format!("{path}: {e}"))?;
     ITree::from_xml(&parsed.root).map_err(|e| format!("{path}: {e}"))
-}
-
-/// Parses `--enforce streaming|dom`, defaulting to streaming (it is
-/// byte-identical to the DOM pipeline and bounded-memory, so it is the
-/// safe default).
-fn parse_enforce_mode(args: &[String]) -> Result<axml::peer::EnforceMode, String> {
-    match flag_value(args, "--enforce").as_deref() {
-        None | Some("streaming") => Ok(axml::peer::EnforceMode::Streaming),
-        Some("dom") => Ok(axml::peer::EnforceMode::Dom),
-        Some(v) => Err(format!("--enforce expects 'streaming' or 'dom', got '{v}'")),
-    }
 }
 
 /// Parses `--k N`, defaulting to 2; a malformed value is an error rather
@@ -252,10 +241,6 @@ fn cmd_serve(args: &[String]) -> ExitCode {
         Err(e) => return fail(&e.to_string()),
     };
     let mut peer = Peer::new(&name, compiled, std::sync::Arc::new(registry));
-    match parse_enforce_mode(args) {
-        Ok(mode) => peer = peer.with_enforce_mode(mode),
-        Err(e) => return fail(&e),
-    }
     if let Some(c) = flag_value(args, "--cache-capacity") {
         match c.parse::<usize>() {
             Ok(n) if n > 0 => {
@@ -397,20 +382,6 @@ fn cmd_send(args: &[String]) -> ExitCode {
     });
     let mut sender = Peer::new("axml-send", std::sync::Arc::clone(&compiled), std::sync::Arc::new(Registry::new()));
     sender.enforce.k = k;
-    match parse_enforce_mode(args) {
-        Ok(mode) => sender.enforce.mode = mode,
-        Err(e) => return fail(&e),
-    }
-    if let Some(w) = flag_value(args, "--enforce-workers") {
-        match w.parse::<usize>() {
-            Ok(n) if n > 0 => sender.enforce.workers = n,
-            _ => {
-                return fail(&format!(
-                    "--enforce-workers expects a positive integer, got '{w}'"
-                ))
-            }
-        }
-    }
     let remote = match RemotePeer::connect(addr.as_str(), axml::net::ClientConfig::default()) {
         Ok(r) => r,
         Err(e) => return fail(&e.to_string()),

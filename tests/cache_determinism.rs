@@ -1,15 +1,13 @@
-//! Determinism of the cross-request solver cache and the parallel
-//! enforcement path (DESIGN.md §9):
+//! Determinism of the cross-request solver cache (DESIGN.md §9):
 //!
 //! * a warm run (every game answered from the [`SolveCache`]) produces
 //!   byte-identical XML and an identical [`RewriteReport`] to the cold
 //!   run that populated the cache;
-//! * parallel subtree enforcement is byte-identical to sequential
-//!   execution, for any worker count, warm or cold.
+//! * so do runs through a capacity-starved cache that evicts as it goes.
 //!
 //! Services are modeled by a *pure* invoker — the answer depends only on
 //! `(function, params)`, never on call order or thread — so any output
-//! divergence can only come from the cache or the parallel merge.
+//! divergence can only come from the cache.
 
 use axml::core::invoke::{InvokeError, Invoker};
 use axml::core::rewrite::{RewriteReport, Rewriter};
@@ -46,10 +44,6 @@ impl Invoker for PureInvoker<'_> {
     }
 }
 
-fn boxed<'c>(compiled: &'c Compiled, salt: u64) -> Box<dyn Invoker + Send + 'c> {
-    Box::new(PureInvoker { compiled, salt })
-}
-
 fn exchange_compiled() -> Compiled {
     Compiled::new(
         Schema::builder()
@@ -77,9 +71,9 @@ fn exhibit(title: &str, intensional: bool) -> ITree {
 
 /// A pure invoker whose *failures* are pure too: a call crashes iff a
 /// hash of `(crash_salt, function, params)` says so — a property of what
-/// is being called, never of call order, thread, or how many calls came
-/// before. Sequential and parallel enforcement therefore face the same
-/// failure set, and must report it the same way.
+/// is being called, never of call order or how many calls came before.
+/// Cold, warm and evicting caches therefore face the same failure set,
+/// and must report it the same way.
 struct CrashingInvoker<'c> {
     inner: PureInvoker<'c>,
     crash_salt: u64,
@@ -101,11 +95,10 @@ impl Invoker for CrashingInvoker<'_> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Cold, warm, and parallel (warm *and* cold caches, several worker
-    /// counts) runs of the same document agree byte for byte, and their
-    /// reports are identical.
+    /// Cold, warm, and capacity-starved runs of the same document agree
+    /// byte for byte, and their reports are identical.
     #[test]
-    fn warm_and_parallel_runs_are_byte_identical(
+    fn warm_and_cold_runs_are_byte_identical(
         exhibits in prop::collection::vec(("[a-z]{1,5}", 0u32..2), 0..6),
         salt in 0u64..1_000,
     ) {
@@ -135,32 +128,24 @@ proptest! {
         prop_assert_eq!(cache.stats().misses, misses_after_cold,
             "a warm run must not rebuild anything");
 
-        // Parallel: warm shared cache and a cold private one, several
-        // worker counts — all byte-identical to the sequential run.
-        for (workers, cache) in [
-            (2, cache.clone()),
-            (3, SolveCache::unpublished(128)),
-            (8, SolveCache::unpublished(4)),
-        ] {
-            let mut mk = || boxed(&c, salt);
-            let (par, par_rep) = Rewriter::new(&c)
-                .with_k(1)
-                .with_cache(&cache)
-                .rewrite_safe_parallel(&doc, &mut mk, workers)
-                .unwrap();
-            prop_assert_eq!(par.to_xml().to_xml(), cold_xml.clone(),
-                "parallel != sequential at workers={}", workers);
-            prop_assert_eq!(&par_rep, &cold_rep);
+        // A 4-entry cache evicts while it runs; twice over, it still
+        // delivers the cold bytes.
+        let starved = SolveCache::unpublished(4);
+        for pass in 0..2 {
+            let (out, rep) = run_sequential(&starved);
+            prop_assert_eq!(out.to_xml().to_xml(), cold_xml.clone(),
+                "starved cache diverged on pass {}", pass);
+            prop_assert_eq!(&rep, &cold_rep);
         }
     }
 
-    /// A crashing service crashes *identically* under sequential and
-    /// parallel enforcement: either both deliver the same bytes, or both
-    /// fail with the same typed error. Crashes keyed on call count or
-    /// thread identity would make retries and parallelism observable —
+    /// A crashing service crashes *identically* whatever the cache holds:
+    /// a cold private cache, a warm shared one and a starved one either
+    /// all deliver the same bytes or all fail with the same typed error.
+    /// Crashes keyed on call count would make the cache observable —
     /// keyed on `(function, params)` they are not.
     #[test]
-    fn crashing_invoker_fails_identically_parallel_and_sequential(
+    fn crashing_invoker_fails_identically_warm_and_cold(
         exhibits in prop::collection::vec(("[a-z]{1,5}", 0u32..2), 1..6),
         salt in 0u64..1_000,
         crash_salt in 0u64..1_000,
@@ -170,30 +155,29 @@ proptest! {
             "r",
             exhibits.iter().map(|(t, f)| exhibit(t, *f == 1)).collect(),
         );
-        let sequential = {
+        let run = |cache: &SolveCache| {
             let mut inv = CrashingInvoker {
                 inner: PureInvoker { compiled: &c, salt },
                 crash_salt,
             };
-            Rewriter::new(&c).with_k(1).rewrite_safe(&doc, &mut inv)
+            Rewriter::new(&c).with_k(1).with_cache(cache).rewrite_safe(&doc, &mut inv)
         };
-        for workers in [1usize, 2, 8] {
-            let mut mk = || -> Box<dyn Invoker + Send + '_> {
-                Box::new(CrashingInvoker {
-                    inner: PureInvoker { compiled: &c, salt },
-                    crash_salt,
-                })
-            };
-            let parallel = Rewriter::new(&c)
-                .with_k(1)
-                .rewrite_safe_parallel(&doc, &mut mk, workers);
-            match (&sequential, &parallel) {
+        let cold = run(&SolveCache::unpublished(128));
+        let warm_cache = SolveCache::unpublished(128);
+        Rewriter::new(&c)
+            .with_k(1)
+            .with_cache(&warm_cache)
+            .rewrite_safe(&doc, &mut PureInvoker { compiled: &c, salt })
+            .unwrap();
+        for (regime, cache) in [("warm", warm_cache), ("starved", SolveCache::unpublished(4))] {
+            let again = run(&cache);
+            match (&cold, &again) {
                 (Ok((s, s_rep)), Ok((p, p_rep))) => {
                     prop_assert_eq!(
                         p.to_xml().to_xml(),
                         s.to_xml().to_xml(),
-                        "delivered bytes diverged at workers={}",
-                        workers
+                        "delivered bytes diverged under the {} cache",
+                        regime
                     );
                     prop_assert_eq!(p_rep, s_rep);
                 }
@@ -201,16 +185,17 @@ proptest! {
                     prop_assert_eq!(
                         format!("{pe:?}"),
                         format!("{se:?}"),
-                        "typed error diverged at workers={}",
-                        workers
+                        "typed error diverged under the {} cache",
+                        regime
                     );
                 }
                 (s, p) => {
                     prop_assert!(
                         false,
-                        "outcome diverged at workers={}: sequential ok={}, parallel ok={}",
-                        workers,
+                        "outcome diverged under the {} cache: cold ok={}, {} ok={}",
+                        regime,
                         s.is_ok(),
+                        regime,
                         p.is_ok()
                     );
                 }

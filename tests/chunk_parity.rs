@@ -28,7 +28,7 @@ use axml::core::rewrite::Strategy as RwStrategy;
 use axml::core::stream::{enforce_stream, enforce_stream_to, StreamOptions};
 use axml::net::wire::{self, WireFault};
 use axml::net::{ClientConfig, Handler, IoMode, NetClient, NetServer, ServerConfig};
-use axml::peer::{EnforceMode, Peer, Query, RemotePeer};
+use axml::peer::{Peer, Query, RemotePeer};
 use axml::schema::{Compiled, ITree, NoOracle, Schema};
 use axml::services::{Registry, ServiceDef};
 use axml_support::prelude::*;
@@ -282,14 +282,11 @@ fn peer_ship_matrix_chunked_equals_single_frame() {
     );
     let strict = Arc::new(Compiled::new(exchange_vocab(), &NoOracle).unwrap());
     for io in IO_MODES {
-        let receiver_peer = Arc::new(
-            Peer::new(
-                "browser.example.org",
-                Arc::clone(&strict),
-                Arc::new(Registry::new()),
-            )
-            .with_enforce_mode(EnforceMode::Streaming),
-        );
+        let receiver_peer = Arc::new(Peer::new(
+            "browser.example.org",
+            Arc::clone(&strict),
+            Arc::new(Registry::new()),
+        ));
         let config = axml::net::ServerConfig {
             io,
             ..Default::default()

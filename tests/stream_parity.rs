@@ -2,25 +2,28 @@
 //!
 //! The streaming enforcer (`axml_core::stream`) promises byte-identical
 //! output and identical typed errors for every document × schema ×
-//! strategy combination — that is the contract that makes `--enforce
-//! streaming` a safe default. This suite drives the promise:
+//! strategy combination — that is the contract that lets senders always
+//! stream. This suite drives the promise:
 //!
 //! * a property sweeping random intensional newspapers (0–4 embedded
 //!   calls, optional stray elements, pretty-printed or compact input)
 //!   across the paper's three exchange schemas and both strategies,
 //!   checking output bytes, invocation lists, typed errors, and the
 //!   `bytes_copied + bytes_rewritten == bytes_out` accounting identity;
+//! * a property holding the streaming validator receivers run to the
+//!   verdict of DOM validation, over the same newspapers and textual
+//!   mutations of them;
 //! * pinned regressions for error ordering (leftmost error wins) and the
 //!   error taxonomy surviving the fallback;
 //! * a transport-matrix case shipping a streamed-enforced document across
 //!   both network engines (blocking threads and the poll loop) and
-//!   checking the receiver stores the same document the DOM mode ships.
+//!   checking the receiver stores what the DOM pipeline produces.
 
 use axml::core::invoke::{Invoker, ScriptedInvoker};
 use axml::core::rewrite::{RewriteError, Strategy as RwStrategy};
 use axml::core::stream::{enforce_dom, enforce_stream, StreamOptions};
-use axml::peer::{EnforceMode, NetInvoker, NetPeer, Peer, Query, RemotePeer};
-use axml::schema::{Compiled, ITree, NoOracle, Schema};
+use axml::peer::{NetInvoker, NetPeer, Peer, Query, RemotePeer};
+use axml::schema::{validate, validate_xml_stream, Compiled, ITree, NoOracle, Schema};
 use axml::services::{Registry, ServiceDef};
 use axml_support::prelude::*;
 use std::sync::Arc;
@@ -180,6 +183,119 @@ fn assert_parity(compiled: &Compiled, input: &str, strategy: RwStrategy, k: u32)
     }
 }
 
+/// Where `xml` can be split without touching markup or an entity: one
+/// cut per non-blank text run, before a literal character with non-blank
+/// text on either side. Yields (cut, end of that character).
+fn text_cuts(xml: &str) -> Vec<(usize, usize)> {
+    let mut cuts = Vec::new();
+    let mut run_start = None;
+    for (i, b) in xml.bytes().enumerate() {
+        match b {
+            b'>' => run_start = Some(i + 1),
+            b'<' => {
+                let Some(start) = run_start.take() else {
+                    continue;
+                };
+                let run = &xml[start..i];
+                let mut in_entity = false;
+                for (j, ch) in run.char_indices() {
+                    let plain = !in_entity && ch != '&';
+                    in_entity = (in_entity || ch == '&') && ch != ';';
+                    let end = j + ch.len_utf8();
+                    if plain
+                        && !ch.is_whitespace()
+                        && !run[..j].trim().is_empty()
+                        && !run[end..].trim().is_empty()
+                    {
+                        cuts.push((start + j, start + end));
+                        break;
+                    }
+                }
+            }
+            _ => {}
+        }
+    }
+    cuts
+}
+
+/// Positions between two tags, where only blank text (if any) stands.
+fn tag_gaps(xml: &str) -> Vec<usize> {
+    let mut gaps = Vec::new();
+    for (i, b) in xml.bytes().enumerate() {
+        if b == b'>' {
+            if let Some(next) = xml[i + 1..].find('<') {
+                if xml[i + 1..i + 1 + next].trim().is_empty() {
+                    gaps.push(i + 1);
+                }
+            }
+        }
+    }
+    gaps
+}
+
+/// Byte ranges of the elements that hold no element: `<x>text</x>` or
+/// `<x/>`.
+fn leaf_elements(xml: &str) -> Vec<(usize, usize)> {
+    let mut leaves = Vec::new();
+    for (i, _) in xml.match_indices('<') {
+        if !xml[i + 1..].starts_with(|c: char| c.is_alphabetic()) {
+            continue;
+        }
+        let Some(gt) = xml[i..].find('>').map(|g| i + g) else {
+            continue;
+        };
+        if xml[..gt].ends_with('/') {
+            leaves.push((i, gt + 1));
+            continue;
+        }
+        let name = xml[i + 1..gt].split(' ').next().unwrap_or_default();
+        let close = format!("</{name}>");
+        if let Some(lt) = xml[gt + 1..].find('<').map(|l| gt + 1 + l) {
+            if xml[lt..].starts_with(&close) {
+                leaves.push((i, lt + close.len()));
+            }
+        }
+    }
+    leaves
+}
+
+/// Textual mutations of a rendered document: each text run split by a
+/// CDATA section and by a comment; blank runs, blank CDATA and an unknown
+/// element between every two tags; each call without its `methodName`;
+/// each leaf element dropped.
+fn mutations(xml: &str) -> Vec<String> {
+    let splice = |at: usize, to: usize, with: &str| format!("{}{with}{}", &xml[..at], &xml[to..]);
+    let mut out = Vec::new();
+    for (cut, end) in text_cuts(xml) {
+        out.push(splice(cut, end, &format!("<![CDATA[{}]]>", &xml[cut..end])));
+        out.push(splice(cut, cut, "<!-- split -->"));
+    }
+    for gap in tag_gaps(xml) {
+        for filler in ["\n   ", "<![CDATA[  ]]>", "<mystery/>"] {
+            out.push(splice(gap, gap, filler));
+        }
+    }
+    for (at, attr) in xml.match_indices(" methodName=\"") {
+        let value = at + attr.len();
+        if let Some(quote) = xml[value..].find('"') {
+            out.push(splice(at, value + quote + 1, ""));
+        }
+    }
+    for (at, end) in leaf_elements(xml) {
+        out.push(splice(at, end, ""));
+    }
+    out
+}
+
+/// DOM validation of the tree `parse_document` and `ITree::from_xml`
+/// build: the reference for the streaming validator.
+fn dom_accepts(text: &str, compiled: &Compiled) -> bool {
+    axml::xml::parse_document(text)
+        .ok()
+        .and_then(|d| ITree::from_xml(&d.root).ok())
+        .is_some_and(|t| validate(&t, compiled).is_ok())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -192,6 +308,23 @@ proptest! {
             for strategy in [RwStrategy::Safe, RwStrategy::Possible] {
                 let input = render(&doc, pretty);
                 assert_parity(&c, &input, strategy, 1);
+            }
+        }
+    }
+
+    /// The streaming validator receivers run reaches the verdict of DOM
+    /// validation, on each newspaper and on every mutation of it.
+    #[test]
+    fn validator_verdicts_match_dom(doc in newspaper_strategy(), pretty in (0u32..2).prop_map(|b| b == 1)) {
+        let input = render(&doc, pretty);
+        let mut inputs = mutations(&input);
+        inputs.push(input);
+        for model in MODELS {
+            let c = compiled(model);
+            for text in &inputs {
+                let stream = validate_xml_stream(text, &c);
+                prop_assert_eq!(stream.is_ok(), dom_accepts(text, &c),
+                    "verdicts diverge on {}: stream says {:?}", text, stream);
             }
         }
     }
@@ -299,22 +432,8 @@ fn provider_daemon(io: axml::net::IoMode) -> NetPeer {
         Arc::new(Compiled::new(exchange_vocab(), &NoOracle).unwrap()),
         Arc::new(Registry::new()),
     ));
-    peer.repository.store(
-        "program",
-        ITree::elem(
-            "listings",
-            vec![
-                ITree::elem(
-                    "exhibit",
-                    vec![ITree::data("title", "Monet"), ITree::data("date", "Mon")],
-                ),
-                ITree::elem(
-                    "exhibit",
-                    vec![ITree::data("title", "Rodin"), ITree::data("date", "Tue")],
-                ),
-            ],
-        ),
-    );
+    peer.repository
+        .store("program", ITree::elem("listings", program()));
     peer.declare(
         ServiceDef::new("Listings", "data", "exhibit*"),
         Query::Children("program".to_owned()),
@@ -326,18 +445,40 @@ fn provider_daemon(io: axml::net::IoMode) -> NetPeer {
     NetPeer::serve(peer, "127.0.0.1:0", config).unwrap()
 }
 
-/// Ships the intensional front page under the strict exchange schema with
-/// the given enforcement mode and engine; returns the stored document.
-fn ship_outcome(io: axml::net::IoMode, mode: EnforceMode) -> ITree {
+/// What the provider's `Listings` service answers.
+fn program() -> Vec<ITree> {
+    vec![
+        ITree::elem(
+            "exhibit",
+            vec![ITree::data("title", "Monet"), ITree::data("date", "Mon")],
+        ),
+        ITree::elem(
+            "exhibit",
+            vec![ITree::data("title", "Rodin"), ITree::data("date", "Tue")],
+        ),
+    ]
+}
+
+fn front_page() -> ITree {
+    ITree::elem(
+        "newspaper",
+        vec![
+            ITree::data("title", "The Sun"),
+            ITree::data("date", "04/10/2002"),
+            ITree::func("Listings", vec![ITree::text("exhibits")]),
+        ],
+    )
+}
+
+/// Ships the intensional front page under the strict exchange schema over
+/// the given engine; returns the stored document.
+fn ship_outcome(io: axml::net::IoMode) -> ITree {
     let provider = provider_daemon(io);
-    let receiver_peer = Arc::new(
-        Peer::new(
-            "browser.example.org",
-            Arc::new(Compiled::new(strict_vocab(), &NoOracle).unwrap()),
-            Arc::new(Registry::new()),
-        )
-        .with_enforce_mode(mode),
-    );
+    let receiver_peer = Arc::new(Peer::new(
+        "browser.example.org",
+        Arc::new(Compiled::new(strict_vocab(), &NoOracle).unwrap()),
+        Arc::new(Registry::new()),
+    ));
     let config = axml::net::ServerConfig {
         io,
         ..Default::default()
@@ -348,15 +489,6 @@ fn ship_outcome(io: axml::net::IoMode, mode: EnforceMode) -> ITree {
         "newspaper.example.org",
         Arc::new(Compiled::new(exchange_vocab(), &NoOracle).unwrap()),
         Arc::new(Registry::new()),
-    )
-    .with_enforce_mode(mode);
-    let front = ITree::elem(
-        "newspaper",
-        vec![
-            ITree::data("title", "The Sun"),
-            ITree::data("date", "04/10/2002"),
-            ITree::func("Listings", vec![ITree::text("exhibits")]),
-        ],
     );
 
     let to_provider = RemotePeer::connect(provider.local_addr(), Default::default()).unwrap();
@@ -367,7 +499,7 @@ fn ship_outcome(io: axml::net::IoMode, mode: EnforceMode) -> ITree {
         remote: &to_provider,
     };
     let (sent, report) = to_receiver
-        .send_document_with(&sender, "front", &front, &strict, &mut invoker)
+        .send_document_with(&sender, "front", &front_page(), &strict, &mut invoker)
         .unwrap();
     assert_eq!(report.invoked, vec!["Listings".to_owned()]);
     assert_eq!(sent.num_funcs(), 0);
@@ -379,15 +511,24 @@ fn ship_outcome(io: axml::net::IoMode, mode: EnforceMode) -> ITree {
     stored
 }
 
-/// The Fig. 1 exchange with streaming enforcement on both ends, over both
-/// network engines: every combination stores the same document the DOM
-/// mode stores.
+/// The Fig. 1 exchange, streamed by the sender and validated by the
+/// receiver, over both network engines: each stores the document the DOM
+/// pipeline produces in-process from the provider's answers.
 #[test]
 fn matrix_streamed_exchange_identical_across_engines_and_modes() {
     use axml::net::IoMode;
-    let baseline = ship_outcome(IoMode::Threads, EnforceMode::Dom);
+    let strict = Compiled::new(strict_vocab(), &NoOracle).unwrap();
+    let script = ScriptedInvoker::new().answer("Listings", program());
+    let (dom, _) = enforce_dom(
+        &strict,
+        &render(&front_page(), false),
+        &StreamOptions::default(),
+        &mut || Box::new(script.clone()) as Box<dyn Invoker + Send>,
+    )
+    .unwrap();
+    let baseline = ITree::from_xml(&axml::xml::parse_document(&dom).unwrap().root).unwrap();
     for io in [IoMode::Threads, IoMode::Poll] {
-        let streamed = ship_outcome(io, EnforceMode::Streaming);
+        let streamed = ship_outcome(io);
         assert_eq!(
             streamed, baseline,
             "streamed exchange over {io:?} differs from the DOM baseline"

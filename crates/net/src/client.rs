@@ -700,14 +700,19 @@ mod tests {
 
     #[test]
     fn call_reuses_pooled_connections() {
-        let server = NetServer::bind("127.0.0.1:0", echo(), ServerConfig::default()).unwrap();
+        let registry = axml_obs::Registry::new();
+        let config = ServerConfig {
+            metrics: registry.clone(),
+            ..ServerConfig::default()
+        };
+        let server = NetServer::bind("127.0.0.1:0", echo(), config).unwrap();
         let client = NetClient::new(server.local_addr(), ClientConfig::default()).unwrap();
         for i in 0..10 {
             assert_eq!(client.call(&format!("m{i}")).unwrap(), format!("echo:m{i}"));
         }
         assert_eq!(client.pooled(), 1, "all calls shared one socket");
         assert_eq!(
-            server.stats().accepted.load(Ordering::Relaxed),
+            registry.snapshot().counter("server.connections_total"),
             1,
             "no re-dialing"
         );

@@ -115,6 +115,27 @@ impl FrameDecoder {
         self.dead.is_none() && self.pos < self.buf.len()
     }
 
+    /// What a read deadline passing now means: [`WireError::Stalled`]
+    /// inside a frame, [`WireError::Idle`] between frames.
+    pub fn timeout(&self) -> WireError {
+        if self.mid_frame() {
+            WireError::Stalled
+        } else {
+            WireError::Idle
+        }
+    }
+
+    /// What an end of stream now means, as the blocking reader reports
+    /// it: [`WireError::Closed`] between frames, an unexpected-EOF error
+    /// inside one.
+    pub fn eof(&self) -> WireError {
+        if self.mid_frame() {
+            wire::eof_mid_frame()
+        } else {
+            WireError::Closed
+        }
+    }
+
     /// Bytes currently buffered (unconsumed); feeds the poll engine's
     /// `server.poll.buffer_bytes` gauge.
     pub fn buffered_len(&self) -> usize {
@@ -171,8 +192,8 @@ pub enum ChunkProgress {
 }
 
 /// Reassembles `DocChunkStart`/`DocChunk`/`DocChunkEnd` sequences into
-/// whole documents, shared verbatim by the blocking server, the poll
-/// engine, and the sim server so the typed-error taxonomy cannot drift.
+/// whole documents; the connection core ([`crate::conn`]) runs one per
+/// connection for every engine and the simulator.
 ///
 /// Rules enforced (each violation is a connection-visible typed error):
 ///

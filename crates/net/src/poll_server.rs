@@ -10,44 +10,44 @@
 //!   shard's poller (level-triggered), so accepts self-balance: whichever
 //!   shard wakes first wins the connection, the rest see `WouldBlock`.
 //! * **Connections** — a non-blocking `TcpStream`, a
-//!   [`FrameDecoder`](crate::frames::FrameDecoder) reassembling frames
-//!   across arbitrary partial reads, and a pending-write buffer. All
-//!   socket I/O for a connection happens on its shard thread; workers
-//!   never touch sockets.
-//! * **Workers** — the ordinary [`worker_loop`] from the threads engine,
-//!   partitioned across shards (at least one each). Replies travel back
-//!   via the shard's outbox + waker ([`ReplyTo::Shard`]) and are flushed
-//!   by the shard loop.
+//!   [`FrameDecoder`] reassembling frames across arbitrary partial reads,
+//!   the connection core ([`crate::conn`]) that answers them, and a
+//!   pending-write buffer. All socket I/O for a connection happens on its
+//!   shard thread; workers never touch sockets.
+//! * **Workers** — the threads engine's worker loop, partitioned across
+//!   shards (at least one each). Replies travel back via the shard's
+//!   outbox + waker ([`ReplyTo::Shard`]) and are flushed by the shard
+//!   loop.
 //! * **Fairness** — level-triggered readiness plus a per-event read
 //!   budget ([`MAX_READS_PER_EVENT`] × 64 KiB): a fire-hosing connection
 //!   yields the shard after its budget, and undrained sockets are simply
 //!   re-reported on the next `wait`. No connection can park the shard.
 //! * **Deadlines** — the poller wakes at least every ~`read_timeout`/4
-//!   (capped to 50 ms) and sweeps: a connection that never completed its
-//!   handshake within `read_timeout` is dropped silently (the blocking
-//!   reader's `Idle` semantics), one that stalls *mid-frame* gets the
-//!   `Timeout` fault and is closed (`Stalled` semantics), and one whose
-//!   pending writes make no progress for `write_timeout` is dropped.
+//!   (capped to 50 ms) and sweeps: a connection silent for longer than
+//!   `read_timeout` is reported to its core as `Idle` or, mid-frame,
+//!   `Stalled` (the blocking reader's per-read timeout semantics), and
+//!   one whose pending writes make no progress for `write_timeout` is
+//!   dropped.
 //!
-//! Fault taxonomy, reply bytes, and the
-//! `requests_total = responses_ok_total + faults_total` accounting
-//! identity are kept byte-for-byte identical to the threads engine —
+//! The core builds every fault frame and bumps every protocol metric,
+//! so replies and the `requests_total = responses_ok_total +
+//! faults_total` identity match the threads engine byte for byte —
 //! `tests/net_exchange.rs` runs every scenario over both engines and
 //! asserts exactly that. Two extra gauges are poll-specific:
 //! `server.poll.connections` and `server.poll.buffer_bytes` (the
 //! bounded-memory witness for the 10k-connection smoke test).
 
-use crate::frames::{ChunkAssembler, ChunkProgress, FrameDecoder};
-use crate::server::{worker_loop, Job, ReplyTo, ServerError, Shared, Work};
-use crate::wire::{self, FaultCode, Frame, FrameType, WireError, WireFault};
+use crate::conn::{self, Action};
+use crate::frames::FrameDecoder;
+use crate::server::{spawn_worker, submit, ReplyTo, ServerError, Shared, Task};
+use crate::wire::{self, Frame};
 use axml_support::poll::{Event, Interest, Poller, Waker};
-use axml_support::sync::channel::{bounded, TrySendError};
+use axml_support::sync::channel::{bounded, Sender};
 use axml_support::sync::Mutex;
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsFd;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -88,7 +88,7 @@ pub(crate) struct PollEngine {
     shard_handles: Vec<Arc<ShardHandle>>,
     shards: Vec<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
-    job_txs: Vec<axml_support::sync::channel::Sender<Job>>,
+    job_txs: Vec<Sender<Task>>,
 }
 
 impl PollEngine {
@@ -116,19 +116,13 @@ impl PollEngine {
                 outbox: Mutex::new(Vec::new()),
                 waker: poller.waker(),
             });
-            let (job_tx, job_rx) = bounded::<Job>(queue);
+            let (job_tx, job_rx) = bounded::<Task>(queue);
             let job_rx = Arc::new(Mutex::new(job_rx));
             // Spread the worker pool across shards, at least one each.
             let per = (total_workers / nshards + usize::from(s < total_workers % nshards)).max(1);
             for w in 0..per {
-                let shared = Arc::clone(shared);
-                let job_rx = Arc::clone(&job_rx);
-                engine.workers.push(
-                    std::thread::Builder::new()
-                        .name(format!("axml-poll-worker-{s}-{w}"))
-                        .spawn(move || worker_loop(&shared, &job_rx))
-                        .expect("spawn worker thread"),
-                );
+                let name = format!("axml-poll-worker-{s}-{w}");
+                engine.workers.push(spawn_worker(shared, &job_rx, name));
             }
             let shard_thread = {
                 let listener = Arc::clone(&listener);
@@ -166,18 +160,17 @@ impl PollEngine {
     }
 }
 
-/// One connection's state machine. All fields are owned by the shard
+/// One connection's socket side. All fields are owned by the shard
 /// thread; nothing here is shared.
 struct Conn {
     stream: TcpStream,
     decoder: FrameDecoder,
-    /// Chunked-transfer reassembly state (one transfer in flight max).
-    assembler: ChunkAssembler,
+    /// The protocol state: handshake, chunk reassembly, accounting.
+    core: conn::Conn,
     /// Encoded frames awaiting the socket; `out_pos` is the flushed
     /// prefix.
     out: Vec<u8>,
     out_pos: usize,
-    handshaken: bool,
     /// Close once `out` is flushed (fault-then-close paths).
     close_after_flush: bool,
     /// Whether the poller registration currently includes write interest.
@@ -193,14 +186,13 @@ struct Conn {
 }
 
 impl Conn {
-    fn new(stream: TcpStream, max_frame: usize, max_doc: usize, now: Instant) -> Conn {
+    fn new(stream: TcpStream, core: conn::Conn, max_frame: usize, now: Instant) -> Conn {
         Conn {
             stream,
             decoder: FrameDecoder::new(max_frame),
-            assembler: ChunkAssembler::new(max_doc),
+            core,
             out: Vec::new(),
             out_pos: 0,
-            handshaken: false,
             close_after_flush: false,
             want_write: false,
             dead: false,
@@ -212,6 +204,21 @@ impl Conn {
     fn pending_out(&self) -> usize {
         self.out.len() - self.out_pos
     }
+
+    /// Carries out a core answer that needs no worker: buffer the reply,
+    /// or mark the connection to close once it is flushed.
+    fn act(&mut self, action: Action) {
+        match action {
+            Action::Continue | Action::Queue(_) => {}
+            Action::Reply(frame) => enqueue(self, &frame),
+            Action::Close(frame) => {
+                if let Some(frame) = frame {
+                    enqueue(self, &frame);
+                }
+                self.close_after_flush = true;
+            }
+        }
+    }
 }
 
 fn shard_loop(
@@ -219,9 +226,8 @@ fn shard_loop(
     poller: &Poller,
     handle: &Arc<ShardHandle>,
     shared: &Arc<Shared>,
-    job_tx: &axml_support::sync::channel::Sender<Job>,
+    job_tx: &Sender<Task>,
 ) {
-    let metrics = &shared.metrics;
     let read_timeout = shared.config.read_timeout;
     let write_timeout = shared.config.write_timeout;
     // The wait timeout doubles as the deadline-sweep tick: fine enough
@@ -241,11 +247,10 @@ fn shard_loop(
     let mut scratch = vec![0u8; SCRATCH_LEN];
     let mut next_token: u64 = 0;
     let mut reported_bytes: i64 = 0;
-    let mut reported_reassembly: i64 = 0;
 
-    while !shared.stop.load(Ordering::SeqCst) {
+    while !shared.ep.stopping() {
         let _ = poller.wait(&mut events, Some(tick));
-        if shared.stop.load(Ordering::SeqCst) {
+        if shared.ep.stopping() {
             break;
         }
         let now = Instant::now();
@@ -268,14 +273,6 @@ fn shard_loop(
                 update_interest(conn, ev.token, poller);
             }
         }
-        // Publish reassembly releases *before* any worker reply can
-        // flush: a sender observing its DocChunkEnd response must never
-        // see the gauge still holding the completed transfer. (The
-        // threads engine syncs per-frame ahead of dispatch; this is the
-        // readiness-loop equivalent of that ordering.)
-        let reassembly: i64 = conns.values().map(|c| c.assembler.buffered_len() as i64).sum();
-        metrics.chunk_reassembly.add(reassembly - reported_reassembly);
-        reported_reassembly = reassembly;
         // Worker replies: append to the owning connection's buffer.
         let pending = std::mem::take(&mut *handle.outbox.lock());
         for (token, frame) in pending {
@@ -301,78 +298,44 @@ fn shard_loop(
                 conn.dead = true;
                 continue;
             }
-            if conn.close_after_flush {
-                continue; // already fated, just waiting on the flush
-            }
-            if !conn.handshaken {
-                if now.duration_since(conn.last_activity) > read_timeout {
-                    // Never sent its handshake: silent drop, exactly the
-                    // blocking reader's Idle path.
-                    conn.dead = true;
-                }
+            if conn.close_after_flush || now.duration_since(conn.last_activity) <= read_timeout {
                 continue;
             }
-            if (conn.decoder.mid_frame() || conn.assembler.active())
-                && now.duration_since(conn.last_activity) > read_timeout
-            {
-                // Stalled mid-frame (the stream is no longer framed) or
-                // quiet inside an open chunk transfer: Timeout fault,
-                // then close — same taxonomy as the blocking reader.
-                shared.stats.faulted.fetch_add(1, Ordering::Relaxed);
-                metrics.fault();
-                metrics.timeouts.inc();
-                let msg = if conn.decoder.mid_frame() {
-                    "read timed out mid-frame"
-                } else {
-                    "read timed out mid-chunk-transfer"
-                };
-                let f = WireFault::new(FaultCode::Timeout, msg);
-                enqueue(conn, &wire::fault(0, &f));
-                conn.close_after_flush = true;
+            // The core keeps an idle connection, drops one that never
+            // finished its handshake, and faults a stall mid-frame or
+            // inside an open chunk transfer.
+            let action = conn.core.on_read(Err(conn.decoder.timeout()));
+            if action != Action::Continue {
+                conn.act(action);
                 try_flush(conn, now);
                 if !conn.dead {
                     update_interest(conn, *token, poller);
                 }
             }
         }
-        // Sweep the dead and republish the bounded-memory gauges.
+        // Sweep the dead and republish the bounded-memory gauge. A
+        // dropped core gives back its reassembly bytes by itself.
         conns.retain(|_, conn| {
             if conn.dead {
                 let _ = poller.deregister(conn.stream.as_fd());
-                metrics.poll_connections.sub(1);
-                if conn.assembler.active() {
-                    // The connection died mid-transfer: account the
-                    // abandoned reassembly (threads-engine parity).
-                    metrics.chunk_aborts.inc();
-                }
-                false
-            } else {
-                true
+                shared.poll_connections.sub(1);
             }
+            !conn.dead
         });
         let total: i64 = conns
             .values()
-            .map(|c| {
-                (c.decoder.buffered_len() + c.assembler.buffered_len() + c.pending_out()) as i64
-            })
+            .map(|c| (c.decoder.buffered_len() + c.core.reassembly_len() + c.pending_out()) as i64)
             .sum();
-        metrics.poll_buffer_bytes.add(total - reported_bytes);
+        shared.poll_buffer_bytes.add(total - reported_bytes);
         reported_bytes = total;
-        let reassembly: i64 = conns.values().map(|c| c.assembler.buffered_len() as i64).sum();
-        metrics.chunk_reassembly.add(reassembly - reported_reassembly);
-        reported_reassembly = reassembly;
     }
 
     // Shutdown: connections die with the shard. Idle peers see a plain
     // close (threads-engine parity: readers return silently on stop).
-    metrics.poll_buffer_bytes.add(-reported_bytes);
-    metrics.chunk_reassembly.add(-reported_reassembly);
+    shared.poll_buffer_bytes.add(-reported_bytes);
     for (_, conn) in conns.drain() {
         let _ = poller.deregister(conn.stream.as_fd());
-        metrics.poll_connections.sub(1);
-        if conn.assembler.active() {
-            metrics.chunk_aborts.inc();
-        }
+        shared.poll_connections.sub(1);
     }
 }
 
@@ -390,8 +353,7 @@ fn accept_ready(
                 if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
                     continue; // stream drops, connection resets
                 }
-                shared.stats.accepted.fetch_add(1, Ordering::Relaxed);
-                shared.metrics.connections.inc();
+                let core = shared.ep.accept();
                 let token = *next_token;
                 *next_token += 1;
                 if poller
@@ -400,11 +362,9 @@ fn accept_ready(
                 {
                     continue;
                 }
-                shared.metrics.poll_connections.add(1);
-                conns.insert(
-                    token,
-                    Conn::new(stream, shared.config.max_frame, shared.config.max_doc, now),
-                );
+                shared.poll_connections.add(1);
+                let conn = Conn::new(stream, core, shared.config.max_frame, now);
+                conns.insert(token, conn);
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
@@ -417,7 +377,7 @@ fn on_readable(
     conn: &mut Conn,
     token: u64,
     shared: &Arc<Shared>,
-    job_tx: &axml_support::sync::channel::Sender<Job>,
+    job_tx: &Sender<Task>,
     handle: &Arc<ShardHandle>,
     scratch: &mut [u8],
     now: Instant,
@@ -425,33 +385,31 @@ fn on_readable(
     for _ in 0..MAX_READS_PER_EVENT {
         match conn.stream.read(scratch) {
             Ok(0) => {
-                // EOF. Clean close between frames is silent (`Closed`
-                // parity); mid-frame it is the blocking reader's
-                // UnexpectedEof → BadFrame fault path. Either way the
-                // connection is done.
-                if conn.handshaken
-                    && conn.decoder.mid_frame()
-                    && !shared.stop.load(Ordering::SeqCst)
-                {
-                    shared.stats.faulted.fetch_add(1, Ordering::Relaxed);
-                    shared.metrics.fault();
-                    let e = WireError::Io(
-                        std::io::ErrorKind::UnexpectedEof,
-                        "connection closed mid-frame".to_owned(),
-                    );
-                    let f = WireFault::new(FaultCode::BadFrame, e.to_string());
-                    enqueue(conn, &wire::fault(0, &f));
-                    try_flush(conn, now);
-                }
+                // EOF: silent between frames, the blocking reader's
+                // BadFrame fault mid-frame. Either way the connection is
+                // done.
+                let action = conn.core.on_read(Err(conn.decoder.eof()));
+                conn.act(action);
+                try_flush(conn, now);
                 conn.dead = true;
                 return;
             }
             Ok(n) => {
                 conn.last_activity = now;
                 conn.decoder.feed(&scratch[..n]);
-                drain_frames(conn, shared, job_tx, handle, token);
-                if conn.dead || conn.close_after_flush {
-                    return;
+                while let Some(read) = conn.decoder.poll_frame().transpose() {
+                    let mut action = conn.core.on_read(read);
+                    if let Action::Queue(job) = action {
+                        let reply = ReplyTo::Shard {
+                            shard: Arc::clone(handle),
+                            conn: token,
+                        };
+                        action = submit(shared, &mut conn.core, job_tx, job, reply);
+                    }
+                    conn.act(action);
+                    if conn.close_after_flush {
+                        return;
+                    }
                 }
                 if n < scratch.len() {
                     return; // socket drained
@@ -467,221 +425,6 @@ fn on_readable(
     }
     // Budget exhausted: leftover socket bytes re-report on the next
     // wait (level-triggered), after the other connections get a turn.
-}
-
-/// The post-read state machine — the poll engine's `serve_frames`. Every
-/// branch mirrors the threads engine's metric and fault sequence
-/// exactly; divergence here breaks the transport-matrix suite.
-fn drain_frames(
-    conn: &mut Conn,
-    shared: &Arc<Shared>,
-    job_tx: &axml_support::sync::channel::Sender<Job>,
-    handle: &Arc<ShardHandle>,
-    token: u64,
-) {
-    let metrics = &shared.metrics;
-    loop {
-        let frame = match conn.decoder.poll_frame() {
-            Ok(Some(f)) => f,
-            Ok(None) => return,
-            Err(e) => {
-                if !conn.handshaken {
-                    // The blocking reader drops pre-handshake protocol
-                    // errors silently.
-                    conn.dead = true;
-                    return;
-                }
-                match e {
-                    WireError::TooLarge { len, max } => {
-                        shared.stats.faulted.fetch_add(1, Ordering::Relaxed);
-                        metrics.fault();
-                        metrics.too_large.inc();
-                        metrics.frame_bytes.observe(len as u64);
-                        let f = WireFault::new(
-                            FaultCode::TooLarge,
-                            format!("{len}-byte payload exceeds the {max}-byte cap"),
-                        );
-                        enqueue(conn, &wire::fault(0, &f));
-                    }
-                    other => {
-                        if !shared.stop.load(Ordering::SeqCst) {
-                            shared.stats.faulted.fetch_add(1, Ordering::Relaxed);
-                            metrics.fault();
-                            let f = WireFault::new(FaultCode::BadFrame, other.to_string());
-                            enqueue(conn, &wire::fault(0, &f));
-                        }
-                    }
-                }
-                if conn.assembler.active() {
-                    // The decoder error is sticky and the connection is
-                    // fated: release the partially-assembled document now
-                    // rather than holding it until the flush completes.
-                    conn.assembler.abort();
-                    metrics.chunk_aborts.inc();
-                }
-                conn.close_after_flush = true;
-                return;
-            }
-        };
-        if !conn.handshaken {
-            handshake_frame(conn, &frame, shared);
-            if conn.dead || conn.close_after_flush {
-                return;
-            }
-            continue;
-        }
-        metrics.frame_bytes.observe(frame.payload.len() as u64);
-        if frame.kind == FrameType::StatsRequest {
-            // Answered inline from the shard loop: scrapes must work
-            // even when every worker queue is saturated, and they stay
-            // out of the request accounting.
-            let snapshot = shared.config.metrics.snapshot().to_json();
-            enqueue(conn, &wire::stats_response(frame.id, &snapshot));
-            continue;
-        }
-        if shared.stop.load(Ordering::SeqCst) {
-            let f = WireFault::new(FaultCode::Shutdown, "server is shutting down").retryable();
-            enqueue(conn, &wire::fault(frame.id, &f));
-            conn.close_after_flush = true;
-            return;
-        }
-        let work = if matches!(
-            frame.kind,
-            FrameType::DocChunkStart | FrameType::DocChunk | FrameType::DocChunkEnd
-        ) {
-            metrics.chunk_frames.inc();
-            if frame.kind == FrameType::DocChunk {
-                metrics
-                    .chunk_bytes
-                    .add(frame.payload.len().saturating_sub(4) as u64);
-            }
-            match conn.assembler.accept(&frame) {
-                Ok(ChunkProgress::Pending) | Ok(ChunkProgress::Drained) => continue,
-                Ok(ChunkProgress::Complete { name, bytes, .. }) => {
-                    match String::from_utf8(bytes) {
-                        Ok(text) => Work::Document { name, text },
-                        Err(_) => {
-                            shared.stats.faulted.fetch_add(1, Ordering::Relaxed);
-                            metrics.fault();
-                            metrics.chunk_aborts.inc();
-                            let f = WireFault::new(
-                                FaultCode::Client,
-                                "chunked document is not UTF-8",
-                            );
-                            enqueue(conn, &wire::fault(frame.id, &f));
-                            continue;
-                        }
-                    }
-                }
-                Err(e) => {
-                    // The transfer is dead but the stream is still framed:
-                    // fault the transfer's request id and keep serving —
-                    // the assembler drains the pipelined remains itself.
-                    shared.stats.faulted.fetch_add(1, Ordering::Relaxed);
-                    metrics.fault();
-                    metrics.chunk_aborts.inc();
-                    let f = match e {
-                        WireError::TooLarge { len, max } => {
-                            metrics.too_large.inc();
-                            metrics.frame_bytes.observe(len as u64);
-                            WireFault::new(
-                                FaultCode::TooLarge,
-                                format!(
-                                    "chunked transfer of {len} cumulative bytes exceeds the {max}-byte cap"
-                                ),
-                            )
-                        }
-                        other => WireFault::new(FaultCode::BadFrame, other.to_string()),
-                    };
-                    enqueue(conn, &wire::fault(frame.id, &f));
-                    continue;
-                }
-            }
-        } else if frame.kind != FrameType::Request {
-            shared.stats.faulted.fetch_add(1, Ordering::Relaxed);
-            metrics.fault();
-            let f = WireFault::new(FaultCode::BadFrame, "expected a Request frame");
-            enqueue(conn, &wire::fault(frame.id, &f));
-            continue;
-        } else {
-            match wire::decode_envelope(&frame.payload) {
-                Ok(e) => Work::Envelope(e),
-                Err(e) => {
-                    shared.stats.faulted.fetch_add(1, Ordering::Relaxed);
-                    metrics.fault();
-                    let f = WireFault::new(FaultCode::Client, e.to_string());
-                    enqueue(conn, &wire::fault(frame.id, &f));
-                    continue;
-                }
-            }
-        };
-        let job = Job {
-            reply: ReplyTo::Shard {
-                shard: Arc::clone(handle),
-                conn: token,
-            },
-            id: frame.id,
-            work,
-        };
-        // Count the slot before the job becomes visible to workers (see
-        // the threads engine for why the order matters).
-        metrics.queue_depth.add(1);
-        match job_tx.try_send(job) {
-            Ok(()) => {}
-            Err(TrySendError::Full(job)) => {
-                // Backpressure: reject retryably instead of queueing.
-                metrics.queue_depth.sub(1);
-                shared.stats.rejected_busy.fetch_add(1, Ordering::Relaxed);
-                metrics.fault();
-                metrics.busy.inc();
-                let f = WireFault::new(FaultCode::Busy, "in-flight request queue is full")
-                    .retryable();
-                enqueue(conn, &wire::fault(job.id, &f));
-            }
-            Err(TrySendError::Disconnected(job)) => {
-                metrics.queue_depth.sub(1);
-                shared.stats.faulted.fetch_add(1, Ordering::Relaxed);
-                metrics.fault();
-                let f = WireFault::new(FaultCode::Shutdown, "server is shutting down").retryable();
-                enqueue(conn, &wire::fault(job.id, &f));
-                conn.close_after_flush = true;
-                return;
-            }
-        }
-    }
-}
-
-/// First-frame handling: the versioned handshake, byte-identical to the
-/// threads engine's `handshake`.
-fn handshake_frame(conn: &mut Conn, frame: &Frame, shared: &Arc<Shared>) {
-    if frame.kind != FrameType::Hello {
-        let f = WireFault::new(FaultCode::BadFrame, "expected Hello to open the connection");
-        enqueue(conn, &wire::fault(frame.id, &f));
-        conn.close_after_flush = true;
-        return;
-    }
-    match wire::decode_hello(&frame.payload) {
-        Ok((version, _peer)) if version == wire::VERSION => {
-            enqueue(
-                conn,
-                &wire::welcome_with(&shared.config.name, wire::CAP_CHUNKED),
-            );
-            conn.handshaken = true;
-        }
-        Ok((version, _)) => {
-            let f = WireFault::new(
-                FaultCode::Version,
-                format!("server speaks version {}, client {version}", wire::VERSION),
-            );
-            enqueue(conn, &wire::fault(0, &f));
-            conn.close_after_flush = true;
-        }
-        Err(e) => {
-            let f = WireFault::new(FaultCode::BadFrame, format!("bad Hello: {e}"));
-            enqueue(conn, &wire::fault(0, &f));
-            conn.close_after_flush = true;
-        }
-    }
 }
 
 fn enqueue(conn: &mut Conn, frame: &Frame) {
@@ -830,8 +573,10 @@ mod tests {
     #[test]
     fn poll_engine_single_shard_and_many_shards_both_serve() {
         for shards in [1, 4] {
+            let registry = axml_obs::Registry::new();
             let server = echo_server(ServerConfig {
                 shards,
+                metrics: registry.clone(),
                 ..poll_config()
             });
             let (mut reader, mut stream) = dial(&server);
@@ -842,13 +587,7 @@ mod tests {
                 assert_eq!(back.id, i);
                 assert_eq!(back.kind, FrameType::Response);
             }
-            assert_eq!(
-                server
-                    .stats()
-                    .served
-                    .load(std::sync::atomic::Ordering::Relaxed),
-                5
-            );
+            assert_eq!(registry.snapshot().counter("server.responses_ok_total"), 5);
             server.shutdown().unwrap();
         }
     }

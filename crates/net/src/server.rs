@@ -1,26 +1,25 @@
 //! The peer daemon: a concurrent server for the wire protocol.
 //!
 //! The daemon ships with **two connection engines** behind one config
-//! knob ([`ServerConfig::io`]); both speak the same wire protocol, emit
-//! the same fault taxonomy, and publish the same metrics:
+//! knob ([`ServerConfig::io`]). Both drive the same connection core
+//! ([`crate::conn`]), so they speak the same protocol, emit the same
+//! fault frames and publish the same metrics:
 //!
 //! * [`IoMode::Threads`] (the default, and this module) — one blocking
-//!   reader thread per connection over a fixed worker pool. Simple, and
-//!   works over any [`Transport`] including the simulator's in-memory
-//!   network.
+//!   reader thread per connection over a fixed worker pool;
 //! * [`IoMode::Poll`] (`poll_server`, DESIGN.md §12) — an event-driven
 //!   readiness loop (epoll/kqueue via `axml_support::poll`): a few shard
-//!   threads multiplex thousands of non-blocking TCP connections. The
-//!   scaling engine; TCP only.
+//!   threads multiplex thousands of non-blocking TCP connections.
 //!
 //! Threads-engine architecture (all plain `std` threads):
 //!
-//! * one **accept thread** polls the (non-blocking) [`Acceptor`] and
-//!   spawns a lightweight **reader thread** per connection;
-//! * each reader performs the versioned handshake, then decodes `Request`
-//!   frames and pushes jobs into a **bounded in-flight queue** — when the
-//!   queue is full the reader immediately answers a retryable
-//!   [`FaultCode::Busy`] fault instead of blocking (backpressure);
+//! * one **accept thread** polls the non-blocking listener and spawns a
+//!   lightweight **reader thread** per connection;
+//! * each reader feeds what [`wire::read_frame`] returns to the
+//!   connection core and pushes the jobs it hands out into a **bounded
+//!   in-flight queue** — when the queue is full the core answers a
+//!   retryable [`FaultCode::Busy`] fault instead of blocking
+//!   (backpressure);
 //! * a **fixed-size worker pool** drains the queue, runs the
 //!   application-level [`Handler`] (for an Active XML peer: decode the
 //!   SOAP envelope, run the Schema Enforcement module, encode the reply),
@@ -32,26 +31,19 @@
 //!   drains-and-joins every worker (bounded wait), and reports any
 //!   worker panic as an error instead of leaking threads.
 //!
-//! The threads engine is generic over [`Transport`]: [`NetServer::bind`]
-//! listens on real TCP, [`NetServer::bind_with`] on anything implementing
-//! the trait — the connection handling, backpressure and shutdown logic
-//! are identical either way. (`bind_with` always runs the threads engine:
-//! simulated transports hand out opaque byte streams, not pollable fds.)
-//!
 //! Per-connection read/write timeouts bound every blocking read or write:
 //! an idle connection is kept (pooled clients stay connected), but a peer
 //! that stalls *mid-frame* is answered with a `Timeout` fault and
 //! dropped.
 
-use crate::transport::{Acceptor, Duplex, TcpTransport, Transport};
-use crate::wire::{self, FaultCode, Frame, FrameType, WireError, WireFault};
-use axml_support::clock::Clock;
+use crate::conn::{Action, Conn, Endpoint, Job, Refusal};
+use crate::wire::{self, FaultCode, Frame, WireError, WireFault};
 use axml_support::sync::channel::{bounded, Receiver, Sender, TrySendError};
 use axml_support::sync::Mutex;
 use std::collections::HashMap;
 use std::io::BufReader;
-use std::net::ToSocketAddrs;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -91,15 +83,14 @@ where
 /// requests. See the module docs for the trade-off.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum IoMode {
-    /// One blocking reader thread per connection (works on any
-    /// transport; a wall at thousands of peers).
+    /// One blocking reader thread per connection (a wall at thousands
+    /// of peers).
     #[default]
     Threads,
     /// Event-driven readiness loop: sharded epoll/kqueue, bounded
-    /// memory, 10k+ connections. TCP only.
+    /// memory, 10k+ connections.
     Poll,
 }
-
 impl std::str::FromStr for IoMode {
     type Err = String;
 
@@ -175,20 +166,8 @@ impl Default for ServerConfig {
     }
 }
 
-/// Monotonic counters exposed for tests and operational visibility.
-#[derive(Debug, Default)]
-pub struct ServerStats {
-    /// Connections accepted.
-    pub accepted: AtomicU64,
-    /// Requests answered with a `Response` frame.
-    pub served: AtomicU64,
-    /// Requests rejected with a retryable `Busy` fault (queue full).
-    pub rejected_busy: AtomicU64,
-    /// Requests answered with any other fault.
-    pub faulted: AtomicU64,
-}
 
-type SharedWriter = Arc<Mutex<Box<dyn Duplex>>>;
+type SharedWriter = Arc<Mutex<TcpStream>>;
 
 /// Where a worker delivers a finished reply. The threads engine hands
 /// workers the connection's locked writer; the poll engine cannot (its
@@ -204,91 +183,26 @@ pub(crate) enum ReplyTo {
     },
 }
 
-/// What a queued job asks the worker to run: a plain request envelope,
-/// or a reassembled chunk-shipped document.
-pub(crate) enum Work {
-    Envelope(String),
-    Document { name: String, text: String },
-}
-
-pub(crate) struct Job {
-    pub(crate) reply: ReplyTo,
-    pub(crate) id: u64,
-    pub(crate) work: Work,
-}
-
-/// Pre-resolved handles onto the `server.*` catalogue entries, so hot
-/// paths never touch the registry's name map.
-pub(crate) struct Metrics {
-    pub(crate) connections: axml_obs::Counter,
-    requests: axml_obs::Counter,
-    responses_ok: axml_obs::Counter,
-    faults: axml_obs::Counter,
-    pub(crate) busy: axml_obs::Counter,
-    pub(crate) timeouts: axml_obs::Counter,
-    pub(crate) too_large: axml_obs::Counter,
-    pub(crate) panics: axml_obs::Counter,
-    pub(crate) queue_depth: axml_obs::Gauge,
-    pub(crate) frame_bytes: axml_obs::Histogram,
-    /// Poll engine only: live connections across all shards.
-    pub(crate) poll_connections: axml_obs::Gauge,
-    /// Poll engine only: bytes held in per-connection read/write buffers
-    /// across all shards (the bounded-memory witness).
-    pub(crate) poll_buffer_bytes: axml_obs::Gauge,
-    /// Chunk-family frames accepted (both engines).
-    pub(crate) chunk_frames: axml_obs::Counter,
-    /// Document bytes received via `DocChunk` frames.
-    pub(crate) chunk_bytes: axml_obs::Counter,
-    /// Chunked transfers aborted by a typed error before completion.
-    pub(crate) chunk_aborts: axml_obs::Counter,
-    /// Bytes currently buffered across all in-flight chunk reassemblies.
-    pub(crate) chunk_reassembly: axml_obs::Gauge,
-}
-
-impl Metrics {
-    fn new(r: &axml_obs::Registry) -> Self {
-        Metrics {
-            connections: r.counter("server.connections_total"),
-            requests: r.counter("server.requests_total"),
-            responses_ok: r.counter("server.responses_ok_total"),
-            faults: r.counter("server.faults_total"),
-            busy: r.counter("server.busy_total"),
-            timeouts: r.counter("server.timeouts_total"),
-            too_large: r.counter("server.frame_too_large_total"),
-            panics: r.counter("server.panics_total"),
-            queue_depth: r.gauge("server.queue_depth"),
-            frame_bytes: r.histogram("server.frame_bytes", axml_obs::BYTES_BOUNDS),
-            poll_connections: r.gauge("server.poll.connections"),
-            poll_buffer_bytes: r.gauge("server.poll.buffer_bytes"),
-            chunk_frames: r.counter("net.chunk.frames_total"),
-            chunk_bytes: r.counter("net.chunk.bytes_total"),
-            chunk_aborts: r.counter("net.chunk.aborts_total"),
-            chunk_reassembly: r.gauge("net.chunk.reassembly_bytes"),
-        }
-    }
-
-    /// Accounts one faulted request. Every accepted request ends in
-    /// exactly one `ok()` or `fault()` call, so
-    /// `requests_total = responses_ok_total + faults_total` holds.
-    pub(crate) fn fault(&self) {
-        self.requests.inc();
-        self.faults.inc();
-    }
-
-    /// Accounts one successfully answered request.
-    pub(crate) fn ok(&self) {
-        self.requests.inc();
-        self.responses_ok.inc();
-    }
+/// A queued job and where its reply goes.
+pub(crate) struct Task {
+    job: Job,
+    reply: ReplyTo,
 }
 
 pub(crate) struct Shared {
     pub(crate) handler: Arc<dyn Handler>,
     pub(crate) config: ServerConfig,
-    pub(crate) clock: Arc<dyn Clock>,
-    pub(crate) stats: Arc<ServerStats>,
-    pub(crate) metrics: Metrics,
-    pub(crate) stop: AtomicBool,
+    /// The connection core's side of the server: name, stop flag and the
+    /// protocol metrics.
+    pub(crate) ep: Arc<Endpoint>,
+    /// `server.queue_depth`: in-flight worker queue occupancy.
+    queue_depth: axml_obs::Gauge,
+    panics: axml_obs::Counter,
+    /// Poll engine only: live connections across all shards.
+    pub(crate) poll_connections: axml_obs::Gauge,
+    /// Poll engine only: bytes held in per-connection read, write and
+    /// reassembly buffers across all shards (the bounded-memory witness).
+    pub(crate) poll_buffer_bytes: axml_obs::Gauge,
     /// Live connection streams, keyed by a connection id, so shutdown can
     /// unblock readers stuck in a read. (Threads engine only; the poll
     /// engine's shards own their connections outright.)
@@ -297,21 +211,18 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
-    pub(crate) fn new(
-        handler: Arc<dyn Handler>,
-        clock: Arc<dyn Clock>,
-        config: ServerConfig,
-    ) -> Arc<Shared> {
-        let metrics = Metrics::new(&config.metrics);
+    fn new(handler: Arc<dyn Handler>, config: ServerConfig) -> Arc<Shared> {
+        let r = &config.metrics;
         Arc::new(Shared {
             handler,
-            config,
-            clock,
-            stats: Arc::new(ServerStats::default()),
-            metrics,
-            stop: AtomicBool::new(false),
+            ep: Endpoint::new(&config.name, config.max_doc, r),
+            queue_depth: r.gauge("server.queue_depth"),
+            panics: r.counter("server.panics_total"),
+            poll_connections: r.gauge("server.poll.connections"),
+            poll_buffer_bytes: r.gauge("server.poll.buffer_bytes"),
             conns: Mutex::new(HashMap::new()),
             next_conn: AtomicU64::new(0),
+            config,
         })
     }
 }
@@ -320,8 +231,7 @@ impl Shared {
 /// stops and joins everything (panics in workers are then swallowed).
 pub struct NetServer {
     shared: Arc<Shared>,
-    endpoint: String,
-    local_addr: Option<std::net::SocketAddr>,
+    local_addr: SocketAddr,
     engine: Engine,
 }
 
@@ -331,7 +241,7 @@ enum Engine {
     Threads {
         accept: Option<JoinHandle<Vec<JoinHandle<()>>>>,
         workers: Vec<JoinHandle<()>>,
-        job_tx: Option<Sender<Job>>,
+        job_tx: Option<Sender<Task>>,
     },
     Poll(crate::poll_server::PollEngine),
 }
@@ -384,93 +294,26 @@ impl NetServer {
                     "address resolved to nothing",
                 ))
             })?;
-        if config.io == IoMode::Poll {
-            let shared = Shared::new(handler, axml_support::clock::system(), config);
+        let shared = Shared::new(handler, config);
+        let (engine, local_addr) = if shared.config.io == IoMode::Poll {
             let (engine, local) = crate::poll_server::PollEngine::bind(addr, &shared)?;
-            return Ok(NetServer {
-                shared,
-                endpoint: local.to_string(),
-                local_addr: Some(local),
-                engine: Engine::Poll(engine),
-            });
-        }
-        NetServer::bind_with(
-            &TcpTransport,
-            &addr.to_string(),
-            axml_support::clock::system(),
-            handler,
-            config,
-        )
-    }
-
-    /// Binds `endpoint` on an explicit transport and clock — how tests
-    /// run this exact server over an in-memory network. Always runs the
-    /// threads engine regardless of [`ServerConfig::io`]: simulated
-    /// transports hand out opaque byte streams, not pollable fds.
-    pub fn bind_with(
-        transport: &dyn Transport,
-        endpoint: &str,
-        clock: Arc<dyn Clock>,
-        handler: Arc<dyn Handler>,
-        config: ServerConfig,
-    ) -> Result<NetServer, ServerError> {
-        let acceptor = transport.bind(endpoint).map_err(ServerError::Io)?;
-        let endpoint = acceptor.local_endpoint();
-        let local_addr = acceptor.local_addr();
-        let workers = config.workers.max(1);
-        let queue = config.queue.max(1);
-        let shared = Shared::new(handler, clock, config);
-
-        let (job_tx, job_rx) = bounded::<Job>(queue);
-        let job_rx = Arc::new(Mutex::new(job_rx));
-        let mut worker_handles = Vec::with_capacity(workers);
-        for w in 0..workers {
-            let shared = Arc::clone(&shared);
-            let job_rx: Arc<Mutex<Receiver<Job>>> = Arc::clone(&job_rx);
-            worker_handles.push(
-                std::thread::Builder::new()
-                    .name(format!("axml-net-worker-{w}"))
-                    .spawn(move || worker_loop(&shared, &job_rx))
-                    .expect("spawn worker thread"),
-            );
-        }
-
-        let accept = {
-            let shared = Arc::clone(&shared);
-            let job_tx = job_tx.clone();
-            std::thread::Builder::new()
-                .name("axml-net-accept".to_owned())
-                .spawn(move || accept_loop(acceptor.as_ref(), &shared, &job_tx))
-                .expect("spawn accept thread")
+            (Engine::Poll(engine), local)
+        } else {
+            let listener = TcpListener::bind(addr).map_err(ServerError::Io)?;
+            listener.set_nonblocking(true).map_err(ServerError::Io)?;
+            let local = listener.local_addr().map_err(ServerError::Io)?;
+            (start_threads(listener, &shared), local)
         };
-
         Ok(NetServer {
             shared,
-            endpoint,
             local_addr,
-            engine: Engine::Threads {
-                accept: Some(accept),
-                workers: worker_handles,
-                job_tx: Some(job_tx),
-            },
+            engine,
         })
     }
 
-    /// The bound endpoint, in the transport's notation.
-    pub fn endpoint(&self) -> &str {
-        &self.endpoint
-    }
-
-    /// The bound socket address (useful with port 0). Panics when the
-    /// server was bound over a non-TCP transport; use
-    /// [`NetServer::endpoint`] there.
-    pub fn local_addr(&self) -> std::net::SocketAddr {
-        self.local_addr.expect("server is not bound to a TCP socket")
-    }
-
-    /// The server's counters.
-    pub fn stats(&self) -> &ServerStats {
-        &self.shared.stats
+    /// The bound socket address (useful with port 0).
+    pub fn local_addr(&self) -> SocketAddr {
+        self.local_addr
     }
 
     /// Graceful shutdown: stop accepting, unblock + join readers, drain +
@@ -480,10 +323,10 @@ impl NetServer {
     }
 
     fn stop_all(&mut self) -> Result<(), ServerError> {
-        self.shared.stop.store(true, Ordering::SeqCst);
+        self.shared.ep.stop();
         let mut first_panic: Option<String> = None;
         {
-            let panics = &self.shared.metrics.panics;
+            let panics = &self.shared.panics;
             let mut note = |r: std::thread::Result<()>| {
                 if let Err(p) = r {
                     let msg = panic_message(p);
@@ -500,7 +343,7 @@ impl NetServer {
                 } => {
                     // Unblock readers parked in reads.
                     for conn in self.shared.conns.lock().values() {
-                        let _ = conn.lock().shutdown();
+                        let _ = conn.lock().shutdown(Shutdown::Both);
                     }
                     if let Some(accept) = accept.take() {
                         match accept.join() {
@@ -534,23 +377,51 @@ impl Drop for NetServer {
     }
 }
 
+/// Starts the threads engine on a bound, non-blocking listener: the
+/// worker pool, then the accept thread.
+fn start_threads(listener: TcpListener, shared: &Arc<Shared>) -> Engine {
+    let (job_tx, job_rx) = bounded::<Task>(shared.config.queue.max(1));
+    let job_rx = Arc::new(Mutex::new(job_rx));
+    let workers = (0..shared.config.workers.max(1))
+        .map(|w| spawn_worker(shared, &job_rx, format!("axml-net-worker-{w}")))
+        .collect();
+    let accept = {
+        let shared = Arc::clone(shared);
+        let job_tx = job_tx.clone();
+        std::thread::Builder::new()
+            .name("axml-net-accept".to_owned())
+            .spawn(move || accept_loop(&listener, &shared, &job_tx))
+            .expect("spawn accept thread")
+    };
+    Engine::Threads {
+        accept: Some(accept),
+        workers,
+        job_tx: Some(job_tx),
+    }
+}
+
 fn accept_loop(
-    acceptor: &dyn Acceptor,
+    listener: &TcpListener,
     shared: &Arc<Shared>,
-    job_tx: &Sender<Job>,
+    job_tx: &Sender<Task>,
 ) -> Vec<JoinHandle<()>> {
     let mut readers: Vec<JoinHandle<()>> = Vec::new();
-    while !shared.stop.load(Ordering::SeqCst) {
-        match acceptor.accept() {
-            Ok(stream) => {
-                shared.stats.accepted.fetch_add(1, Ordering::Relaxed);
-                shared.metrics.connections.inc();
+    while !shared.ep.stopping() {
+        match listener.accept() {
+            Ok((stream, _peer)) => {
+                // Frames go out as one write each; Nagle's algorithm would
+                // hold a small frame behind a large one until the peer's
+                // delayed ACK (see `transport`).
+                if stream.set_nodelay(true).is_err() {
+                    continue;
+                }
+                let conn = shared.ep.accept();
                 let shared = Arc::clone(shared);
                 let job_tx = job_tx.clone();
                 readers.push(
                     std::thread::Builder::new()
                         .name("axml-net-reader".to_owned())
-                        .spawn(move || reader_loop(stream, &shared, &job_tx))
+                        .spawn(move || reader_loop(stream, conn, &shared, &job_tx))
                         .expect("spawn reader thread"),
                 );
                 // Opportunistically reap finished readers so a long-lived
@@ -558,7 +429,7 @@ fn accept_loop(
                 readers.retain(|h| !h.is_finished());
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                shared.clock.sleep(Duration::from_millis(10));
+                std::thread::sleep(Duration::from_millis(10));
             }
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
             Err(_) => break,
@@ -567,8 +438,9 @@ fn accept_loop(
     readers
 }
 
-/// Serves one connection: handshake, then requests until close/shutdown.
-fn reader_loop(stream: Box<dyn Duplex>, shared: &Arc<Shared>, job_tx: &Sender<Job>) {
+/// Serves one connection: feeds each blocking read to the connection
+/// core until it closes the connection.
+fn reader_loop(stream: TcpStream, mut conn: Conn, shared: &Arc<Shared>, job_tx: &Sender<Task>) {
     let config = &shared.config;
     if stream
         .set_read_timeout(Some(config.read_timeout))
@@ -587,8 +459,24 @@ fn reader_loop(stream: Box<dyn Duplex>, shared: &Arc<Shared>, job_tx: &Sender<Jo
         .lock()
         .insert(conn_id, Arc::clone(&writer));
     let mut reader = BufReader::new(stream);
-    if handshake(&mut reader, &writer, shared).is_ok() {
-        serve_frames(&mut reader, &writer, shared, job_tx);
+    loop {
+        let mut action = conn.on_read(wire::read_frame(&mut reader, config.max_frame));
+        if let Action::Queue(job) = action {
+            let reply = ReplyTo::Stream(Arc::clone(&writer));
+            action = submit(shared, &mut conn, job_tx, job, reply);
+        }
+        match action {
+            Action::Continue | Action::Queue(_) => {}
+            Action::Reply(frame) => {
+                let _ = send_reply(&writer, &frame);
+            }
+            Action::Close(frame) => {
+                if let Some(frame) = frame {
+                    let _ = send_reply(&writer, &frame);
+                }
+                break;
+            }
+        }
     }
     shared.conns.lock().remove(&conn_id);
 }
@@ -597,290 +485,56 @@ fn send_reply(writer: &SharedWriter, frame: &Frame) -> Result<(), WireError> {
     wire::write_frame(&mut *writer.lock(), frame)
 }
 
-fn handshake(
-    reader: &mut BufReader<Box<dyn Duplex>>,
-    writer: &SharedWriter,
-    shared: &Arc<Shared>,
-) -> Result<(), ()> {
-    // The handshake must arrive promptly: idle timeouts here are fatal.
-    let frame = loop {
-        match wire::read_frame(reader, shared.config.max_frame) {
-            Ok(f) => break f,
-            Err(WireError::Idle) if !shared.stop.load(Ordering::SeqCst) => {
-                return Err(()); // never sent a handshake: drop silently
-            }
-            Err(_) => return Err(()),
-        }
+/// Offers `job` to a worker queue. A full queue, or one closed by
+/// shutdown, turns it into the connection core's refusal answer; a
+/// queued job returns [`Action::Continue`].
+pub(crate) fn submit(
+    shared: &Shared,
+    conn: &mut Conn,
+    job_tx: &Sender<Task>,
+    job: Job,
+    reply: ReplyTo,
+) -> Action {
+    let id = job.id;
+    // Count the slot before the job becomes visible to workers: the
+    // worker's decrement must never be able to outrun our increment,
+    // or the gauge could read negative at rest.
+    shared.queue_depth.add(1);
+    let why = match job_tx.try_send(Task { job, reply }) {
+        Ok(()) => return Action::Continue,
+        Err(TrySendError::Full(_)) => Refusal::Busy,
+        Err(TrySendError::Disconnected(_)) => Refusal::Shutdown,
     };
-    if frame.kind != FrameType::Hello {
-        let f = WireFault::new(FaultCode::BadFrame, "expected Hello to open the connection");
-        let _ = send_reply(writer, &wire::fault(frame.id, &f));
-        return Err(());
-    }
-    match wire::decode_hello(&frame.payload) {
-        Ok((version, _peer)) if version == wire::VERSION => send_reply(
-            writer,
-            &wire::welcome_with(&shared.config.name, wire::CAP_CHUNKED),
-        )
-        .map_err(|_| ()),
-        Ok((version, _)) => {
-            let f = WireFault::new(
-                FaultCode::Version,
-                format!("server speaks version {}, client {version}", wire::VERSION),
-            );
-            let _ = send_reply(writer, &wire::fault(0, &f));
-            Err(())
-        }
-        Err(e) => {
-            let f = WireFault::new(FaultCode::BadFrame, format!("bad Hello: {e}"));
-            let _ = send_reply(writer, &wire::fault(0, &f));
-            Err(())
-        }
-    }
+    shared.queue_depth.sub(1);
+    conn.refused(id, why)
 }
 
-fn serve_frames(
-    reader: &mut BufReader<Box<dyn Duplex>>,
-    writer: &SharedWriter,
+/// Spawns one worker draining `job_rx`.
+pub(crate) fn spawn_worker(
     shared: &Arc<Shared>,
-    job_tx: &Sender<Job>,
-) {
-    let mut assembler = crate::frames::ChunkAssembler::new(shared.config.max_doc);
-    let mut reported = 0i64;
-    serve_frames_loop(reader, writer, shared, job_tx, &mut assembler, &mut reported);
-    // Whatever ended the connection, give back the reassembly bytes and
-    // account a partial transfer as aborted.
-    shared.metrics.chunk_reassembly.sub(reported);
-    if assembler.active() {
-        shared.metrics.chunk_aborts.inc();
-    }
+    job_rx: &Arc<Mutex<Receiver<Task>>>,
+    name: String,
+) -> JoinHandle<()> {
+    let shared = Arc::clone(shared);
+    let job_rx = Arc::clone(job_rx);
+    std::thread::Builder::new()
+        .name(name)
+        .spawn(move || worker_loop(&shared, &job_rx))
+        .expect("spawn worker thread")
 }
 
-/// Publishes the delta between the assembler's current buffer and what
-/// was last reported into the `net.chunk.reassembly_bytes` gauge.
-fn sync_reassembly_gauge(
-    metrics: &Metrics,
-    assembler: &crate::frames::ChunkAssembler,
-    reported: &mut i64,
-) {
-    let now = assembler.buffered_len() as i64;
-    metrics.chunk_reassembly.add(now - *reported);
-    *reported = now;
-}
-
-fn serve_frames_loop(
-    reader: &mut BufReader<Box<dyn Duplex>>,
-    writer: &SharedWriter,
-    shared: &Arc<Shared>,
-    job_tx: &Sender<Job>,
-    assembler: &mut crate::frames::ChunkAssembler,
-    reported: &mut i64,
-) {
-    let stats = &shared.stats;
-    let metrics = &shared.metrics;
-    loop {
-        let frame = match wire::read_frame(reader, shared.config.max_frame) {
-            Ok(f) => f,
-            Err(WireError::Idle) => {
-                if shared.stop.load(Ordering::SeqCst) {
-                    return;
-                }
-                if assembler.active() {
-                    // A transfer is open but the peer went quiet between
-                    // chunk frames — the same stall as silence inside a
-                    // frame, and the same taxonomy.
-                    stats.faulted.fetch_add(1, Ordering::Relaxed);
-                    metrics.fault();
-                    metrics.timeouts.inc();
-                    let f =
-                        WireFault::new(FaultCode::Timeout, "read timed out mid-chunk-transfer");
-                    let _ = send_reply(writer, &wire::fault(0, &f));
-                    return;
-                }
-                // Idle pooled connections are kept until shutdown.
-                continue;
-            }
-            Err(WireError::Stalled) => {
-                stats.faulted.fetch_add(1, Ordering::Relaxed);
-                metrics.fault();
-                metrics.timeouts.inc();
-                let f = WireFault::new(FaultCode::Timeout, "read timed out mid-frame");
-                let _ = send_reply(writer, &wire::fault(0, &f));
-                return;
-            }
-            Err(WireError::TooLarge { len, max }) => {
-                // The oversized payload was never read; the stream is no
-                // longer framed, so fault and close.
-                stats.faulted.fetch_add(1, Ordering::Relaxed);
-                metrics.fault();
-                metrics.too_large.inc();
-                metrics.frame_bytes.observe(len as u64);
-                let f = WireFault::new(
-                    FaultCode::TooLarge,
-                    format!("{len}-byte payload exceeds the {max}-byte cap"),
-                );
-                let _ = send_reply(writer, &wire::fault(0, &f));
-                return;
-            }
-            Err(WireError::Closed) => return,
-            Err(e) => {
-                if !shared.stop.load(Ordering::SeqCst) {
-                    stats.faulted.fetch_add(1, Ordering::Relaxed);
-                    metrics.fault();
-                    let f = WireFault::new(FaultCode::BadFrame, e.to_string());
-                    let _ = send_reply(writer, &wire::fault(0, &f));
-                }
-                return;
-            }
-        };
-        metrics.frame_bytes.observe(frame.payload.len() as u64);
-        if frame.kind == FrameType::StatsRequest {
-            // Answered inline from the reader: scrapes must work even
-            // when the worker queue is saturated. Scrapes are not
-            // requests, so they stay out of the request accounting.
-            let snapshot = shared.config.metrics.snapshot().to_json();
-            let _ = send_reply(writer, &wire::stats_response(frame.id, &snapshot));
-            continue;
-        }
-        if shared.stop.load(Ordering::SeqCst) {
-            let f = WireFault::new(FaultCode::Shutdown, "server is shutting down").retryable();
-            let _ = send_reply(writer, &wire::fault(frame.id, &f));
-            return;
-        }
-        let work = if matches!(
-            frame.kind,
-            FrameType::DocChunkStart | FrameType::DocChunk | FrameType::DocChunkEnd
-        ) {
-            metrics.chunk_frames.inc();
-            if frame.kind == FrameType::DocChunk {
-                metrics
-                    .chunk_bytes
-                    .add(frame.payload.len().saturating_sub(4) as u64);
-            }
-            let outcome = assembler.accept(&frame);
-            sync_reassembly_gauge(metrics, assembler, reported);
-            match outcome {
-                Ok(crate::frames::ChunkProgress::Pending)
-                | Ok(crate::frames::ChunkProgress::Drained) => continue,
-                Ok(crate::frames::ChunkProgress::Complete { name, bytes, .. }) => {
-                    match String::from_utf8(bytes) {
-                        Ok(text) => Work::Document { name, text },
-                        Err(_) => {
-                            stats.faulted.fetch_add(1, Ordering::Relaxed);
-                            metrics.fault();
-                            metrics.chunk_aborts.inc();
-                            let f = WireFault::new(
-                                FaultCode::Client,
-                                "chunked document is not UTF-8",
-                            );
-                            let _ = send_reply(writer, &wire::fault(frame.id, &f));
-                            continue;
-                        }
-                    }
-                }
-                Err(e) => {
-                    // The transfer is dead but the stream is still framed:
-                    // fault the transfer's request id and keep serving —
-                    // the assembler drains the pipelined remains itself.
-                    stats.faulted.fetch_add(1, Ordering::Relaxed);
-                    metrics.fault();
-                    metrics.chunk_aborts.inc();
-                    let f = match e {
-                        WireError::TooLarge { len, max } => {
-                            metrics.too_large.inc();
-                            metrics.frame_bytes.observe(len as u64);
-                            WireFault::new(
-                                FaultCode::TooLarge,
-                                format!(
-                                    "chunked transfer of {len} cumulative bytes exceeds the {max}-byte cap"
-                                ),
-                            )
-                        }
-                        other => WireFault::new(FaultCode::BadFrame, other.to_string()),
-                    };
-                    let _ = send_reply(writer, &wire::fault(frame.id, &f));
-                    continue;
-                }
-            }
-        } else if frame.kind != FrameType::Request {
-            stats.faulted.fetch_add(1, Ordering::Relaxed);
-            metrics.fault();
-            let f = WireFault::new(FaultCode::BadFrame, "expected a Request frame");
-            let _ = send_reply(writer, &wire::fault(frame.id, &f));
-            continue;
-        } else {
-            match wire::decode_envelope(&frame.payload) {
-                Ok(e) => Work::Envelope(e),
-                Err(e) => {
-                    stats.faulted.fetch_add(1, Ordering::Relaxed);
-                    metrics.fault();
-                    let f = WireFault::new(FaultCode::Client, e.to_string());
-                    let _ = send_reply(writer, &wire::fault(frame.id, &f));
-                    continue;
-                }
-            }
-        };
-        let job = Job {
-            reply: ReplyTo::Stream(Arc::clone(writer)),
-            id: frame.id,
-            work,
-        };
-        // Count the slot before the job becomes visible to workers: the
-        // worker's decrement must never be able to outrun our increment,
-        // or the gauge could read negative at rest.
-        metrics.queue_depth.add(1);
-        match job_tx.try_send(job) {
-            Ok(()) => {}
-            Err(TrySendError::Full(job)) => {
-                // Backpressure: reject retryably instead of queueing.
-                metrics.queue_depth.sub(1);
-                stats.rejected_busy.fetch_add(1, Ordering::Relaxed);
-                metrics.fault();
-                metrics.busy.inc();
-                let f = WireFault::new(FaultCode::Busy, "in-flight request queue is full")
-                    .retryable();
-                let _ = send_reply(writer, &wire::fault(job.id, &f));
-            }
-            Err(TrySendError::Disconnected(job)) => {
-                metrics.queue_depth.sub(1);
-                stats.faulted.fetch_add(1, Ordering::Relaxed);
-                metrics.fault();
-                let f = WireFault::new(FaultCode::Shutdown, "server is shutting down").retryable();
-                let _ = send_reply(writer, &wire::fault(job.id, &f));
-                return;
-            }
-        }
-    }
-}
-
-pub(crate) fn worker_loop(shared: &Arc<Shared>, job_rx: &Arc<Mutex<Receiver<Job>>>) {
+fn worker_loop(shared: &Shared, job_rx: &Mutex<Receiver<Task>>) {
     loop {
         // Hold the lock only while dequeueing, never while handling.
-        let job = match job_rx.lock().recv() {
-            Ok(j) => j,
-            Err(_) => return, // queue closed: graceful shutdown
+        let Ok(task) = job_rx.lock().recv() else {
+            return; // queue closed: graceful shutdown
         };
-        shared.metrics.queue_depth.sub(1);
-        let outcome = match &job.work {
-            Work::Envelope(envelope) => shared.handler.handle(job.id, envelope),
-            Work::Document { name, text } => shared.handler.handle_document(job.id, name, text),
-        };
-        let reply = match outcome {
-            Ok(envelope) => {
-                shared.stats.served.fetch_add(1, Ordering::Relaxed);
-                shared.metrics.ok();
-                wire::response(job.id, &envelope)
-            }
-            Err(fault) => {
-                shared.stats.faulted.fetch_add(1, Ordering::Relaxed);
-                shared.metrics.fault();
-                wire::fault(job.id, &fault)
-            }
-        };
+        shared.queue_depth.sub(1);
+        let reply = shared.ep.reply(task.job.id, task.job.run(&*shared.handler));
         // A gone client is not the server's problem — in either engine:
         // the direct write may fail, or the shard may find the
         // connection already closed and drop the frame.
-        match &job.reply {
+        match &task.reply {
             ReplyTo::Stream(writer) => {
                 let _ = send_reply(writer, &reply);
             }
@@ -892,6 +546,7 @@ pub(crate) fn worker_loop(shared: &Arc<Shared>, job_rx: &Arc<Mutex<Receiver<Job>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::FrameType;
     use std::io::Write as _;
     use std::net::TcpStream;
 
@@ -1186,7 +841,11 @@ mod tests {
 
     #[test]
     fn graceful_shutdown_reports_counts() {
-        let server = echo_server(ServerConfig::default());
+        let registry = axml_obs::Registry::new();
+        let server = echo_server(ServerConfig {
+            metrics: registry.clone(),
+            ..ServerConfig::default()
+        });
         let (mut reader, mut stream) = dial(&server);
         shake(&mut reader, &mut stream);
         for i in 0..5 {
@@ -1194,7 +853,19 @@ mod tests {
             let back = wire::read_frame(&mut reader, wire::DEFAULT_MAX_FRAME).unwrap();
             assert_eq!(back.id, i);
         }
-        assert_eq!(server.stats().served.load(Ordering::Relaxed), 5);
+        assert_eq!(registry.snapshot().counter("server.responses_ok_total"), 5);
+        server.shutdown().unwrap();
+    }
+
+    #[test]
+    fn accepted_streams_run_with_nagle_off() {
+        let server = echo_server(ServerConfig::default());
+        let (mut reader, mut stream) = dial(&server);
+        shake(&mut reader, &mut stream);
+        let nodelay: Vec<bool> = (server.shared.conns.lock().values())
+            .map(|w| w.lock().nodelay().unwrap())
+            .collect();
+        assert_eq!(nodelay, [true], "accepted stream keeps Nagle on");
         server.shutdown().unwrap();
     }
 }

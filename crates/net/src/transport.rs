@@ -1,14 +1,15 @@
 //! Pluggable byte transport under the wire protocol.
 //!
-//! [`NetClient`](crate::NetClient) and [`NetServer`](crate::NetServer)
-//! move frames over an abstract [`Transport`] — a factory for
-//! bidirectional byte streams ([`Duplex`]) and listeners ([`Acceptor`]) —
-//! instead of touching `std::net` directly. [`TcpTransport`] is the
-//! production implementation and the default behind `NetClient::new` /
-//! `NetServer::bind`; the deterministic simulator (`axml-sim`) supplies
-//! an in-memory transport whose streams deliver exactly the bytes, delays
-//! and failures a seeded fault schedule dictates, so the *same* framing,
-//! handshake, retry and backpressure code paths run under simulation.
+//! [`NetClient`](crate::NetClient) moves frames over an abstract
+//! [`Transport`] — a factory for bidirectional byte streams ([`Duplex`])
+//! — instead of touching `std::net` directly. [`TcpTransport`] is the
+//! production implementation and the default behind `NetClient::new`;
+//! the deterministic simulator (`axml-sim`) supplies an in-memory
+//! transport whose streams deliver exactly the bytes, delays and failures
+//! a seeded fault schedule dictates, so the *same* framing, handshake,
+//! retry and backpressure code paths run under simulation. (Servers are
+//! not transport-generic: both engines bind TCP, and the simulator's
+//! server actors drive the connection core, [`crate::conn`], directly.)
 //!
 //! Timeout semantics are part of the contract: a read that exceeds the
 //! configured read timeout must fail with an [`std::io::Error`] of kind
@@ -16,14 +17,14 @@
 //! [`wire::read_frame`](crate::wire::read_frame) distinguishes *idle*
 //! from *stalled mid-frame* by exactly those kinds.
 //!
-//! Every TCP stream [`TcpTransport`] dials or accepts runs with
-//! `TCP_NODELAY`. Frames go out as one write each, so Nagle's algorithm
-//! has nothing to coalesce; left on, it holds back a small frame that
-//! follows a large one (the `DocChunkEnd` after the last `DocChunk`)
-//! until the peer's delayed ACK, ~40 ms on Linux.
+//! Every TCP stream the client dials and both server engines accept runs
+//! with `TCP_NODELAY`. Frames go out as one write each, so Nagle's
+//! algorithm has nothing to coalesce; left on, it holds back a small
+//! frame that follows a large one (the `DocChunkEnd` after the last
+//! `DocChunk`) until the peer's delayed ACK, ~40 ms on Linux.
 
 use std::io::{self, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 /// One bidirectional byte stream (one connection).
@@ -47,32 +48,10 @@ pub trait Duplex: Read + Write + Send {
     fn shutdown(&self) -> io::Result<()>;
 }
 
-/// A bound listener handing out [`Duplex`] connections.
-///
-/// `accept` is **non-blocking**: when no connection is pending it returns
-/// an error of kind [`io::ErrorKind::WouldBlock`] and the accept loop
-/// polls (this is how graceful shutdown stays bounded).
-pub trait Acceptor: Send {
-    /// The endpoint this listener is bound to, in the transport's own
-    /// notation (`"127.0.0.1:4321"` for TCP, a peer name for the sim).
-    fn local_endpoint(&self) -> String;
-
-    /// The bound socket address, when the transport is IP-based.
-    fn local_addr(&self) -> Option<SocketAddr> {
-        None
-    }
-
-    /// Accepts one pending connection, or fails with `WouldBlock`.
-    fn accept(&self) -> io::Result<Box<dyn Duplex>>;
-}
-
-/// A connection factory: the client dials through it, the server binds.
+/// A connection factory the client dials through.
 pub trait Transport: Send + Sync {
     /// Dials `endpoint`, bounded by `timeout`.
     fn connect(&self, endpoint: &str, timeout: Duration) -> io::Result<Box<dyn Duplex>>;
-
-    /// Binds a listener on `endpoint`.
-    fn bind(&self, endpoint: &str) -> io::Result<Box<dyn Acceptor>>;
 }
 
 /// The production transport: real TCP sockets.
@@ -101,10 +80,6 @@ impl Transport for TcpTransport {
     fn connect(&self, endpoint: &str, timeout: Duration) -> io::Result<Box<dyn Duplex>> {
         Ok(Box::new(TcpTransport::dial(endpoint, timeout)?))
     }
-
-    fn bind(&self, endpoint: &str) -> io::Result<Box<dyn Acceptor>> {
-        Ok(Box::new(TcpAcceptor::bind(endpoint)?))
-    }
 }
 
 impl Duplex for TcpStream {
@@ -125,71 +100,24 @@ impl Duplex for TcpStream {
     }
 }
 
-/// A non-blocking [`TcpListener`] as an [`Acceptor`].
-pub struct TcpAcceptor {
-    listener: TcpListener,
-}
-
-impl TcpAcceptor {
-    fn bind(endpoint: &str) -> io::Result<TcpAcceptor> {
-        let listener = TcpListener::bind(endpoint)?;
-        listener.set_nonblocking(true)?;
-        Ok(TcpAcceptor { listener })
-    }
-
-    /// Accepts one pending connection with Nagle's algorithm off.
-    fn accept_tcp(&self) -> io::Result<TcpStream> {
-        let (stream, _peer) = self.listener.accept()?;
-        stream.set_nodelay(true)?;
-        Ok(stream)
-    }
-}
-
-impl Acceptor for TcpAcceptor {
-    fn local_endpoint(&self) -> String {
-        self.listener
-            .local_addr()
-            .map(|a| a.to_string())
-            .unwrap_or_else(|_| "tcp:unbound".to_owned())
-    }
-
-    fn local_addr(&self) -> Option<SocketAddr> {
-        self.listener.local_addr().ok()
-    }
-
-    fn accept(&self) -> io::Result<Box<dyn Duplex>> {
-        Ok(Box::new(self.accept_tcp()?))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::net::TcpListener;
+
+    fn listen() -> (TcpListener, String) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let endpoint = listener.local_addr().unwrap().to_string();
+        (listener, endpoint)
+    }
 
     #[test]
     fn tcp_transport_round_trips_bytes() {
-        let transport = TcpTransport;
-        let acceptor = transport.bind("127.0.0.1:0").unwrap();
-        let endpoint = acceptor.local_endpoint();
-        assert!(acceptor.local_addr().is_some());
-        // Nothing pending yet: the acceptor must not block.
-        match acceptor.accept() {
-            Err(e) => assert_eq!(e.kind(), io::ErrorKind::WouldBlock),
-            Ok(_) => panic!("accept succeeded with nothing pending"),
-        }
-
-        let mut dialed = transport
+        let (listener, endpoint) = listen();
+        let mut dialed = TcpTransport
             .connect(&endpoint, Duration::from_secs(2))
             .unwrap();
-        let mut accepted = loop {
-            match acceptor.accept() {
-                Ok(s) => break s,
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                Err(e) => panic!("accept failed: {e}"),
-            }
-        };
+        let (mut accepted, _) = listener.accept().unwrap();
         dialed.write_all(b"ping").unwrap();
         let mut buf = [0u8; 4];
         accepted.read_exact(&mut buf).unwrap();
@@ -203,32 +131,17 @@ mod tests {
     }
 
     #[test]
-    fn dialed_and_accepted_streams_run_with_nagle_off() {
-        let acceptor = TcpAcceptor::bind("127.0.0.1:0").unwrap();
-        let dialed =
-            TcpTransport::dial(&acceptor.local_endpoint(), Duration::from_secs(2)).unwrap();
-        let accepted = loop {
-            match acceptor.accept_tcp() {
-                Ok(s) => break s,
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                Err(e) => panic!("accept failed: {e}"),
-            }
-        };
+    fn dialed_streams_run_with_nagle_off() {
+        let (_listener, endpoint) = listen();
+        let dialed = TcpTransport::dial(&endpoint, Duration::from_secs(2)).unwrap();
         assert!(dialed.nodelay().unwrap(), "dialed stream keeps Nagle on");
-        assert!(
-            accepted.nodelay().unwrap(),
-            "accepted stream keeps Nagle on"
-        );
     }
 
     #[test]
     fn timed_out_reads_report_wouldblock_or_timedout() {
-        let transport = TcpTransport;
-        let acceptor = transport.bind("127.0.0.1:0").unwrap();
-        let dialed = transport
-            .connect(&acceptor.local_endpoint(), Duration::from_secs(2))
+        let (_listener, endpoint) = listen();
+        let dialed = TcpTransport
+            .connect(&endpoint, Duration::from_secs(2))
             .unwrap();
         dialed
             .set_read_timeout(Some(Duration::from_millis(20)))

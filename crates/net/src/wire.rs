@@ -345,6 +345,14 @@ fn is_timeout(kind: std::io::ErrorKind) -> bool {
     )
 }
 
+/// The error of a stream that ends inside a frame.
+pub(crate) fn eof_mid_frame() -> WireError {
+    WireError::Io(
+        std::io::ErrorKind::UnexpectedEof,
+        "connection closed mid-frame".to_owned(),
+    )
+}
+
 /// Reads exactly `buf.len()` bytes. `started` says whether earlier bytes
 /// of the same frame were already consumed: a timeout then is a stall
 /// ([`WireError::Stalled`]), while a timeout before any byte of the frame
@@ -356,10 +364,7 @@ fn read_full(r: &mut impl Read, buf: &mut [u8], mut started: bool) -> Result<(),
         match r.read(&mut buf[filled..]) {
             Ok(0) => {
                 return Err(if started {
-                    WireError::Io(
-                        std::io::ErrorKind::UnexpectedEof,
-                        "connection closed mid-frame".to_owned(),
-                    )
+                    eof_mid_frame()
                 } else {
                     WireError::Closed
                 });

@@ -25,10 +25,7 @@ use axml_core::invoke::{InvokeError, Invoker};
 use axml_core::rewrite::RewriteReport;
 use axml_core::stream::{enforce_stream_to, enforce_stream_with, StreamOptions, StreamReport};
 use axml_net::wire::{FaultCode, WireFault, CAP_CHUNKED};
-use axml_net::{
-    ClientConfig, ClientError, Handler, NetClient, NetServer, ServerConfig, ServerStats, Transport,
-};
-use axml_support::clock::Clock;
+use axml_net::{ClientConfig, ClientError, Handler, NetClient, NetServer, ServerConfig};
 use axml_schema::{
     validate, validate_output_instance, validate_xml_stream, Compiled, ITree, SchemaError,
 };
@@ -95,39 +92,14 @@ impl NetPeer {
         Ok(NetPeer { peer, server })
     }
 
-    /// Like [`NetPeer::serve`], but over an explicit [`Transport`] and
-    /// [`Clock`] — how tests serve a peer on an in-memory network.
-    pub fn serve_with(
-        peer: Arc<Peer>,
-        net: &dyn Transport,
-        endpoint: &str,
-        clock: Arc<dyn Clock>,
-        config: ServerConfig,
-    ) -> Result<NetPeer, PeerError> {
-        let handler = envelope_handler(Arc::clone(&peer));
-        let server =
-            NetServer::bind_with(net, endpoint, clock, handler, config).map_err(transport)?;
-        Ok(NetPeer { peer, server })
-    }
-
     /// The daemon's bound socket address.
     pub fn local_addr(&self) -> SocketAddr {
         self.server.local_addr()
     }
 
-    /// The daemon's bound endpoint, in the transport's notation.
-    pub fn endpoint(&self) -> &str {
-        self.server.endpoint()
-    }
-
     /// The peer being served.
     pub fn peer(&self) -> &Arc<Peer> {
         &self.peer
-    }
-
-    /// The underlying server's counters.
-    pub fn stats(&self) -> &ServerStats {
-        self.server.stats()
     }
 
     /// Invokes a declared service on a remote daemon on behalf of the

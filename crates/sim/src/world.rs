@@ -21,9 +21,10 @@
 //!   yields an in-memory [`Duplex`] whose reads pump the world — the real
 //!   pooled `NetClient` dials it exactly like TCP;
 //! * server endpoints are **event-driven actors** (see
-//!   [`listen`](SimWorld::listen)): frames delivered to them are parsed
-//!   and answered inline during event processing, reusing the
-//!   [`wire`] codecs and the application [`Handler`] unchanged.
+//!   [`listen`](SimWorld::listen)): bytes delivered to them are decoded
+//!   and answered inline during event processing by the daemon's own
+//!   connection core ([`axml_net::conn`]) and the application
+//!   [`Handler`], unchanged.
 //!
 //! **Fault model.** Frames in flight are subject to drop, extra delay,
 //! duplication, reordering (independent latency draws; delivery is not
@@ -40,9 +41,10 @@
 //! horizon: a scenario that would hang trips a panic carrying the event
 //! log instead of wedging the test run.
 
-use axml_net::transport::{Acceptor, Duplex, Transport};
-use axml_net::wire::{self, FaultCode, Frame, FrameType, WireError, WireFault};
-use axml_net::{ChunkAssembler, ChunkProgress, Handler};
+use axml_net::conn::{self, Action, Endpoint, Refusal};
+use axml_net::transport::{Duplex, Transport};
+use axml_net::wire::{self, Frame, FrameType, WireError};
+use axml_net::{FrameDecoder, Handler};
 use axml_support::clock::Clock;
 use axml_support::rng::{RngExt, SeedableRng, StdRng};
 use axml_support::sync::Mutex;
@@ -201,106 +203,24 @@ impl Default for SimServerConfig {
     }
 }
 
-/// Pre-resolved `server.*` handles, mirroring the real server's
-/// accounting: every request ends in exactly one `ok()` or `fault()`.
-struct SrvMetrics {
-    connections: axml_obs::Counter,
-    requests: axml_obs::Counter,
-    responses_ok: axml_obs::Counter,
-    faults: axml_obs::Counter,
-    busy: axml_obs::Counter,
-    timeouts: axml_obs::Counter,
-    too_large: axml_obs::Counter,
-    frame_bytes: axml_obs::Histogram,
-    chunk_frames: axml_obs::Counter,
-    chunk_bytes: axml_obs::Counter,
-    chunk_aborts: axml_obs::Counter,
-    chunk_reassembly: axml_obs::Gauge,
-}
-
-impl SrvMetrics {
-    fn new(r: &axml_obs::Registry) -> Self {
-        SrvMetrics {
-            connections: r.counter("server.connections_total"),
-            requests: r.counter("server.requests_total"),
-            responses_ok: r.counter("server.responses_ok_total"),
-            faults: r.counter("server.faults_total"),
-            busy: r.counter("server.busy_total"),
-            timeouts: r.counter("server.timeouts_total"),
-            too_large: r.counter("server.frame_too_large_total"),
-            frame_bytes: r.histogram("server.frame_bytes", axml_obs::BYTES_BOUNDS),
-            chunk_frames: r.counter("net.chunk.frames_total"),
-            chunk_bytes: r.counter("net.chunk.bytes_total"),
-            chunk_aborts: r.counter("net.chunk.aborts_total"),
-            chunk_reassembly: r.gauge("net.chunk.reassembly_bytes"),
-        }
-    }
-
-    fn ok(&self) {
-        self.requests.inc();
-        self.responses_ok.inc();
-    }
-
-    fn fault(&self) {
-        self.requests.inc();
-        self.faults.inc();
-    }
-}
-
-/// A connection's server-side parse state.
+/// A connection's server side: the daemon's connection core behind a
+/// frame decoder.
 struct SrvConn {
-    inbox: Vec<u8>,
-    shaken: bool,
-    /// Chunked-transfer reassembly state, mirroring the real server's
-    /// per-connection assembler.
-    assembler: ChunkAssembler,
-    /// Reassembly bytes last published into the gauge for this conn.
-    reported: i64,
-    /// Chunk frames accepted so far — the stall probe's progress witness
-    /// for idleness *between* chunk frames (the inbox is empty then).
+    decoder: FrameDecoder,
+    core: conn::Conn,
+    /// Chunk frames decoded so far — the stall probe's progress witness
+    /// for idleness *between* chunk frames (the decoder is empty then).
     chunk_seen: u64,
-}
-
-impl SrvConn {
-    fn new(max_doc: usize) -> SrvConn {
-        SrvConn {
-            inbox: Vec::new(),
-            shaken: false,
-            assembler: ChunkAssembler::new(max_doc),
-            reported: 0,
-            chunk_seen: 0,
-        }
-    }
-}
-
-/// Work extracted from a frame in Phase A and dispatched to the
-/// application handler unlocked in Phase B — the sim analogue of the
-/// real server's `Work`.
-enum SrvWork {
-    Envelope(String),
-    Document { name: String, text: String },
 }
 
 struct ServerEntry {
     handler: Arc<dyn Handler>,
     config: SimServerConfig,
-    metrics: SrvMetrics,
+    ep: Arc<Endpoint>,
     up: bool,
+    /// Live connections. Removing one drops its core, which gives back
+    /// its reassembly bytes and counts an abandoned transfer.
     conns: BTreeMap<u64, SrvConn>,
-}
-
-impl ServerEntry {
-    /// Removes a connection's server-side state, giving back its
-    /// reassembly gauge bytes and accounting an abandoned transfer —
-    /// every removal path must come through here or the gauge leaks.
-    fn drop_conn(&mut self, conn_id: u64) {
-        if let Some(sc) = self.conns.remove(&conn_id) {
-            self.metrics.chunk_reassembly.add(-sc.reported);
-            if sc.assembler.active() {
-                self.metrics.chunk_aborts.inc();
-            }
-        }
-    }
 }
 
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -332,8 +252,9 @@ enum Event {
     },
     /// Server-side stall probe: fires when a partial frame sits
     /// unfinished, or a chunk transfer has gone quiet between frames
-    /// (`len` is the inbox size when armed, `chunks` the chunk frames
-    /// accepted so far — either advancing means progress).
+    /// (`len` is the server's undecoded byte count when armed, `chunks`
+    /// the chunk frames decoded so far — either advancing means
+    /// progress).
     StallCheck { conn: u64, len: usize, chunks: u64 },
     /// Orderly server-side close (the FIN after a fault-and-close):
     /// scheduled at the fault frame's own delivery time so the client
@@ -536,6 +457,41 @@ impl WorldState {
         at
     }
 
+    /// Carries out a server connection core's answer: sends its frame,
+    /// logging `note` first, and on a close forgets the connection and
+    /// schedules the FIN behind the frame. A job comes back for the
+    /// handler.
+    fn server_act(
+        &mut self,
+        server: &str,
+        conn_id: u64,
+        action: Action,
+        note: Option<&str>,
+    ) -> Option<conn::Job> {
+        let (frame, close) = match action {
+            Action::Continue => return None,
+            Action::Queue(job) => return Some(job),
+            Action::Reply(frame) => (Some(frame), false),
+            Action::Close(frame) => (frame, true),
+        };
+        if let Some(note) = note {
+            self.log(format!("SRV {server} conn={conn_id} {note}"));
+        }
+        if close {
+            if let Some(s) = self.servers.get_mut(server) {
+                s.conns.remove(&conn_id);
+            }
+        }
+        let at = match frame {
+            Some(frame) => self.transmit(conn_id, false, encode(&frame)),
+            None => self.now_ns,
+        };
+        if close {
+            self.schedule(at, Event::Close { conn: conn_id });
+        }
+        None
+    }
+
     fn latency(&mut self, plan: &FaultPlan) -> u64 {
         let jitter = if plan.jitter_ns > 0 {
             self.rng.random_range(0..=plan.jitter_ns)
@@ -614,13 +570,13 @@ impl SimWorld {
     /// `TooLarge`, mid-frame `Timeout`, `Busy` backpressure, stats).
     pub fn listen(&self, endpoint: &str, handler: Arc<dyn Handler>, config: SimServerConfig) {
         let mut st = self.inner.state.lock();
-        let metrics = SrvMetrics::new(&config.metrics);
+        let ep = Endpoint::new(&config.name, config.max_doc, &config.metrics);
         st.servers.insert(
             endpoint.to_owned(),
             ServerEntry {
                 handler,
                 config,
-                metrics,
+                ep,
                 up: true,
                 conns: BTreeMap::new(),
             },
@@ -747,10 +703,7 @@ impl WorldInner {
                 st.log(format!("CRASH {endpoint}"));
                 if let Some(server) = st.servers.get_mut(&endpoint) {
                     server.up = false;
-                    let ids: Vec<u64> = server.conns.keys().copied().collect();
-                    for id in ids {
-                        server.drop_conn(id);
-                    }
+                    server.conns.clear();
                 }
                 let reset: Vec<u64> = st
                     .conns
@@ -794,14 +747,14 @@ impl WorldInner {
                     st.log(format!("LOST conn={conn_id} (endpoint down)"));
                     return;
                 }
-                if let Some(server) = st.servers.get_mut(&server_name) {
-                    let max_doc = server.config.max_doc;
-                    server
-                        .conns
-                        .entry(conn_id)
-                        .or_insert_with(|| SrvConn::new(max_doc))
-                        .inbox
-                        .extend_from_slice(&bytes);
+                // Bytes for a connection the server already closed are
+                // dropped, as a closed socket drops them.
+                if let Some(sc) = st
+                    .servers
+                    .get_mut(&server_name)
+                    .and_then(|s| s.conns.get_mut(&conn_id))
+                {
+                    sc.decoder.feed(&bytes);
                 }
             } else {
                 st.conns
@@ -814,7 +767,7 @@ impl WorldInner {
                 st.conns.get_mut(&conn_id).expect("live conn").state = ConnState::Reset;
                 st.log(format!("CONN-RESET conn={conn_id} (mid-frame cut)"));
                 if let Some(server) = st.servers.get_mut(&server_name) {
-                    server.drop_conn(conn_id);
+                    server.conns.remove(&conn_id);
                 }
                 return;
             }
@@ -824,14 +777,15 @@ impl WorldInner {
         }
     }
 
-    /// Parses and answers every complete frame sitting in the server-side
-    /// inbox of `conn_id`. The application handler runs with the world
-    /// unlocked.
+    /// Feeds every complete frame waiting at the server side of
+    /// `conn_id` to its connection core and carries out the answers. The
+    /// application handler runs with the world unlocked.
     fn server_pump(self: &Arc<Self>, conn_id: u64) {
         loop {
-            // Phase 1 (locked): extract one actionable frame.
-            let action = {
-                let mut st = self.state.lock();
+            // Phase A (locked): one read outcome through the core.
+            let (server_name, handler, job) = {
+                let mut guard = self.state.lock();
+                let st = &mut *guard;
                 let Some(conn) = st.conns.get(&conn_id) else {
                     return;
                 };
@@ -842,318 +796,73 @@ impl WorldInner {
                 let Some(server) = st.servers.get_mut(&server_name) else {
                     return;
                 };
-                let max_frame = server.config.max_frame;
                 let read_timeout = server.config.read_timeout;
                 let Some(sc) = server.conns.get_mut(&conn_id) else {
                     return;
                 };
-                if sc.inbox.len() >= wire::HEADER_LEN {
-                    let len = u32::from_be_bytes(
-                        sc.inbox[9..13].try_into().expect("4 len bytes"),
-                    ) as usize;
-                    if len > max_frame {
-                        // Mirror the real server: the stream is no longer
-                        // framed — fault with id 0 and close.
-                        server.metrics.fault();
-                        server.metrics.too_large.inc();
-                        server.metrics.frame_bytes.observe(len as u64);
-                        let f = WireFault::new(
-                            FaultCode::TooLarge,
-                            format!("{len}-byte payload exceeds the {max_frame}-byte cap"),
-                        );
-                        let bytes = encode(&wire::fault(0, &f));
-                        server.drop_conn(conn_id);
-                        let at = st.transmit(conn_id, false, bytes);
-                        st.log(format!("SRV {server_name} conn={conn_id} too-large close"));
-                        st.schedule(at, Event::Close { conn: conn_id });
-                        return;
-                    }
-                }
-                let mut frames = take_frames(&mut server.conns.get_mut(&conn_id).expect("conn").inbox);
-                if frames.is_empty() {
-                    let sc = server.conns.get(&conn_id).expect("conn");
-                    let pending = sc.inbox.len();
-                    if pending > 0 || sc.assembler.active() {
+                let Some(read) = sc.decoder.poll_frame().transpose() else {
+                    if sc.decoder.buffered_len() > 0 || sc.core.transfer_active() {
                         // Partial frame, or silence inside an open chunk
                         // transfer: arm the stall probe.
-                        let chunks = sc.chunk_seen;
+                        let probe = Event::StallCheck {
+                            conn: conn_id,
+                            len: sc.decoder.buffered_len(),
+                            chunks: sc.chunk_seen,
+                        };
                         let at = st.now_ns + read_timeout.as_nanos() as u64;
-                        st.schedule(
-                            at,
-                            Event::StallCheck {
-                                conn: conn_id,
-                                len: pending,
-                                chunks,
-                            },
-                        );
+                        st.schedule(at, probe);
                     }
                     return;
-                }
-                // Put back all but the first; loop re-extracts them.
-                let frame_bytes = frames.remove(0);
-                if !frames.is_empty() {
-                    let sc = st
-                        .servers
-                        .get_mut(&server_name)
-                        .expect("server")
-                        .conns
-                        .get_mut(&conn_id)
-                        .expect("conn");
-                    let mut rest: Vec<u8> = frames.concat();
-                    rest.extend_from_slice(&sc.inbox);
-                    sc.inbox = rest;
-                }
-                let frame = wire::read_frame(&mut frame_bytes.as_slice(), max_frame)
-                    .map_err(|e| e.to_string());
-                Some((server_name, frame))
-            };
-            let Some((server_name, frame)) = action else {
-                return;
-            };
-            match frame {
-                Ok(frame) => self.server_on_frame(&server_name, conn_id, frame),
-                Err(e) => {
-                    let mut st = self.state.lock();
-                    let f = WireFault::new(FaultCode::BadFrame, e);
-                    if let Some(server) = st.servers.get_mut(&server_name) {
-                        server.metrics.fault();
-                        server.drop_conn(conn_id);
-                    }
-                    let bytes = encode(&wire::fault(0, &f));
-                    let at = st.transmit(conn_id, false, bytes);
-                    st.schedule(at, Event::Close { conn: conn_id });
-                    return;
-                }
-            }
-        }
-    }
-
-    /// Handles one parsed frame at a server actor — the sim analogue of
-    /// the real server's `serve_frames` + worker dispatch.
-    fn server_on_frame(self: &Arc<Self>, server_name: &str, conn_id: u64, frame: Frame) {
-        // Phase A (locked): everything that needs no application handler.
-        let request = {
-            let mut st = self.state.lock();
-            let busy_prob = st.plan.busy_prob;
-            // A chunked transfer only claims a worker slot when it
-            // completes, so the busy draw applies to End frames too —
-            // mirroring the real server's try_send at Complete.
-            let busy_draw = if matches!(frame.kind, FrameType::Request | FrameType::DocChunkEnd) {
-                st.rng.random_bool(busy_prob)
-            } else {
-                false
-            };
-            let Some(server) = st.servers.get_mut(server_name) else {
-                return;
-            };
-            server.metrics.frame_bytes.observe(frame.payload.len() as u64);
-            let shaken = server
-                .conns
-                .get(&conn_id)
-                .map(|c| c.shaken)
-                .unwrap_or(false);
-            match frame.kind {
-                FrameType::Hello => {
-                    let reply = match wire::decode_hello(&frame.payload) {
-                        Ok((version, _peer)) if version == wire::VERSION => {
-                            server.metrics.connections.inc();
-                            server.conns.get_mut(&conn_id).expect("conn").shaken = true;
-                            wire::welcome_with(&server.config.name, wire::CAP_CHUNKED)
-                        }
-                        Ok((version, _)) => wire::fault(
-                            0,
-                            &WireFault::new(
-                                FaultCode::Version,
-                                format!(
-                                    "server speaks version {}, client {version}",
-                                    wire::VERSION
-                                ),
-                            ),
-                        ),
-                        Err(e) => wire::fault(
-                            0,
-                            &WireFault::new(FaultCode::BadFrame, format!("bad Hello: {e}")),
-                        ),
-                    };
-                    let bytes = encode(&reply);
-                    st.transmit(conn_id, false, bytes);
-                    None
-                }
-                FrameType::StatsRequest => {
-                    // Inline, outside request accounting — like the real
-                    // reader thread.
-                    let snapshot = server.config.metrics.snapshot().to_json();
-                    let bytes = encode(&wire::stats_response(frame.id, &snapshot));
-                    st.transmit(conn_id, false, bytes);
-                    None
-                }
-                FrameType::Request
-                | FrameType::DocChunkStart
-                | FrameType::DocChunk
-                | FrameType::DocChunkEnd
-                    if !shaken =>
-                {
-                    server.metrics.fault();
-                    let f =
-                        WireFault::new(FaultCode::BadFrame, "expected Hello to open the connection");
-                    let bytes = encode(&wire::fault(frame.id, &f));
-                    st.transmit(conn_id, false, bytes);
-                    None
-                }
-                FrameType::DocChunkStart | FrameType::DocChunk | FrameType::DocChunkEnd => {
-                    server.metrics.chunk_frames.inc();
-                    if frame.kind == FrameType::DocChunk {
-                        server
-                            .metrics
-                            .chunk_bytes
-                            .add(frame.payload.len().saturating_sub(4) as u64);
-                    }
-                    let sc = server.conns.get_mut(&conn_id).expect("conn");
+                };
+                let kind = read.as_ref().ok().map(|f| f.kind);
+                if matches!(
+                    kind,
+                    Some(FrameType::DocChunkStart | FrameType::DocChunk | FrameType::DocChunkEnd)
+                ) {
                     sc.chunk_seen += 1;
-                    let outcome = sc.assembler.accept(&frame);
-                    let now = sc.assembler.buffered_len() as i64;
-                    server.metrics.chunk_reassembly.add(now - sc.reported);
-                    sc.reported = now;
-                    match outcome {
-                        Ok(ChunkProgress::Pending) | Ok(ChunkProgress::Drained) => None,
-                        Ok(ChunkProgress::Complete { name, bytes, .. }) => {
-                            match String::from_utf8(bytes) {
-                                Ok(text) if busy_draw => {
-                                    // The completed document is rejected at
-                                    // the worker-queue door, like a Request.
-                                    server.metrics.fault();
-                                    server.metrics.busy.inc();
-                                    let f = WireFault::new(
-                                        FaultCode::Busy,
-                                        "in-flight request queue is full",
-                                    )
-                                    .retryable();
-                                    let bytes = encode(&wire::fault(frame.id, &f));
-                                    st.log(format!("SRV {server_name} conn={conn_id} busy"));
-                                    st.transmit(conn_id, false, bytes);
-                                    let _ = (name, text);
-                                    None
-                                }
-                                Ok(text) => Some((frame.id, SrvWork::Document { name, text })),
-                                Err(_) => {
-                                    server.metrics.fault();
-                                    server.metrics.chunk_aborts.inc();
-                                    let f = WireFault::new(
-                                        FaultCode::Client,
-                                        "chunked document is not UTF-8",
-                                    );
-                                    let bytes = encode(&wire::fault(frame.id, &f));
-                                    st.transmit(conn_id, false, bytes);
-                                    None
-                                }
-                            }
-                        }
-                        Err(e) => {
-                            // Transfer dead, stream still framed: fault the
-                            // transfer's id and keep serving, like the real
-                            // server.
-                            server.metrics.fault();
-                            server.metrics.chunk_aborts.inc();
-                            let f = match e {
-                                WireError::TooLarge { len, max } => {
-                                    server.metrics.too_large.inc();
-                                    server.metrics.frame_bytes.observe(len as u64);
-                                    WireFault::new(
-                                        FaultCode::TooLarge,
-                                        format!(
-                                            "chunked transfer of {len} cumulative bytes exceeds the {max}-byte cap"
-                                        ),
-                                    )
-                                }
-                                other => WireFault::new(FaultCode::BadFrame, other.to_string()),
-                            };
-                            let bytes = encode(&wire::fault(frame.id, &f));
-                            st.transmit(conn_id, false, bytes);
-                            None
-                        }
+                }
+                // The sim's worker queue is a coin, drawn for every frame
+                // that could claim a worker slot: a chunked transfer
+                // claims one only when its End frame completes it.
+                let busy = matches!(kind, Some(FrameType::Request | FrameType::DocChunkEnd))
+                    && st.rng.random_bool(st.plan.busy_prob);
+                let mut note = matches!(read, Err(WireError::TooLarge { .. }))
+                    .then_some("too-large close");
+                let action = match sc.core.on_read(read) {
+                    Action::Queue(job) if busy => {
+                        note = Some("busy");
+                        sc.core.refused(job.id, Refusal::Busy)
                     }
-                }
-                FrameType::Request => {
-                    if busy_draw {
-                        server.metrics.fault();
-                        server.metrics.busy.inc();
-                        let f = WireFault::new(
-                            FaultCode::Busy,
-                            "in-flight request queue is full",
-                        )
-                        .retryable();
-                        let bytes = encode(&wire::fault(frame.id, &f));
-                        st.log(format!("SRV {server_name} conn={conn_id} busy"));
-                        st.transmit(conn_id, false, bytes);
-                        None
-                    } else {
-                        match wire::decode_envelope(&frame.payload) {
-                            Ok(envelope) => Some((frame.id, SrvWork::Envelope(envelope))),
-                            Err(e) => {
-                                server.metrics.fault();
-                                let f = WireFault::new(FaultCode::Client, e.to_string());
-                                let bytes = encode(&wire::fault(frame.id, &f));
-                                st.transmit(conn_id, false, bytes);
-                                None
-                            }
-                        }
-                    }
-                }
-                other => {
-                    server.metrics.fault();
-                    let f = WireFault::new(
-                        FaultCode::BadFrame,
-                        format!("expected a Request frame, got {other:?}"),
-                    );
-                    let bytes = encode(&wire::fault(frame.id, &f));
-                    st.transmit(conn_id, false, bytes);
-                    None
-                }
+                    other => other,
+                };
+                let Some(job) = st.server_act(&server_name, conn_id, action, note) else {
+                    continue;
+                };
+                let handler = Arc::clone(&st.servers[&server_name].handler);
+                (server_name, handler, job)
+            };
+            // Phase B (unlocked): the application handler.
+            let outcome = job.run(&*handler);
+            // Phase C (locked): account and send the reply. The endpoint may
+            // have crashed while "handling" — then the reply is lost with it.
+            let mut st = self.state.lock();
+            let Some(server) = st.servers.get(&server_name) else {
+                return;
+            };
+            if !server.up || !server.conns.contains_key(&conn_id) {
+                st.log(format!(
+                    "SRV {server_name} conn={conn_id} reply lost (crash during handling)"
+                ));
+                return;
             }
-        };
-        // Phase B (unlocked): the application handler.
-        let Some((id, work)) = request else {
-            return;
-        };
-        let handler = {
-            let st = self.state.lock();
-            match st.servers.get(server_name) {
-                Some(s) => Arc::clone(&s.handler),
-                None => return,
-            }
-        };
-        let outcome = match &work {
-            SrvWork::Envelope(envelope) => handler.handle(id, envelope),
-            SrvWork::Document { name, text } => handler.handle_document(id, name, text),
-        };
-        // Phase C (locked): account and send the reply. The endpoint may
-        // have crashed while "handling" — then the reply is lost with it.
-        let mut st = self.state.lock();
-        let Some(server) = st.servers.get_mut(server_name) else {
-            return;
-        };
-        if !server.up || !server.conns.contains_key(&conn_id) {
-            st.log(format!(
-                "SRV {server_name} conn={conn_id} reply lost (crash during handling)"
-            ));
-            return;
+            let bytes = encode(&server.ep.reply(job.id, outcome));
+            st.transmit(conn_id, false, bytes);
         }
-        let reply = match outcome {
-            Ok(envelope) => {
-                server.metrics.ok();
-                wire::response(id, &envelope)
-            }
-            Err(fault) => {
-                server.metrics.fault();
-                wire::fault(id, &fault)
-            }
-        };
-        let bytes = encode(&reply);
-        st.transmit(conn_id, false, bytes);
     }
 
     fn stall_check(self: &Arc<Self>, conn_id: u64, len: usize, chunks: u64) {
-        let mut st = self.state.lock();
+        let mut guard = self.state.lock();
+        let st = &mut *guard;
         let Some(conn) = st.conns.get(&conn_id) else {
             return;
         };
@@ -1161,31 +870,18 @@ impl WorldInner {
             return;
         }
         let server_name = conn.server.clone();
-        let Some(server) = st.servers.get_mut(&server_name) else {
+        let Some(sc) = st
+            .servers
+            .get_mut(&server_name)
+            .and_then(|s| s.conns.get_mut(&conn_id))
+        else {
             return;
         };
-        let Some(sc) = server.conns.get(&conn_id) else {
-            return;
-        };
-        let still = sc.inbox.len();
-        if still != len || sc.chunk_seen != chunks {
+        if sc.decoder.buffered_len() != len || sc.chunk_seen != chunks {
             return; // progress was made since the probe was armed
         }
-        let msg = if still > 0 {
-            "read timed out mid-frame"
-        } else if sc.assembler.active() {
-            "read timed out mid-chunk-transfer"
-        } else {
-            return; // inbox drained and no transfer open: idle, not stalled
-        };
-        server.metrics.fault();
-        server.metrics.timeouts.inc();
-        server.drop_conn(conn_id);
-        let f = WireFault::new(FaultCode::Timeout, msg);
-        let bytes = encode(&wire::fault(0, &f));
-        st.log(format!("SRV {server_name} conn={conn_id} stalled close"));
-        let at = st.transmit(conn_id, false, bytes);
-        st.schedule(at, Event::Close { conn: conn_id });
+        let action = sc.core.on_read(Err(sc.decoder.timeout()));
+        st.server_act(&server_name, conn_id, action, Some("stalled close"));
     }
 }
 
@@ -1263,8 +959,12 @@ impl Transport for SimTransport {
         );
         {
             let server = st.servers.get_mut(endpoint).expect("listening server");
-            let max_doc = server.config.max_doc;
-            server.conns.insert(id, SrvConn::new(max_doc));
+            let sc = SrvConn {
+                decoder: FrameDecoder::new(server.config.max_frame),
+                core: server.ep.accept(),
+                chunk_seen: 0,
+            };
+            server.conns.insert(id, sc);
         }
         st.log(format!(
             "CONNECT {}->{endpoint} conn={id}",
@@ -1275,15 +975,6 @@ impl Transport for SimTransport {
             conn: id,
             read_timeout: Mutex::new(Some(Duration::from_secs(5))),
         }))
-    }
-
-    fn bind(&self, endpoint: &str) -> io::Result<Box<dyn Acceptor>> {
-        // The sim's servers are event-driven actors, not accept loops:
-        // register them with SimWorld::listen instead.
-        Err(io::Error::new(
-            io::ErrorKind::Unsupported,
-            format!("sim transport has no acceptor; register {endpoint} via SimWorld::listen"),
-        ))
     }
 }
 
@@ -1423,7 +1114,7 @@ impl Duplex for SimDuplex {
             return Ok(());
         };
         if let Some(server) = st.servers.get_mut(&server) {
-            server.drop_conn(self.conn);
+            server.conns.remove(&self.conn);
         }
         Ok(())
     }

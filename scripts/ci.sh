@@ -120,12 +120,35 @@ print(f"stats scrape ok: {len(counters)} counters, "
 EOF
 
 echo "== tier-1: net-poller gate (readiness loop, DESIGN.md §12) =="
+# One connection core (DESIGN.md §12.4): fault frames are built in
+# net/src/conn.rs only. The engines and the simulator's server actors
+# drive it; none of them may build a WireFault of its own. The one
+# exception is the Handler::handle_document default refusal, an
+# application answer rather than a protocol one.
+rogue_faults=$(
+    for f in crates/net/src/server.rs crates/net/src/poll_server.rs; do
+        awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit }
+            /fn handle_document/ { allow = 1 }
+            /WireFault::new\(/ { if (!allow) print f ":" NR ": " $0; allow = 0 }' "$f"
+    done
+    grep -n 'WireFault::new(' crates/sim/src/world.rs | sed 's|^|crates/sim/src/world.rs:|' || true
+)
+if [ -n "$rogue_faults" ]; then
+    echo "fault frames built outside the connection core (net::conn):"
+    echo "$rogue_faults"
+    exit 1
+fi
 # The poll engine's own suites: decoder split-fuzz parity and the
-# 5k-connection scale smoke — both under one wall-clock budget (the
-# transport matrix in net_exchange already ran above, both engines).
+# 5k-connection scale smoke, plus the core's property test and the
+# three-way (threads / poll / simulator) protocol-fault parity — all
+# under one wall-clock budget (the rest of the transport matrix in
+# net_exchange already ran above, both engines).
 poller_started=$(date +%s)
 timeout --kill-after=10 60 cargo test -q --offline --test poller_frames
 timeout --kill-after=10 60 cargo test -q --offline --test poller_scale
+timeout --kill-after=10 60 cargo test -q --offline --test conn_core
+timeout --kill-after=10 60 cargo test -q --offline --test net_exchange -- \
+    matrix_protocol_faults_are_byte_identical
 poller_elapsed=$(( $(date +%s) - poller_started ))
 if [ "$poller_elapsed" -ge 60 ]; then
     echo "poller suites blew their wall-clock budget: ${poller_elapsed}s >= 60s"

@@ -304,6 +304,11 @@ fn cmd_serve(args: &[String]) -> ExitCode {
             }
         );
     }
+    // The daemon's own registry holds its request counts: every request
+    // ends as a response or a fault, and Busy refusals are not answers.
+    let requests = config.metrics.counter("server.requests_total");
+    let busy = config.metrics.counter("server.busy_total");
+    let served = config.metrics.counter("server.responses_ok_total");
     let daemon = match NetPeer::serve(peer, addr.as_str(), config) {
         Ok(d) => d,
         Err(e) => return fail(&e.to_string()),
@@ -315,9 +320,9 @@ fn cmd_serve(args: &[String]) -> ExitCode {
     let mut last_snapshot_at: u64 = 0;
     loop {
         std::thread::sleep(std::time::Duration::from_millis(20));
-        let stats = daemon.stats();
-        let answered = stats.served.load(std::sync::atomic::Ordering::Relaxed)
-            + stats.faulted.load(std::sync::atomic::Ordering::Relaxed);
+        // Busy is bumped before requests, so reading requests first
+        // never counts a refusal as an answer.
+        let answered = requests.get().saturating_sub(busy.get());
         if let (Some(store), Some(every)) = (&store, snapshot_every) {
             if answered >= last_snapshot_at + every {
                 if let Err(e) = daemon.peer().persist_warm_state(store) {
@@ -333,7 +338,7 @@ fn cmd_serve(args: &[String]) -> ExitCode {
                         eprintln!("axml: snapshot failed: {e}");
                     }
                 }
-                let served = stats.served.load(std::sync::atomic::Ordering::Relaxed);
+                let served = served.get();
                 return match daemon.shutdown() {
                     Ok(()) => {
                         println!("served {answered} requests ({served} ok)");

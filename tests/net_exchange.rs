@@ -5,20 +5,26 @@
 //! outcomes are asserted *equal* — identical fault frames byte for byte,
 //! identical stats, identical documents landed, identical span-tree
 //! shapes. The poll engine is only correct if a client cannot tell the
-//! two engines apart.
+//! two engines apart. The raw protocol-fault scenario also runs against
+//! a simulator server actor (`SimWorld::listen`), whose replies must be
+//! the same bytes: all three drive the one connection core.
 //!
 //! Scenarios: concurrent clients, raw protocol faults (oversized frame,
 //! malformed envelope, bad frame type, mid-frame stall, handshake
-//! violations), queue-saturation Busy backpressure, the paper's Fig. 1
-//! three-party newspaper exchange, and span correlation for clean and
-//! failed exchanges.
+//! violations, a repeated Hello), queue-saturation Busy backpressure, the
+//! paper's Fig. 1 three-party newspaper exchange, and span correlation
+//! for clean and failed exchanges.
 
-use axml::net::{wire, ClientConfig, IoMode, NetClient, NetServer, ServerConfig};
+use axml::net::{
+    wire, ClientConfig, Duplex, IoMode, NetClient, NetServer, ServerConfig, TcpTransport,
+    Transport,
+};
 use axml::obs::{install_sink, uninstall_sink, RingSink, SpanRecord, SpanSink};
-use axml::peer::{InboundPolicy, NetInvoker, NetPeer, Peer, Query, RemotePeer};
+use axml::peer::{envelope_handler, InboundPolicy, NetInvoker, NetPeer, Peer, Query, RemotePeer};
 use axml::schema::{validate, Compiled, ITree, NoOracle, Schema};
 use axml::services::{Registry, ServiceDef};
-use std::io::{BufReader, Write as _};
+use axml::sim::{FaultPlan, SimServerConfig, SimWorld};
+use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
@@ -70,8 +76,8 @@ fn compiled(schema: Schema) -> Arc<Compiled> {
     Arc::new(Compiled::new(schema, &NoOracle).unwrap())
 }
 
-/// A listings-provider daemon on an ephemeral loopback port.
-fn provider_daemon(config: ServerConfig) -> NetPeer {
+/// The listings provider every matrix daemon serves.
+fn listings_peer() -> Arc<Peer> {
     let peer = Arc::new(Peer::new(
         "listings.example.org",
         compiled(vocab()),
@@ -97,7 +103,12 @@ fn provider_daemon(config: ServerConfig) -> NetPeer {
         ServiceDef::new("Listings", "data", "exhibit*"),
         Query::Children("program".to_owned()),
     );
-    NetPeer::serve(peer, "127.0.0.1:0", config).unwrap()
+    peer
+}
+
+/// A listings-provider daemon on an ephemeral loopback port.
+fn provider_daemon(config: ServerConfig) -> NetPeer {
+    NetPeer::serve(listings_peer(), "127.0.0.1:0", config).unwrap()
 }
 
 fn front_page() -> ITree {
@@ -124,7 +135,7 @@ fn dial(addr: SocketAddr) -> (BufReader<TcpStream>, TcpStream) {
     (reader, stream)
 }
 
-fn shake(reader: &mut BufReader<TcpStream>, stream: &mut TcpStream) {
+fn shake(reader: &mut impl Read, stream: &mut impl Write) {
     wire::write_frame(stream, &wire::hello("matrix-client")).unwrap();
     let back = wire::read_frame(reader, wire::DEFAULT_MAX_FRAME).unwrap();
     assert_eq!(back.kind, wire::FrameType::Welcome);
@@ -134,9 +145,25 @@ fn shake(reader: &mut BufReader<TcpStream>, stream: &mut TcpStream) {
 // Scenario: concurrent clients share one daemon.
 // ---------------------------------------------------------------------
 
+/// The daemon's (served, rejected Busy, other faults) counts, read from
+/// its own registry.
+fn serving_counts(registry: &axml::obs::Registry) -> (u64, u64, u64) {
+    let snap = registry.snapshot();
+    let busy = snap.counter("server.busy_total");
+    (
+        snap.counter("server.responses_ok_total"),
+        busy,
+        snap.counter("server.faults_total") - busy,
+    )
+}
+
 /// (served, rejected_busy, faulted) after 8 clients × 5 invokes.
 fn concurrent_clients_outcome(io: IoMode) -> (u64, u64, u64) {
-    let daemon = provider_daemon(mode_config(io));
+    let registry = axml::obs::Registry::new();
+    let daemon = provider_daemon(ServerConfig {
+        metrics: registry.clone(),
+        ..mode_config(io)
+    });
     let addr = daemon.local_addr();
     let caller = Arc::new(Peer::new(
         "caller.example.org",
@@ -163,12 +190,7 @@ fn concurrent_clients_outcome(io: IoMode) -> (u64, u64, u64) {
     for t in threads {
         t.join().unwrap();
     }
-    use std::sync::atomic::Ordering::Relaxed;
-    let out = (
-        daemon.stats().served.load(Relaxed),
-        daemon.stats().rejected_busy.load(Relaxed),
-        daemon.stats().faulted.load(Relaxed),
-    );
+    let out = serving_counts(&registry);
     daemon.shutdown().unwrap();
     out
 }
@@ -190,21 +212,84 @@ fn matrix_concurrent_clients_share_one_daemon() {
 // Scenario: raw protocol faults, compared frame-for-frame.
 // ---------------------------------------------------------------------
 
-/// Drives every protocol-fault path over a raw socket and returns each
-/// reply frame, labelled. The whole vector must be byte-identical
-/// across engines.
-fn protocol_fault_outcome(io: IoMode) -> Vec<(&'static str, wire::Frame)> {
-    let daemon = provider_daemon(ServerConfig {
-        max_frame: 256,
-        read_timeout: Duration::from_millis(100),
-        ..mode_config(io)
-    });
-    let addr = daemon.local_addr();
+/// The servers the protocol-fault scenario runs against: both TCP
+/// engines and a simulator server actor.
+#[derive(Debug, Clone, Copy)]
+enum Daemon {
+    Tcp(IoMode),
+    Sim,
+}
+
+/// A running protocol-fault server and how to dial it.
+struct FaultServer {
+    transport: Arc<dyn Transport>,
+    endpoint: String,
+    tcp: Option<NetPeer>,
+    /// Keeps the simulated world (and its virtual clock) alive.
+    _world: Option<SimWorld>,
+}
+
+impl FaultServer {
+    fn start(daemon: Daemon, max_frame: usize, read_timeout: Duration) -> FaultServer {
+        match daemon {
+            Daemon::Tcp(io) => {
+                let peer = provider_daemon(ServerConfig {
+                    max_frame,
+                    read_timeout,
+                    ..mode_config(io)
+                });
+                FaultServer {
+                    transport: Arc::new(TcpTransport),
+                    endpoint: peer.local_addr().to_string(),
+                    tcp: Some(peer),
+                    _world: None,
+                }
+            }
+            Daemon::Sim => {
+                let world = SimWorld::new(7, FaultPlan::default());
+                let endpoint = "listings.example.org";
+                world.listen(
+                    endpoint,
+                    envelope_handler(listings_peer()),
+                    SimServerConfig {
+                        max_frame,
+                        read_timeout,
+                        ..SimServerConfig::default()
+                    },
+                );
+                FaultServer {
+                    transport: world.transport("matrix-client"),
+                    endpoint: endpoint.to_owned(),
+                    tcp: None,
+                    _world: Some(world),
+                }
+            }
+        }
+    }
+
+    /// Raw wire client over whichever transport the server runs on.
+    fn dial(&self) -> (BufReader<Box<dyn Duplex>>, Box<dyn Duplex>) {
+        let stream = self
+            .transport
+            .connect(&self.endpoint, Duration::from_secs(10))
+            .unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        stream.set_write_timeout(Some(Duration::from_secs(10))).unwrap();
+        let reader = BufReader::new(stream.try_clone().unwrap());
+        (reader, stream)
+    }
+}
+
+/// Drives every protocol-fault path over a raw connection and returns
+/// each reply frame, labelled. The whole vector must be byte-identical
+/// across the three servers.
+fn protocol_fault_outcome(daemon: Daemon) -> Vec<(&'static str, wire::Frame)> {
+    let server = FaultServer::start(daemon, 256, Duration::from_millis(100));
     let mut out = Vec::new();
 
     // Oversized frame: rejected before allocation, connection closed.
     {
-        let (mut reader, mut stream) = dial(addr);
+        let (mut reader, mut stream) = server.dial();
         shake(&mut reader, &mut stream);
         wire::write_frame(&mut stream, &wire::request(1, &"x".repeat(1000))).unwrap();
         out.push((
@@ -215,7 +300,7 @@ fn protocol_fault_outcome(io: IoMode) -> Vec<(&'static str, wire::Frame)> {
     // Malformed envelope (invalid UTF-8): typed Client fault, and the
     // connection survives — prove it with a follow-up stats scrape.
     {
-        let (mut reader, mut stream) = dial(addr);
+        let (mut reader, mut stream) = server.dial();
         shake(&mut reader, &mut stream);
         let bad = wire::Frame {
             kind: wire::FrameType::Request,
@@ -229,7 +314,7 @@ fn protocol_fault_outcome(io: IoMode) -> Vec<(&'static str, wire::Frame)> {
         ));
         wire::write_frame(&mut stream, &wire::stats_request(8)).unwrap();
         let stats = wire::read_frame(&mut reader, wire::DEFAULT_MAX_FRAME).unwrap();
-        // Snapshot *values* legitimately differ across engines (the poll
+        // Snapshot *values* legitimately differ across servers (the poll
         // gauges); the frame kind + id prove the connection stayed up.
         out.push((
             "conn-survives-malformed",
@@ -242,7 +327,7 @@ fn protocol_fault_outcome(io: IoMode) -> Vec<(&'static str, wire::Frame)> {
     }
     // Wrong frame type after handshake: BadFrame, connection survives.
     {
-        let (mut reader, mut stream) = dial(addr);
+        let (mut reader, mut stream) = server.dial();
         shake(&mut reader, &mut stream);
         let rogue = wire::Frame {
             kind: wire::FrameType::Welcome,
@@ -255,9 +340,19 @@ fn protocol_fault_outcome(io: IoMode) -> Vec<(&'static str, wire::Frame)> {
             wire::read_frame(&mut reader, wire::DEFAULT_MAX_FRAME).unwrap(),
         ));
     }
+    // A repeated Hello after the handshake is answered like the first.
+    {
+        let (mut reader, mut stream) = server.dial();
+        shake(&mut reader, &mut stream);
+        wire::write_frame(&mut stream, &wire::hello("matrix-client")).unwrap();
+        out.push((
+            "repeated-hello",
+            wire::read_frame(&mut reader, wire::DEFAULT_MAX_FRAME).unwrap(),
+        ));
+    }
     // Mid-frame stall: half a header then silence → Timeout fault.
     {
-        let (mut reader, mut stream) = dial(addr);
+        let (mut reader, mut stream) = server.dial();
         shake(&mut reader, &mut stream);
         stream.write_all(&[0x03, 0, 0, 0]).unwrap();
         stream.flush().unwrap();
@@ -270,7 +365,7 @@ fn protocol_fault_outcome(io: IoMode) -> Vec<(&'static str, wire::Frame)> {
     // *between* frames — the inbox is empty, but the open transfer makes
     // it a stall, not an idle pooled connection.
     {
-        let (mut reader, mut stream) = dial(addr);
+        let (mut reader, mut stream) = server.dial();
         shake(&mut reader, &mut stream);
         wire::write_frame(&mut stream, &wire::doc_chunk_start(11, "stall.xml")).unwrap();
         wire::write_frame(&mut stream, &wire::doc_chunk(11, 0, b"<newspaper>")).unwrap();
@@ -282,16 +377,25 @@ fn protocol_fault_outcome(io: IoMode) -> Vec<(&'static str, wire::Frame)> {
     }
     // Handshake violation: a Request before Hello.
     {
-        let (mut reader, mut stream) = dial(addr);
+        let (mut reader, mut stream) = server.dial();
         wire::write_frame(&mut stream, &wire::request(4, "<env/>")).unwrap();
         out.push((
             "request-before-hello",
             wire::read_frame(&mut reader, wire::DEFAULT_MAX_FRAME).unwrap(),
         ));
     }
+    // Handshake violation: a stats scrape before Hello.
+    {
+        let (mut reader, mut stream) = server.dial();
+        wire::write_frame(&mut stream, &wire::stats_request(5)).unwrap();
+        out.push((
+            "stats-before-hello",
+            wire::read_frame(&mut reader, wire::DEFAULT_MAX_FRAME).unwrap(),
+        ));
+    }
     // Version mismatch in the Hello.
     {
-        let (mut reader, mut stream) = dial(addr);
+        let (mut reader, mut stream) = server.dial();
         let mut old = wire::hello("old-client");
         old.payload[4..6].copy_from_slice(&99u16.to_be_bytes());
         wire::write_frame(&mut stream, &old).unwrap();
@@ -301,23 +405,30 @@ fn protocol_fault_outcome(io: IoMode) -> Vec<(&'static str, wire::Frame)> {
         ));
     }
 
-    daemon.shutdown().unwrap();
+    if let Some(tcp) = server.tcp {
+        tcp.shutdown().unwrap();
+    }
     out
 }
 
 #[test]
 fn matrix_protocol_faults_are_byte_identical() {
-    let threads = protocol_fault_outcome(IoMode::Threads);
-    let poll = protocol_fault_outcome(IoMode::Poll);
+    let threads = protocol_fault_outcome(Daemon::Tcp(IoMode::Threads));
+    let poll = protocol_fault_outcome(Daemon::Tcp(IoMode::Poll));
+    let sim = protocol_fault_outcome(Daemon::Sim);
     assert_eq!(
         threads, poll,
         "every fault frame must be byte-identical across engines"
     );
-    // Taxonomy spot-checks (on the threads run; poll is equal by now).
+    assert_eq!(
+        threads, sim,
+        "the simulator's server must answer with the daemon's bytes"
+    );
+    // Taxonomy spot-checks (on the threads run; the others are equal).
+    let frame = |label: &str| &threads.iter().find(|(l, _)| *l == label).unwrap().1;
     let fault_code = |label: &str| {
-        let frame = &threads.iter().find(|(l, _)| *l == label).unwrap().1;
-        assert_eq!(frame.kind, wire::FrameType::Fault, "{label}");
-        wire::decode_fault(&frame.payload).unwrap()
+        assert_eq!(frame(label).kind, wire::FrameType::Fault, "{label}");
+        wire::decode_fault(&frame(label).payload).unwrap()
     };
     assert_eq!(fault_code("oversized").code, axml::net::FaultCode::TooLarge);
     assert_eq!(
@@ -328,6 +439,7 @@ fn matrix_protocol_faults_are_byte_identical() {
         fault_code("rogue-frame-type").code,
         axml::net::FaultCode::BadFrame
     );
+    assert_eq!(frame("repeated-hello").kind, wire::FrameType::Welcome);
     assert_eq!(
         fault_code("mid-frame-stall").code,
         axml::net::FaultCode::Timeout
@@ -343,15 +455,17 @@ fn matrix_protocol_faults_are_byte_identical() {
         fault_code("request-before-hello").code,
         axml::net::FaultCode::BadFrame
     );
+    let early_stats = fault_code("stats-before-hello");
+    assert_eq!(early_stats.code, axml::net::FaultCode::BadFrame);
+    assert_eq!(early_stats.message, "expected Hello to open the connection");
     assert_eq!(
         fault_code("version-mismatch").code,
         axml::net::FaultCode::Version
     );
-    let survives = threads
-        .iter()
-        .find(|(l, _)| *l == "conn-survives-malformed")
-        .unwrap();
-    assert_eq!(survives.1.kind, wire::FrameType::StatsResponse);
+    assert_eq!(
+        frame("conn-survives-malformed").kind,
+        wire::FrameType::StatsResponse
+    );
 }
 
 // ---------------------------------------------------------------------
@@ -363,6 +477,7 @@ fn matrix_protocol_faults_are_byte_identical() {
 /// serve. Returns the three reply frames sorted by request id.
 fn busy_backpressure_outcome(io: IoMode) -> Vec<wire::Frame> {
     use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+    let registry = axml::obs::Registry::new();
     let entered = Arc::new(AtomicU64::new(0));
     let entered_in_handler = Arc::clone(&entered);
     let server = NetServer::bind(
@@ -376,6 +491,7 @@ fn busy_backpressure_outcome(io: IoMode) -> Vec<wire::Frame> {
             workers: 1,
             queue: 1,
             shards: 1, // single shard == single queue: exact Busy parity
+            metrics: registry.clone(),
             ..mode_config(io)
         },
     )
@@ -395,8 +511,9 @@ fn busy_backpressure_outcome(io: IoMode) -> Vec<wire::Frame> {
         .map(|_| wire::read_frame(&mut reader, wire::DEFAULT_MAX_FRAME).unwrap())
         .collect();
     replies.sort_by_key(|f| f.id);
-    assert_eq!(server.stats().rejected_busy.load(Relaxed), 1);
-    assert_eq!(server.stats().served.load(Relaxed), 2);
+    let (served, rejected_busy, _) = serving_counts(&registry);
+    assert_eq!(rejected_busy, 1);
+    assert_eq!(served, 2);
     server.shutdown().unwrap();
     replies
 }

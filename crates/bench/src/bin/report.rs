@@ -10,11 +10,12 @@
 
 use axml_bench::*;
 use axml_core::awk::{Awk, AwkLimits};
+use axml_core::invoke::ScriptedInvoker;
 use axml_core::possible::{target_of, PossibleGame};
-use axml_core::rewrite::{enforce, Rewriter};
+use axml_core::rewrite::{enforce, Rewriter, Strategy};
 use axml_core::safe::{complement_of, BuildMode, SafeGame};
 use axml_core::schema_rw::schema_safe_rewrites;
-use axml_schema::{validate, Compiled, NoOracle, Schema};
+use axml_schema::{validate, Compiled, ITree, NoOracle, Schema};
 use axml_services::builtin::{GetDate, GetTemp, TimeOutGuide};
 use axml_services::{Registry, ServiceDef};
 use std::sync::Arc;
@@ -177,6 +178,42 @@ fn b6() {
         );
     }
     println!();
+    println!("## B6  wide words at k = 1: executor time per child (r = a*, f : () -> a)");
+    println!(
+        "{:>8} {:>12} {:>12} {:>12} {:>12}",
+        "children", "safe_us", "ns/child", "possible_us", "ns/child"
+    );
+    for n in [1_000usize, 10_000, 100_000] {
+        let (safe, possible) = wide(n);
+        let per = |us: f64| us * 1e3 / n as f64;
+        println!(
+            "{n:>8} {safe:>12.0} {:>12.0} {possible:>12.0} {:>12.0}",
+            per(safe),
+            per(possible)
+        );
+    }
+    println!();
+}
+
+/// Safe and possible rewriting of one [`wide_schema`] word of `n`
+/// children at k = 1, cold (a fresh rewriter per run): the best times
+/// in microseconds.
+fn wide(n: usize) -> (f64, f64) {
+    let (compiled, doc) = wide_schema(n);
+    let run = |strategy: Strategy| {
+        time(|| {
+            let mut rewriter = Rewriter::new(&compiled).with_k(1);
+            let mut invoker = ScriptedInvoker::new().answer("f", vec![ITree::data("a", "x")]);
+            let (out, _) = match strategy {
+                Strategy::Safe => rewriter.rewrite_safe(&doc, &mut invoker),
+                Strategy::Possible => rewriter.rewrite_possible(&doc, &mut invoker),
+            }
+            .unwrap();
+            assert_eq!(out.children().len(), n);
+        })
+        .1
+    };
+    (run(Strategy::Safe), run(Strategy::Possible))
 }
 
 fn b7() {

@@ -143,6 +143,26 @@ pub fn fanout_schema(x: usize, k: usize) -> (Compiled, ITree) {
     (compiled, doc)
 }
 
+/// B6 (wide series): `r = a*` with `f : () -> a`, and a root of `n`
+/// children alternating `a` with a call to `f`. At k = 1 every call is
+/// invoked, so executing the word costs one step per child.
+pub fn wide_schema(n: usize) -> (Compiled, ITree) {
+    let schema = Schema::builder()
+        .element("r", "a*")
+        .data_element("a")
+        .function("f", "", "a")
+        .build()
+        .unwrap();
+    let compiled = Compiled::new(schema, &NoOracle).unwrap();
+    let kids = (0..n)
+        .map(|i| match i % 2 {
+            0 => ITree::data("a", "x"),
+            _ => ITree::func("f", vec![]),
+        })
+        .collect();
+    (compiled, ITree::elem("r", kids))
+}
+
 /// An invoker realizing the [`fanout_schema`] services deterministically.
 pub struct FanoutInvoker {
     /// Fan-out per level.

@@ -5,15 +5,21 @@
 //! calls, the [`Rewriter`]:
 //!
 //! 1. checks *function parameters* bottom-up (deepest calls first): the
-//!    parameters of every call must safely rewrite into the call's input
-//!    type, or the whole rewriting fails;
+//!    parameters of every call must rewrite into the call's input type,
+//!    or the whole rewriting fails;
 //! 2. traverses the tree *top-down*, handling one node and its direct
 //!    children at a time;
-//! 3. rewrites each node's children word using the word-level game
+//! 3. rewrites each node's children word by walking the word-level game
 //!    ([`SafeGame`] or [`PossibleGame`]), invoking services as the strategy
 //!    dictates, materializing parameters just before each call, validating
 //!    every returned forest against the service's declared output type, and
-//!    recursing into the returned calls' decisions up to depth `k`.
+//!    following the returned calls' decisions up to depth `k`.
+//!
+//! Both strategies run the same passes; a [`Strategy`] only picks the game
+//! and its winning condition. The word executor walks the product from left
+//! to right in one loop. Possible rewriting (Fig. 9) keeps an explicit
+//! stack of choice points and backtracks to the latest one whose invoke
+//! branch is still untried; safe rewriting (Fig. 3) never needs one.
 //!
 //! Returned subtrees are validated but not rewritten further (footnote 5 of
 //! the paper: sender and receiver agree on function signatures, so output
@@ -23,7 +29,7 @@ use crate::awk::{Awk, AwkLimits, EdgeId, StateKind};
 use crate::invoke::{InvokeError, Invoker};
 use crate::possible::PossibleGame;
 use crate::safe::{complement_of, BuildMode, SafeGame};
-use crate::solve_cache::{SolveCache, SolvedPossible, SolvedSafe, TargetSlot};
+use crate::solve_cache::{SolveCache, TargetSlot};
 use axml_automata::{Dfa, Nfa, Regex, Symbol};
 use axml_schema::{validate_output_instance, words_of, Compiled, CompiledContent, FuncNode, ITree};
 use std::fmt;
@@ -169,27 +175,23 @@ pub enum Strategy {
     Possible,
 }
 
-/// The per-branch failure used for backtracking.
-enum Fail {
-    /// This branch is dead; try another choice.
-    Dead,
-    /// Unrecoverable error; abort the whole rewriting.
-    Fatal(Box<RewriteError>),
-}
-
-impl From<RewriteError> for Fail {
-    fn from(e: RewriteError) -> Self {
-        Fail::Fatal(Box::new(e))
+impl Strategy {
+    /// The error for a word whose game this strategy loses.
+    fn refusal(self, context: &str, word: String) -> RewriteError {
+        let context = context.to_owned();
+        match self {
+            Strategy::Safe => RewriteError::NotSafe { context, word },
+            Strategy::Possible => RewriteError::NotPossible { context, word },
+        }
     }
 }
 
-/// A uniform view over [`SafeGame`] and [`crate::possible::PossibleGame`]
-/// for the executor. Games come out of the [`SolveCache`] behind `Arc`s:
-/// solved games are immutable, so concurrent executors walk one shared
-/// instance.
+/// A solved word game of either strategy. Games come out of the
+/// [`SolveCache`] behind `Arc`s: solved games are immutable, so
+/// concurrent executors walk one shared instance.
 enum Game {
-    Safe(Arc<SolvedSafe>),
-    Possible(Arc<SolvedPossible>),
+    Safe(Arc<SafeGame>),
+    Possible(Arc<PossibleGame>),
 }
 
 impl Game {
@@ -203,6 +205,19 @@ impl Game {
         match self {
             Game::Safe(g) => g.start,
             Game::Possible(g) => g.start,
+        }
+    }
+    /// Does the strategy win from the start: safe / possible?
+    fn wins(&self) -> bool {
+        match self {
+            Game::Safe(g) => g.is_safe(),
+            Game::Possible(g) => g.is_possible(),
+        }
+    }
+    fn num_nodes(&self) -> usize {
+        match self {
+            Game::Safe(g) => g.num_nodes(),
+            Game::Possible(g) => g.num_nodes(),
         }
     }
     /// Nodes the execution may stand on: unmarked (safe) / viable (possible).
@@ -233,22 +248,213 @@ impl Game {
             Game::Possible(g) => g.accepting(n),
         }
     }
+    fn strategy(&self) -> Strategy {
+        match self {
+            Game::Safe(_) => Strategy::Safe,
+            Game::Possible(_) => Strategy::Possible,
+        }
+    }
     /// Whether execution is allowed to retry choices (backtracking).
     fn backtracks(&self) -> bool {
         matches!(self, Game::Possible(_))
     }
+
+    /// Follows the labeled edge for `sym` from `cur`; `None` means the step
+    /// is impossible (dead branch). Two distinct labeled successors mean the
+    /// content model was ambiguous — an execution error.
+    fn step(&self, cur: u32, sym: Symbol, context: &str) -> Result<Option<u32>, RewriteError> {
+        let awk = self.awk();
+        let mut found: Option<u32> = None;
+        for &(eid, t) in self.successors(cur) {
+            if awk.edge(eid).label == Some(sym) && self.allowed(t) {
+                match found {
+                    Some(prev) if prev != t => return Err(ambiguous(context)),
+                    _ => found = Some(t),
+                }
+            }
+        }
+        Ok(found)
+    }
+
+    /// Finds the fork deciding about symbol `sym` one ε-step away from
+    /// `cur`, returning `(fork product node, skip edge, invoke edge)`.
+    fn fork(
+        &self,
+        cur: u32,
+        sym: Symbol,
+        context: &str,
+    ) -> Result<Option<(u32, EdgeId, EdgeId)>, RewriteError> {
+        let awk = self.awk();
+        let mut found = None;
+        for &(eid, t) in self.successors(cur) {
+            if awk.edge(eid).label.is_some() {
+                continue;
+            }
+            if let StateKind::Fork {
+                func, skip, invoke, ..
+            } = awk.kind(self.pair(t).0)
+            {
+                if func == sym {
+                    if found.is_some() {
+                        return Err(ambiguous(context));
+                    }
+                    found = Some((t, skip, invoke));
+                }
+            }
+        }
+        Ok(found)
+    }
+
+    /// The allowed product successor of `node` along awk edge `edge`.
+    fn along(&self, node: u32, edge: EdgeId) -> Option<u32> {
+        self.successors(node)
+            .iter()
+            .find(|(e, _)| *e == edge)
+            .map(|&(_, t)| t)
+            .filter(|&t| self.allowed(t))
+    }
+
+    /// ε-step from `cur` to the product node at awk state `goal` (leaving
+    /// an output copy).
+    fn step_eps_to(&self, cur: u32, goal: u32) -> Option<u32> {
+        let awk = self.awk();
+        self.successors(cur)
+            .iter()
+            .find(|&&(eid, t)| {
+                awk.edge(eid).label.is_none() && self.pair(t).0 == goal && self.allowed(t)
+            })
+            .map(|&(_, t)| t)
+    }
 }
 
-/// Work items of the word executor. Invoked results are spliced in front,
-/// followed by an `Exit` marker that pops execution out of the output copy.
-#[derive(Debug, Clone)]
-enum Item {
-    /// A tree to consume; the flag says whether it comes from the original
-    /// document (then it is recursively rewritten / its params materialized)
-    /// or from a service answer (then it is kept as validated).
-    Tree(ITree, bool),
-    /// Leave the current output copy at the given awk state.
+fn ambiguous(context: &str) -> RewriteError {
+    RewriteError::Ambiguous {
+        context: context.to_owned(),
+    }
+}
+
+/// Where an item of the word executor lives.
+#[derive(Debug, Clone, Copy)]
+enum Loc {
+    /// The given index of the forest being rewritten. These items come
+    /// from the document: elements are rewritten recursively and calls
+    /// get their parameters materialized.
+    Word(usize),
+    /// Item `.1` of spliced answer `.0`. Answers are validated and kept
+    /// as they are.
+    Answer(usize, usize),
+}
+
+/// A service answer spliced in front of the pending items: it is consumed
+/// from item `next` on, then execution leaves the copy at awk state
+/// `exit`, the state the call's skip edge reaches.
+#[derive(Debug, Clone, Copy)]
+struct Splice {
+    answer: usize,
+    next: usize,
+    exit: u32,
+}
+
+/// What the word executor consumes next: the forest from index `pos` on,
+/// preceded by the spliced answers (innermost last). Splices nest at most
+/// `k` deep.
+#[derive(Debug, Clone, Default)]
+struct Pending {
+    pos: usize,
+    splices: Vec<Splice>,
+}
+
+/// A Fig. 9 choice point. Possible rewriting pushes one at every fork it
+/// passes. When a branch dies, each choice point popped on the way back
+/// counts the calls made since it was pushed as wasted.
+struct Choice {
+    /// `invoked.len()` when the fork was reached.
+    calls: usize,
+    /// The invoke branch, still untried: set when the executor took the
+    /// skip branch and could invoke instead.
+    retry: Option<Retry>,
+}
+
+/// How to resume at a fork on its invoke branch.
+struct Retry {
+    /// Output length at the fork.
+    out_len: usize,
+    /// Answers spliced at the fork.
+    answers: usize,
+    /// The pending items just after the call.
+    pending: Pending,
+    /// The call itself.
+    call: Loc,
+    /// The product node the invoke edge leads to.
+    entry: u32,
+    /// The awk state the skip edge reaches.
+    exit: u32,
+}
+
+/// The state of one word execution: what is left to consume, where the
+/// walk stands, and what it has produced.
+struct Run<'w> {
+    word: &'w [ITree],
+    answers: Vec<Vec<ITree>>,
+    pending: Pending,
+    cur: u32,
+    out: Vec<ITree>,
+    choices: Vec<Choice>,
+}
+
+/// The next step of a [`Run`].
+enum Next {
+    /// Consume the item at this location.
+    Item(Loc),
+    /// Leave a fully consumed answer copy at this awk state.
     Exit(u32),
+    /// Everything is consumed.
+    End,
+}
+
+impl<'w> Run<'w> {
+    /// Pops the next step off the pending items.
+    fn advance(&mut self) -> Next {
+        match self.pending.splices.last_mut() {
+            Some(s) if s.next == self.answers[s.answer].len() => {
+                let exit = s.exit;
+                self.pending.splices.pop();
+                Next::Exit(exit)
+            }
+            Some(s) => {
+                s.next += 1;
+                Next::Item(Loc::Answer(s.answer, s.next - 1))
+            }
+            None if self.pending.pos == self.word.len() => Next::End,
+            None => {
+                self.pending.pos += 1;
+                Next::Item(Loc::Word(self.pending.pos - 1))
+            }
+        }
+    }
+
+    /// The item at `loc`, and whether it comes from the document.
+    fn item(&self, loc: Loc) -> (&ITree, bool) {
+        match loc {
+            Loc::Word(i) => (&self.word[i], true),
+            Loc::Answer(a, i) => (&self.answers[a][i], false),
+        }
+    }
+
+    /// Moves to `next`; `false` when there is nowhere to go.
+    fn goto(&mut self, next: Option<u32>) -> bool {
+        if let Some(n) = next {
+            self.cur = n;
+        }
+        next.is_some()
+    }
+
+    /// Emits `item` and moves to `next`.
+    fn emit(&mut self, item: ITree, next: u32) -> bool {
+        self.out.push(item);
+        self.cur = next;
+        true
+    }
 }
 
 impl<'c> Rewriter<'c> {
@@ -310,19 +516,13 @@ impl<'c> Rewriter<'c> {
     /// Static safety analysis: does `tree` safely rewrite into the schema?
     /// No service is invoked. Returns per-run statistics on success.
     pub fn analyze_safe(&mut self, tree: &ITree) -> Result<Analysis, RewriteError> {
-        let mut analysis = Analysis::default();
-        self.analyze_params(tree, &mut analysis)?;
-        self.analyze_node(tree, &mut analysis)?;
-        Ok(analysis)
+        self.analyze(tree, Strategy::Safe)
     }
 
     /// Static possible-rewriting analysis: might `tree` rewrite into the
     /// schema for *some* service answers? No service is invoked.
     pub fn analyze_possible(&mut self, tree: &ITree) -> Result<Analysis, RewriteError> {
-        let mut analysis = Analysis::default();
-        self.analyze_params_possible(tree, &mut analysis)?;
-        self.analyze_node_possible(tree, &mut analysis)?;
-        Ok(analysis)
+        self.analyze(tree, Strategy::Possible)
     }
 
     /// The smallest depth `k ≤ max_k` at which `tree` safely rewrites into
@@ -353,13 +553,7 @@ impl<'c> Rewriter<'c> {
         tree: &ITree,
         invoker: &mut dyn Invoker,
     ) -> Result<(ITree, RewriteReport), RewriteError> {
-        // Stage 1 (analysis only): every call's parameters must be safely
-        // rewritable, bottom-up.
-        let mut pre = Analysis::default();
-        self.analyze_params(tree, &mut pre)?;
-        let mut report = RewriteReport::default();
-        let out = self.rewrite_node(tree, Strategy::Safe, invoker, &mut report)?;
-        Ok((out, report))
+        self.rewrite(tree, Strategy::Safe, invoker)
     }
 
     /// Executes a *possible* rewriting: may invoke calls speculatively and
@@ -370,11 +564,7 @@ impl<'c> Rewriter<'c> {
         tree: &ITree,
         invoker: &mut dyn Invoker,
     ) -> Result<(ITree, RewriteReport), RewriteError> {
-        let mut pre = Analysis::default();
-        self.analyze_params_possible(tree, &mut pre)?;
-        let mut report = RewriteReport::default();
-        let out = self.rewrite_node(tree, Strategy::Possible, invoker, &mut report)?;
-        Ok((out, report))
+        self.rewrite(tree, Strategy::Possible, invoker)
     }
 
     /// Rewrites a forest so it conforms to `τ_in(function)` — used by the
@@ -386,28 +576,8 @@ impl<'c> Rewriter<'c> {
         params: &[ITree],
         invoker: &mut dyn Invoker,
     ) -> Result<(Vec<ITree>, RewriteReport), RewriteError> {
-        let sym = self.compiled.classify_func(function);
-        let input = self
-            .compiled
-            .sig(sym)
-            .expect("function symbols carry signatures")
-            .input
-            .clone();
-        let mut report = RewriteReport::default();
-        let mut pre = Analysis::default();
-        for p in params {
-            self.analyze_params(p, &mut pre)?;
-        }
-        let out = self.rewrite_forest(
-            params,
-            &input,
-            TargetSlot::Input(sym),
-            &format!("τ_in({function})"),
-            Strategy::Safe,
-            invoker,
-            &mut report,
-        )?;
-        Ok((out, report))
+        let slot = TargetSlot::Input(self.compiled.classify_func(function));
+        self.rewrite_to_slot(params, slot, &format!("τ_in({function})"), invoker)
     }
 
     /// Rewrites a result forest so it conforms to `τ_out(function)` — used
@@ -419,23 +589,43 @@ impl<'c> Rewriter<'c> {
         result: &[ITree],
         invoker: &mut dyn Invoker,
     ) -> Result<(Vec<ITree>, RewriteReport), RewriteError> {
-        let sym = self.compiled.classify_func(function);
-        let output = self
-            .compiled
-            .sig(sym)
-            .expect("function symbols carry signatures")
-            .output
-            .clone();
+        let slot = TargetSlot::Output(self.compiled.classify_func(function));
+        self.rewrite_to_slot(result, slot, &format!("τ_out({function})"), invoker)
+    }
+
+    /// Stages 1–3 for a whole document.
+    fn rewrite(
+        &self,
+        tree: &ITree,
+        strategy: Strategy,
+        invoker: &mut dyn Invoker,
+    ) -> Result<(ITree, RewriteReport), RewriteError> {
+        // Stage 1 (analysis only): every call's parameters must be
+        // rewritable, bottom-up.
+        self.analyze_params(tree, strategy, &mut Analysis::default())?;
         let mut report = RewriteReport::default();
+        let out = self.rewrite_node(tree, strategy, invoker, &mut report)?;
+        Ok((out, report))
+    }
+
+    /// Safe rewriting of a bare forest into the target of `slot`.
+    fn rewrite_to_slot(
+        &self,
+        forest: &[ITree],
+        slot: TargetSlot,
+        context: &str,
+        invoker: &mut dyn Invoker,
+    ) -> Result<(Vec<ITree>, RewriteReport), RewriteError> {
         let mut pre = Analysis::default();
-        for t in result {
-            self.analyze_params(t, &mut pre)?;
+        for t in forest {
+            self.analyze_params(t, Strategy::Safe, &mut pre)?;
         }
-        let out = self.rewrite_forest(
-            result,
-            &output,
-            TargetSlot::Output(sym),
-            &format!("τ_out({function})"),
+        let mut report = RewriteReport::default();
+        let out = self.rewrite_word(
+            &[],
+            forest,
+            slot,
+            context,
             Strategy::Safe,
             invoker,
             &mut report,
@@ -444,143 +634,78 @@ impl<'c> Rewriter<'c> {
     }
 
     // ------------------------------------------------------------------
-    // Stage 1: parameters, bottom-up
+    // Stages 1–2 without execution
     // ------------------------------------------------------------------
 
+    fn analyze(&self, tree: &ITree, strategy: Strategy) -> Result<Analysis, RewriteError> {
+        let mut analysis = Analysis::default();
+        self.analyze_params(tree, strategy, &mut analysis)?;
+        self.analyze_node(tree, strategy, &mut analysis)?;
+        Ok(analysis)
+    }
+
+    /// Stage 1: the parameters of every call, bottom-up.
     fn analyze_params(
-        &mut self,
+        &self,
         tree: &ITree,
+        strategy: Strategy,
         analysis: &mut Analysis,
     ) -> Result<(), RewriteError> {
         for c in tree.children() {
-            self.analyze_params(c, analysis)?;
+            self.analyze_params(c, strategy, analysis)?;
         }
         if let ITree::Func(f) = tree {
-            let sym = self.compiled.classify_func(&f.name);
-            let input = self
-                .compiled
-                .sig(sym)
-                .expect("function symbols carry signatures")
-                .input
-                .clone();
-            let game = self.safe_game(&f.params, &input, TargetSlot::Input(sym))?;
-            analysis.games += 1;
-            analysis.product_nodes += game.num_nodes();
-            if !game.is_safe() {
-                return Err(self.not_safe(&format!("τ_in({})", f.name), &f.params));
-            }
+            let slot = TargetSlot::Input(self.compiled.classify_func(&f.name));
+            let word = self.word_of(&f.params);
+            let game = self.solve(strategy, &word, slot, &format!("τ_in({})", f.name))?;
+            analysis.count(&game);
         }
         Ok(())
     }
 
-    fn analyze_params_possible(
-        &mut self,
+    /// Stage 2: every element's children word, top-down.
+    fn analyze_node(
+        &self,
         tree: &ITree,
+        strategy: Strategy,
         analysis: &mut Analysis,
     ) -> Result<(), RewriteError> {
-        for c in tree.children() {
-            self.analyze_params_possible(c, analysis)?;
-        }
-        if let ITree::Func(f) = tree {
-            let sym = self.compiled.classify_func(&f.name);
-            let input = self
-                .compiled
-                .sig(sym)
-                .expect("function symbols carry signatures")
-                .input
-                .clone();
-            let game = self.possible_game(&f.params, &input, TargetSlot::Input(sym))?;
-            analysis.games += 1;
-            analysis.product_nodes += game.num_nodes();
-            if !game.is_possible() {
-                return Err(self.not_possible(&format!("τ_in({})", f.name), &f.params));
-            }
+        // Text needs nothing; a call's parameters are stage 1's.
+        let ITree::Elem { label, children } = tree else {
+            return Ok(());
+        };
+        let Some(slot) = self.model_slot(label, children)? else {
+            return Ok(());
+        };
+        let game = self.solve(strategy, &self.word_of(children), slot, label)?;
+        analysis.count(&game);
+        for c in children {
+            self.analyze_node(c, strategy, analysis)?;
         }
         Ok(())
     }
 
-    // ------------------------------------------------------------------
-    // Stage 2: top-down traversal (analysis flavor)
-    // ------------------------------------------------------------------
-
-    fn analyze_node(&mut self, tree: &ITree, analysis: &mut Analysis) -> Result<(), RewriteError> {
-        match tree {
-            ITree::Text(_) => Ok(()),
-            ITree::Func(_) => Ok(()), // parameters handled in stage 1
-            ITree::Elem { label, children } => {
-                let sym = self.compiled.classify_label(label);
-                let content = self
-                    .compiled
-                    .content(sym)
-                    .ok_or_else(|| RewriteError::UnknownLabel(label.clone()))
-                    .cloned()?;
-                match content {
-                    CompiledContent::Any => Ok(()),
-                    CompiledContent::Data => {
-                        if children.iter().all(|c| matches!(c, ITree::Text(_))) {
-                            Ok(())
-                        } else {
-                            Err(RewriteError::Invalid(format!(
-                                "'{label}' is atomic but has non-text children"
-                            )))
-                        }
-                    }
-                    CompiledContent::Model { regex, .. } => {
-                        let game = self.safe_game(children, &regex, TargetSlot::Content(sym))?;
-                        analysis.games += 1;
-                        analysis.product_nodes += game.num_nodes();
-                        if !game.is_safe() {
-                            return Err(self.not_safe(label, children));
-                        }
-                        for c in children {
-                            self.analyze_node(c, analysis)?;
-                        }
-                        Ok(())
-                    }
+    /// The target slot of an element whose children must play a game, or
+    /// `None` when its content is `Any` or valid data.
+    fn model_slot(
+        &self,
+        label: &str,
+        children: &[ITree],
+    ) -> Result<Option<TargetSlot>, RewriteError> {
+        let sym = self.compiled.classify_label(label);
+        match self.compiled.content(sym) {
+            None => Err(RewriteError::UnknownLabel(label.to_owned())),
+            Some(CompiledContent::Any) => Ok(None),
+            Some(CompiledContent::Data) => {
+                if children.iter().all(|c| matches!(c, ITree::Text(_))) {
+                    Ok(None)
+                } else {
+                    Err(RewriteError::Invalid(format!(
+                        "'{label}' is atomic but has non-text children"
+                    )))
                 }
             }
-        }
-    }
-
-    fn analyze_node_possible(
-        &mut self,
-        tree: &ITree,
-        analysis: &mut Analysis,
-    ) -> Result<(), RewriteError> {
-        match tree {
-            ITree::Text(_) | ITree::Func(_) => Ok(()),
-            ITree::Elem { label, children } => {
-                let sym = self.compiled.classify_label(label);
-                let content = self
-                    .compiled
-                    .content(sym)
-                    .ok_or_else(|| RewriteError::UnknownLabel(label.clone()))
-                    .cloned()?;
-                match content {
-                    CompiledContent::Any => Ok(()),
-                    CompiledContent::Data => {
-                        if children.iter().all(|c| matches!(c, ITree::Text(_))) {
-                            Ok(())
-                        } else {
-                            Err(RewriteError::Invalid(format!(
-                                "'{label}' is atomic but has non-text children"
-                            )))
-                        }
-                    }
-                    CompiledContent::Model { regex, .. } => {
-                        let game = self.possible_game(children, &regex, TargetSlot::Content(sym))?;
-                        analysis.games += 1;
-                        analysis.product_nodes += game.num_nodes();
-                        if !game.is_possible() {
-                            return Err(self.not_possible(label, children));
-                        }
-                        for c in children {
-                            self.analyze_node_possible(c, analysis)?;
-                        }
-                        Ok(())
-                    }
-                }
-            }
+            Some(CompiledContent::Model { .. }) => Ok(Some(TargetSlot::Content(sym))),
         }
     }
 
@@ -589,130 +714,39 @@ impl<'c> Rewriter<'c> {
     // ------------------------------------------------------------------
 
     fn rewrite_node(
-        &mut self,
+        &self,
         tree: &ITree,
         strategy: Strategy,
         invoker: &mut dyn Invoker,
         report: &mut RewriteReport,
     ) -> Result<ITree, RewriteError> {
         match tree {
-            ITree::Text(t) => Ok(ITree::Text(t.clone())),
-            ITree::Func(f) => {
-                // A function root: materialize its parameters so the node is
-                // an instance of its input type; the call itself stays.
-                let params = self.rewrite_params(f, strategy, invoker, report)?;
-                Ok(ITree::Func(FuncNode {
-                    params,
-                    ..f.clone()
-                }))
-            }
-            ITree::Elem { label, children } => {
-                let sym = self.compiled.classify_label(label);
-                let content = self
-                    .compiled
-                    .content(sym)
-                    .ok_or_else(|| RewriteError::UnknownLabel(label.clone()))
-                    .cloned()?;
-                match content {
-                    CompiledContent::Any => Ok(tree.clone()),
-                    CompiledContent::Data => {
-                        if children.iter().all(|c| matches!(c, ITree::Text(_))) {
-                            Ok(tree.clone())
-                        } else {
-                            Err(RewriteError::Invalid(format!(
-                                "'{label}' is atomic but has non-text children"
-                            )))
-                        }
-                    }
-                    CompiledContent::Model { regex, .. } => {
-                        let new_children = self.rewrite_forest(
-                            children,
-                            &regex,
-                            TargetSlot::Content(sym),
-                            label,
-                            strategy,
-                            invoker,
-                            report,
-                        )?;
-                        Ok(ITree::elem(label, new_children))
-                    }
+            ITree::Text(_) => Ok(tree.clone()),
+            // A function root: materialize its parameters so the node is
+            // an instance of its input type; the call itself stays.
+            ITree::Func(f) => self.keep_call(f, true, strategy, invoker, report),
+            ITree::Elem { label, children } => match self.model_slot(label, children)? {
+                None => Ok(tree.clone()),
+                Some(slot) => {
+                    let children =
+                        self.rewrite_word(&[], children, slot, label, strategy, invoker, report)?;
+                    Ok(ITree::elem(label, children))
                 }
-            }
+            },
         }
     }
 
     /// Materializes the parameters of `f` to fit its input type.
     fn rewrite_params(
-        &mut self,
+        &self,
         f: &FuncNode,
         strategy: Strategy,
         invoker: &mut dyn Invoker,
         report: &mut RewriteReport,
     ) -> Result<Vec<ITree>, RewriteError> {
-        let sym = self.compiled.classify_func(&f.name);
-        let input = self
-            .compiled
-            .sig(sym)
-            .expect("function symbols carry signatures")
-            .input
-            .clone();
-        self.rewrite_forest(
-            &f.params,
-            &input,
-            TargetSlot::Input(sym),
-            &format!("τ_in({})", f.name),
-            strategy,
-            invoker,
-            report,
-        )
-    }
-
-    /// Rewrites a forest (children of an element, or call parameters) into
-    /// the given target regex, executing invocations.
-    #[allow(clippy::too_many_arguments)]
-    fn rewrite_forest(
-        &mut self,
-        items: &[ITree],
-        target: &Regex,
-        slot: TargetSlot,
-        context: &str,
-        strategy: Strategy,
-        invoker: &mut dyn Invoker,
-        report: &mut RewriteReport,
-    ) -> Result<Vec<ITree>, RewriteError> {
-        let game = match strategy {
-            Strategy::Safe => {
-                let g = self.safe_game(items, target, slot)?;
-                if !g.is_safe() {
-                    return Err(self.not_safe(context, items));
-                }
-                Game::Safe(g)
-            }
-            Strategy::Possible => {
-                let g = self.possible_game(items, target, slot)?;
-                if !g.is_possible() {
-                    return Err(self.not_possible(context, items));
-                }
-                Game::Possible(g)
-            }
-        };
-        report.games += 1;
-        let pending: Vec<Item> = items.iter().map(|t| Item::Tree(t.clone(), true)).collect();
-        match self.exec(
-            &game,
-            &pending,
-            game.start(),
-            strategy,
-            invoker,
-            report,
-            context,
-        ) {
-            Ok(out) => Ok(out),
-            Err(Fail::Fatal(e)) => Err(*e),
-            Err(Fail::Dead) => Err(RewriteError::Exhausted {
-                context: context.to_owned(),
-            }),
-        }
+        let slot = TargetSlot::Input(self.compiled.classify_func(&f.name));
+        let context = format!("τ_in({})", f.name);
+        self.rewrite_word(&[], &f.params, slot, &context, strategy, invoker, report)
     }
 
     /// Rewrites only the *tail* of a forest whose `prefix` symbols have
@@ -727,10 +761,9 @@ impl<'c> Rewriter<'c> {
     /// product node and consumes only the materialized `tail` items.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn rewrite_suffix(
-        &mut self,
+        &self,
         prefix: &[Symbol],
         tail: &[ITree],
-        target: &Regex,
         slot: TargetSlot,
         context: &str,
         strategy: Strategy,
@@ -741,317 +774,246 @@ impl<'c> Rewriter<'c> {
         // function-free by construction.
         let mut pre = Analysis::default();
         for t in tail {
-            match strategy {
-                Strategy::Safe => self.analyze_params(t, &mut pre)?,
-                Strategy::Possible => self.analyze_params_possible(t, &mut pre)?,
-            }
+            self.analyze_params(t, strategy, &mut pre)?;
         }
-        let mut word = prefix.to_vec();
-        word.extend(self.word_of(tail));
-        let game = match strategy {
-            Strategy::Safe => {
-                let g = self.safe_game_word(&word, target, slot)?;
-                if !g.is_safe() {
-                    return Err(RewriteError::NotSafe {
-                        context: context.to_owned(),
-                        word: self.compiled.alphabet().format_word(&word),
-                    });
-                }
-                Game::Safe(g)
-            }
-            Strategy::Possible => {
-                let g = self.possible_game_word(&word, target, slot)?;
-                if !g.is_possible() {
-                    return Err(RewriteError::NotPossible {
-                        context: context.to_owned(),
-                        word: self.compiled.alphabet().format_word(&word),
-                    });
-                }
-                Game::Possible(g)
-            }
-        };
+        self.rewrite_word(prefix, tail, slot, context, strategy, invoker, report)
+    }
+
+    /// Rewrites the forest `items`, preceded by the already emitted
+    /// `prefix` symbols, into the target of `slot`: solves the strategy's
+    /// game for the whole word, walks the prefix, then executes `items`.
+    #[allow(clippy::too_many_arguments)]
+    fn rewrite_word(
+        &self,
+        prefix: &[Symbol],
+        items: &[ITree],
+        slot: TargetSlot,
+        context: &str,
+        strategy: Strategy,
+        invoker: &mut dyn Invoker,
+        report: &mut RewriteReport,
+    ) -> Result<Vec<ITree>, RewriteError> {
+        let word: Vec<Symbol> = prefix.iter().copied().chain(self.word_of(items)).collect();
+        let game = self.solve(strategy, &word, slot, context)?;
         report.games += 1;
         let mut cur = game.start();
         for &sym in prefix {
-            cur = match self.step_symbol(&game, cur, sym, context) {
-                Ok(Some(n)) => n,
-                Ok(None) => {
-                    return Err(RewriteError::Exhausted {
-                        context: context.to_owned(),
-                    })
-                }
-                Err(Fail::Fatal(e)) => return Err(*e),
-                Err(Fail::Dead) => {
-                    return Err(RewriteError::Exhausted {
-                        context: context.to_owned(),
-                    })
-                }
-            };
+            cur = game
+                .step(cur, sym, context)?
+                .ok_or_else(|| exhausted(context))?;
         }
-        let pending: Vec<Item> = tail.iter().map(|t| Item::Tree(t.clone(), true)).collect();
-        match self.exec(&game, &pending, cur, strategy, invoker, report, context) {
-            Ok(out) => Ok(out),
-            Err(Fail::Fatal(e)) => Err(*e),
-            Err(Fail::Dead) => Err(RewriteError::Exhausted {
-                context: context.to_owned(),
-            }),
-        }
+        self.exec(&game, items, cur, invoker, report, context)
     }
 
     // ------------------------------------------------------------------
     // The word executor (shared by safe and possible strategies)
     // ------------------------------------------------------------------
 
-    /// Consumes `pending` from product node `cur`, returning the produced
-    /// children. Backtracking happens through the recursion: a `Dead`
-    /// result makes the caller try its next choice (possible mode only —
-    /// in safe mode the preferred choice is guaranteed to succeed).
-    #[allow(clippy::too_many_arguments)]
+    /// Consumes `items` from product node `start`, returning the produced
+    /// children. Output is appended in consumption order. A dead branch
+    /// backtracks to the latest choice point with an untried invoke branch
+    /// (possible mode only — in safe mode the preferred choice is
+    /// guaranteed to succeed, so no choice point is ever pushed).
     fn exec(
-        &mut self,
+        &self,
         game: &Game,
-        pending: &[Item],
-        cur: u32,
-        strategy: Strategy,
+        items: &[ITree],
+        start: u32,
         invoker: &mut dyn Invoker,
         report: &mut RewriteReport,
         context: &str,
-    ) -> Result<Vec<ITree>, Fail> {
-        let Some((first, rest)) = pending.split_first() else {
-            return if game.terminal_ok(cur) {
-                Ok(Vec::new())
-            } else {
-                Err(Fail::Dead)
-            };
+    ) -> Result<Vec<ITree>, RewriteError> {
+        let mut run = Run {
+            word: items,
+            answers: Vec::new(),
+            pending: Pending::default(),
+            cur: start,
+            out: Vec::with_capacity(items.len()),
+            choices: Vec::new(),
         };
-        match first {
-            Item::Exit(exit_state) => {
-                let next = self.step_eps_to(game, cur, *exit_state).ok_or(Fail::Dead)?;
-                self.exec(game, rest, next, strategy, invoker, report, context)
-            }
-            Item::Tree(ITree::Text(t), _) => {
-                let next = self
-                    .step_symbol(game, cur, self.compiled.data_sym(), context)?
-                    .ok_or(Fail::Dead)?;
-                let mut out = self.exec(game, rest, next, strategy, invoker, report, context)?;
-                out.insert(0, ITree::Text(t.clone()));
-                Ok(out)
-            }
-            Item::Tree(tree @ ITree::Elem { label, .. }, original) => {
-                let sym = self.compiled.classify_label(label);
-                let next = self
-                    .step_symbol(game, cur, sym, context)?
-                    .ok_or(Fail::Dead)?;
-                let processed = if *original {
-                    self.rewrite_node(tree, strategy, invoker, report)?
-                } else {
-                    tree.clone()
-                };
-                let mut out = self.exec(game, rest, next, strategy, invoker, report, context)?;
-                out.insert(0, processed);
-                Ok(out)
-            }
-            Item::Tree(ITree::Func(f), original) => {
-                let sym = self.compiled.classify_func(&f.name);
-                // Locate the fork for this occurrence, if the edge was
-                // expanded; otherwise it is a plain letter (non-invocable or
-                // beyond depth k) and the call must stay.
-                let fork = self.find_fork(game, cur, sym, context)?;
-                let Some((fork_node, skip_edge, invoke_edge)) = fork else {
-                    let next = self
-                        .step_symbol(game, cur, sym, context)?
-                        .ok_or(Fail::Dead)?;
-                    let kept = self.keep_call(f, *original, strategy, invoker, report)?;
-                    let mut out =
-                        self.exec(game, rest, next, strategy, invoker, report, context)?;
-                    out.insert(0, kept);
-                    return Ok(out);
-                };
-                // Option order: keeping the call is free, invoking costs a
-                // call — try keep first (minimal-cost policy of Fig. 3
-                // step 23).
-                let skip_target = self
-                    .product_target(game, fork_node, skip_edge)
-                    .filter(|&t| game.allowed(t));
-                let invoke_target = self
-                    .product_target(game, fork_node, invoke_edge)
-                    .filter(|&t| game.allowed(t));
-
-                let calls_before = report.invoked.len();
-                if let Some(t) = skip_target {
-                    let kept = self.keep_call(f, *original, strategy, invoker, report)?;
-                    match self.exec(game, rest, t, strategy, invoker, report, context) {
-                        Ok(mut out) => {
-                            out.insert(0, kept);
-                            return Ok(out);
-                        }
-                        Err(Fail::Fatal(e)) => return Err(Fail::Fatal(e)),
-                        Err(Fail::Dead) if game.backtracks() => {
-                            report.wasted_calls += report.invoked.len() - calls_before;
-                        }
-                        Err(Fail::Dead) => return Err(Fail::Dead),
-                    }
-                }
-                let Some(entry) = invoke_target else {
-                    return Err(Fail::Dead);
-                };
-                // Invoke: materialize parameters first (original calls), use
-                // the validated returned parameters as-is otherwise.
-                let params = if *original {
-                    self.rewrite_params(f, strategy, invoker, report)?
-                } else {
-                    f.params.clone()
-                };
-                if let Some(max) = self.max_calls {
-                    if report.invoked.len() >= max {
-                        return Err(RewriteError::CallBudget { max_calls: max }.into());
-                    }
-                }
-                let result = invoker
-                    .invoke(&f.name, &params)
-                    .map_err(RewriteError::from)?;
-                report.invoked.push(f.name.clone());
-                let sig = self
-                    .compiled
-                    .sig(sym)
-                    .expect("function symbols carry signatures");
-                validate_output_instance(&result, &sig.output_dfa, self.compiled).map_err(|e| {
-                    RewriteError::IllTyped {
-                        function: f.name.clone(),
-                        message: e.to_string(),
-                    }
-                })?;
-                // Splice the returned forest, then exit the copy at the
-                // state the skip edge would have reached.
-                let exit_state = game.awk().edge(skip_edge).to;
-                let mut new_pending: Vec<Item> =
-                    result.into_iter().map(|t| Item::Tree(t, false)).collect();
-                new_pending.push(Item::Exit(exit_state));
-                new_pending.extend(rest.iter().cloned());
-                match self.exec(
-                    game,
-                    &new_pending,
-                    entry,
-                    strategy,
-                    invoker,
-                    report,
-                    context,
-                ) {
-                    Ok(out) => Ok(out),
-                    Err(Fail::Fatal(e)) => Err(Fail::Fatal(e)),
-                    Err(Fail::Dead) => {
-                        if game.backtracks() {
-                            report.wasted_calls += report.invoked.len() - calls_before;
-                        }
-                        Err(Fail::Dead)
-                    }
-                }
+        loop {
+            let alive = match run.advance() {
+                Next::End if game.terminal_ok(run.cur) => return Ok(run.out),
+                Next::End => false,
+                Next::Exit(state) => run.goto(game.step_eps_to(run.cur, state)),
+                Next::Item(loc) => self.consume(game, &mut run, loc, invoker, report, context)?,
+            };
+            if !alive && !self.backtrack(game, &mut run, invoker, report)? {
+                return Err(exhausted(context));
             }
         }
+    }
+
+    /// Consumes the item at `loc`; `false` when the branch dies on it.
+    fn consume(
+        &self,
+        game: &Game,
+        run: &mut Run<'_>,
+        loc: Loc,
+        invoker: &mut dyn Invoker,
+        report: &mut RewriteReport,
+        context: &str,
+    ) -> Result<bool, RewriteError> {
+        let strategy = game.strategy();
+        let (item, original) = run.item(loc);
+        let f = match item {
+            ITree::Text(_) => {
+                let Some(next) = game.step(run.cur, self.compiled.data_sym(), context)? else {
+                    return Ok(false);
+                };
+                let item = item.clone();
+                return Ok(run.emit(item, next));
+            }
+            ITree::Elem { label, .. } => {
+                let sym = self.compiled.classify_label(label);
+                let Some(next) = game.step(run.cur, sym, context)? else {
+                    return Ok(false);
+                };
+                let item = if original {
+                    self.rewrite_node(item, strategy, invoker, report)?
+                } else {
+                    item.clone()
+                };
+                return Ok(run.emit(item, next));
+            }
+            ITree::Func(f) => f,
+        };
+        let sym = self.compiled.classify_func(&f.name);
+        // Locate the fork for this occurrence, if the edge was expanded;
+        // otherwise it is a plain letter (non-invocable or beyond depth k)
+        // and the call must stay.
+        let Some((fork, skip_edge, invoke_edge)) = game.fork(run.cur, sym, context)? else {
+            let Some(next) = game.step(run.cur, sym, context)? else {
+                return Ok(false);
+            };
+            let kept = self.keep_call(f, original, strategy, invoker, report)?;
+            return Ok(run.emit(kept, next));
+        };
+        // Option order: keeping the call is free, invoking costs a call —
+        // try keep first (minimal-cost policy of Fig. 3 step 23).
+        let calls = report.invoked.len();
+        let exit = game.awk().edge(skip_edge).to;
+        let invoke = game.along(fork, invoke_edge);
+        if let Some(next) = game.along(fork, skip_edge) {
+            let kept = self.keep_call(f, original, strategy, invoker, report)?;
+            if game.backtracks() {
+                let retry = invoke.map(|entry| Retry {
+                    out_len: run.out.len(),
+                    answers: run.answers.len(),
+                    pending: run.pending.clone(),
+                    call: loc,
+                    entry,
+                    exit,
+                });
+                run.choices.push(Choice { calls, retry });
+            }
+            return Ok(run.emit(kept, next));
+        }
+        let Some(entry) = invoke else {
+            return Ok(false);
+        };
+        self.invoke(game, run, loc, entry, exit, calls, invoker, report)?;
+        Ok(true)
+    }
+
+    /// Takes the invoke branch of the fork on the call at `loc`:
+    /// materializes its parameters (document calls; returned calls carry
+    /// validated ones), invokes it, validates the answer and splices it in
+    /// front of the pending items, to be left at awk state `exit`.
+    #[allow(clippy::too_many_arguments)]
+    fn invoke(
+        &self,
+        game: &Game,
+        run: &mut Run<'_>,
+        loc: Loc,
+        entry: u32,
+        exit: u32,
+        calls: usize,
+        invoker: &mut dyn Invoker,
+        report: &mut RewriteReport,
+    ) -> Result<(), RewriteError> {
+        if game.backtracks() {
+            run.choices.push(Choice { calls, retry: None });
+        }
+        let (ITree::Func(f), original) = run.item(loc) else {
+            unreachable!("forks are taken on calls only");
+        };
+        let params = if original {
+            self.rewrite_params(f, game.strategy(), invoker, report)?
+        } else {
+            f.params.clone()
+        };
+        if let Some(max) = self.max_calls {
+            if report.invoked.len() >= max {
+                return Err(RewriteError::CallBudget { max_calls: max });
+            }
+        }
+        let result = invoker.invoke(&f.name, &params)?;
+        report.invoked.push(f.name.clone());
+        let sig = self
+            .compiled
+            .sig(self.compiled.classify_func(&f.name))
+            .expect("function symbols carry signatures");
+        validate_output_instance(&result, &sig.output_dfa, self.compiled).map_err(|e| {
+            RewriteError::IllTyped {
+                function: f.name.clone(),
+                message: e.to_string(),
+            }
+        })?;
+        run.answers.push(result);
+        run.pending.splices.push(Splice {
+            answer: run.answers.len() - 1,
+            next: 0,
+            exit,
+        });
+        run.cur = entry;
+        Ok(())
+    }
+
+    /// Backtracks after a dead branch (Fig. 9): pops choice points,
+    /// counting the calls made since each as wasted, until one still has
+    /// its invoke branch, and takes that branch. `false` when the stack
+    /// runs dry.
+    fn backtrack(
+        &self,
+        game: &Game,
+        run: &mut Run<'_>,
+        invoker: &mut dyn Invoker,
+        report: &mut RewriteReport,
+    ) -> Result<bool, RewriteError> {
+        while let Some(choice) = run.choices.pop() {
+            report.wasted_calls += report.invoked.len() - choice.calls;
+            if let Some(retry) = choice.retry {
+                run.out.truncate(retry.out_len);
+                run.answers.truncate(retry.answers);
+                run.pending = retry.pending;
+                let (call, entry, exit) = (retry.call, retry.entry, retry.exit);
+                self.invoke(game, run, call, entry, exit, choice.calls, invoker, report)?;
+                return Ok(true);
+            }
+        }
+        Ok(false)
     }
 
     /// A kept call: original calls get their parameters materialized so the
     /// node conforms to its input type; returned calls are already valid.
     fn keep_call(
-        &mut self,
+        &self,
         f: &FuncNode,
         original: bool,
         strategy: Strategy,
         invoker: &mut dyn Invoker,
         report: &mut RewriteReport,
     ) -> Result<ITree, RewriteError> {
-        if original {
-            let params = self.rewrite_params(f, strategy, invoker, report)?;
-            Ok(ITree::Func(FuncNode {
-                params,
-                ..f.clone()
-            }))
-        } else {
-            Ok(ITree::Func(f.clone()))
+        if !original {
+            return Ok(ITree::Func(f.clone()));
         }
-    }
-
-    /// Follows the labeled edge for `sym` from `cur`; `None` means the step
-    /// is impossible (dead branch). Two distinct labeled successors mean the
-    /// content model was ambiguous — an execution error.
-    fn step_symbol(
-        &self,
-        game: &Game,
-        cur: u32,
-        sym: Symbol,
-        context: &str,
-    ) -> Result<Option<u32>, Fail> {
-        let awk = game.awk();
-        let mut found: Option<u32> = None;
-        for &(eid, t) in game.successors(cur) {
-            if awk.edge(eid).label == Some(sym) && game.allowed(t) {
-                if let Some(prev) = found {
-                    if prev != t {
-                        return Err(RewriteError::Ambiguous {
-                            context: context.to_owned(),
-                        }
-                        .into());
-                    }
-                } else {
-                    found = Some(t);
-                }
-            }
-        }
-        Ok(found)
-    }
-
-    /// Finds the fork deciding about symbol `sym` one ε-step away from
-    /// `cur`, returning `(fork product node, skip edge, invoke edge)`.
-    fn find_fork(
-        &self,
-        game: &Game,
-        cur: u32,
-        sym: Symbol,
-        context: &str,
-    ) -> Result<Option<(u32, EdgeId, EdgeId)>, Fail> {
-        let awk = game.awk();
-        let mut found = None;
-        for &(eid, t) in game.successors(cur) {
-            if awk.edge(eid).label.is_some() {
-                continue;
-            }
-            let (awk_state, _) = game.pair(t);
-            if let StateKind::Fork {
-                func, skip, invoke, ..
-            } = awk.kind(awk_state)
-            {
-                if func == sym {
-                    if found.is_some() {
-                        return Err(RewriteError::Ambiguous {
-                            context: context.to_owned(),
-                        }
-                        .into());
-                    }
-                    found = Some((t, skip, invoke));
-                }
-            }
-        }
-        Ok(found)
-    }
-
-    /// The product successor of `node` along awk edge `edge`.
-    fn product_target(&self, game: &Game, node: u32, edge: EdgeId) -> Option<u32> {
-        game.successors(node)
-            .iter()
-            .find(|(e, _)| *e == edge)
-            .map(|&(_, t)| t)
-    }
-
-    /// ε-step from `cur` to the product node at awk state `goal` (leaving
-    /// an output copy).
-    fn step_eps_to(&self, game: &Game, cur: u32, goal: u32) -> Option<u32> {
-        let awk = game.awk();
-        game.successors(cur)
-            .iter()
-            .find(|&&(eid, t)| {
-                awk.edge(eid).label.is_none() && game.pair(t).0 == goal && game.allowed(t)
-            })
-            .map(|&(_, t)| t)
+        Ok(ITree::Func(FuncNode {
+            name: f.name.clone(),
+            endpoint: f.endpoint.clone(),
+            namespace: f.namespace.clone(),
+            params: self.rewrite_params(f, strategy, invoker, report)?,
+        }))
     }
 
     // ------------------------------------------------------------------
@@ -1062,77 +1024,90 @@ impl<'c> Rewriter<'c> {
         words_of(items, self.compiled).expect("words_of is total")
     }
 
-    fn safe_game(
-        &mut self,
-        items: &[ITree],
-        target: &Regex,
-        slot: TargetSlot,
-    ) -> Result<Arc<SolvedSafe>, RewriteError> {
-        let w = self.word_of(items);
-        self.safe_game_word(&w, target, slot)
-    }
-
-    /// [`Rewriter::safe_game`] over an explicit word — the streaming
-    /// enforcer supplies `prefix · word(tail)` instead of a full forest.
-    fn safe_game_word(
-        &mut self,
-        w: &[Symbol],
-        target: &Regex,
-        slot: TargetSlot,
-    ) -> Result<Arc<SolvedSafe>, RewriteError> {
-        let schema = self.compiled.fingerprint();
-        let n = self.compiled.alphabet().len();
-        let (compiled, k, limits, mode) = (self.compiled, self.k, self.limits, self.mode);
-        let cache = &self.cache;
-        cache.safe_game(schema, slot, &w, k, mode, limits.max_states, || {
-            let awk = Awk::build(&w, compiled, k, &limits)
-                .map_err(|e| RewriteError::TooLarge(e.to_string()))?;
-            let comp = cache.comp_dfa(schema, slot, || complement_of(target, n));
-            Ok(SafeGame::solve(awk, (*comp).clone(), mode))
-        })
-    }
-
-    fn possible_game(
-        &mut self,
-        items: &[ITree],
-        target: &Regex,
-        slot: TargetSlot,
-    ) -> Result<Arc<SolvedPossible>, RewriteError> {
-        let w = self.word_of(items);
-        self.possible_game_word(&w, target, slot)
-    }
-
-    /// [`Rewriter::possible_game`] over an explicit word.
-    fn possible_game_word(
-        &mut self,
-        w: &[Symbol],
-        target: &Regex,
-        slot: TargetSlot,
-    ) -> Result<Arc<SolvedPossible>, RewriteError> {
-        let schema = self.compiled.fingerprint();
-        let n = self.compiled.alphabet().len();
-        let (compiled, k, limits) = (self.compiled, self.k, self.limits);
-        let cache = &self.cache;
-        cache.possible_game(schema, slot, &w, k, limits.max_states, || {
-            let awk = Awk::build(&w, compiled, k, &limits)
-                .map_err(|e| RewriteError::TooLarge(e.to_string()))?;
-            let dfa = cache.target_dfa(schema, slot, || Dfa::determinize(&Nfa::thompson(target, n)));
-            Ok(PossibleGame::solve(awk, (*dfa).clone()))
-        })
-    }
-
-    fn not_safe(&self, context: &str, items: &[ITree]) -> RewriteError {
-        RewriteError::NotSafe {
-            context: context.to_owned(),
-            word: self.compiled.alphabet().format_word(&self.word_of(items)),
+    /// The regex a target slot names.
+    fn target(&self, slot: TargetSlot) -> &'c Regex {
+        let compiled = self.compiled;
+        let sig = |sym| {
+            compiled
+                .sig(sym)
+                .expect("function symbols carry signatures")
+        };
+        match slot {
+            TargetSlot::Content(sym) => match compiled.content(sym) {
+                Some(CompiledContent::Model { regex, .. }) => regex,
+                _ => unreachable!("content slots name model elements"),
+            },
+            TargetSlot::Input(sym) => &sig(sym).input,
+            TargetSlot::Output(sym) => &sig(sym).output,
         }
     }
 
-    fn not_possible(&self, context: &str, items: &[ITree]) -> RewriteError {
-        RewriteError::NotPossible {
-            context: context.to_owned(),
-            word: self.compiled.alphabet().format_word(&self.word_of(items)),
+    /// The strategy's solved game for `word` against the target of
+    /// `slot`, from the cache when it holds one; the strategy's refusal
+    /// when the game is lost.
+    fn solve(
+        &self,
+        strategy: Strategy,
+        word: &[Symbol],
+        slot: TargetSlot,
+        context: &str,
+    ) -> Result<Game, RewriteError> {
+        let schema = self.compiled.fingerprint();
+        let n = self.compiled.alphabet().len();
+        let (k, limits, mode, cache) = (self.k, self.limits, self.mode, &self.cache);
+        let awk = || {
+            Awk::build(word, self.compiled, k, &limits)
+                .map_err(|e| RewriteError::TooLarge(e.to_string()))
+        };
+        let game = match strategy {
+            Strategy::Safe => Game::Safe(cache.safe_game(
+                schema,
+                slot,
+                word,
+                k,
+                mode,
+                limits.max_states,
+                || {
+                    awk().map(|awk| {
+                        let comp =
+                            cache.comp_dfa(schema, slot, || complement_of(self.target(slot), n));
+                        SafeGame::solve(awk, (*comp).clone(), mode)
+                    })
+                },
+            )?),
+            Strategy::Possible => Game::Possible(cache.possible_game(
+                schema,
+                slot,
+                word,
+                k,
+                limits.max_states,
+                || {
+                    awk().map(|awk| {
+                        let dfa = cache.target_dfa(schema, slot, || {
+                            Dfa::determinize(&Nfa::thompson(self.target(slot), n))
+                        });
+                        PossibleGame::solve(awk, (*dfa).clone())
+                    })
+                },
+            )?),
+        };
+        if !game.wins() {
+            return Err(strategy.refusal(context, self.compiled.alphabet().format_word(word)));
         }
+        Ok(game)
+    }
+}
+
+impl Analysis {
+    fn count(&mut self, game: &Game) {
+        self.games += 1;
+        self.product_nodes += game.num_nodes();
+    }
+}
+
+fn exhausted(context: &str) -> RewriteError {
+    RewriteError::Exhausted {
+        context: context.to_owned(),
     }
 }
 
@@ -1181,15 +1156,17 @@ mod tests {
     use crate::invoke::ScriptedInvoker;
     use axml_schema::{newspaper_example, validate, NoOracle, Schema};
 
-    fn paper_compiled() -> Compiled {
+    /// The paper's newspaper vocabulary under the given root and exhibit
+    /// content models.
+    pub(super) fn newspaper_compiled(root: &str, exhibit: &str) -> Compiled {
         Compiled::new(
             Schema::builder()
-                .element("newspaper", "title.date.(Get_Temp|temp).(TimeOut|exhibit*)")
+                .element("newspaper", root)
                 .data_element("title")
                 .data_element("date")
                 .data_element("temp")
                 .data_element("city")
-                .element("exhibit", "title.(Get_Date|date)")
+                .element("exhibit", exhibit)
                 .data_element("performance")
                 .function("Get_Temp", "city", "temp")
                 .function("TimeOut", "data", "(exhibit|performance)*")
@@ -1199,48 +1176,26 @@ mod tests {
             &NoOracle,
         )
         .unwrap()
+    }
+
+    fn paper_compiled() -> Compiled {
+        newspaper_compiled(
+            "title.date.(Get_Temp|temp).(TimeOut|exhibit*)",
+            "title.(Get_Date|date)",
+        )
     }
 
     /// Schema (**): temp must be materialized, TimeOut may stay.
     fn star_star_compiled() -> Compiled {
-        Compiled::new(
-            Schema::builder()
-                .element("newspaper", "title.date.temp.(TimeOut|exhibit*)")
-                .data_element("title")
-                .data_element("date")
-                .data_element("temp")
-                .data_element("city")
-                .element("exhibit", "title.(Get_Date|date)")
-                .data_element("performance")
-                .function("Get_Temp", "city", "temp")
-                .function("TimeOut", "data", "(exhibit|performance)*")
-                .function("Get_Date", "title", "date")
-                .build()
-                .unwrap(),
-            &NoOracle,
+        newspaper_compiled(
+            "title.date.temp.(TimeOut|exhibit*)",
+            "title.(Get_Date|date)",
         )
-        .unwrap()
     }
 
     /// Schema (***): fully extensional newspaper.
     fn star3_compiled() -> Compiled {
-        Compiled::new(
-            Schema::builder()
-                .element("newspaper", "title.date.temp.exhibit*")
-                .data_element("title")
-                .data_element("date")
-                .data_element("temp")
-                .data_element("city")
-                .element("exhibit", "title.(Get_Date|date)")
-                .data_element("performance")
-                .function("Get_Temp", "city", "temp")
-                .function("TimeOut", "data", "(exhibit|performance)*")
-                .function("Get_Date", "title", "date")
-                .build()
-                .unwrap(),
-            &NoOracle,
-        )
-        .unwrap()
+        newspaper_compiled("title.date.temp.exhibit*", "title.(Get_Date|date)")
     }
 
     fn exhibit(title: &str, date: &str) -> ITree {
@@ -1320,22 +1275,7 @@ mod tests {
 
     #[test]
     fn possible_rejects_upfront_when_disjoint() {
-        let c = Compiled::new(
-            Schema::builder()
-                .element("newspaper", "temp.temp")
-                .data_element("title")
-                .data_element("date")
-                .data_element("temp")
-                .data_element("city")
-                .element("exhibit", "title.date")
-                .data_element("performance")
-                .function("Get_Temp", "city", "temp")
-                .function("TimeOut", "data", "(exhibit|performance)*")
-                .build()
-                .unwrap(),
-            &NoOracle,
-        )
-        .unwrap();
+        let c = newspaper_compiled("temp.temp", "title.date");
         let mut rw = Rewriter::new(&c).with_k(1);
         let mut inv = ScriptedInvoker::new();
         let err = rw
@@ -1483,23 +1423,7 @@ mod tests {
     fn recursion_into_child_subtrees() {
         // The exhibit child itself contains a Get_Date call that must be
         // materialized for schema (***)-style exhibit = title.date.
-        let c = Compiled::new(
-            Schema::builder()
-                .element("newspaper", "title.date.temp.exhibit*")
-                .data_element("title")
-                .data_element("date")
-                .data_element("temp")
-                .data_element("city")
-                .element("exhibit", "title.date")
-                .data_element("performance")
-                .function("Get_Temp", "city", "temp")
-                .function("TimeOut", "data", "(exhibit|performance)*")
-                .function("Get_Date", "title", "date")
-                .build()
-                .unwrap(),
-            &NoOracle,
-        )
-        .unwrap();
+        let c = newspaper_compiled("title.date.temp.exhibit*", "title.date");
         let doc = ITree::elem(
             "newspaper",
             vec![
@@ -1627,6 +1551,7 @@ mod tests {
 
 #[cfg(test)]
 mod depth_tests {
+    use super::tests::newspaper_compiled;
     use super::*;
     use axml_schema::{NoOracle, Schema};
 
@@ -1678,45 +1603,13 @@ mod depth_tests {
     #[test]
     fn analyze_possible_distinguishes_from_safe() {
         // Newspaper into (***): not safe, but possible.
-        let c = Compiled::new(
-            Schema::builder()
-                .element("newspaper", "title.date.temp.exhibit*")
-                .data_element("title")
-                .data_element("date")
-                .data_element("temp")
-                .data_element("city")
-                .element("exhibit", "title.(Get_Date|date)")
-                .data_element("performance")
-                .function("Get_Temp", "city", "temp")
-                .function("TimeOut", "data", "(exhibit|performance)*")
-                .function("Get_Date", "title", "date")
-                .build()
-                .unwrap(),
-            &NoOracle,
-        )
-        .unwrap();
+        let c = newspaper_compiled("title.date.temp.exhibit*", "title.(Get_Date|date)");
         let doc = axml_schema::newspaper_example();
         let mut rw = Rewriter::new(&c).with_k(1);
         assert!(rw.analyze_safe(&doc).is_err());
         assert!(rw.analyze_possible(&doc).is_ok());
         // Disjoint content: not even possible.
-        let c2 = Compiled::new(
-            Schema::builder()
-                .element("newspaper", "temp.temp")
-                .data_element("title")
-                .data_element("date")
-                .data_element("temp")
-                .data_element("city")
-                .element("exhibit", "title.date")
-                .data_element("performance")
-                .function("Get_Temp", "city", "temp")
-                .function("TimeOut", "data", "(exhibit|performance)*")
-                .function("Get_Date", "title", "date")
-                .build()
-                .unwrap(),
-            &NoOracle,
-        )
-        .unwrap();
+        let c2 = newspaper_compiled("temp.temp", "title.date");
         let mut rw2 = Rewriter::new(&c2).with_k(1);
         assert!(matches!(
             rw2.analyze_possible(&doc),

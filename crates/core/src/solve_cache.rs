@@ -10,9 +10,8 @@
 //!
 //! * compiled complement DFAs (safe games) and target DFAs (possible
 //!   games), per schema and target slot;
-//! * fully solved [`SafeGame`]/[`PossibleGame`] values — the verdict,
-//!   the marked/viable sets the executor walks, and (memoized on first
-//!   request) the extracted [`Decision`] plan — per children word.
+//! * fully solved [`SafeGame`]/[`PossibleGame`] values — the verdict
+//!   and the marked/viable sets the executor walks — per children word.
 //!
 //! # Keys
 //!
@@ -44,12 +43,12 @@
 //! for never serializing solver work across enforcement threads.
 
 use crate::possible::PossibleGame;
-use crate::safe::{BuildMode, Decision, SafeGame};
+use crate::safe::{BuildMode, SafeGame};
 use axml_automata::{Dfa, Symbol};
 use axml_obs::{Counter, Gauge, Histogram, Registry, LATENCY_NS_BOUNDS};
 use axml_support::hash::FxHashMap;
 use axml_support::sync::Mutex;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 #[allow(unused_imports)] // doc links
 use axml_schema::Compiled;
@@ -95,72 +94,11 @@ enum Key {
     },
 }
 
-/// A solved, immutable [`SafeGame`] plus its lazily extracted plan.
-/// Dereferences to the game, so call sites read like before.
-#[derive(Debug)]
-pub struct SolvedSafe {
-    game: SafeGame,
-    plan: OnceLock<Option<Vec<Decision>>>,
-}
-
-impl SolvedSafe {
-    /// Wraps a freshly solved game.
-    pub fn new(game: SafeGame) -> Self {
-        SolvedSafe {
-            game,
-            plan: OnceLock::new(),
-        }
-    }
-
-    /// The root strategy plan, extracted once and memoized — repeated
-    /// callers (the CLI `plan` command, schema-level checks) share one
-    /// extraction per cached game.
-    pub fn plan_cached(&self) -> Option<&[Decision]> {
-        self.plan.get_or_init(|| self.game.plan()).as_deref()
-    }
-}
-
-impl std::ops::Deref for SolvedSafe {
-    type Target = SafeGame;
-    fn deref(&self) -> &SafeGame {
-        &self.game
-    }
-}
-
-/// A solved, immutable [`PossibleGame`] plus its lazily extracted plan.
-#[derive(Debug)]
-pub struct SolvedPossible {
-    game: PossibleGame,
-    plan: OnceLock<Option<Vec<Decision>>>,
-}
-
-impl SolvedPossible {
-    /// Wraps a freshly solved game.
-    pub fn new(game: PossibleGame) -> Self {
-        SolvedPossible {
-            game,
-            plan: OnceLock::new(),
-        }
-    }
-
-    /// The root strategy plan, extracted once and memoized.
-    pub fn plan_cached(&self) -> Option<&[Decision]> {
-        self.plan.get_or_init(|| self.game.plan()).as_deref()
-    }
-}
-
-impl std::ops::Deref for SolvedPossible {
-    type Target = PossibleGame;
-    fn deref(&self) -> &PossibleGame {
-        &self.game
-    }
-}
-
 #[derive(Clone)]
 enum Value {
     Dfa(Arc<Dfa>),
-    Safe(Arc<SolvedSafe>),
-    Possible(Arc<SolvedPossible>),
+    Safe(Arc<SafeGame>),
+    Possible(Arc<PossibleGame>),
 }
 
 struct Entry {
@@ -355,7 +293,7 @@ impl SolveCache {
         mode: BuildMode,
         max_states: usize,
         build: impl FnOnce() -> Result<SafeGame, E>,
-    ) -> Result<Arc<SolvedSafe>, E> {
+    ) -> Result<Arc<SafeGame>, E> {
         let key = Key::Safe {
             schema,
             slot,
@@ -368,7 +306,7 @@ impl SolveCache {
             return Ok(g);
         }
         let started = std::time::Instant::now();
-        let solved = Arc::new(SolvedSafe::new(build()?));
+        let solved = Arc::new(build()?);
         self.state
             .solve_ns
             .observe(started.elapsed().as_nanos() as u64);
@@ -388,7 +326,7 @@ impl SolveCache {
         k: u32,
         max_states: usize,
         build: impl FnOnce() -> Result<PossibleGame, E>,
-    ) -> Result<Arc<SolvedPossible>, E> {
+    ) -> Result<Arc<PossibleGame>, E> {
         let key = Key::Possible {
             schema,
             slot,
@@ -400,7 +338,7 @@ impl SolveCache {
             return Ok(g);
         }
         let started = std::time::Instant::now();
-        let solved = Arc::new(SolvedPossible::new(build()?));
+        let solved = Arc::new(build()?);
         self.state
             .solve_ns
             .observe(started.elapsed().as_nanos() as u64);
@@ -598,7 +536,7 @@ pub enum CacheEntry {
         /// The `A_w^k` state limit in force when the game was built.
         max_states: usize,
         /// The solved game.
-        game: Arc<SolvedSafe>,
+        game: Arc<SafeGame>,
     },
     /// A solved possible game for one children word.
     PossibleGame {
@@ -613,7 +551,7 @@ pub enum CacheEntry {
         /// The `A_w^k` state limit in force when the game was built.
         max_states: usize,
         /// The solved game.
-        game: Arc<SolvedPossible>,
+        game: Arc<PossibleGame>,
     },
 }
 
@@ -707,7 +645,7 @@ mod tests {
     #[test]
     fn failed_builds_are_not_cached() {
         let cache = SolveCache::unpublished(8);
-        let fail: Result<Arc<SolvedSafe>, &str> = cache.safe_game(
+        let fail: Result<Arc<SafeGame>, &str> = cache.safe_game(
             0,
             TargetSlot::Content(0),
             &[],

@@ -52,7 +52,7 @@
 use crate::invoke::Invoker;
 use crate::rewrite::{enforce_with, RewriteError, RewriteReport, Rewriter, Strategy};
 use crate::solve_cache::{SolveCache, TargetSlot, DEFAULT_CAPACITY};
-use axml_automata::{Dfa, Regex, Symbol, NO_STATE};
+use axml_automata::{Dfa, Symbol, NO_STATE};
 use axml_schema::{forest_from_nodes, validate, words_of, Compiled, CompiledContent, ITree, INT_NS};
 use axml_xml::{
     element_to_string, escape_text, parse_document, Attribute, Element, Event, Node, QName, Reader,
@@ -183,7 +183,6 @@ enum Kind<'c> {
         sym: Symbol,
         dfa: &'c Dfa,
         state: u32,
-        regex: &'c Regex,
     },
     /// Atomic content: text children only.
     Data,
@@ -363,11 +362,10 @@ impl<'c, 'a> Engine<'c, 'a, '_, '_> {
             None => return Err(Stop::Fallback(format!("unknown element '{label}'"))),
             Some(CompiledContent::Data) => Kind::Data,
             Some(CompiledContent::Any) => Kind::Any,
-            Some(CompiledContent::Model { regex, dfa }) => Kind::Model {
+            Some(CompiledContent::Model { dfa, .. }) => Kind::Model {
                 sym,
                 dfa,
                 state: dfa.start,
-                regex,
             },
         };
         Ok(Frame {
@@ -544,13 +542,7 @@ impl<'c, 'a> Engine<'c, 'a, '_, '_> {
         let tail = self.tail.take().expect("in tail mode");
         self.account_region(tail.start_pos);
         let frame = self.stack.pop().expect("suffix tail has an owner frame");
-        let Kind::Model {
-            sym,
-            dfa,
-            state,
-            regex,
-        } = frame.kind
-        else {
+        let Kind::Model { sym, dfa, state } = frame.kind else {
             return Err(Stop::Fallback("suffix tail under non-model frame".into()));
         };
         let items = forest_from_nodes(&tail.nodes).map_err(Stop::Fallback)?;
@@ -579,7 +571,6 @@ impl<'c, 'a> Engine<'c, 'a, '_, '_> {
             rw.rewrite_suffix(
                 &frame.word,
                 &items,
-                regex,
                 TargetSlot::Content(sym),
                 &frame.label,
                 strategy,

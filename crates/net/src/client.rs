@@ -419,7 +419,7 @@ impl NetClient {
             &wire::doc_chunk_end(id, count, total, digest),
         )
         .map_err(ClientError::Wire)?;
-        self.read_reply(conn, id, started)
+        self.read_reply(conn, id, started, FrameType::Response)
     }
 
     fn call_impl(&self, id: Option<u64>, envelope: &str) -> Result<String, ClientError> {
@@ -496,14 +496,20 @@ impl NetClient {
             // the retry loop will re-dial.
             return Err(ClientError::Wire(e));
         }
-        self.read_reply(conn, id, started)
+        self.read_reply(conn, id, started, FrameType::Response)
     }
 
-    /// Waits for the reply to request `id`, skipping frames other calls
-    /// own, within the call's remaining deadline. Consumes the connection
-    /// and pools it back only on a framed outcome (response, or a fault
-    /// addressed to this request).
-    fn read_reply(&self, mut conn: Conn, id: u64, started: u64) -> Result<String, ClientError> {
+    /// Waits for the `expect` reply to request `id`, skipping frames other
+    /// calls own, within the call's remaining deadline. Consumes the
+    /// connection and pools it back only on a framed outcome (the reply,
+    /// or a fault addressed to this request).
+    fn read_reply(
+        &self,
+        mut conn: Conn,
+        id: u64,
+        started: u64,
+        expect: FrameType,
+    ) -> Result<String, ClientError> {
         loop {
             // Clamp every wait to the remaining call budget, so the total
             // deadline holds however many frames we must skip.
@@ -523,7 +529,7 @@ impl NetClient {
                 Err(e) => return Err(ClientError::Wire(e)),
             };
             match frame.kind {
-                FrameType::Response if frame.id == id => {
+                kind if kind == expect && frame.id == id => {
                     let reply =
                         wire::decode_envelope(&frame.payload).map_err(ClientError::Wire)?;
                     self.checkin(conn);
@@ -542,10 +548,14 @@ impl NetClient {
                 }
                 // A reply or fault for a request this call does not own —
                 // pipelined by another thread's aborted call, or a
-                // duplicate the network delivered twice: skip it. (Found
-                // by the simulator's duplication fault: a stale fault
-                // must not poison the next call on a pooled connection.)
-                FrameType::Response | FrameType::Fault => continue,
+                // duplicate the network delivered twice — or the second
+                // copy of a duplicated Welcome: skip it. (Found by the
+                // simulator's duplication fault: a stale frame must not
+                // poison the next call on a pooled connection.)
+                FrameType::Response
+                | FrameType::StatsResponse
+                | FrameType::Fault
+                | FrameType::Welcome => continue,
                 other => {
                     return Err(ClientError::Wire(WireError::Malformed(format!(
                         "unexpected {other:?} frame while awaiting a reply"
@@ -565,41 +575,12 @@ impl NetClient {
 
     /// Like [`NetClient::stats`], but returns the raw JSON snapshot.
     pub fn stats_json(&self) -> Result<String, ClientError> {
-        let mut conn = self.checkout(self.config.deadline)?;
+        let started = self.clock.now_ns();
+        let mut conn = self.checkout(self.remaining(started))?;
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         wire::write_frame(&mut conn.writer, &wire::stats_request(id))
             .map_err(ClientError::Wire)?;
-        loop {
-            let frame = match wire::read_frame(&mut conn.reader, self.config.max_frame) {
-                Ok(f) => f,
-                Err(WireError::Idle | WireError::Stalled) => {
-                    return Err(ClientError::Wire(WireError::Stalled));
-                }
-                Err(e) => return Err(ClientError::Wire(e)),
-            };
-            match frame.kind {
-                FrameType::StatsResponse if frame.id == id => {
-                    let text =
-                        wire::decode_envelope(&frame.payload).map_err(ClientError::Wire)?;
-                    self.checkin(conn);
-                    return Ok(text);
-                }
-                FrameType::Fault if frame.id == id || frame.id == 0 => {
-                    let fault = wire::decode_fault(&frame.payload).map_err(ClientError::Wire)?;
-                    if frame.id == id {
-                        self.checkin(conn);
-                    }
-                    return Err(ClientError::Fault(fault));
-                }
-                // Stray replies/faults for aborted pipelined calls: skip.
-                FrameType::Response | FrameType::StatsResponse | FrameType::Fault => continue,
-                other => {
-                    return Err(ClientError::Wire(WireError::Malformed(format!(
-                        "unexpected {other:?} frame while awaiting a stats reply"
-                    ))));
-                }
-            }
-        }
+        self.read_reply(conn, id, started, FrameType::StatsResponse)
     }
 }
 
@@ -690,7 +671,7 @@ impl std::io::Write for ChunkSink<'_> {
 mod tests {
     use super::*;
     use crate::server::{Handler, NetServer, ServerConfig};
-    use crate::wire::FaultCode;
+    use crate::wire::{FaultCode, Frame};
     use std::sync::atomic::AtomicU32;
     use std::sync::Arc;
 
@@ -955,6 +936,51 @@ mod tests {
         );
         drop(client);
         legacy.join().unwrap();
+    }
+
+    /// A hand-rolled peer that answers Hello with a duplicated Welcome,
+    /// then answers one request on the same connection with `reply`.
+    fn doubled_welcome_peer(
+        reply: fn(&Frame) -> Frame,
+    ) -> (SocketAddr, std::thread::JoinHandle<()>) {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let peer = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            let mut reader = BufReader::new(stream.try_clone().unwrap());
+            let mut writer = stream;
+            let hello = wire::read_frame(&mut reader, wire::DEFAULT_MAX_FRAME).unwrap();
+            assert_eq!(hello.kind, FrameType::Hello);
+            let welcome = wire::welcome_with("doubled", wire::CAP_CHUNKED);
+            wire::write_frame(&mut writer, &welcome).unwrap();
+            wire::write_frame(&mut writer, &welcome).unwrap();
+            let request = wire::read_frame(&mut reader, wire::DEFAULT_MAX_FRAME).unwrap();
+            wire::write_frame(&mut writer, &reply(&request)).unwrap();
+        });
+        (addr, peer)
+    }
+
+    #[test]
+    fn a_duplicated_welcome_is_skipped() {
+        let (addr, peer) = doubled_welcome_peer(|f| wire::response(f.id, "pong"));
+        let registry = axml_obs::Registry::new();
+        let config = ClientConfig {
+            metrics: registry.clone(),
+            ..ClientConfig::default()
+        };
+        let client = NetClient::new(addr, config).unwrap();
+        assert_eq!(client.call("ping").unwrap(), "pong");
+        assert_eq!(
+            registry.snapshot().counter("client.attempts_total"),
+            1,
+            "the call succeeds in one attempt"
+        );
+        peer.join().unwrap();
+
+        let (addr, peer) = doubled_welcome_peer(|f| wire::stats_response(f.id, "{}"));
+        let client = NetClient::new(addr, ClientConfig::default()).unwrap();
+        assert_eq!(client.stats_json().unwrap(), "{}");
+        peer.join().unwrap();
     }
 
     #[test]

@@ -400,6 +400,10 @@ fn start_threads(listener: TcpListener, shared: &Arc<Shared>) -> Engine {
     }
 }
 
+/// How long the accept loop of the threads engine waits before it polls
+/// its listener again.
+const ACCEPT_POLL: Duration = Duration::from_millis(10);
+
 fn accept_loop(
     listener: &TcpListener,
     shared: &Arc<Shared>,
@@ -418,21 +422,23 @@ fn accept_loop(
                 let conn = shared.ep.accept();
                 let shared = Arc::clone(shared);
                 let job_tx = job_tx.clone();
-                readers.push(
-                    std::thread::Builder::new()
-                        .name("axml-net-reader".to_owned())
-                        .spawn(move || reader_loop(stream, conn, &shared, &job_tx))
-                        .expect("spawn reader thread"),
-                );
+                // A reader that cannot start takes its connection down
+                // with it; the daemon keeps accepting.
+                if let Ok(reader) = std::thread::Builder::new()
+                    .name("axml-net-reader".to_owned())
+                    .spawn(move || reader_loop(stream, conn, &shared, &job_tx))
+                {
+                    readers.push(reader);
+                }
                 // Opportunistically reap finished readers so a long-lived
                 // daemon does not accumulate handles.
                 readers.retain(|h| !h.is_finished());
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => break,
+            // Nothing to accept yet, or a transient failure such as
+            // EMFILE while descriptors run out: pause one poll interval
+            // and accept again.
+            Err(_) => std::thread::sleep(ACCEPT_POLL),
         }
     }
     readers

@@ -13,23 +13,18 @@
 //!   and the product graph *with its solution* (`marked`/`viable`
 //!   sets, node pairs, adjacency in original order, stats). Derived
 //!   indexes (pair→node map, reverse adjacency) are rebuilt on load.
-//!   Memoized [`Decision`] plans are *not* persisted: extraction is
-//!   deterministic, so the first warm request recomputes an identical
-//!   plan.
 //!
 //! Decode goes through the validating `from_parts` constructors, so a
 //! payload that passed the checksum but is structurally impossible
 //! (only reachable through a format bug, not disk corruption) still
 //! becomes a load error, never a panic in the solver.
-//!
-//! [`Decision`]: axml_core::safe::Decision
 
 use crate::format::{Dec, Enc};
 use axml_automata::Dfa;
 use axml_core::awk::{Awk, Direction, Edge, StateKind};
 use axml_core::possible::PossibleGame;
 use axml_core::safe::{BuildMode, GameStats, SafeGame};
-use axml_core::solve_cache::{CacheEntry, SolvedPossible, SolvedSafe, TargetSlot};
+use axml_core::solve_cache::{CacheEntry, TargetSlot};
 use std::sync::Arc;
 
 /// Magic for solver-cache snapshot files.
@@ -137,7 +132,7 @@ pub fn decode_entries(payload: &[u8]) -> Result<Vec<CacheEntry>, String> {
                     k,
                     mode,
                     max_states,
-                    game: Arc::new(SolvedSafe::new(game)),
+                    game: Arc::new(game),
                 }
             }
             TAG_POSSIBLE => {
@@ -151,7 +146,7 @@ pub fn decode_entries(payload: &[u8]) -> Result<Vec<CacheEntry>, String> {
                     word,
                     k,
                     max_states,
-                    game: Arc::new(SolvedPossible::new(game)),
+                    game: Arc::new(game),
                 }
             }
             t => return Err(format!("unknown entry tag {t}")),
@@ -515,7 +510,7 @@ mod tests {
                 k: 1,
                 mode: BuildMode::Lazy,
                 max_states: 500_000,
-                game: Arc::new(SolvedSafe::new(safe)),
+                game: Arc::new(safe),
             },
             CacheEntry::PossibleGame {
                 schema: c.fingerprint(),
@@ -523,7 +518,7 @@ mod tests {
                 word: w.into_boxed_slice(),
                 k: 1,
                 max_states: 500_000,
-                game: Arc::new(SolvedPossible::new(possible)),
+                game: Arc::new(possible),
             },
         ]
     }
@@ -541,7 +536,7 @@ mod tests {
             (CacheEntry::SafeGame { game: a, .. }, CacheEntry::SafeGame { game: b, .. }) => {
                 assert_eq!(a.is_safe(), b.is_safe());
                 assert_eq!(a.num_nodes(), b.num_nodes());
-                assert_eq!(a.plan_cached(), b.plan_cached());
+                assert_eq!(a.plan(), b.plan());
             }
             _ => panic!("entry kind drifted through the roundtrip"),
         }
@@ -551,7 +546,7 @@ mod tests {
                 CacheEntry::PossibleGame { game: b, .. },
             ) => {
                 assert_eq!(a.is_possible(), b.is_possible());
-                assert_eq!(a.plan_cached(), b.plan_cached());
+                assert_eq!(a.plan(), b.plan());
             }
             _ => panic!("entry kind drifted through the roundtrip"),
         }

@@ -46,6 +46,16 @@ ids = {b["id"] for b in b9["benchmarks"]}
 assert {"exchange_channel", "exchange_tcp_loopback"} <= ids, f"B9 transport variants missing: {ids}"
 EOF
 
+echo "== tier-1: linear word executor (10^5 children on a 2 MiB stack) =="
+# Safe and possible rewriting of one 100 001-child word at k = 1, through
+# the DOM rewriter and the stream engine, takes a few seconds in release
+# mode. An executor quadratic in the children count needs about 20
+# minutes per run here, and one that recurses per child overflows the
+# 2 MiB thread stack at 1 401 children.
+timeout --kill-after=10 60 \
+    cargo test -q --release --offline --test executor_parity -- --ignored --exact \
+    a_hundred_thousand_children_rewrite_on_a_small_stack
+
 echo "== tier-1: observability gate (invariants + live-daemon scrape) =="
 timeout --kill-after=10 120 cargo test -q --offline --test obs_invariants
 

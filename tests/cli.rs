@@ -292,3 +292,48 @@ fn bad_usage_and_missing_files() {
     let out = bin().args(["frobnicate"]).output().unwrap();
     assert_eq!(out.status.code(), Some(2));
 }
+
+/// A daemon that runs out of file descriptors serves again once they
+/// free up, on either network engine: it starts with a limit of 40
+/// descriptors, 60 clients connect and hang up, and `axml stats` must
+/// still get an answer.
+#[test]
+fn serve_recovers_from_descriptor_exhaustion() {
+    use std::io::BufRead;
+
+    let (star, ..) = write_fixtures();
+    for io in ["threads", "poll"] {
+        let mut daemon = Command::new("sh")
+            .arg("-c")
+            .arg(format!(
+                "ulimit -n 40; exec \"$0\" serve \"$1\" 127.0.0.1:0 --io {io} --name fd-test"
+            ))
+            .arg(env!("CARGO_BIN_EXE_axml"))
+            .arg(&star)
+            .stdout(std::process::Stdio::piped())
+            .spawn()
+            .unwrap();
+        let mut lines = std::io::BufReader::new(daemon.stdout.take().unwrap()).lines();
+        let banner = lines.next().unwrap().unwrap();
+        let addr = banner
+            .strip_prefix("listening on ")
+            .unwrap_or_else(|| panic!("unexpected banner: {banner}"))
+            .to_owned();
+
+        let held: Vec<std::net::TcpStream> = (0..60)
+            .map(|_| std::net::TcpStream::connect(&addr).unwrap())
+            .collect();
+        // Let the daemon accept until its descriptors run out.
+        std::thread::sleep(std::time::Duration::from_millis(500));
+        drop(held);
+
+        let stats = bin().args(["stats", &addr]).output().unwrap();
+        let _ = daemon.kill();
+        let _ = daemon.wait();
+        assert!(
+            stats.status.success(),
+            "{io}: stats after descriptor exhaustion: {}",
+            String::from_utf8_lossy(&stats.stderr)
+        );
+    }
+}

@@ -9,7 +9,7 @@
 use crate::alphabet::Symbol;
 use crate::nfa::Nfa;
 use axml_support::hash::FxHashMap;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Sentinel for a missing transition in a partial DFA.
 pub const NO_STATE: u32 = u32::MAX;
@@ -75,9 +75,10 @@ impl Dfa {
         let mut cursor = 0usize;
         while cursor < sets.len() {
             // Group transitions by symbol to avoid scanning the whole
-            // alphabet for sparse automata.
+            // alphabet for sparse automata. Ascending symbol order numbers
+            // the states the same way in every run.
             let set = sets[cursor].clone();
-            let mut by_sym: HashMap<Symbol, Vec<u32>> = HashMap::new();
+            let mut by_sym: BTreeMap<Symbol, Vec<u32>> = BTreeMap::new();
             for &st in &set {
                 for &(a, t) in &nfa.trans[st as usize] {
                     by_sym.entry(a).or_default().push(t);

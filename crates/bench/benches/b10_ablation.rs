@@ -8,7 +8,7 @@
 use axml_automata::{Dfa, Glushkov, Nfa, Regex};
 use axml_bench::wide_instance;
 use axml_core::awk::{Awk, AwkLimits};
-use axml_core::safe::{complement_of, BuildMode, SafeGame};
+use axml_core::game::{complement_of, BuildMode, Game, Strategy};
 use axml_support::bench::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
@@ -27,7 +27,7 @@ fn bench(c: &mut Criterion) {
                 let awk =
                     Awk::build(black_box(&word), &compiled, 1, &AwkLimits::default()).unwrap();
                 let comp = complement_of(&target, syms);
-                black_box(SafeGame::solve(awk, comp, BuildMode::Lazy).stats.nodes)
+                black_box(Game::solve(Strategy::Safe, awk, comp, BuildMode::Lazy).stats.nodes)
             })
         });
         group.bench_with_input(BenchmarkId::new("comp_minimized", n), &n, |b, _| {
@@ -35,7 +35,7 @@ fn bench(c: &mut Criterion) {
                 let awk =
                     Awk::build(black_box(&word), &compiled, 1, &AwkLimits::default()).unwrap();
                 let comp = complement_of(&target, syms).minimized();
-                black_box(SafeGame::solve(awk, comp, BuildMode::Lazy).stats.nodes)
+                black_box(Game::solve(Strategy::Safe, awk, comp, BuildMode::Lazy).stats.nodes)
             })
         });
     }

@@ -3,7 +3,7 @@
 
 use axml_bench::recursive_schema;
 use axml_core::awk::{Awk, AwkLimits};
-use axml_core::safe::{complement_of, BuildMode, SafeGame};
+use axml_core::game::{complement_of, BuildMode, Game, Strategy};
 use axml_support::bench::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
@@ -19,8 +19,8 @@ fn bench(c: &mut Criterion) {
                 let awk =
                     Awk::build(black_box(&word), &compiled, k, &AwkLimits::default()).unwrap();
                 let comp = complement_of(&target, compiled.alphabet().len());
-                let game = SafeGame::solve(awk, comp, BuildMode::Lazy);
-                black_box((game.is_safe(), game.stats.nodes))
+                let game = Game::solve(Strategy::Safe, awk, comp, BuildMode::Lazy);
+                black_box((game.wins(), game.stats.nodes))
             })
         });
     }

@@ -3,7 +3,7 @@
 //! regular expressions, which XML Schema forbids).
 
 use axml_bench::{det_family, nondet_family};
-use axml_core::safe::complement_of;
+use axml_core::game::complement_of;
 use axml_support::bench::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 

@@ -4,7 +4,7 @@
 use axml_automata::Regex;
 use axml_bench::{paper_schema, wide_instance};
 use axml_core::awk::{Awk, AwkLimits};
-use axml_core::safe::{complement_of, BuildMode, SafeGame};
+use axml_core::game::{complement_of, BuildMode, Game, Strategy};
 use axml_support::bench::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
@@ -27,7 +27,7 @@ fn bench(c: &mut Criterion) {
                 let awk =
                     Awk::build(black_box(&word), &compiled, 1, &AwkLimits::default()).unwrap();
                 let comp = complement_of(&fig6, compiled.alphabet().len());
-                black_box(SafeGame::solve(awk, comp, mode).stats.nodes)
+                black_box(Game::solve(Strategy::Safe, awk, comp, mode).stats.nodes)
             })
         });
     }
@@ -40,7 +40,7 @@ fn bench(c: &mut Criterion) {
                     let awk =
                         Awk::build(black_box(&word), &compiled, 1, &AwkLimits::default()).unwrap();
                     let comp = complement_of(&target, compiled.alphabet().len());
-                    black_box(SafeGame::solve(awk, comp, mode).stats.nodes)
+                    black_box(Game::solve(Strategy::Safe, awk, comp, mode).stats.nodes)
                 })
             });
         }

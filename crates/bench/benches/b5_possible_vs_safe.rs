@@ -3,8 +3,7 @@
 
 use axml_bench::wide_instance;
 use axml_core::awk::{Awk, AwkLimits};
-use axml_core::possible::{target_of, PossibleGame};
-use axml_core::safe::{complement_of, BuildMode, SafeGame};
+use axml_core::game::{complement_of, target_of, BuildMode, Game, Strategy};
 use axml_support::bench::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
@@ -20,7 +19,7 @@ fn bench(c: &mut Criterion) {
                 let awk =
                     Awk::build(black_box(&word), &compiled, 1, &AwkLimits::default()).unwrap();
                 let comp = complement_of(&target, compiled.alphabet().len());
-                black_box(SafeGame::solve(awk, comp, BuildMode::Lazy).is_safe())
+                black_box(Game::solve(Strategy::Safe, awk, comp, BuildMode::Lazy).wins())
             })
         });
         group.bench_with_input(BenchmarkId::new("possible", n), &n, |b, _| {
@@ -28,7 +27,7 @@ fn bench(c: &mut Criterion) {
                 let awk =
                     Awk::build(black_box(&word), &compiled, 1, &AwkLimits::default()).unwrap();
                 let dfa = target_of(&target, compiled.alphabet().len());
-                black_box(PossibleGame::solve(awk, dfa).is_possible())
+                black_box(Game::solve(Strategy::Possible, awk, dfa, BuildMode::Eager).wins())
             })
         });
     }

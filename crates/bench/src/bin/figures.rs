@@ -11,9 +11,8 @@
 
 use axml_automata::Regex;
 use axml_core::awk::{Awk, AwkLimits};
-use axml_core::dot::{awk_to_dot, possible_game_to_dot, safe_game_to_dot};
-use axml_core::possible::{target_of, PossibleGame};
-use axml_core::safe::{complement_of, BuildMode, SafeGame};
+use axml_core::dot::{awk_to_dot, game_to_dot};
+use axml_core::game::{complement_of, target_of, BuildMode, Game, Strategy};
 use axml_schema::{Compiled, NoOracle, Schema};
 use std::path::PathBuf;
 
@@ -74,11 +73,11 @@ fn main() -> std::io::Result<()> {
             .to_dot(c.alphabet(), "fig5_complement"),
     )?;
     // Fig. 6: marked product for (**).
-    let fig6 = SafeGame::solve(awk(), complement_of(&star2, n), BuildMode::Eager);
-    assert!(fig6.is_safe());
+    let fig6 = Game::solve(Strategy::Safe, awk(), complement_of(&star2, n), BuildMode::Eager);
+    assert!(fig6.wins());
     write(
         "fig6_product.dot",
-        safe_game_to_dot(&fig6, c.alphabet(), "fig6_product"),
+        game_to_dot(&fig6, c.alphabet(), "fig6_product"),
     )?;
     // Fig. 7: complement of (***).
     write(
@@ -88,11 +87,11 @@ fn main() -> std::io::Result<()> {
             .to_dot(c.alphabet(), "fig7_complement"),
     )?;
     // Fig. 8: fully marked product for (***).
-    let fig8 = SafeGame::solve(awk(), complement_of(&star3, n), BuildMode::Eager);
-    assert!(!fig8.is_safe());
+    let fig8 = Game::solve(Strategy::Safe, awk(), complement_of(&star3, n), BuildMode::Eager);
+    assert!(!fig8.wins());
     write(
         "fig8_product.dot",
-        safe_game_to_dot(&fig8, c.alphabet(), "fig8_product"),
+        game_to_dot(&fig8, c.alphabet(), "fig8_product"),
     )?;
     // Fig. 10: the target automaton A for (***).
     write(
@@ -100,21 +99,21 @@ fn main() -> std::io::Result<()> {
         target_of(&star3, n).to_dot(c.alphabet(), "fig10_target"),
     )?;
     // Fig. 11: the possible-rewriting product.
-    let fig11 = PossibleGame::solve(awk(), target_of(&star3, n));
-    assert!(fig11.is_possible());
+    let fig11 = Game::solve(Strategy::Possible, awk(), target_of(&star3, n), BuildMode::Eager);
+    assert!(fig11.wins());
     write(
         "fig11_possible.dot",
-        possible_game_to_dot(&fig11, c.alphabet(), "fig11_possible"),
+        game_to_dot(&fig11, c.alphabet(), "fig11_possible"),
     )?;
     // Fig. 12: the pruned (lazily built) product for (**).
-    let fig12 = SafeGame::solve(awk(), complement_of(&star2, n), BuildMode::Lazy);
+    let fig12 = Game::solve(Strategy::Safe, awk(), complement_of(&star2, n), BuildMode::Lazy);
     println!(
         "fig12: lazy built {} nodes (eager {}), {} sink-pruned",
         fig12.stats.nodes, fig6.stats.nodes, fig12.stats.sink_pruned
     );
     write(
         "fig12_pruned.dot",
-        safe_game_to_dot(&fig12, c.alphabet(), "fig12_pruned"),
+        game_to_dot(&fig12, c.alphabet(), "fig12_pruned"),
     )?;
     Ok(())
 }

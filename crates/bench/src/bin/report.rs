@@ -11,9 +11,8 @@
 use axml_bench::*;
 use axml_core::awk::{Awk, AwkLimits};
 use axml_core::invoke::ScriptedInvoker;
-use axml_core::possible::{target_of, PossibleGame};
-use axml_core::rewrite::{enforce, Rewriter, Strategy};
-use axml_core::safe::{complement_of, BuildMode, SafeGame};
+use axml_core::game::{complement_of, target_of, BuildMode, Game, Strategy};
+use axml_core::rewrite::{enforce, Rewriter};
 use axml_core::schema_rw::schema_safe_rewrites;
 use axml_schema::{validate, Compiled, ITree, NoOracle, Schema};
 use axml_services::builtin::{GetDate, GetTemp, TimeOutGuide};
@@ -60,8 +59,8 @@ fn b1() {
         let ((nodes, safe), us) = time(|| {
             let awk = Awk::build(&word, &compiled, 1, &AwkLimits::default()).unwrap();
             let comp = complement_of(&target, compiled.alphabet().len());
-            let game = SafeGame::solve(awk, comp, BuildMode::Lazy);
-            (game.stats.nodes, game.is_safe())
+            let game = Game::solve(Strategy::Safe, awk, comp, BuildMode::Lazy);
+            (game.stats.nodes, game.wins())
         });
         println!("{n:>6} {nodes:>12} {us:>12.1} {safe:>12}");
     }
@@ -80,7 +79,7 @@ fn b2() {
             let awk = Awk::build(&word, &compiled, k, &AwkLimits::default()).unwrap();
             let states = awk.num_states();
             let comp = complement_of(&target, compiled.alphabet().len());
-            let game = SafeGame::solve(awk, comp, BuildMode::Lazy);
+            let game = Game::solve(Strategy::Safe, awk, comp, BuildMode::Lazy);
             (states, game.stats.nodes)
         });
         println!("{k:>6} {states:>12} {nodes:>12} {us:>12.1}");
@@ -115,7 +114,7 @@ fn b4() {
         let run = |mode| {
             let awk = Awk::build(&word, &compiled, 1, &AwkLimits::default()).unwrap();
             let comp = complement_of(&target, compiled.alphabet().len());
-            SafeGame::solve(awk, comp, mode).stats
+            Game::solve(Strategy::Safe, awk, comp, mode).stats
         };
         let (es, eus) = time(|| run(BuildMode::Eager));
         let (ls, lus) = time(|| run(BuildMode::Lazy));
@@ -138,12 +137,12 @@ fn b5() {
         let (sn, sus) = time(|| {
             let awk = Awk::build(&word, &compiled, 1, &AwkLimits::default()).unwrap();
             let comp = complement_of(&target, compiled.alphabet().len());
-            SafeGame::solve(awk, comp, BuildMode::Lazy).stats.nodes
+            Game::solve(Strategy::Safe, awk, comp, BuildMode::Lazy).stats.nodes
         });
         let (pn, pus) = time(|| {
             let awk = Awk::build(&word, &compiled, 1, &AwkLimits::default()).unwrap();
             let dfa = target_of(&target, compiled.alphabet().len());
-            PossibleGame::solve(awk, dfa).stats.nodes
+            Game::solve(Strategy::Possible, awk, dfa, BuildMode::Eager).stats.nodes
         });
         println!("{n:>8} {sn:>14} {pn:>14} {sus:>12.1} {pus:>12.1}");
     }
@@ -301,13 +300,14 @@ fn b10() {
         let syms = compiled.alphabet().len();
         let (_, plain) = time(|| {
             let awk = Awk::build(&word, &compiled, 1, &AwkLimits::default()).unwrap();
-            SafeGame::solve(awk, complement_of(&target, syms), BuildMode::Lazy)
+            Game::solve(Strategy::Safe, awk, complement_of(&target, syms), BuildMode::Lazy)
                 .stats
                 .nodes
         });
         let (_, minimized) = time(|| {
             let awk = Awk::build(&word, &compiled, 1, &AwkLimits::default()).unwrap();
-            SafeGame::solve(
+            Game::solve(
+                Strategy::Safe,
                 awk,
                 complement_of(&target, syms).minimized(),
                 BuildMode::Lazy,

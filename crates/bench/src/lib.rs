@@ -250,7 +250,7 @@ mod tests {
     use super::*;
     use axml_core::awk::{Awk, AwkLimits};
     use axml_core::rewrite::Rewriter;
-    use axml_core::safe::{complement_of, BuildMode, SafeGame};
+    use axml_core::game::{complement_of, BuildMode, Game, Strategy};
 
     #[test]
     fn scaled_schema_is_safe_at_every_size() {
@@ -258,7 +258,7 @@ mod tests {
             let (compiled, word, target) = scaled_schema(n);
             let awk = Awk::build(&word, &compiled, 1, &AwkLimits::default()).unwrap();
             let comp = complement_of(&target, compiled.alphabet().len());
-            assert!(SafeGame::solve(awk, comp, BuildMode::Lazy).is_safe());
+            assert!(Game::solve(Strategy::Safe, awk, comp, BuildMode::Lazy).wins());
         }
     }
 
@@ -305,9 +305,9 @@ mod tests {
         let (compiled, word, target) = wide_instance(6);
         let awk = Awk::build(&word, &compiled, 1, &AwkLimits::default()).unwrap();
         let comp = complement_of(&target, compiled.alphabet().len());
-        let eager = SafeGame::solve(awk.clone(), comp.clone(), BuildMode::Eager);
-        let lazy = SafeGame::solve(awk, comp, BuildMode::Lazy);
-        assert_eq!(eager.is_safe(), lazy.is_safe());
+        let eager = Game::solve(Strategy::Safe, awk.clone(), comp.clone(), BuildMode::Eager);
+        let lazy = Game::solve(Strategy::Safe, awk, comp, BuildMode::Lazy);
+        assert_eq!(eager.wins(), lazy.wins());
         assert!(lazy.stats.nodes <= eager.stats.nodes);
     }
 

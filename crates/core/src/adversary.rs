@@ -6,7 +6,7 @@
 //! literature (*Games for Active XML Revisited*, *Transducer-based
 //! Rewriting Games for Active XML*) characterizes the **worst-case**
 //! opponent instead: one that plays the game graph. This module extracts
-//! that opponent's moves from an already-solved [`PossibleGame`].
+//! that opponent's moves from an already-solved possible [`Game`].
 //!
 //! The adversary's freedom for one call to `f` is the path it picks
 //! through the output-type copy that [`Awk`] spliced in for `f`'s fork:
@@ -16,13 +16,13 @@
 //! rewriting can reach the target language, so a possible-mode rewriter
 //! is forced to backtrack and, with no alternatives, to report a typed
 //! `Exhausted` failure. [`worst_answer`] finds such a path when one
-//! exists; [`SafeGame::counterexample`] is the safe-game analogue (the
+//! exists; [`Game::counterexample`] is the safe-game analogue (the
 //! full adversary-forced bad word).
 //!
 //! [`Awk`]: crate::awk::Awk
 
 use crate::awk::{EdgeId, StateId, StateKind};
-use crate::possible::PossibleGame;
+use crate::game::Game;
 use axml_automata::{Symbol, NO_STATE};
 
 /// The answer the strategic adversary wants to give for one call.
@@ -51,7 +51,7 @@ pub struct WorstAnswer {
 /// strictly decreases a precomputed distance to the copy's exit or is the
 /// single move into the trapped region, so the walk terminates without a
 /// fuel bound.
-pub fn worst_answer(game: &PossibleGame, func: Symbol) -> Option<WorstAnswer> {
+pub fn worst_answer(game: &Game, func: Symbol) -> Option<WorstAnswer> {
     let awk = &game.awk;
     // The first depth-1 fork for `func`: fork states are created in
     // left-to-right word order, so the lowest state id is the first
@@ -73,7 +73,7 @@ pub fn worst_answer(game: &PossibleGame, func: Symbol) -> Option<WorstAnswer> {
     // rewriter only invokes from viable nodes).
     let q0 = (0..game.num_nodes() as u32)
         .filter(|&n| game.pair(n).0 == fork)
-        .max_by_key(|&n| game.is_viable(n))
+        .max_by_key(|&n| game.allowed(n))
         .map(|n| game.pair(n).1)?;
 
     let dist = distances_to(awk, exit);
@@ -112,11 +112,11 @@ pub fn worst_answer(game: &PossibleGame, func: Symbol) -> Option<WorstAnswer> {
 }
 
 /// Steps the game's target DFA; `None` is the dead (trapped) state.
-fn step(game: &PossibleGame, q: Option<u32>, label: Option<Symbol>) -> Option<u32> {
+fn step(game: &Game, q: Option<u32>, label: Option<Symbol>) -> Option<u32> {
     match (q, label) {
         (q, None) => q,
         (None, Some(_)) => None,
-        (Some(q), Some(sym)) => match game.target.next(q, sym) {
+        (Some(q), Some(sym)) => match game.dfa.next(q, sym) {
             NO_STATE => None,
             t => Some(t),
         },
@@ -126,10 +126,10 @@ fn step(game: &PossibleGame, q: Option<u32>, label: Option<Symbol>) -> Option<u3
 /// Whether the pair `(awk state, target state)` is still a viable product
 /// node. A dead target state, a pair pruned from the product, or a
 /// non-viable node all mean the rewriter has already lost.
-fn alive(game: &PossibleGame, s: StateId, q: Option<u32>) -> bool {
+fn alive(game: &Game, s: StateId, q: Option<u32>) -> bool {
     match q {
         None => false,
-        Some(q) => game.node(s, q).is_some_and(|n| game.is_viable(n)),
+        Some(q) => game.node(s, q).is_some_and(|n| game.allowed(n)),
     }
 }
 
@@ -173,7 +173,7 @@ fn distances_to(awk: &crate::awk::Awk, exit: StateId) -> Vec<Option<u32>> {
 mod tests {
     use super::*;
     use crate::awk::{Awk, AwkLimits};
-    use crate::possible::{target_of, PossibleGame};
+    use crate::game::{target_of, BuildMode, Strategy};
     use axml_automata::Regex;
     use axml_schema::{Compiled, NoOracle, Schema};
 
@@ -192,7 +192,7 @@ mod tests {
         .unwrap()
     }
 
-    fn game(c: &Compiled, w: &[&str], target: &str, k: u32) -> PossibleGame {
+    fn game(c: &Compiled, w: &[&str], target: &str, k: u32) -> Game {
         let word: Vec<Symbol> = w
             .iter()
             .map(|n| c.alphabet().lookup(n).unwrap())
@@ -201,7 +201,12 @@ mod tests {
         let mut ab = c.alphabet().clone();
         let re = Regex::parse(target, &mut ab).unwrap();
         assert_eq!(ab.len(), c.alphabet().len());
-        PossibleGame::solve(awk, target_of(&re, c.alphabet().len()))
+        Game::solve(
+            Strategy::Possible,
+            awk,
+            target_of(&re, c.alphabet().len()),
+            BuildMode::Eager,
+        )
     }
 
     #[test]
@@ -211,7 +216,7 @@ mod tests {
         // repair. The strategic adversary must find it.
         let c = marketplace_compiled();
         let g = game(&c, &["title", "Get_Quote"], "title.price", 1);
-        assert!(g.is_possible());
+        assert!(g.wins());
         let quote = c.alphabet().lookup("Get_Quote").unwrap();
         let answer = worst_answer(&g, quote).expect("Get_Quote has a fork");
         assert!(answer.trapping, "apology traps the rewriter");
@@ -266,15 +271,15 @@ mod tests {
 
     #[test]
     fn successor_queries_agree_with_the_walk() {
-        // The exposed node()/trapping_successor() queries let callers
+        // The exposed node()/adversary_move() queries let callers
         // replay the walk by hand: from the start, some path of
-        // trapping_successor moves reaches a non-viable node exactly when
+        // adversary_move moves reaches a non-viable node exactly when
         // the game is winnable by the adversary at that fork.
         let c = marketplace_compiled();
         let g = game(&c, &["title", "Get_Quote"], "title.price", 1);
         let (s0, q0) = g.pair(g.start);
         assert_eq!(g.node(s0, q0), Some(g.start));
-        let (_, n) = g.trapping_successor(g.start).expect("start has moves");
+        let (_, n) = g.adversary_move(g.start).expect("start has moves");
         assert!(g.node(g.pair(n).0, g.pair(n).1) == Some(n));
     }
 }

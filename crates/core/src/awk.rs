@@ -278,7 +278,7 @@ impl Awk {
     /// [`Direction`]. For [`Direction::RightToLeft`] the word and every
     /// output type are reversed, so the same left-to-right game machinery
     /// solves the mirrored problem; callers must also reverse the target
-    /// language (see [`crate::safe::complement_of`] on
+    /// language (see [`crate::game::complement_of`] on
     /// `target.reversed()`).
     pub fn build_directed(
         w: &[Symbol],

@@ -180,8 +180,7 @@ fn brute_go(
 mod tests {
     use super::*;
     use crate::awk::{Awk, AwkLimits};
-    use crate::possible::PossibleGame;
-    use crate::safe::{complement_of, BuildMode, SafeGame};
+    use crate::game::{BuildMode, Game, Strategy};
     use axml_schema::{NoOracle, Schema};
 
     fn star_free_compiled() -> Compiled {
@@ -215,23 +214,13 @@ mod tests {
         );
         // Algorithmic answers.
         let awk = Awk::build(&w, c, k, &AwkLimits::default()).unwrap();
-        let safe_alg = SafeGame::solve(
-            awk.clone(),
-            complement_of(&re, c.alphabet().len()),
-            BuildMode::Eager,
-        )
-        .is_safe();
-        let safe_lazy = SafeGame::solve(
-            awk.clone(),
-            complement_of(&re, c.alphabet().len()),
-            BuildMode::Lazy,
-        )
-        .is_safe();
-        let poss_alg = PossibleGame::solve(
-            awk,
-            Dfa::determinize(&Nfa::thompson(&re, c.alphabet().len())),
-        )
-        .is_possible();
+        let n = c.alphabet().len();
+        let solve = |strategy: Strategy, mode| {
+            Game::solve(strategy, awk.clone(), strategy.dfa(&re, n), mode).wins()
+        };
+        let safe_alg = solve(Strategy::Safe, BuildMode::Eager);
+        let safe_lazy = solve(Strategy::Safe, BuildMode::Lazy);
+        let poss_alg = solve(Strategy::Possible, BuildMode::Eager);
         // Reference answers.
         let safe_ref = brute_safe(&w, c, k, &re).expect("finite outputs");
         let poss_ref = brute_possible(&w, c, k, &re).expect("finite outputs");

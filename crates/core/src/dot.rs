@@ -6,8 +6,7 @@
 //! colored nodes in the paper.
 
 use crate::awk::{Awk, StateKind};
-use crate::possible::PossibleGame;
-use crate::safe::SafeGame;
+use crate::game::{Game, Strategy};
 use axml_automata::Alphabet;
 use std::fmt::Write as _;
 
@@ -62,65 +61,26 @@ pub fn awk_to_dot(awk: &Awk, alphabet: &Alphabet, name: &str) -> String {
     out
 }
 
-/// Renders the safe product with its marking (Figs. 6/8/12 style): marked
-/// nodes are shaded, fork nodes are diamonds.
-pub fn safe_game_to_dot(game: &SafeGame, alphabet: &Alphabet, name: &str) -> String {
+/// Renders a solved game (Figs. 6/8/12 for safe games, Fig. 11 for
+/// possible ones): nodes outside the allowed region (marked, or not
+/// viable) are shaded, fork nodes are diamonds, and the finish nodes of
+/// a safe game and the accepting nodes of a possible one are doubled.
+pub fn game_to_dot(game: &Game, alphabet: &Alphabet, name: &str) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "digraph {name} {{");
     let _ = writeln!(out, "  rankdir=LR;");
     for n in 0..game.num_nodes() as u32 {
         let (s, p) = game.pair(n);
-        let marked = game.is_marked(n);
-        let fill = if marked {
-            ", style=filled, fillcolor=gray75"
-        } else {
+        let fill = if game.allowed(n) {
             ""
+        } else {
+            ", style=filled, fillcolor=gray75"
         };
+        let doubled = s == game.awk.finish && (game.strategy == Strategy::Safe || game.allowed(n));
         let shape = match game.awk.kind(s) {
+            _ if doubled => "doublecircle",
             StateKind::Fork { .. } => "diamond",
-            StateKind::Regular if s == game.awk.finish => "doublecircle",
             StateKind::Regular => "circle",
-        };
-        let _ = writeln!(out, "  n{n} [shape={shape}, label=\"[q{s},p{p}]\"{fill}];");
-    }
-    let _ = writeln!(out, "  start [shape=point];");
-    let _ = writeln!(out, "  start -> n{};", game.start);
-    for n in 0..game.num_nodes() as u32 {
-        for &(eid, t) in game.successors(n) {
-            match game.awk.edge(eid).label {
-                Some(sym) => {
-                    let _ = writeln!(out, "  n{n} -> n{t} [label=\"{}\"];", alphabet.name(sym));
-                }
-                None => {
-                    let _ = writeln!(out, "  n{n} -> n{t} [label=\"ε\", style=dashed];");
-                }
-            }
-        }
-    }
-    out.push_str("}\n");
-    out
-}
-
-/// Renders the possible product with viability shading (Fig. 11 style).
-pub fn possible_game_to_dot(game: &PossibleGame, alphabet: &Alphabet, name: &str) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "digraph {name} {{");
-    let _ = writeln!(out, "  rankdir=LR;");
-    for n in 0..game.num_nodes() as u32 {
-        let (s, p) = game.pair(n);
-        let dead = !game.is_viable(n);
-        let fill = if dead {
-            ", style=filled, fillcolor=gray75"
-        } else {
-            ""
-        };
-        let shape = if game.accepting(n) {
-            "doublecircle"
-        } else {
-            match game.awk.kind(s) {
-                StateKind::Fork { .. } => "diamond",
-                StateKind::Regular => "circle",
-            }
         };
         let _ = writeln!(out, "  n{n} [shape={shape}, label=\"[q{s},p{p}]\"{fill}];");
     }
@@ -146,8 +106,7 @@ pub fn possible_game_to_dot(game: &PossibleGame, alphabet: &Alphabet, name: &str
 mod tests {
     use super::*;
     use crate::awk::AwkLimits;
-    use crate::possible::target_of;
-    use crate::safe::{complement_of, BuildMode};
+    use crate::game::BuildMode;
     use axml_automata::Regex;
     use axml_schema::{Compiled, NoOracle, Schema};
 
@@ -177,17 +136,15 @@ mod tests {
         assert!(dot.contains("style=dashed"));
         assert!(dot.starts_with("digraph fig4 {") && dot.ends_with("}\n"));
 
-        let game = crate::safe::SafeGame::solve(
-            awk.clone(),
-            complement_of(&re, c.alphabet().len()),
-            BuildMode::Eager,
-        );
-        let dot = safe_game_to_dot(&game, c.alphabet(), "fig6");
+        let n = c.alphabet().len();
+        let solve = |strategy: Strategy| {
+            Game::solve(strategy, awk.clone(), strategy.dfa(&re, n), BuildMode::Eager)
+        };
+        let dot = game_to_dot(&solve(Strategy::Safe), c.alphabet(), "fig6");
         assert!(dot.contains("fillcolor=gray75"), "marked nodes shaded");
         assert!(dot.contains("[q0,p0]"));
 
-        let pgame = crate::possible::PossibleGame::solve(awk, target_of(&re, c.alphabet().len()));
-        let dot = possible_game_to_dot(&pgame, c.alphabet(), "fig11");
+        let dot = game_to_dot(&solve(Strategy::Possible), c.alphabet(), "fig11");
         assert!(dot.contains("doublecircle"));
     }
 }

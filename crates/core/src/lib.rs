@@ -5,10 +5,10 @@
 //! and doing the materialization.
 //!
 //! * [`awk`] — the k-depth expansion automaton `A_w^k` (Fig. 3 steps 5–10).
-//! * [`safe`] — safe rewriting: product with the complement + game marking
-//!   (Fig. 3), in eager and lazy/pruned (Sec. 7, Fig. 12) build modes.
-//! * [`possible`] — possible rewriting: product with the target +
-//!   reachability (Fig. 9).
+//! * [`game`] — the rewriting game of one children word: the product of
+//!   `A_w^k` with the target's complement, marked for safe rewriting
+//!   (Fig. 3; eager, or lazy/pruned as in Sec. 7, Fig. 12), or with the
+//!   target itself, marked by reachability for possible rewriting (Fig. 9).
 //! * [`rewrite`] — the three-stage document rewriter of Sec. 4 (parameters
 //!   bottom-up, traversal top-down, per-node word games) with execution
 //!   against live services, including the backtracking executor of Sec. 5.
@@ -56,11 +56,10 @@ pub mod adversary;
 pub mod awk;
 pub mod brute;
 pub mod dot;
+pub mod game;
 pub mod invoke;
 pub mod mixed;
-pub mod possible;
 pub mod rewrite;
-pub mod safe;
 pub mod schema_rw;
 pub mod solve_cache;
 pub mod stream;

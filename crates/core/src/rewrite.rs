@@ -9,31 +9,33 @@
 //!    or the whole rewriting fails;
 //! 2. traverses the tree *top-down*, handling one node and its direct
 //!    children at a time;
-//! 3. rewrites each node's children word by walking the word-level game
-//!    ([`SafeGame`] or [`PossibleGame`]), invoking services as the strategy
-//!    dictates, materializing parameters just before each call, validating
-//!    every returned forest against the service's declared output type, and
+//! 3. rewrites each node's children word by walking the word-level
+//!    [`Game`] of the strategy, invoking services as the strategy dictates,
+//!    materializing parameters just before each call, validating every
+//!    returned forest against the service's declared output type, and
 //!    following the returned calls' decisions up to depth `k`.
 //!
 //! Both strategies run the same passes; a [`Strategy`] only picks the game
-//! and its winning condition. The word executor walks the product from left
-//! to right in one loop. Possible rewriting (Fig. 9) keeps an explicit
-//! stack of choice points and backtracks to the latest one whose invoke
-//! branch is still untried; safe rewriting (Fig. 3) never needs one.
+//! the word executor walks, from left to right in one loop, on the game's
+//! allowed nodes. Possible rewriting (Fig. 9) keeps an explicit stack of
+//! choice points and backtracks to the latest one whose invoke branch is
+//! still untried; safe rewriting (Fig. 3) never needs one.
 //!
 //! Returned subtrees are validated but not rewritten further (footnote 5 of
 //! the paper: sender and receiver agree on function signatures, so output
 //! instances are already instances of the schema).
 
 use crate::awk::{Awk, AwkLimits, EdgeId, StateKind};
+use crate::game::{BuildMode, Game};
 use crate::invoke::{InvokeError, Invoker};
-use crate::possible::PossibleGame;
-use crate::safe::{complement_of, BuildMode, SafeGame};
 use crate::solve_cache::{SolveCache, TargetSlot};
-use axml_automata::{Dfa, Nfa, Regex, Symbol};
+use axml_automata::{Regex, Symbol};
 use axml_schema::{validate_output_instance, words_of, Compiled, CompiledContent, FuncNode, ITree};
+use std::borrow::Cow;
 use std::fmt;
 use std::sync::Arc;
+
+pub use crate::game::Strategy;
 
 /// Errors raised by document rewriting.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -153,8 +155,6 @@ pub struct Rewriter<'c> {
     compiled: &'c Compiled,
     /// Rewriting depth bound (Def. 7). Default 2.
     pub k: u32,
-    /// Safe-game construction mode (Sec. 7 lazy variant by default).
-    pub mode: BuildMode,
     /// `A_w^k` construction limits.
     pub limits: AwkLimits,
     /// Optional cap on total service invocations per rewriting run
@@ -162,17 +162,6 @@ pub struct Rewriter<'c> {
     /// the Sec. 2 cost discussion motivates bounding it).
     pub max_calls: Option<usize>,
     cache: SolveCache,
-}
-
-/// Which rewriting notion drives execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Strategy {
-    /// Safe rewriting (Sec. 4): succeeds for *every* type-correct service
-    /// answer, decided before any call is made; never backtracks.
-    Safe,
-    /// Possible rewriting (Sec. 5): invokes speculatively and backtracks
-    /// when the services' actual answers rule a branch out.
-    Possible,
 }
 
 impl Strategy {
@@ -184,89 +173,24 @@ impl Strategy {
             Strategy::Possible => RewriteError::NotPossible { context, word },
         }
     }
+
+    /// Whether execution may retry choices (Fig. 9's backtracking).
+    fn backtracks(self) -> bool {
+        self == Strategy::Possible
+    }
 }
 
-/// A solved word game of either strategy. Games come out of the
+/// The executor's moves on a solved game. Games come out of the
 /// [`SolveCache`] behind `Arc`s: solved games are immutable, so
 /// concurrent executors walk one shared instance.
-enum Game {
-    Safe(Arc<SafeGame>),
-    Possible(Arc<PossibleGame>),
-}
-
 impl Game {
-    fn awk(&self) -> &Awk {
-        match self {
-            Game::Safe(g) => &g.awk,
-            Game::Possible(g) => &g.awk,
-        }
-    }
-    fn start(&self) -> u32 {
-        match self {
-            Game::Safe(g) => g.start,
-            Game::Possible(g) => g.start,
-        }
-    }
-    /// Does the strategy win from the start: safe / possible?
-    fn wins(&self) -> bool {
-        match self {
-            Game::Safe(g) => g.is_safe(),
-            Game::Possible(g) => g.is_possible(),
-        }
-    }
-    fn num_nodes(&self) -> usize {
-        match self {
-            Game::Safe(g) => g.num_nodes(),
-            Game::Possible(g) => g.num_nodes(),
-        }
-    }
-    /// Nodes the execution may stand on: unmarked (safe) / viable (possible).
-    fn allowed(&self, n: u32) -> bool {
-        match self {
-            Game::Safe(g) => !g.is_marked(n),
-            Game::Possible(g) => g.is_viable(n),
-        }
-    }
-    fn successors(&self, n: u32) -> &[(EdgeId, u32)] {
-        match self {
-            Game::Safe(g) => g.successors(n),
-            Game::Possible(g) => g.successors(n),
-        }
-    }
-    fn pair(&self, n: u32) -> (u32, u32) {
-        match self {
-            Game::Safe(g) => g.pair(n),
-            Game::Possible(g) => g.pair(n),
-        }
-    }
-    /// May execution finish on `n` once every item is consumed?
-    fn terminal_ok(&self, n: u32) -> bool {
-        match self {
-            // Safe: reaching the finish on an unmarked node means the word
-            // is in the target (unmarked excludes bad-accepting).
-            Game::Safe(g) => g.pair(n).0 == g.awk.finish && !g.is_marked(n),
-            Game::Possible(g) => g.accepting(n),
-        }
-    }
-    fn strategy(&self) -> Strategy {
-        match self {
-            Game::Safe(_) => Strategy::Safe,
-            Game::Possible(_) => Strategy::Possible,
-        }
-    }
-    /// Whether execution is allowed to retry choices (backtracking).
-    fn backtracks(&self) -> bool {
-        matches!(self, Game::Possible(_))
-    }
-
     /// Follows the labeled edge for `sym` from `cur`; `None` means the step
     /// is impossible (dead branch). Two distinct labeled successors mean the
     /// content model was ambiguous — an execution error.
     fn step(&self, cur: u32, sym: Symbol, context: &str) -> Result<Option<u32>, RewriteError> {
-        let awk = self.awk();
         let mut found: Option<u32> = None;
         for &(eid, t) in self.successors(cur) {
-            if awk.edge(eid).label == Some(sym) && self.allowed(t) {
+            if self.awk.edge(eid).label == Some(sym) && self.allowed(t) {
                 match found {
                     Some(prev) if prev != t => return Err(ambiguous(context)),
                     _ => found = Some(t),
@@ -284,15 +208,14 @@ impl Game {
         sym: Symbol,
         context: &str,
     ) -> Result<Option<(u32, EdgeId, EdgeId)>, RewriteError> {
-        let awk = self.awk();
         let mut found = None;
         for &(eid, t) in self.successors(cur) {
-            if awk.edge(eid).label.is_some() {
+            if self.awk.edge(eid).label.is_some() {
                 continue;
             }
             if let StateKind::Fork {
                 func, skip, invoke, ..
-            } = awk.kind(self.pair(t).0)
+            } = self.awk.kind(self.pair(t).0)
             {
                 if func == sym {
                     if found.is_some() {
@@ -305,23 +228,13 @@ impl Game {
         Ok(found)
     }
 
-    /// The allowed product successor of `node` along awk edge `edge`.
-    fn along(&self, node: u32, edge: EdgeId) -> Option<u32> {
-        self.successors(node)
-            .iter()
-            .find(|(e, _)| *e == edge)
-            .map(|&(_, t)| t)
-            .filter(|&t| self.allowed(t))
-    }
-
     /// ε-step from `cur` to the product node at awk state `goal` (leaving
     /// an output copy).
     fn step_eps_to(&self, cur: u32, goal: u32) -> Option<u32> {
-        let awk = self.awk();
         self.successors(cur)
             .iter()
             .find(|&&(eid, t)| {
-                awk.edge(eid).label.is_none() && self.pair(t).0 == goal && self.allowed(t)
+                self.awk.edge(eid).label.is_none() && self.pair(t).0 == goal && self.allowed(t)
             })
             .map(|&(_, t)| t)
     }
@@ -365,14 +278,24 @@ struct Pending {
 }
 
 /// A Fig. 9 choice point. Possible rewriting pushes one at every fork it
-/// passes. When a branch dies, each choice point popped on the way back
-/// counts the calls made since it was pushed as wasted.
+/// passes. When a branch dies, every call made since the deepest choice
+/// point popped on the way back was pushed is wasted: the report's count
+/// becomes the tally recorded there plus those calls, so a call discarded
+/// by several backtracks counts once.
 struct Choice {
-    /// `invoked.len()` when the fork was reached.
-    calls: usize,
+    tally: Tally,
     /// The invoke branch, still untried: set when the executor took the
     /// skip branch and could invoke instead.
     retry: Option<Retry>,
+}
+
+/// The report's counts when a fork was reached.
+#[derive(Clone, Copy)]
+struct Tally {
+    /// `invoked.len()`.
+    calls: usize,
+    /// `wasted_calls`: the wasted calls among those `calls`.
+    wasted: usize,
 }
 
 /// How to resume at a fork on its invoke branch.
@@ -464,7 +387,6 @@ impl<'c> Rewriter<'c> {
         Rewriter {
             compiled,
             k: 2,
-            mode: BuildMode::Lazy,
             limits: AwkLimits::default(),
             max_calls: None,
             cache: SolveCache::unpublished(crate::solve_cache::DEFAULT_CAPACITY),
@@ -495,12 +417,6 @@ impl<'c> Rewriter<'c> {
     /// Sets the depth bound (Def. 7).
     pub fn with_k(mut self, k: u32) -> Self {
         self.k = k;
-        self
-    }
-
-    /// Sets the safe-game build mode.
-    pub fn with_mode(mut self, mode: BuildMode) -> Self {
-        self.mode = mode;
         self
     }
 
@@ -565,6 +481,22 @@ impl<'c> Rewriter<'c> {
         invoker: &mut dyn Invoker,
     ) -> Result<(ITree, RewriteReport), RewriteError> {
         self.rewrite(tree, Strategy::Possible, invoker)
+    }
+
+    /// Validate-or-rewrite, the Schema Enforcement module's (i)/(ii)/(iii)
+    /// steps in Sec. 7: `tree` itself when it already conforms, otherwise
+    /// its rewriting under `strategy`.
+    pub(crate) fn enforce<'t>(
+        &mut self,
+        tree: &'t ITree,
+        strategy: Strategy,
+        invoker: &mut dyn Invoker,
+    ) -> Result<(Cow<'t, ITree>, RewriteReport), RewriteError> {
+        if axml_schema::validate(tree, self.compiled).is_ok() {
+            return Ok((Cow::Borrowed(tree), RewriteReport::default()));
+        }
+        let (out, report) = self.rewrite(tree, strategy, invoker)?;
+        Ok((Cow::Owned(out), report))
     }
 
     /// Rewrites a forest so it conforms to `τ_in(function)` — used by the
@@ -796,7 +728,7 @@ impl<'c> Rewriter<'c> {
         let word: Vec<Symbol> = prefix.iter().copied().chain(self.word_of(items)).collect();
         let game = self.solve(strategy, &word, slot, context)?;
         report.games += 1;
-        let mut cur = game.start();
+        let mut cur = game.start;
         for &sym in prefix {
             cur = game
                 .step(cur, sym, context)?
@@ -833,7 +765,7 @@ impl<'c> Rewriter<'c> {
         };
         loop {
             let alive = match run.advance() {
-                Next::End if game.terminal_ok(run.cur) => return Ok(run.out),
+                Next::End if game.terminal(run.cur) => return Ok(run.out),
                 Next::End => false,
                 Next::Exit(state) => run.goto(game.step_eps_to(run.cur, state)),
                 Next::Item(loc) => self.consume(game, &mut run, loc, invoker, report, context)?,
@@ -854,7 +786,7 @@ impl<'c> Rewriter<'c> {
         report: &mut RewriteReport,
         context: &str,
     ) -> Result<bool, RewriteError> {
-        let strategy = game.strategy();
+        let strategy = game.strategy;
         let (item, original) = run.item(loc);
         let f = match item {
             ITree::Text(_) => {
@@ -891,12 +823,15 @@ impl<'c> Rewriter<'c> {
         };
         // Option order: keeping the call is free, invoking costs a call —
         // try keep first (minimal-cost policy of Fig. 3 step 23).
-        let calls = report.invoked.len();
-        let exit = game.awk().edge(skip_edge).to;
+        let tally = Tally {
+            calls: report.invoked.len(),
+            wasted: report.wasted_calls,
+        };
+        let exit = game.awk.edge(skip_edge).to;
         let invoke = game.along(fork, invoke_edge);
         if let Some(next) = game.along(fork, skip_edge) {
             let kept = self.keep_call(f, original, strategy, invoker, report)?;
-            if game.backtracks() {
+            if strategy.backtracks() {
                 let retry = invoke.map(|entry| Retry {
                     out_len: run.out.len(),
                     answers: run.answers.len(),
@@ -905,14 +840,14 @@ impl<'c> Rewriter<'c> {
                     entry,
                     exit,
                 });
-                run.choices.push(Choice { calls, retry });
+                run.choices.push(Choice { tally, retry });
             }
             return Ok(run.emit(kept, next));
         }
         let Some(entry) = invoke else {
             return Ok(false);
         };
-        self.invoke(game, run, loc, entry, exit, calls, invoker, report)?;
+        self.invoke(game, run, loc, entry, exit, tally, invoker, report)?;
         Ok(true)
     }
 
@@ -928,18 +863,18 @@ impl<'c> Rewriter<'c> {
         loc: Loc,
         entry: u32,
         exit: u32,
-        calls: usize,
+        tally: Tally,
         invoker: &mut dyn Invoker,
         report: &mut RewriteReport,
     ) -> Result<(), RewriteError> {
-        if game.backtracks() {
-            run.choices.push(Choice { calls, retry: None });
+        if game.strategy.backtracks() {
+            run.choices.push(Choice { tally, retry: None });
         }
         let (ITree::Func(f), original) = run.item(loc) else {
             unreachable!("forks are taken on calls only");
         };
         let params = if original {
-            self.rewrite_params(f, game.strategy(), invoker, report)?
+            self.rewrite_params(f, game.strategy, invoker, report)?
         } else {
             f.params.clone()
         };
@@ -970,10 +905,11 @@ impl<'c> Rewriter<'c> {
         Ok(())
     }
 
-    /// Backtracks after a dead branch (Fig. 9): pops choice points,
-    /// counting the calls made since each as wasted, until one still has
-    /// its invoke branch, and takes that branch. `false` when the stack
-    /// runs dry.
+    /// Backtracks after a dead branch (Fig. 9): pops choice points until
+    /// one still has its invoke branch, and takes that branch. Every call
+    /// made since the last popped choice point was pushed is discarded,
+    /// so the wasted count becomes its tally plus those calls. `false`
+    /// when the stack runs dry.
     fn backtrack(
         &self,
         game: &Game,
@@ -982,13 +918,13 @@ impl<'c> Rewriter<'c> {
         report: &mut RewriteReport,
     ) -> Result<bool, RewriteError> {
         while let Some(choice) = run.choices.pop() {
-            report.wasted_calls += report.invoked.len() - choice.calls;
+            report.wasted_calls = choice.tally.wasted + report.invoked.len() - choice.tally.calls;
             if let Some(retry) = choice.retry {
                 run.out.truncate(retry.out_len);
                 run.answers.truncate(retry.answers);
                 run.pending = retry.pending;
                 let (call, entry, exit) = (retry.call, retry.entry, retry.exit);
-                self.invoke(game, run, call, entry, exit, choice.calls, invoker, report)?;
+                self.invoke(game, run, call, entry, exit, choice.tally, invoker, report)?;
                 return Ok(true);
             }
         }
@@ -1051,46 +987,16 @@ impl<'c> Rewriter<'c> {
         word: &[Symbol],
         slot: TargetSlot,
         context: &str,
-    ) -> Result<Game, RewriteError> {
+    ) -> Result<Arc<Game>, RewriteError> {
         let schema = self.compiled.fingerprint();
         let n = self.compiled.alphabet().len();
-        let (k, limits, mode, cache) = (self.k, self.limits, self.mode, &self.cache);
-        let awk = || {
-            Awk::build(word, self.compiled, k, &limits)
-                .map_err(|e| RewriteError::TooLarge(e.to_string()))
-        };
-        let game = match strategy {
-            Strategy::Safe => Game::Safe(cache.safe_game(
-                schema,
-                slot,
-                word,
-                k,
-                mode,
-                limits.max_states,
-                || {
-                    awk().map(|awk| {
-                        let comp =
-                            cache.comp_dfa(schema, slot, || complement_of(self.target(slot), n));
-                        SafeGame::solve(awk, (*comp).clone(), mode)
-                    })
-                },
-            )?),
-            Strategy::Possible => Game::Possible(cache.possible_game(
-                schema,
-                slot,
-                word,
-                k,
-                limits.max_states,
-                || {
-                    awk().map(|awk| {
-                        let dfa = cache.target_dfa(schema, slot, || {
-                            Dfa::determinize(&Nfa::thompson(self.target(slot), n))
-                        });
-                        PossibleGame::solve(awk, (*dfa).clone())
-                    })
-                },
-            )?),
-        };
+        let (k, limits, cache) = (self.k, self.limits, &self.cache);
+        let game = cache.game(strategy, schema, slot, word, k, limits.max_states, || {
+            let awk = Awk::build(word, self.compiled, k, &limits)
+                .map_err(|e| RewriteError::TooLarge(e.to_string()))?;
+            let dfa = cache.dfa(strategy, schema, slot, || strategy.dfa(self.target(slot), n));
+            Ok::<_, RewriteError>(Game::solve(strategy, awk, dfa, BuildMode::Lazy))
+        })?;
         if !game.wins() {
             return Err(strategy.refusal(context, self.compiled.alphabet().format_word(word)));
         }
@@ -1120,12 +1026,8 @@ pub fn enforce(
     k: u32,
     invoker: &mut dyn Invoker,
 ) -> Result<(ITree, RewriteReport), RewriteError> {
-    if axml_schema::validate(tree, compiled).is_ok() {
-        return Ok((tree.clone(), RewriteReport::default()));
-    }
-    Rewriter::new(compiled)
-        .with_k(k)
-        .rewrite_safe(tree, invoker)
+    let cache = SolveCache::unpublished(crate::solve_cache::DEFAULT_CAPACITY);
+    enforce_with(compiled, tree, k, Strategy::Safe, &cache, invoker)
 }
 
 /// [`enforce`] under either notion, through a shared [`SolveCache`]:
@@ -1140,14 +1042,11 @@ pub fn enforce_with(
     cache: &SolveCache,
     invoker: &mut dyn Invoker,
 ) -> Result<(ITree, RewriteReport), RewriteError> {
-    if axml_schema::validate(tree, compiled).is_ok() {
-        return Ok((tree.clone(), RewriteReport::default()));
-    }
-    let mut rw = Rewriter::new(compiled).with_k(k).with_cache(cache);
-    match strategy {
-        Strategy::Safe => rw.rewrite_safe(tree, invoker),
-        Strategy::Possible => rw.rewrite_possible(tree, invoker),
-    }
+    let (out, report) = Rewriter::new(compiled)
+        .with_k(k)
+        .with_cache(cache)
+        .enforce(tree, strategy, invoker)?;
+    Ok((out.into_owned(), report))
 }
 
 #[cfg(test)]
@@ -1468,6 +1367,66 @@ mod tests {
         assert_eq!(out, ITree::elem("r", vec![ITree::data("b", "x")]));
         assert_eq!(report.invoked, vec!["f".to_owned()]);
         assert_eq!(report.wasted_calls, 0, "the skip branch made no calls");
+    }
+
+    #[test]
+    fn a_call_discarded_past_two_choice_points_is_wasted_once() {
+        // Keeping Get_Temp bets on TimeOut answering exhibits only; its
+        // performance kills the branch, which pops TimeOut's choice point
+        // and Get_Temp's. Get_Temp is then invoked and TimeOut kept.
+        let c = newspaper_compiled(
+            "title.date.((Get_Temp.exhibit*)|(temp.(TimeOut|exhibit|performance)*))",
+            "title.(Get_Date|date)",
+        );
+        let mut inv = ScriptedInvoker::new()
+            .answer("Get_Temp", vec![ITree::data("temp", "15 C")])
+            .answer(
+                "TimeOut",
+                vec![ITree::elem("performance", vec![ITree::text("Hamlet")])],
+            );
+        let (out, report) = Rewriter::new(&c)
+            .with_k(1)
+            .rewrite_possible(&newspaper_example(), &mut inv)
+            .unwrap();
+        validate(&out, &c).unwrap();
+        assert_eq!(report.invoked, vec!["TimeOut".to_owned(), "Get_Temp".to_owned()]);
+        assert_eq!(report.wasted_calls, 1);
+    }
+
+    #[test]
+    fn a_retried_branch_that_dies_again_wastes_each_call_once() {
+        // Words e.f.g into x.f.g | e.(f.v | z.g). Keeping e and f, g is
+        // invoked and answers u: dead. The retry invokes f, which answers
+        // y: dead again. The retry of e answers x, and f and g are kept.
+        let c = Compiled::new(
+            Schema::builder()
+                .element("r", "x.f.g|e.(f.v|z.g)")
+                .data_element("x")
+                .data_element("y")
+                .data_element("z")
+                .data_element("u")
+                .data_element("v")
+                .function("e", "", "x")
+                .function("f", "", "y|z")
+                .function("g", "", "u|v")
+                .build()
+                .unwrap(),
+            &NoOracle,
+        )
+        .unwrap();
+        let call = |name| ITree::func(name, vec![]);
+        let doc = ITree::elem("r", vec![call("e"), call("f"), call("g")]);
+        let mut inv = ScriptedInvoker::new()
+            .answer("e", vec![ITree::data("x", "1")])
+            .answer("f", vec![ITree::data("y", "2")])
+            .answer("g", vec![ITree::data("u", "3")]);
+        let (out, report) = Rewriter::new(&c)
+            .with_k(1)
+            .rewrite_possible(&doc, &mut inv)
+            .unwrap();
+        assert_eq!(out, ITree::elem("r", vec![ITree::data("x", "1"), call("f"), call("g")]));
+        assert_eq!(report.invoked, vec!["g".to_owned(), "f".to_owned(), "e".to_owned()]);
+        assert_eq!(report.wasted_calls, 2, "g and f are discarded, e is kept");
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! `τ(l)` at depth `k + 1` (one level is spent expanding the virtual call).
 
 use crate::awk::{Awk, AwkLimits};
-use crate::safe::{complement_of, BuildMode, SafeGame};
+use crate::game::{complement_of, BuildMode, Game, Strategy};
 use axml_automata::{Dfa, Nfa, Regex};
 use axml_schema::{
     overlay, Compiled, CompiledContent, Content, PatternOracle, Schema, SchemaError,
@@ -198,7 +198,7 @@ fn virtual_game_safe(
         return false;
     };
     let comp = complement_of(target, compiled.alphabet().len());
-    SafeGame::solve(awk, comp, BuildMode::Lazy).is_safe()
+    Game::solve(Strategy::Safe, awk, comp, BuildMode::Lazy).wins()
 }
 
 /// Checks `#data* ⊆ lang(dfa)`.

@@ -8,17 +8,18 @@
 //! thread-safe map shared by every [`crate::rewrite::Rewriter`] a peer
 //! creates, caching
 //!
-//! * compiled complement DFAs (safe games) and target DFAs (possible
-//!   games), per schema and target slot;
-//! * fully solved [`SafeGame`]/[`PossibleGame`] values — the verdict
-//!   and the marked/viable sets the executor walks — per children word.
+//! * compiled DFAs — complements for safe games, determinized targets
+//!   for possible games — per strategy, schema and target slot;
+//! * fully solved [`Game`] values — the verdict and the allowed set the
+//!   executor walks — per strategy and children word.
 //!
 //! # Keys
 //!
 //! Entries are keyed by **full structural keys**, not hashes of them:
-//! `(schema fingerprint, target slot, children word, k, build mode,
-//! state limit)`. The [`Compiled::fingerprint`] component is itself a
-//! deterministic structural hash of the schema, so one cache safely
+//! `(strategy, schema fingerprint, target slot, children word, k, state
+//! limit)`. Games are always built lazily (Sec. 7), so the build mode is
+//! not part of the key. The [`Compiled::fingerprint`] component is itself
+//! a deterministic structural hash of the schema, so one cache safely
 //! serves several compiled schemas (a peer's own vocabulary and the
 //! exchange schemas it ships documents under) without aliasing. The
 //! fast [`axml_support::hash::FxHasher`] only routes keys to buckets;
@@ -42,8 +43,7 @@
 //! share the winner afterwards. This trades a little duplicated work
 //! for never serializing solver work across enforcement threads.
 
-use crate::possible::PossibleGame;
-use crate::safe::{BuildMode, SafeGame};
+use crate::game::{Game, Strategy};
 use axml_automata::{Dfa, Symbol};
 use axml_obs::{Counter, Gauge, Histogram, Registry, LATENCY_NS_BOUNDS};
 use axml_support::hash::FxHashMap;
@@ -71,21 +71,15 @@ pub enum TargetSlot {
 
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 enum Key {
-    /// Completed + complemented target DFA (safe games).
-    Comp { schema: u64, slot: TargetSlot },
-    /// Determinized target DFA (possible games).
-    Target { schema: u64, slot: TargetSlot },
-    /// A solved safe game for one children word.
-    Safe {
+    /// The DFA a strategy's games are built with (see [`Strategy::dfa`]).
+    Dfa {
+        strategy: Strategy,
         schema: u64,
         slot: TargetSlot,
-        word: Box<[Symbol]>,
-        k: u32,
-        mode: BuildMode,
-        max_states: usize,
     },
-    /// A solved possible game for one children word.
-    Possible {
+    /// A solved game for one children word.
+    Game {
+        strategy: Strategy,
         schema: u64,
         slot: TargetSlot,
         word: Box<[Symbol]>,
@@ -97,8 +91,7 @@ enum Key {
 #[derive(Clone)]
 enum Value {
     Dfa(Arc<Dfa>),
-    Safe(Arc<SafeGame>),
-    Possible(Arc<PossibleGame>),
+    Game(Arc<Game>),
 }
 
 struct Entry {
@@ -247,24 +240,21 @@ impl SolveCache {
         value
     }
 
-    /// The completed-and-complemented target DFA for `slot` of the
-    /// schema fingerprinted `schema`, building (outside the lock) and
-    /// caching it on first use.
-    pub fn comp_dfa(&self, schema: u64, slot: TargetSlot, build: impl FnOnce() -> Dfa) -> Arc<Dfa> {
-        self.dfa(Key::Comp { schema, slot }, build)
-    }
-
-    /// The determinized target DFA for `slot` (possible-game side).
-    pub fn target_dfa(
+    /// The DFA `strategy`'s games are built with for `slot` of the schema
+    /// fingerprinted `schema`, building (outside the lock) and caching it
+    /// on first use.
+    pub fn dfa(
         &self,
+        strategy: Strategy,
         schema: u64,
         slot: TargetSlot,
         build: impl FnOnce() -> Dfa,
     ) -> Arc<Dfa> {
-        self.dfa(Key::Target { schema, slot }, build)
-    }
-
-    fn dfa(&self, key: Key, build: impl FnOnce() -> Dfa) -> Arc<Dfa> {
+        let key = Key::Dfa {
+            strategy,
+            schema,
+            slot,
+        };
         if let Some(Value::Dfa(d)) = self.lookup(&key) {
             return d;
         }
@@ -279,30 +269,30 @@ impl SolveCache {
         }
     }
 
-    /// The solved safe game for `(schema, slot, word, k, mode,
+    /// The solved `strategy` game for `(schema, slot, word, k,
     /// max_states)`, solving and caching on first use. `build` errors
     /// (e.g. `A_w^k` growing past its limits) are returned uncached, so
     /// a later call with a higher limit is not poisoned.
     #[allow(clippy::too_many_arguments)]
-    pub fn safe_game<E>(
+    pub fn game<E>(
         &self,
+        strategy: Strategy,
         schema: u64,
         slot: TargetSlot,
         word: &[Symbol],
         k: u32,
-        mode: BuildMode,
         max_states: usize,
-        build: impl FnOnce() -> Result<SafeGame, E>,
-    ) -> Result<Arc<SafeGame>, E> {
-        let key = Key::Safe {
+        build: impl FnOnce() -> Result<Game, E>,
+    ) -> Result<Arc<Game>, E> {
+        let key = Key::Game {
+            strategy,
             schema,
             slot,
             word: word.into(),
             k,
-            mode,
             max_states,
         };
-        if let Some(Value::Safe(g)) = self.lookup(&key) {
+        if let Some(Value::Game(g)) = self.lookup(&key) {
             return Ok(g);
         }
         let started = std::time::Instant::now();
@@ -310,41 +300,9 @@ impl SolveCache {
         self.state
             .solve_ns
             .observe(started.elapsed().as_nanos() as u64);
-        match self.insert(key, Value::Safe(solved)) {
-            Value::Safe(g) => Ok(g),
-            _ => unreachable!("safe keys only ever hold safe games"),
-        }
-    }
-
-    /// The solved possible game for `(schema, slot, word, k,
-    /// max_states)`, solving and caching on first use.
-    pub fn possible_game<E>(
-        &self,
-        schema: u64,
-        slot: TargetSlot,
-        word: &[Symbol],
-        k: u32,
-        max_states: usize,
-        build: impl FnOnce() -> Result<PossibleGame, E>,
-    ) -> Result<Arc<PossibleGame>, E> {
-        let key = Key::Possible {
-            schema,
-            slot,
-            word: word.into(),
-            k,
-            max_states,
-        };
-        if let Some(Value::Possible(g)) = self.lookup(&key) {
-            return Ok(g);
-        }
-        let started = std::time::Instant::now();
-        let solved = Arc::new(build()?);
-        self.state
-            .solve_ns
-            .observe(started.elapsed().as_nanos() as u64);
-        match self.insert(key, Value::Possible(solved)) {
-            Value::Possible(g) => Ok(g),
-            _ => unreachable!("possible keys only ever hold possible games"),
+        match self.insert(key, Value::Game(solved)) {
+            Value::Game(g) => Ok(g),
+            _ => unreachable!("game keys only ever hold games"),
         }
     }
 
@@ -362,49 +320,35 @@ impl SolveCache {
         entries.sort_by_key(|(_, e)| e.tick);
         entries
             .into_iter()
-            .map(|(key, entry)| match (key, &entry.value) {
-                (&Key::Comp { schema, slot }, Value::Dfa(dfa)) => CacheEntry::CompDfa {
-                    schema,
-                    slot,
-                    dfa: Arc::clone(dfa),
-                },
-                (&Key::Target { schema, slot }, Value::Dfa(dfa)) => CacheEntry::TargetDfa {
+            .map(|(key, entry)| match (key.clone(), &entry.value) {
+                (
+                    Key::Dfa {
+                        strategy,
+                        schema,
+                        slot,
+                    },
+                    Value::Dfa(dfa),
+                ) => CacheEntry::Dfa {
+                    strategy,
                     schema,
                     slot,
                     dfa: Arc::clone(dfa),
                 },
                 (
-                    &Key::Safe {
+                    Key::Game {
+                        strategy,
                         schema,
                         slot,
-                        ref word,
-                        k,
-                        mode,
-                        max_states,
-                    },
-                    Value::Safe(game),
-                ) => CacheEntry::SafeGame {
-                    schema,
-                    slot,
-                    word: word.clone(),
-                    k,
-                    mode,
-                    max_states,
-                    game: Arc::clone(game),
-                },
-                (
-                    &Key::Possible {
-                        schema,
-                        slot,
-                        ref word,
+                        word,
                         k,
                         max_states,
                     },
-                    Value::Possible(game),
-                ) => CacheEntry::PossibleGame {
+                    Value::Game(game),
+                ) => CacheEntry::Game {
+                    strategy,
                     schema,
                     slot,
-                    word: word.clone(),
+                    word,
                     k,
                     max_states,
                     game: Arc::clone(game),
@@ -427,32 +371,21 @@ impl SolveCache {
         let mut installed = 0;
         for entry in entries {
             let (key, value) = match entry {
-                CacheEntry::CompDfa { schema, slot, dfa } => {
-                    (Key::Comp { schema, slot }, Value::Dfa(dfa))
-                }
-                CacheEntry::TargetDfa { schema, slot, dfa } => {
-                    (Key::Target { schema, slot }, Value::Dfa(dfa))
-                }
-                CacheEntry::SafeGame {
+                CacheEntry::Dfa {
+                    strategy,
                     schema,
                     slot,
-                    word,
-                    k,
-                    mode,
-                    max_states,
-                    game,
+                    dfa,
                 } => (
-                    Key::Safe {
+                    Key::Dfa {
+                        strategy,
                         schema,
                         slot,
-                        word,
-                        k,
-                        mode,
-                        max_states,
                     },
-                    Value::Safe(game),
+                    Value::Dfa(dfa),
                 ),
-                CacheEntry::PossibleGame {
+                CacheEntry::Game {
+                    strategy,
                     schema,
                     slot,
                     word,
@@ -460,14 +393,15 @@ impl SolveCache {
                     max_states,
                     game,
                 } => (
-                    Key::Possible {
+                    Key::Game {
+                        strategy,
                         schema,
                         slot,
                         word,
                         k,
                         max_states,
                     },
-                    Value::Possible(game),
+                    Value::Game(game),
                 ),
             };
             self.insert(key, value);
@@ -498,48 +432,26 @@ impl Default for SolveCache {
 }
 
 /// One exported cache entry: the full structural key (the same
-/// components [`SolveCache::safe_game`] and friends key by) plus the
-/// shared value. Produced by [`SolveCache::export_entries`], consumed
+/// components [`SolveCache::dfa`] and [`SolveCache::game`] key by) plus
+/// the shared value. Produced by [`SolveCache::export_entries`], consumed
 /// by [`SolveCache::preload`]; `axml-store` serializes these.
 #[derive(Debug, Clone)]
 pub enum CacheEntry {
-    /// Completed + complemented target DFA (safe-game side).
-    CompDfa {
+    /// The DFA a strategy's games are built with.
+    Dfa {
+        /// Safe (the complement DFA) or possible (the target DFA).
+        strategy: Strategy,
         /// [`Compiled::fingerprint`] of the owning schema.
         schema: u64,
         /// Which target regex of the schema the DFA derives from.
         slot: TargetSlot,
-        /// The complement DFA.
+        /// The DFA.
         dfa: Arc<Dfa>,
     },
-    /// Determinized target DFA (possible-game side).
-    TargetDfa {
-        /// [`Compiled::fingerprint`] of the owning schema.
-        schema: u64,
-        /// Which target regex of the schema the DFA derives from.
-        slot: TargetSlot,
-        /// The determinized target DFA.
-        dfa: Arc<Dfa>,
-    },
-    /// A solved safe game for one children word.
-    SafeGame {
-        /// [`Compiled::fingerprint`] of the owning schema.
-        schema: u64,
-        /// Which target regex the game plays against.
-        slot: TargetSlot,
-        /// The children word the game was built for.
-        word: Box<[Symbol]>,
-        /// Rewriting depth bound.
-        k: u32,
-        /// Eager or lazy product construction.
-        mode: BuildMode,
-        /// The `A_w^k` state limit in force when the game was built.
-        max_states: usize,
-        /// The solved game.
-        game: Arc<SafeGame>,
-    },
-    /// A solved possible game for one children word.
-    PossibleGame {
+    /// A solved game for one children word.
+    Game {
+        /// Which notion the game decides.
+        strategy: Strategy,
         /// [`Compiled::fingerprint`] of the owning schema.
         schema: u64,
         /// Which target regex the game plays against.
@@ -551,7 +463,7 @@ pub enum CacheEntry {
         /// The `A_w^k` state limit in force when the game was built.
         max_states: usize,
         /// The solved game.
-        game: Arc<PossibleGame>,
+        game: Arc<Game>,
     },
 }
 
@@ -589,20 +501,20 @@ mod tests {
     #[test]
     fn dfa_hits_share_one_arc() {
         let cache = SolveCache::unpublished(8);
-        let a = cache.comp_dfa(1, TargetSlot::Content(0), || tiny_dfa(0));
-        let b = cache.comp_dfa(1, TargetSlot::Content(0), || panic!("must hit"));
+        let a = cache.dfa(Strategy::Safe, 1, TargetSlot::Content(0), || tiny_dfa(0));
+        let b = cache.dfa(Strategy::Safe, 1, TargetSlot::Content(0), || panic!("must hit"));
         assert!(Arc::ptr_eq(&a, &b));
         let s = cache.stats();
         assert_eq!((s.lookups, s.hits, s.misses), (2, 1, 1));
     }
 
     #[test]
-    fn comp_and_target_do_not_alias() {
+    fn strategies_do_not_alias() {
         let cache = SolveCache::unpublished(8);
-        let _ = cache.comp_dfa(1, TargetSlot::Content(0), || tiny_dfa(0));
-        // Same schema and slot, different artifact kind: must rebuild.
+        let _ = cache.dfa(Strategy::Safe, 1, TargetSlot::Content(0), || tiny_dfa(0));
+        // Same schema and slot, different strategy: must rebuild.
         let mut built = false;
-        let _ = cache.target_dfa(1, TargetSlot::Content(0), || {
+        let _ = cache.dfa(Strategy::Possible, 1, TargetSlot::Content(0), || {
             built = true;
             tiny_dfa(0)
         });
@@ -613,9 +525,9 @@ mod tests {
     #[test]
     fn schemas_do_not_alias() {
         let cache = SolveCache::unpublished(8);
-        let _ = cache.comp_dfa(1, TargetSlot::Content(0), || tiny_dfa(0));
+        let _ = cache.dfa(Strategy::Safe, 1, TargetSlot::Content(0), || tiny_dfa(0));
         let mut built = false;
-        let _ = cache.comp_dfa(2, TargetSlot::Content(0), || {
+        let _ = cache.dfa(Strategy::Safe, 2, TargetSlot::Content(0), || {
             built = true;
             tiny_dfa(1)
         });
@@ -625,17 +537,17 @@ mod tests {
     #[test]
     fn capacity_bound_holds_with_lru_eviction() {
         let cache = SolveCache::unpublished(2);
-        let _ = cache.comp_dfa(0, TargetSlot::Content(0), || tiny_dfa(0));
-        let _ = cache.comp_dfa(0, TargetSlot::Content(1), || tiny_dfa(1));
+        let _ = cache.dfa(Strategy::Safe, 0, TargetSlot::Content(0), || tiny_dfa(0));
+        let _ = cache.dfa(Strategy::Safe, 0, TargetSlot::Content(1), || tiny_dfa(1));
         // Touch slot 0 so slot 1 is the LRU victim.
-        let _ = cache.comp_dfa(0, TargetSlot::Content(0), || panic!("hit"));
-        let _ = cache.comp_dfa(0, TargetSlot::Content(2), || tiny_dfa(2));
+        let _ = cache.dfa(Strategy::Safe, 0, TargetSlot::Content(0), || panic!("hit"));
+        let _ = cache.dfa(Strategy::Safe, 0, TargetSlot::Content(2), || tiny_dfa(2));
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.stats().evictions, 1);
         // Slot 0 survived, slot 1 was evicted.
-        let _ = cache.comp_dfa(0, TargetSlot::Content(0), || panic!("hit"));
+        let _ = cache.dfa(Strategy::Safe, 0, TargetSlot::Content(0), || panic!("hit"));
         let mut rebuilt = false;
-        let _ = cache.comp_dfa(0, TargetSlot::Content(1), || {
+        let _ = cache.dfa(Strategy::Safe, 0, TargetSlot::Content(1), || {
             rebuilt = true;
             tiny_dfa(1)
         });
@@ -645,12 +557,12 @@ mod tests {
     #[test]
     fn failed_builds_are_not_cached() {
         let cache = SolveCache::unpublished(8);
-        let fail: Result<Arc<SafeGame>, &str> = cache.safe_game(
+        let fail: Result<Arc<Game>, &str> = cache.game(
+            Strategy::Safe,
             0,
             TargetSlot::Content(0),
             &[],
             1,
-            BuildMode::Lazy,
             10,
             || Err("too large"),
         );

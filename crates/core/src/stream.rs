@@ -1,8 +1,8 @@
 //! Streaming bounded-memory schema enforcement.
 //!
-//! The DOM enforcement path ([`crate::rewrite::enforce_with`]) parses the
-//! whole document, decodes it into an [`ITree`], rewrites, and serializes —
-//! four full-document materializations. This module drives the same
+//! The DOM enforcement path ([`enforce_dom`]) parses the whole document,
+//! decodes it into an [`ITree`], rewrites, and serializes — four
+//! full-document materializations. This module drives the same
 //! three-stage rewrite incrementally off the pull parser
 //! ([`axml_xml::Reader`]) instead:
 //!
@@ -50,7 +50,7 @@
 //! figure.
 
 use crate::invoke::Invoker;
-use crate::rewrite::{enforce_with, RewriteError, RewriteReport, Rewriter, Strategy};
+use crate::rewrite::{RewriteError, RewriteReport, Rewriter, Strategy};
 use crate::solve_cache::{SolveCache, TargetSlot, DEFAULT_CAPACITY};
 use axml_automata::{Dfa, Symbol, NO_STATE};
 use axml_schema::{forest_from_nodes, validate, words_of, Compiled, CompiledContent, ITree, INT_NS};
@@ -642,29 +642,6 @@ fn publish(report: &StreamReport) {
         .set(report.peak_buffer_bytes as i64);
 }
 
-fn dom_with_cache<'i>(
-    compiled: &Compiled,
-    input: &str,
-    opts: &StreamOptions,
-    cache: &SolveCache,
-    make_invoker: &mut dyn FnMut() -> Box<dyn Invoker + Send + 'i>,
-) -> Result<(String, RewriteReport), RewriteError> {
-    let doc = parse_document(input).map_err(|e| RewriteError::Invalid(e.to_string()))?;
-    let tree = ITree::from_xml(&doc.root).map_err(RewriteError::Invalid)?;
-    let (out, rep) = enforce_with(
-        compiled,
-        &tree,
-        opts.k,
-        opts.strategy,
-        cache,
-        &mut *make_invoker(),
-    )?;
-    Ok((
-        element_to_string(&out.to_xml(), &WriteOptions::compact()),
-        rep,
-    ))
-}
-
 /// The DOM reference pipeline: parse → decode → enforce → serialize in the
 /// compact normal form. Streaming enforcement is byte-identical to this
 /// (and falls back to it on any anomaly); tests, benches, and CI gates
@@ -675,8 +652,14 @@ pub fn enforce_dom<'i>(
     opts: &StreamOptions,
     make_invoker: &mut dyn FnMut() -> Box<dyn Invoker + Send + 'i>,
 ) -> Result<(String, RewriteReport), RewriteError> {
-    let cache = resolve_cache(opts);
-    dom_with_cache(compiled, input, opts, &cache, make_invoker)
+    let mut inv = Inv::Lazy {
+        make: make_invoker,
+        built: None,
+    };
+    Rewriter::new(compiled)
+        .with_k(opts.k)
+        .with_cache(&resolve_cache(opts))
+        .dom(input, opts.strategy, &mut inv)
 }
 
 /// Enforces the schema over the XML text of an intensional document in a
@@ -775,12 +758,17 @@ fn enforce_stream_buffered(
             report.bytes_copied = 0;
             report.bytes_rewritten = 0;
             report.bytes_out = 0;
+            let mut rw = Rewriter::new(compiled).with_k(opts.k).with_cache(cache);
             let dom = match inv {
-                Inv::Lazy { make, .. } => dom_with_cache(compiled, input, opts, cache, *make),
-                Inv::Ready(i) => Rewriter::new(compiled)
-                    .with_k(opts.k)
-                    .with_cache(cache)
-                    .dom_fallback(input, opts.strategy, &mut **i),
+                // The factory form hands the fallback a fresh invoker.
+                Inv::Lazy { make, .. } => {
+                    let mut fresh = Inv::Lazy {
+                        make: &mut **make,
+                        built: None,
+                    };
+                    rw.dom(input, opts.strategy, &mut fresh)
+                }
+                Inv::Ready(_) => rw.dom(input, opts.strategy, inv),
             };
             match dom {
                 Ok((out, rep)) => {
@@ -840,7 +828,7 @@ impl<'c> Rewriter<'c> {
                 report.bytes_copied = 0;
                 report.bytes_rewritten = 0;
                 report.bytes_out = 0;
-                match self.dom_fallback(input, strategy, invoker) {
+                match self.dom(input, strategy, &mut Inv::Ready(invoker)) {
                     Err(e) => {
                         publish(&report);
                         Err(e)
@@ -869,25 +857,18 @@ impl<'c> Rewriter<'c> {
     }
 
     /// The DOM pipeline with this rewriter's configuration (`k`, cache,
-    /// call budget), used when [`Rewriter::rewrite_stream`] falls back.
-    fn dom_fallback(
+    /// call budget): parse, validate-or-rewrite, serialize in the compact
+    /// normal form. [`enforce_dom`] runs it, and the streaming engine
+    /// falls back to it.
+    fn dom(
         &mut self,
         input: &str,
         strategy: Strategy,
-        invoker: &mut dyn Invoker,
+        inv: &mut Inv<'_, '_>,
     ) -> Result<(String, RewriteReport), RewriteError> {
         let doc = parse_document(input).map_err(|e| RewriteError::Invalid(e.to_string()))?;
         let tree = ITree::from_xml(&doc.root).map_err(RewriteError::Invalid)?;
-        if validate(&tree, self.compiled()).is_ok() {
-            return Ok((
-                element_to_string(&tree.to_xml(), &WriteOptions::compact()),
-                RewriteReport::default(),
-            ));
-        }
-        let (out, rep) = match strategy {
-            Strategy::Safe => self.rewrite_safe(&tree, invoker)?,
-            Strategy::Possible => self.rewrite_possible(&tree, invoker)?,
-        };
+        let (out, rep) = self.enforce(&tree, strategy, inv.get())?;
         Ok((element_to_string(&out.to_xml(), &WriteOptions::compact()), rep))
     }
 }

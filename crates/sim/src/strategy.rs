@@ -15,13 +15,13 @@
 //!   every call with a retryable service fault (a daemon that died and
 //!   never comes back — the client's retry/deadline path does the rest);
 //! * [`StrategicStrategy`] — the game-playing opponent: it solves the
-//!   same [`PossibleGame`] the rewriter will solve and answers with
+//!   same possible [`Game`] the rewriter will solve and answers with
 //!   [`worst_answer`]'s trapping word when one exists, forcing the
 //!   worst type-correct outcome instead of stumbling into a good one.
 
 use axml_core::adversary::{worst_answer, WorstAnswer};
 use axml_core::awk::{Awk, AwkLimits};
-use axml_core::possible::{target_of, PossibleGame};
+use axml_core::game::{target_of, BuildMode, Game, Strategy as Play};
 use axml_net::wire::{FaultCode, WireFault};
 use axml_schema::{
     generate_output_instance, generate_word_instance, Compiled, GenConfig, ITree,
@@ -152,13 +152,13 @@ impl Strategy for CrashingStrategy {
 
 /// The game-playing opponent. It is built over the same invocation
 /// context the rewriter faces (the word containing the call and the
-/// target content model) and solves the [`PossibleGame`] once; per
+/// target content model) and solves the possible [`Game`] once; per
 /// method it then answers with [`worst_answer`]'s word — the trapping
 /// answer when the graph admits one — realized as a concrete instance.
 /// Methods without a fork in the context (the game never consults the
 /// adversary about them) fall back to random type-correct answers.
 pub struct StrategicStrategy {
-    game: PossibleGame,
+    game: Game,
     answers: Mutex<BTreeMap<Symbol, Option<WorstAnswer>>>,
 }
 
@@ -191,7 +191,12 @@ impl StrategicStrategy {
         if alphabet.len() != compiled.alphabet().len() {
             return Err(format!("target '{target}' uses symbols outside the schema"));
         }
-        let game = PossibleGame::solve(awk, target_of(&regex, compiled.alphabet().len()));
+        let game = Game::solve(
+            Play::Possible,
+            awk,
+            target_of(&regex, compiled.alphabet().len()),
+            BuildMode::Eager,
+        );
         Ok(StrategicStrategy {
             game,
             answers: Mutex::new(BTreeMap::new()),

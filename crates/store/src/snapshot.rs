@@ -8,22 +8,26 @@
 //!
 //! What is persisted per value:
 //!
-//! * DFAs (`Comp`/`Target`) — all four fields verbatim.
-//! * Solved games — the expansion automaton `A_w^k`, the opponent DFA,
-//!   and the product graph *with its solution* (`marked`/`viable`
-//!   sets, node pairs, adjacency in original order, stats). Derived
-//!   indexes (pair→node map, reverse adjacency) are rebuilt on load.
+//! * DFAs — all four fields verbatim, tagged by strategy (the safe
+//!   games' complements, the possible games' targets).
+//! * Solved games — the expansion automaton `A_w^k`, the DFA, and the
+//!   product graph *with its solution* (node pairs, adjacency in
+//!   original order, one flag per node, stats), tagged by strategy. The
+//!   flag is the node's mark for safe games and its viability for
+//!   possible ones, i.e. the negated and the plain allowed set. A safe
+//!   game also carries a build-mode byte, always 1 (lazy, the only mode
+//!   rewriters build), so snapshots keep one format across releases.
+//!   The pair→node index is rebuilt on load.
 //!
-//! Decode goes through the validating `from_parts` constructors, so a
-//! payload that passed the checksum but is structurally impossible
+//! Decode goes through the validating `from_solved_parts` constructor,
+//! so a payload that passed the checksum but is structurally impossible
 //! (only reachable through a format bug, not disk corruption) still
 //! becomes a load error, never a panic in the solver.
 
 use crate::format::{Dec, Enc};
 use axml_automata::Dfa;
 use axml_core::awk::{Awk, Direction, Edge, StateKind};
-use axml_core::possible::PossibleGame;
-use axml_core::safe::{BuildMode, GameStats, SafeGame};
+use axml_core::game::{Game, GameStats, Strategy};
 use axml_core::solve_cache::{CacheEntry, TargetSlot};
 use std::sync::Arc;
 
@@ -34,6 +38,8 @@ const TAG_COMP: u8 = 0;
 const TAG_TARGET: u8 = 1;
 const TAG_SAFE: u8 = 2;
 const TAG_POSSIBLE: u8 = 3;
+/// The build-mode byte of a safe game: lazy (Sec. 7).
+const MODE_LAZY: u8 = 1;
 
 /// Encodes exported cache entries into a snapshot payload.
 pub fn encode_entries(entries: &[CacheEntry]) -> Vec<u8> {
@@ -41,40 +47,22 @@ pub fn encode_entries(entries: &[CacheEntry]) -> Vec<u8> {
     e.u32(entries.len() as u32);
     for entry in entries {
         match entry {
-            CacheEntry::CompDfa { schema, slot, dfa } => {
-                e.u8(TAG_COMP);
-                e.u64(*schema);
-                slot_enc(&mut e, *slot);
-                dfa_enc(&mut e, dfa);
-            }
-            CacheEntry::TargetDfa { schema, slot, dfa } => {
-                e.u8(TAG_TARGET);
-                e.u64(*schema);
-                slot_enc(&mut e, *slot);
-                dfa_enc(&mut e, dfa);
-            }
-            CacheEntry::SafeGame {
+            CacheEntry::Dfa {
+                strategy,
                 schema,
                 slot,
-                word,
-                k,
-                mode,
-                max_states,
-                game,
+                dfa,
             } => {
-                e.u8(TAG_SAFE);
-                e.u64(*schema);
-                slot_enc(&mut e, *slot);
-                word_enc(&mut e, word);
-                e.u32(*k);
-                e.u8(match mode {
-                    BuildMode::Eager => 0,
-                    BuildMode::Lazy => 1,
+                e.u8(match strategy {
+                    Strategy::Safe => TAG_COMP,
+                    Strategy::Possible => TAG_TARGET,
                 });
-                e.usize(*max_states);
-                safe_enc(&mut e, game);
+                e.u64(*schema);
+                slot_enc(&mut e, *slot);
+                dfa_enc(&mut e, dfa);
             }
-            CacheEntry::PossibleGame {
+            CacheEntry::Game {
+                strategy,
                 schema,
                 slot,
                 word,
@@ -82,13 +70,19 @@ pub fn encode_entries(entries: &[CacheEntry]) -> Vec<u8> {
                 max_states,
                 game,
             } => {
-                e.u8(TAG_POSSIBLE);
+                e.u8(match strategy {
+                    Strategy::Safe => TAG_SAFE,
+                    Strategy::Possible => TAG_POSSIBLE,
+                });
                 e.u64(*schema);
                 slot_enc(&mut e, *slot);
                 word_enc(&mut e, word);
                 e.u32(*k);
+                if *strategy == Strategy::Safe {
+                    e.u8(MODE_LAZY);
+                }
                 e.usize(*max_states);
-                possible_enc(&mut e, game);
+                game_enc(&mut e, game);
             }
         }
     }
@@ -104,52 +98,37 @@ pub fn decode_entries(payload: &[u8]) -> Result<Vec<CacheEntry>, String> {
         let tag = d.u8()?;
         let schema = d.u64()?;
         let slot = slot_dec(&mut d)?;
-        let entry = match tag {
-            TAG_COMP => CacheEntry::CompDfa {
-                schema,
-                slot,
-                dfa: Arc::new(dfa_dec(&mut d)?),
-            },
-            TAG_TARGET => CacheEntry::TargetDfa {
-                schema,
-                slot,
-                dfa: Arc::new(dfa_dec(&mut d)?),
-            },
-            TAG_SAFE => {
-                let word = word_dec(&mut d)?;
-                let k = d.u32()?;
-                let mode = match d.u8()? {
-                    0 => BuildMode::Eager,
-                    1 => BuildMode::Lazy,
-                    b => return Err(format!("invalid build mode {b}")),
-                };
-                let max_states = d.usize()?;
-                let game = safe_dec(&mut d)?;
-                CacheEntry::SafeGame {
-                    schema,
-                    slot,
-                    word,
-                    k,
-                    mode,
-                    max_states,
-                    game: Arc::new(game),
-                }
-            }
-            TAG_POSSIBLE => {
-                let word = word_dec(&mut d)?;
-                let k = d.u32()?;
-                let max_states = d.usize()?;
-                let game = possible_dec(&mut d)?;
-                CacheEntry::PossibleGame {
-                    schema,
-                    slot,
-                    word,
-                    k,
-                    max_states,
-                    game: Arc::new(game),
-                }
-            }
+        let strategy = match tag {
+            TAG_COMP | TAG_SAFE => Strategy::Safe,
+            TAG_TARGET | TAG_POSSIBLE => Strategy::Possible,
             t => return Err(format!("unknown entry tag {t}")),
+        };
+        let entry = if tag == TAG_COMP || tag == TAG_TARGET {
+            CacheEntry::Dfa {
+                strategy,
+                schema,
+                slot,
+                dfa: Arc::new(dfa_dec(&mut d)?),
+            }
+        } else {
+            let word = word_dec(&mut d)?;
+            let k = d.u32()?;
+            if strategy == Strategy::Safe {
+                match d.u8()? {
+                    MODE_LAZY => {}
+                    b => return Err(format!("invalid build mode {b}")),
+                }
+            }
+            let max_states = d.usize()?;
+            CacheEntry::Game {
+                strategy,
+                schema,
+                slot,
+                word,
+                k,
+                max_states,
+                game: Arc::new(game_dec(&mut d, strategy)?),
+            }
         };
         entries.push(entry);
     }
@@ -360,28 +339,36 @@ fn stats_dec(d: &mut Dec<'_>) -> Result<GameStats, String> {
     })
 }
 
-fn product_enc(e: &mut Enc, nodes: usize, pair: impl Fn(u32) -> (u32, u32), succs: impl Fn(u32) -> Vec<(u32, u32)>, flag: impl Fn(u32) -> bool) {
-    e.u32(nodes as u32);
-    for n in 0..nodes as u32 {
-        let (s, q) = pair(n);
+fn game_enc(e: &mut Enc, game: &Game) {
+    awk_enc(e, &game.awk);
+    dfa_enc(e, &game.dfa);
+    let nodes = game.num_nodes() as u32;
+    e.u32(nodes);
+    for n in 0..nodes {
+        let (s, q) = game.pair(n);
         e.u32(s);
         e.u32(q);
     }
-    for n in 0..nodes as u32 {
-        let out = succs(n);
+    for n in 0..nodes {
+        let out = game.successors(n);
         e.u32(out.len() as u32);
-        for (eid, m) in out {
+        for &(eid, m) in out {
             e.u32(eid);
             e.u32(m);
         }
     }
-    for n in 0..nodes as u32 {
-        e.bool(flag(n));
+    // Safe games write their marks: the nodes outside the allowed set.
+    let marks = game.strategy == Strategy::Safe;
+    for n in 0..nodes {
+        e.bool(game.allowed(n) != marks);
     }
+    e.u32(game.start);
+    stats_enc(e, &game.stats);
 }
 
-#[allow(clippy::type_complexity)]
-fn product_dec(d: &mut Dec<'_>) -> Result<(Vec<(u32, u32)>, Vec<Vec<(u32, u32)>>, Vec<bool>), String> {
+fn game_dec(d: &mut Dec<'_>, strategy: Strategy) -> Result<Game, String> {
+    let awk = awk_dec(d)?;
+    let dfa = dfa_dec(d)?;
     let nodes = d.count(8)?;
     let mut pairs = Vec::with_capacity(nodes);
     for _ in 0..nodes {
@@ -396,64 +383,21 @@ fn product_dec(d: &mut Dec<'_>) -> Result<(Vec<(u32, u32)>, Vec<Vec<(u32, u32)>>
         }
         out.push(succs);
     }
-    let mut flags = Vec::with_capacity(nodes);
+    let marks = strategy == Strategy::Safe;
+    let mut allowed = Vec::with_capacity(nodes);
     for _ in 0..nodes {
-        flags.push(d.bool()?);
+        allowed.push(d.bool()? != marks);
     }
-    Ok((pairs, out, flags))
-}
-
-fn safe_enc(e: &mut Enc, game: &SafeGame) {
-    awk_enc(e, &game.awk);
-    dfa_enc(e, &game.comp);
-    product_enc(
-        e,
-        game.num_nodes(),
-        |n| game.pair(n),
-        |n| game.successors(n).to_vec(),
-        |n| game.is_marked(n),
-    );
-    e.u32(game.start);
-    stats_enc(e, &game.stats);
-}
-
-fn safe_dec(d: &mut Dec<'_>) -> Result<SafeGame, String> {
-    let awk = awk_dec(d)?;
-    let comp = dfa_dec(d)?;
-    let (pairs, out, marked) = product_dec(d)?;
     let start = d.u32()?;
     let stats = stats_dec(d)?;
-    SafeGame::from_solved_parts(awk, comp, pairs, out, marked, start, stats)
-}
-
-fn possible_enc(e: &mut Enc, game: &PossibleGame) {
-    awk_enc(e, &game.awk);
-    dfa_enc(e, &game.target);
-    product_enc(
-        e,
-        game.num_nodes(),
-        |n| game.pair(n),
-        |n| game.successors(n).to_vec(),
-        |n| game.is_viable(n),
-    );
-    e.u32(game.start);
-    stats_enc(e, &game.stats);
-}
-
-fn possible_dec(d: &mut Dec<'_>) -> Result<PossibleGame, String> {
-    let awk = awk_dec(d)?;
-    let target = dfa_dec(d)?;
-    let (pairs, out, viable) = product_dec(d)?;
-    let start = d.u32()?;
-    let stats = stats_dec(d)?;
-    PossibleGame::from_solved_parts(awk, target, pairs, out, viable, start, stats)
+    Game::from_solved_parts(strategy, awk, dfa, pairs, out, allowed, start, stats)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use axml_core::awk::AwkLimits;
-    use axml_core::safe::complement_of;
+    use axml_core::game::BuildMode;
     use axml_schema::{Compiled, NoOracle, Schema};
 
     fn paper_compiled() -> Compiled {
@@ -486,41 +430,34 @@ mod tests {
         let mut ab = c.alphabet().clone();
         let re = axml_automata::Regex::parse("title.date.temp.(TimeOut|exhibit*)", &mut ab).unwrap();
         let n = c.alphabet().len();
-        let comp = complement_of(&re, n);
-        let awk = Awk::build(&w, &c, 1, &AwkLimits::default()).unwrap();
-        let safe = SafeGame::solve_in(awk, comp.clone(), BuildMode::Lazy, &axml_obs::Registry::new());
-        let awk2 = Awk::build(&w, &c, 1, &AwkLimits::default()).unwrap();
-        let target = axml_core::possible::target_of(&re, n);
-        let possible = PossibleGame::solve_in(awk2, target.clone(), &axml_obs::Registry::new());
-        vec![
-            CacheEntry::CompDfa {
+        let mut entries = Vec::new();
+        for strategy in [Strategy::Safe, Strategy::Possible] {
+            let dfa = Arc::new(strategy.dfa(&re, n));
+            let awk = Awk::build(&w, &c, 1, &AwkLimits::default()).unwrap();
+            let game = Game::solve_in(
+                strategy,
+                awk,
+                Arc::clone(&dfa),
+                BuildMode::Lazy,
+                &axml_obs::Registry::new(),
+            );
+            entries.push(CacheEntry::Dfa {
+                strategy,
                 schema: c.fingerprint(),
                 slot: TargetSlot::Content(0),
-                dfa: Arc::new(comp),
-            },
-            CacheEntry::TargetDfa {
-                schema: c.fingerprint(),
-                slot: TargetSlot::Content(0),
-                dfa: Arc::new(target),
-            },
-            CacheEntry::SafeGame {
+                dfa,
+            });
+            entries.push(CacheEntry::Game {
+                strategy,
                 schema: c.fingerprint(),
                 slot: TargetSlot::Content(0),
                 word: w.clone().into_boxed_slice(),
                 k: 1,
-                mode: BuildMode::Lazy,
                 max_states: 500_000,
-                game: Arc::new(safe),
-            },
-            CacheEntry::PossibleGame {
-                schema: c.fingerprint(),
-                slot: TargetSlot::Content(0),
-                word: w.into_boxed_slice(),
-                k: 1,
-                max_states: 500_000,
-                game: Arc::new(possible),
-            },
-        ]
+                game: Arc::new(game),
+            });
+        }
+        entries
     }
 
     #[test]
@@ -532,23 +469,16 @@ mod tests {
         // the round-trip loses nothing the encoder can see.
         assert_eq!(encode_entries(&decoded), payload);
         // And the decoded games carry the same verdicts.
-        match (&entries[2], &decoded[2]) {
-            (CacheEntry::SafeGame { game: a, .. }, CacheEntry::SafeGame { game: b, .. }) => {
-                assert_eq!(a.is_safe(), b.is_safe());
-                assert_eq!(a.num_nodes(), b.num_nodes());
-                assert_eq!(a.plan(), b.plan());
+        for i in [1, 3] {
+            match (&entries[i], &decoded[i]) {
+                (CacheEntry::Game { game: a, .. }, CacheEntry::Game { game: b, .. }) => {
+                    assert_eq!(a.strategy, b.strategy);
+                    assert_eq!(a.wins(), b.wins());
+                    assert_eq!(a.num_nodes(), b.num_nodes());
+                    assert_eq!(a.plan(), b.plan());
+                }
+                _ => panic!("entry kind drifted through the roundtrip"),
             }
-            _ => panic!("entry kind drifted through the roundtrip"),
-        }
-        match (&entries[3], &decoded[3]) {
-            (
-                CacheEntry::PossibleGame { game: a, .. },
-                CacheEntry::PossibleGame { game: b, .. },
-            ) => {
-                assert_eq!(a.is_possible(), b.is_possible());
-                assert_eq!(a.plan(), b.plan());
-            }
-            _ => panic!("entry kind drifted through the roundtrip"),
         }
     }
 

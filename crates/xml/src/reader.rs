@@ -28,6 +28,14 @@ impl fmt::Display for XmlError {
 
 impl std::error::Error for XmlError {}
 
+/// The deepest element nesting a [`Reader`] accepts; a deeper start tag
+/// is a parse error. Every walk over a parsed tree (building the DOM and
+/// the intensional tree, validating, rewriting, serializing) recurses
+/// once per level, and a stack overflow aborts the process, so the bound
+/// keeps every walk well inside a 2 MiB thread stack. Peers supply the
+/// documents; the bound is what makes that safe.
+pub const MAX_DEPTH: usize = 128;
+
 /// A pull-parser event.
 ///
 /// Character data, comments, and PI payloads borrow from the reader's input
@@ -259,6 +267,9 @@ impl<'a> Reader<'a> {
     fn parse_start_tag(&mut self) -> Result<Event<'a>, XmlError> {
         if self.finished_root {
             return Err(self.err("multiple root elements"));
+        }
+        if self.stack.len() >= MAX_DEPTH {
+            return Err(self.err(format!("elements nested deeper than {MAX_DEPTH} levels")));
         }
         self.pos += 1; // <
         let raw_name = self.read_name()?;
@@ -596,6 +607,20 @@ mod tests {
         assert!(parse_document("<a").is_err());
         assert!(parse_document("<a x=1/>").is_err());
         assert!(parse_document("<!-- never ends").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped() {
+        let nested = |depth: usize, leaf: &str| {
+            format!("{}{leaf}{}", "<r>".repeat(depth), "</r>".repeat(depth))
+        };
+        assert!(parse_document(&nested(MAX_DEPTH, "")).is_ok());
+        assert!(parse_document(&nested(MAX_DEPTH - 1, "<r/>")).is_ok());
+        for doc in [nested(MAX_DEPTH + 1, ""), nested(MAX_DEPTH, "<r/>"), nested(3_000, "")] {
+            let err = parse_document(&doc).unwrap_err();
+            assert!(err.message.contains("nested deeper"), "{err}");
+            assert_eq!(err.offset, 3 * MAX_DEPTH, "refused at the first level too deep");
+        }
     }
 
     #[test]

@@ -16,6 +16,10 @@ echo "== tier-1: loopback network tests (hard timeout) =="
 timeout --kill-after=10 120 cargo test -q --offline -p axml-net
 timeout --kill-after=10 120 cargo test -q --offline --test net_exchange
 timeout --kill-after=10 120 cargo test -q --offline --test cli serve_and_send
+# 3 000 nested elements, in one envelope and chunked, at a live daemon on
+# both engines: a typed fault, and the daemon still answers stats.
+timeout --kill-after=10 120 cargo test -q --offline --test robustness -- --exact \
+    deep_nesting_gets_a_typed_fault_on_both_engines
 
 echo "== tier-1: bench smoke run (B1 + B9 socket variant, JSON reports) =="
 json_dir="$(mktemp -d)"
@@ -246,11 +250,14 @@ print(f"B11 smoke ok: {sorted(ids)}, "
 EOF
 
 echo "== tier-1: store gate (persistent warm state, DESIGN.md §11) =="
-# Snapshot/matrix round-trip and corruption suites, the B12 warm-start
-# bench, and a live cold→warm daemon restart — all under a 60s budget
-# like the sim gate (the suites are pure compute plus a few KB of I/O).
+# Snapshot/matrix round-trip and corruption suites, the solved-game
+# parity corpus (its last line pins the snapshot bytes), the B12
+# warm-start bench, and a live cold→warm daemon restart — all under a
+# 60s budget like the sim gate (the suites are pure compute plus a few
+# MB of I/O).
 store_started=$(date +%s)
 timeout --kill-after=10 60 cargo test -q --offline -p axml-store
+timeout --kill-after=10 60 cargo test -q --offline --test game_parity
 timeout --kill-after=10 60 cargo test -q --offline --test store_roundtrip
 timeout --kill-after=10 60 cargo test -q --offline --test store_robustness
 timeout --kill-after=10 60 cargo test -q --offline --test store_restart

@@ -640,8 +640,7 @@ fn cmd_rewrite(args: &[String], execute_allowed: bool) -> ExitCode {
 /// paper's "rewriting sequence" (Fig. 3 step 19 / Fig. 9 step 7).
 fn print_root_plan(compiled: &Compiled, doc: &ITree, k: u32, possible: bool) {
     use axml::core::awk::{Awk, AwkLimits};
-    use axml::core::possible::{target_of, PossibleGame};
-    use axml::core::safe::{complement_of, BuildMode, SafeGame};
+    use axml::core::game::{BuildMode, Game, Strategy};
     let ITree::Elem { label, children } = doc else {
         return;
     };
@@ -656,11 +655,12 @@ fn print_root_plan(compiled: &Compiled, doc: &ITree, k: u32, possible: bool) {
         return;
     };
     let n = compiled.alphabet().len();
-    let plan = if possible {
-        PossibleGame::solve(awk, target_of(regex, n)).plan()
+    let strategy = if possible {
+        Strategy::Possible
     } else {
-        SafeGame::solve(awk, complement_of(regex, n), BuildMode::Lazy).plan()
+        Strategy::Safe
     };
+    let plan = Game::solve(strategy, awk, strategy.dfa(regex, n), BuildMode::Lazy).plan();
     if let Some(plan) = plan {
         for d in plan {
             println!(

@@ -8,8 +8,7 @@
 use axml::automata::{Dfa, Nfa, Regex, Symbol};
 use axml::core::awk::{Awk, AwkLimits};
 use axml::core::brute::{brute_possible, brute_safe};
-use axml::core::possible::PossibleGame;
-use axml::core::safe::{complement_of, BuildMode, SafeGame};
+use axml::core::game::{complement_of, BuildMode, Game, Strategy as Play};
 use axml::schema::{Compiled, NoOracle, Schema};
 use axml_support::prelude::*;
 
@@ -74,12 +73,12 @@ proptest! {
         let n = compiled.alphabet().len();
         let awk = Awk::build(&word, &compiled, k, &AwkLimits::default()).unwrap();
         let safe_eager =
-            SafeGame::solve(awk.clone(), complement_of(&target, n), BuildMode::Eager).is_safe();
+            Game::solve(Play::Safe, awk.clone(), complement_of(&target, n), BuildMode::Eager).wins();
         let safe_lazy =
-            SafeGame::solve(awk.clone(), complement_of(&target, n), BuildMode::Lazy).is_safe();
+            Game::solve(Play::Safe, awk.clone(), complement_of(&target, n), BuildMode::Lazy).wins();
         let possible =
-            PossibleGame::solve(awk, Dfa::determinize(&Nfa::thompson(&target, n)))
-                .is_possible();
+            Game::solve(Play::Possible, awk, Dfa::determinize(&Nfa::thompson(&target, n)), BuildMode::Eager)
+                .wins();
 
         let safe_ref = brute_safe(&word, &compiled, k, &target)
             .expect("star-free outputs enumerate");

@@ -7,9 +7,8 @@
 use axml::automata::{Dfa, Nfa, Regex};
 use axml::core::awk::{Awk, AwkLimits, StateKind};
 use axml::core::invoke::ScriptedInvoker;
-use axml::core::possible::{target_of, PossibleGame};
 use axml::core::rewrite::Rewriter;
-use axml::core::safe::{complement_of, BuildMode, SafeGame};
+use axml::core::game::{complement_of, target_of, BuildMode, Game, Strategy};
 use axml::schema::{newspaper_example, validate, Compiled, ITree, NoOracle, Schema};
 
 /// The paper's schema (*) of Sec. 2, compiled.
@@ -163,8 +162,8 @@ fn figure6_product_marking_and_plan() {
         &target(&c, "title.date.temp.(TimeOut|exhibit*)"),
         c.alphabet().len(),
     );
-    let game = SafeGame::solve(awk, comp, BuildMode::Eager);
-    assert!(game.is_safe(), "the initial state is not marked");
+    let game = Game::solve(Strategy::Safe, awk, comp, BuildMode::Eager);
+    assert!(game.wins(), "the initial state is not marked");
     let plan = game.plan().unwrap();
     let names: Vec<(String, bool)> = plan
         .iter()
@@ -179,7 +178,7 @@ fn figure6_product_marking_and_plan() {
     let mut unmarked_forks = 0;
     for n in 0..game.num_nodes() as u32 {
         let (s, _) = game.pair(n);
-        if matches!(game.awk.kind(s), StateKind::Fork { .. }) && !game.is_marked(n) {
+        if matches!(game.awk.kind(s), StateKind::Fork { .. }) && game.allowed(n) {
             unmarked_forks += 1;
         }
     }
@@ -196,14 +195,14 @@ fn figure7_8_unsafe_product() {
     // Fig. 7's automaton has 5 states (p0..p3 + sink p6) in minimal form.
     assert_eq!(comp.minimized().num_states(), 5);
     let awk = Awk::build(&newspaper_word(&c), &c, 1, &AwkLimits::default()).unwrap();
-    let game = SafeGame::solve(awk, comp, BuildMode::Eager);
-    assert!(!game.is_safe(), "initial state is marked (Fig. 8)");
+    let game = Game::solve(Strategy::Safe, awk, comp, BuildMode::Eager);
+    assert!(!game.wins(), "initial state is marked (Fig. 8)");
     // Both fork nodes have both options marked: every fork node reachable
     // on the spine is marked.
     for n in 0..game.num_nodes() as u32 {
         let (s, _) = game.pair(n);
         if matches!(game.awk.kind(s), StateKind::Fork { depth: 1, .. }) {
-            assert!(game.is_marked(n), "depth-1 forks are all marked in Fig. 8");
+            assert!(!game.allowed(n), "depth-1 forks are all marked in Fig. 8");
         }
     }
 }
@@ -235,8 +234,8 @@ fn figure11_possible_product() {
     let c = paper_compiled();
     let awk = Awk::build(&newspaper_word(&c), &c, 1, &AwkLimits::default()).unwrap();
     let dfa = target_of(&target(&c, "title.date.temp.exhibit*"), c.alphabet().len());
-    let game = PossibleGame::solve(awk, dfa);
-    assert!(game.is_possible(), "the initial state is marked viable");
+    let game = Game::solve(Strategy::Possible, awk, dfa, BuildMode::Eager);
+    assert!(game.wins(), "the initial state is marked viable");
     let plan = game.plan().unwrap();
     assert_eq!(plan.len(), 2);
     assert!(
@@ -256,11 +255,11 @@ fn figure12_pruning() {
             &target(&c, "title.date.temp.(TimeOut|exhibit*)"),
             c.alphabet().len(),
         );
-        SafeGame::solve(awk, comp, mode)
+        Game::solve(Strategy::Safe, awk, comp, mode)
     };
     let eager = mk(BuildMode::Eager);
     let lazy = mk(BuildMode::Lazy);
-    assert_eq!(eager.is_safe(), lazy.is_safe());
+    assert_eq!(eager.wins(), lazy.wins());
     assert!(
         lazy.stats.nodes < eager.stats.nodes,
         "lazy {} vs eager {}",

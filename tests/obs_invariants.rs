@@ -13,8 +13,7 @@
 //!   serialize to parseable JSON and read monotonically per counter.
 
 use axml::core::awk::{Awk, AwkLimits};
-use axml::core::possible::PossibleGame;
-use axml::core::safe::{complement_of, BuildMode, SafeGame};
+use axml::core::game::{complement_of, BuildMode, Game, Strategy as Play};
 use axml::core::solve_cache::{SolveCache, TargetSlot};
 use axml::net::{wire, ClientConfig, NetClient, NetServer, ServerConfig};
 use axml::obs::{register_catalogue, Registry, Snapshot};
@@ -87,10 +86,8 @@ proptest! {
 
         let eager_reg = Registry::new();
         let lazy_reg = Registry::new();
-        let eager = SafeGame::solve_in(
-            awk.clone(), complement_of(&target, n), BuildMode::Eager, &eager_reg);
-        let lazy = SafeGame::solve_in(
-            awk.clone(), complement_of(&target, n), BuildMode::Lazy, &lazy_reg);
+        let eager = Game::solve_in(Play::Safe, awk.clone(), complement_of(&target, n), BuildMode::Eager, &eager_reg);
+        let lazy = Game::solve_in(Play::Safe, awk.clone(), complement_of(&target, n), BuildMode::Lazy, &lazy_reg);
 
         // The lazy frontier is a subset of the full product.
         prop_assert!(lazy.stats.nodes <= eager.stats.nodes,
@@ -120,7 +117,7 @@ proptest! {
         let poss_reg = Registry::new();
         let dfa = axml::automata::Dfa::determinize(
             &axml::automata::Nfa::thompson(&target, n));
-        let poss = PossibleGame::solve_in(awk, dfa, &poss_reg);
+        let poss = Game::solve_in(Play::Possible, awk, dfa, BuildMode::Eager, &poss_reg);
         let snap = poss_reg.snapshot();
         prop_assert_eq!(snap.counter("solver.possible.solves_total"), 1);
         prop_assert_eq!(snap.counter("solver.possible.nodes_total"),
@@ -298,7 +295,8 @@ fn solve_cache_accounting_identities_survive_churn() {
     let cache = SolveCache::with_registry(4, &registry);
     for round in 0..50usize {
         for slot in 0..6usize {
-            let d = cache.comp_dfa(
+            let d = cache.dfa(
+                Play::Safe,
                 (slot % 2) as u64,
                 TargetSlot::Content(slot as axml::automata::Symbol),
                 || slot_dfa(slot),
@@ -335,7 +333,8 @@ fn solve_cache_hammering_is_deadlock_free_and_consistent() {
             scope.spawn(move || {
                 for i in 0..OPS {
                     let slot = (t + i) % 6;
-                    let d = cache.comp_dfa(
+                    let d = cache.dfa(
+                        Play::Safe,
                         7,
                         TargetSlot::Content(slot as axml::automata::Symbol),
                         || slot_dfa(slot),

@@ -1,8 +1,11 @@
-//! Robustness: malformed inputs never panic, concurrent use is safe.
+//! Robustness: malformed inputs never panic, concurrent use is safe, and
+//! hostile nesting gets a typed fault from a live daemon.
 
-use axml::schema::{validate_xml_stream, Compiled, NoOracle, Schema};
+use axml::net::{ClientConfig, ClientError, IoMode, NetClient, ServerConfig};
+use axml::peer::{NetPeer, Peer, RECEIVE_METHOD};
+use axml::schema::{validate_xml_stream, Compiled, ITree, NoOracle, Schema};
 use axml::services::builtin::{Adversarial, GetTemp};
-use axml::services::{Registry, ServiceDef};
+use axml::services::{soap, Registry, ServiceDef};
 use axml::xml::parse_document;
 use axml_support::prelude::*;
 use std::sync::Arc;
@@ -125,4 +128,50 @@ fn concurrent_rewriters_share_one_registry() {
     let stats = registry.stats();
     assert_eq!(stats.calls["Get_Temp"], 160);
     assert_eq!(stats.fees_cents, 160);
+}
+
+/// A document of 3 000 nested `<r>` elements under `r: r*`, about 21 KB,
+/// shipped in one envelope and in chunks. The walks after parsing recurse
+/// once per level, so without the reader's nesting cap it overflows the
+/// 2 MiB stack of the daemon worker and aborts the daemon on either
+/// engine. With it, the daemon answers a typed fault and keeps serving.
+#[test]
+fn deep_nesting_gets_a_typed_fault_on_both_engines() {
+    const DEPTH: usize = 3_000;
+    let schema = Arc::new(
+        Compiled::new(Schema::builder().element("r", "r*").build().unwrap(), &NoOracle).unwrap(),
+    );
+    let doc = format!("{}{}", "<r>".repeat(DEPTH), "</r>".repeat(DEPTH));
+    let placeholder = soap::request(RECEIVE_METHOD, &[ITree::text("deep.xml"), ITree::elem("r", vec![])]).to_xml();
+    assert_eq!(placeholder.matches("<r/>").count(), 1, "{placeholder}");
+    let envelope = placeholder.replacen("<r/>", &doc, 1);
+    let typed = |what: &str, io: IoMode, result: Result<String, ClientError>| match result {
+        Err(ClientError::Fault(fault)) => assert!(
+            fault.message.contains("nested deeper"),
+            "{io:?} {what}: {fault}"
+        ),
+        other => panic!("{io:?} {what}: expected a typed fault, got {other:?}"),
+    };
+    for io in [IoMode::Threads, IoMode::Poll] {
+        let peer = Arc::new(Peer::new(
+            "receiver.test",
+            Arc::clone(&schema),
+            Arc::new(Registry::new()),
+        ));
+        let config = ServerConfig {
+            io,
+            ..Default::default()
+        };
+        let server = NetPeer::serve(Arc::clone(&peer), "127.0.0.1:0", config).unwrap();
+        let client = NetClient::new(server.local_addr(), ClientConfig::default()).unwrap();
+        typed("envelope", io, client.call(&envelope));
+        typed(
+            "chunked document",
+            io,
+            client.send_document_chunked(None, "deep.xml", 4096, |sink| sink.write_all(doc.as_bytes())),
+        );
+        assert!(peer.repository.load("deep.xml").is_err(), "{io:?}: nothing stored");
+        client.stats().unwrap_or_else(|e| panic!("{io:?}: the daemon stopped answering stats: {e}"));
+        server.shutdown().unwrap();
+    }
 }

@@ -1,7 +1,8 @@
 //! B9: end-to-end peer exchange — the Schema Enforcement module's
 //! throughput when sending Fig. 2 documents under exchange schema (**),
-//! plus the transport comparison: the same service exchange over the
-//! in-process channel server vs a loopback TCP daemon.
+//! plus one service exchange with a loopback TCP daemon: the caller's
+//! parameter check, the wire round trip, the provider's dispatch and the
+//! caller's check of the answer.
 
 use axml_bench::newspaper;
 use axml_core::rewrite::enforce;
@@ -72,9 +73,8 @@ fn bench(c: &mut Criterion) {
             black_box(axml_schema::ITree::from_xml(&parsed.root).unwrap().size())
         })
     });
-    // Transport comparison: one provider peer serving the exhibits guide,
-    // invoked over the in-process channel transport and over a loopback
-    // TCP daemon — the protocol cost of going through sockets.
+    // One provider peer serving the exhibits guide, invoked through a
+    // loopback TCP daemon.
     let provider = Arc::new(Peer::new(
         "guide.example.org",
         Arc::new(exchange_schema()),
@@ -107,28 +107,12 @@ fn bench(c: &mut Criterion) {
     );
     let params = [ITree::text("exhibits")];
 
-    let channel_server = provider.serve();
-    let daemon = NetPeer::serve(
-        Arc::clone(&provider),
-        "127.0.0.1:0",
-        ServerConfig::default(),
-    )
-    .unwrap();
+    let daemon = NetPeer::serve(provider, "127.0.0.1:0", ServerConfig::default()).unwrap();
     let remote = RemotePeer::connect(daemon.local_addr(), ClientConfig::default()).unwrap();
 
-    let result = caller
-        .call_remote(&channel_server, "TimeOut", &params)
-        .unwrap();
+    let result = remote.invoke_service(&caller, "TimeOut", &params).unwrap();
     let elements: u64 = result.iter().map(|t| t.size() as u64).sum();
     group.throughput(Throughput::Elements(elements));
-    group.bench_function("exchange_channel", |b| {
-        b.iter(|| {
-            let out = caller
-                .call_remote(&channel_server, "TimeOut", black_box(&params))
-                .unwrap();
-            black_box(out.len())
-        })
-    });
     group.bench_function("exchange_tcp_loopback", |b| {
         b.iter(|| {
             let out = remote
@@ -141,7 +125,6 @@ fn bench(c: &mut Criterion) {
     // with the timings (exchange counts, retries, queue pressure).
     group.attach_json("obs_snapshot", axml_obs::global().snapshot().to_json());
     group.finish();
-    channel_server.shutdown().unwrap();
     daemon.shutdown().unwrap();
 }
 

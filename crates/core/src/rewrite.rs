@@ -33,7 +33,7 @@ use axml_automata::{Regex, Symbol};
 use axml_schema::{validate_output_instance, words_of, Compiled, CompiledContent, FuncNode, ITree};
 use std::borrow::Cow;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 pub use crate::game::Strategy;
 
@@ -148,9 +148,9 @@ pub struct Analysis {
 }
 
 /// The document rewriter. Compiled DFAs and solved games flow through a
-/// [`SolveCache`] — private by default, shared via [`Rewriter::with_cache`]
-/// — so reuse one instance (or one cache) when processing many documents
-/// against the same schema.
+/// [`SolveCache`] — shared via [`Rewriter::with_cache`], else a private
+/// one built when the rewriter first needs it — so reuse one instance (or
+/// one cache) when processing many documents against the same schema.
 pub struct Rewriter<'c> {
     compiled: &'c Compiled,
     /// Rewriting depth bound (Def. 7). Default 2.
@@ -161,7 +161,7 @@ pub struct Rewriter<'c> {
     /// (possible-mode backtracking can otherwise spend unbounded calls;
     /// the Sec. 2 cost discussion motivates bounding it).
     pub max_calls: Option<usize>,
-    cache: SolveCache,
+    cache: OnceLock<SolveCache>,
 }
 
 impl Strategy {
@@ -382,14 +382,15 @@ impl<'w> Run<'w> {
 
 impl<'c> Rewriter<'c> {
     /// Creates a rewriter with depth bound `k = 2`, lazy game building,
-    /// and a private (unpublished) solve cache.
+    /// and a private (unpublished) solve cache, built only if the
+    /// rewriter is used without [`Rewriter::with_cache`].
     pub fn new(compiled: &'c Compiled) -> Self {
         Rewriter {
             compiled,
             k: 2,
             limits: AwkLimits::default(),
             max_calls: None,
-            cache: SolveCache::unpublished(crate::solve_cache::DEFAULT_CAPACITY),
+            cache: OnceLock::new(),
         }
     }
 
@@ -405,13 +406,14 @@ impl<'c> Rewriter<'c> {
     /// cache and request N+1 skips the Thompson/determinize/product/
     /// fixpoint pipeline entirely on repeated words.
     pub fn with_cache(mut self, cache: &SolveCache) -> Self {
-        self.cache = cache.clone();
+        self.cache = OnceLock::from(cache.clone());
         self
     }
 
     /// The solve cache this rewriter reads and writes.
     pub fn cache(&self) -> &SolveCache {
-        &self.cache
+        self.cache
+            .get_or_init(|| SolveCache::unpublished(crate::solve_cache::DEFAULT_CAPACITY))
     }
 
     /// Sets the depth bound (Def. 7).
@@ -990,7 +992,7 @@ impl<'c> Rewriter<'c> {
     ) -> Result<Arc<Game>, RewriteError> {
         let schema = self.compiled.fingerprint();
         let n = self.compiled.alphabet().len();
-        let (k, limits, cache) = (self.k, self.limits, &self.cache);
+        let (k, limits, cache) = (self.k, self.limits, self.cache());
         let game = cache.game(strategy, schema, slot, word, k, limits.max_states, || {
             let awk = Awk::build(word, self.compiled, k, &limits)
                 .map_err(|e| RewriteError::TooLarge(e.to_string()))?;

@@ -42,12 +42,12 @@ use crate::frames::FrameDecoder;
 use crate::server::{spawn_worker, submit, ReplyTo, ServerError, Shared, Task};
 use crate::wire::{self, Frame};
 use axml_support::poll::{Event, Interest, Poller, Waker};
-use axml_support::sync::channel::{bounded, Sender};
 use axml_support::sync::Mutex;
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsFd;
+use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -88,7 +88,7 @@ pub(crate) struct PollEngine {
     shard_handles: Vec<Arc<ShardHandle>>,
     shards: Vec<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
-    job_txs: Vec<Sender<Task>>,
+    job_txs: Vec<SyncSender<Task>>,
 }
 
 impl PollEngine {
@@ -116,7 +116,7 @@ impl PollEngine {
                 outbox: Mutex::new(Vec::new()),
                 waker: poller.waker(),
             });
-            let (job_tx, job_rx) = bounded::<Task>(queue);
+            let (job_tx, job_rx) = sync_channel::<Task>(queue);
             let job_rx = Arc::new(Mutex::new(job_rx));
             // Spread the worker pool across shards, at least one each.
             let per = (total_workers / nshards + usize::from(s < total_workers % nshards)).max(1);
@@ -226,7 +226,7 @@ fn shard_loop(
     poller: &Poller,
     handle: &Arc<ShardHandle>,
     shared: &Arc<Shared>,
-    job_tx: &Sender<Task>,
+    job_tx: &SyncSender<Task>,
 ) {
     let read_timeout = shared.config.read_timeout;
     let write_timeout = shared.config.write_timeout;
@@ -377,7 +377,7 @@ fn on_readable(
     conn: &mut Conn,
     token: u64,
     shared: &Arc<Shared>,
-    job_tx: &Sender<Task>,
+    job_tx: &SyncSender<Task>,
     handle: &Arc<ShardHandle>,
     scratch: &mut [u8],
     now: Instant,

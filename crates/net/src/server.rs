@@ -38,12 +38,12 @@
 
 use crate::conn::{Action, Conn, Endpoint, Job, Refusal};
 use crate::wire::{self, FaultCode, Frame, WireError, WireFault};
-use axml_support::sync::channel::{bounded, Receiver, Sender, TrySendError};
 use axml_support::sync::Mutex;
 use std::collections::HashMap;
 use std::io::BufReader;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -241,7 +241,7 @@ enum Engine {
     Threads {
         accept: Option<JoinHandle<Vec<JoinHandle<()>>>>,
         workers: Vec<JoinHandle<()>>,
-        job_tx: Option<Sender<Task>>,
+        job_tx: Option<SyncSender<Task>>,
     },
     Poll(crate::poll_server::PollEngine),
 }
@@ -380,7 +380,7 @@ impl Drop for NetServer {
 /// Starts the threads engine on a bound, non-blocking listener: the
 /// worker pool, then the accept thread.
 fn start_threads(listener: TcpListener, shared: &Arc<Shared>) -> Engine {
-    let (job_tx, job_rx) = bounded::<Task>(shared.config.queue.max(1));
+    let (job_tx, job_rx) = sync_channel::<Task>(shared.config.queue.max(1));
     let job_rx = Arc::new(Mutex::new(job_rx));
     let workers = (0..shared.config.workers.max(1))
         .map(|w| spawn_worker(shared, &job_rx, format!("axml-net-worker-{w}")))
@@ -407,7 +407,7 @@ const ACCEPT_POLL: Duration = Duration::from_millis(10);
 fn accept_loop(
     listener: &TcpListener,
     shared: &Arc<Shared>,
-    job_tx: &Sender<Task>,
+    job_tx: &SyncSender<Task>,
 ) -> Vec<JoinHandle<()>> {
     let mut readers: Vec<JoinHandle<()>> = Vec::new();
     while !shared.ep.stopping() {
@@ -446,7 +446,7 @@ fn accept_loop(
 
 /// Serves one connection: feeds each blocking read to the connection
 /// core until it closes the connection.
-fn reader_loop(stream: TcpStream, mut conn: Conn, shared: &Arc<Shared>, job_tx: &Sender<Task>) {
+fn reader_loop(stream: TcpStream, mut conn: Conn, shared: &Arc<Shared>, job_tx: &SyncSender<Task>) {
     let config = &shared.config;
     if stream
         .set_read_timeout(Some(config.read_timeout))
@@ -497,7 +497,7 @@ fn send_reply(writer: &SharedWriter, frame: &Frame) -> Result<(), WireError> {
 pub(crate) fn submit(
     shared: &Shared,
     conn: &mut Conn,
-    job_tx: &Sender<Task>,
+    job_tx: &SyncSender<Task>,
     job: Job,
     reply: ReplyTo,
 ) -> Action {

@@ -80,7 +80,6 @@ pub fn register_catalogue(registry: &Registry) {
         "peer.exchange_faults_total",
         "peer.validated_total",
         "peer.received_total",
-        "peer.panics_total",
         "services.calls_total",
         "services.call_faults_total",
         "services.fees_cents_total",
@@ -121,7 +120,7 @@ mod tests {
             "solver.safe.nodes_total",
             "server.busy_total",
             "client.retries_total",
-            "peer.panics_total",
+            "peer.validated_total",
         ] {
             assert!(
                 snap.counters.contains_key(name),

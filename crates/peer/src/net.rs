@@ -2,19 +2,24 @@
 //!
 //! The paper's system (Sec. 7) is a daemon whose Schema Enforcement module
 //! intercepts every exchange. [`NetPeer`] realizes that daemon on top of
-//! `axml-net`: it plugs the peer's envelope handling in as the TCP
-//! server's request handler, and [`RemotePeer`] is the client side —
-//! invoking declared services and shipping documents (the Fig. 1
-//! scenario) against a daemon across the wire, with enforcement on both
-//! ends:
+//! `axml-net`: it plugs the peer's envelope handling in as the server's
+//! request handler ([`envelope_handler`], the one server-side dispatcher,
+//! driven through `axml-net`'s connection core by both network engines
+//! and by the simulator). [`RemotePeer`] is the client side — invoking
+//! declared services and shipping documents (the Fig. 1 scenario)
+//! against a daemon across the wire — and [`NetInvoker`] materializes
+//! embedded calls through it. Rewriting is the sender's burden only:
 //!
 //! * the **sender** rewrites parameters / documents into the agreed type
 //!   before they leave ([`Peer::enforce_input`], safe rewriting against
 //!   the exchange schema);
-//! * the **receiver** re-verifies everything that arrives (the service
-//!   handler's input/output enforcement; [`RECEIVE_METHOD`] validation
-//!   against the receiving peer's own schema plus its
-//!   [`InboundPolicy`](crate::InboundPolicy)).
+//! * the **receiver** validates everything that arrives and never
+//!   rewrites it: a provider checks call parameters against the
+//!   service's input type ([`Peer::handle`]) and enforces only its own
+//!   results, and [`RECEIVE_METHOD`] checks a shipped document against
+//!   the receiving peer's own schema plus its
+//!   [`InboundPolicy`](crate::InboundPolicy). No word a peer sends
+//!   reaches the receiver's solver.
 //!
 //! Enforcement failures travel as typed wire faults; [`wire_fault`] /
 //! [`soap_fault`] give the 1:1 mapping between [`soap::Fault`] envelopes
@@ -22,7 +27,7 @@
 
 use crate::peer::{Peer, PeerError};
 use axml_core::invoke::{InvokeError, Invoker};
-use axml_core::rewrite::RewriteReport;
+use axml_core::rewrite::{enforce_with, RewriteReport, Strategy};
 use axml_core::stream::{enforce_stream_to, enforce_stream_with, StreamOptions, StreamReport};
 use axml_net::wire::{FaultCode, WireFault, CAP_CHUNKED};
 use axml_net::{ClientConfig, ClientError, Handler, NetClient, NetServer, ServerConfig};
@@ -100,42 +105,6 @@ impl NetPeer {
     /// The peer being served.
     pub fn peer(&self) -> &Arc<Peer> {
         &self.peer
-    }
-
-    /// Invokes a declared service on a remote daemon on behalf of the
-    /// served peer (see [`RemotePeer::invoke_service`]).
-    pub fn invoke_service(
-        &self,
-        remote: &RemotePeer,
-        method: &str,
-        params: &[ITree],
-    ) -> Result<Vec<ITree>, PeerError> {
-        remote.invoke_service(&self.peer, method, params)
-    }
-
-    /// Ships a document to a remote daemon under an agreed exchange
-    /// schema (see [`RemotePeer::send_document`]).
-    pub fn send_document(
-        &self,
-        remote: &RemotePeer,
-        name: &str,
-        doc: &ITree,
-        exchange: &Arc<Compiled>,
-    ) -> Result<(ITree, RewriteReport), PeerError> {
-        remote.send_document(&self.peer, name, doc, exchange)
-    }
-
-    /// Ships a document to a remote daemon as a chunked wire transfer
-    /// (see [`RemotePeer::send_document_chunked`]).
-    pub fn send_document_chunked(
-        &self,
-        remote: &RemotePeer,
-        name: &str,
-        doc: &ITree,
-        exchange: &Arc<Compiled>,
-        chunk_bytes: usize,
-    ) -> Result<StreamReport, PeerError> {
-        remote.send_document_chunked(&self.peer, name, doc, exchange, chunk_bytes)
     }
 
     /// Graceful shutdown: stops the listener, joins every server thread,
@@ -320,10 +289,10 @@ impl RemotePeer {
     }
 
     /// Invokes a declared service on the remote daemon on behalf of
-    /// `caller`, with enforcement on both sides of the wire: `caller`
-    /// rewrites the parameters into the service's input type before
-    /// sending, and screens/validates the result against the declared
-    /// output type and its inbound policy.
+    /// `caller`: `caller` rewrites the parameters into the service's input
+    /// type before sending (the provider only validates them), and
+    /// screens/validates the result against the declared output type and
+    /// its inbound policy.
     pub fn invoke_service(
         &self,
         caller: &Peer,
@@ -370,7 +339,7 @@ impl RemotePeer {
     /// schema — Fig. 1 over TCP. `caller` first materializes exactly what
     /// the exchange schema requires (safe rewriting through its own
     /// registry), then sends the conforming document via
-    /// [`RECEIVE_METHOD`]; the receiver re-verifies and stores it.
+    /// [`RECEIVE_METHOD`]; the receiver validates and stores it.
     /// Returns the document as sent plus the rewrite report.
     pub fn send_document(
         &self,
@@ -414,7 +383,7 @@ impl RemotePeer {
     /// Sender-side whole-document enforcement: element documents stream
     /// through [`enforce_stream_with`] (warming the caller's solver cache
     /// and its `enforce.stream.*` metrics); any other root takes the DOM
-    /// pipeline.
+    /// pipeline through the same cache.
     fn enforce_outbound(
         caller: &Peer,
         exchange: &Compiled,
@@ -422,7 +391,8 @@ impl RemotePeer {
         invoker: &mut dyn Invoker,
     ) -> Result<(ITree, RewriteReport), PeerError> {
         if !matches!(doc, ITree::Elem { .. }) {
-            return axml_core::rewrite::enforce(exchange, doc, caller.enforce.k, invoker)
+            let (k, cache) = (caller.enforce.k, &caller.enforce.cache);
+            return enforce_with(exchange, doc, k, Strategy::Safe, cache, invoker)
                 .map_err(PeerError::from);
         }
         let text = axml_xml::element_to_string(&doc.to_xml(), &axml_xml::WriteOptions::compact());
@@ -608,8 +578,8 @@ impl RemotePeer {
 }
 
 /// An [`Invoker`] that materializes embedded calls by invoking a remote
-/// daemon's declared services over TCP — the network analogue of
-/// [`RemoteInvoker`](crate::RemoteInvoker).
+/// daemon's declared services (used when one peer materializes calls
+/// that point at another peer).
 pub struct NetInvoker<'a> {
     /// The calling peer (enforcement + policy side).
     pub caller: &'a Peer,
@@ -631,7 +601,7 @@ impl Invoker for NetInvoker<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::peer::Query;
+    use crate::peer::{InboundPolicy, Query};
     use axml_schema::{NoOracle, Schema};
     use axml_services::{Registry, ServiceDef};
 
@@ -736,5 +706,59 @@ mod tests {
         assert!(matches!(err, PeerError::Enforcement(_)), "{err}");
         assert!(peer.repository.load("lazy").is_err());
         assert_eq!(peer.solve_cache().stats().lookups, 0);
+    }
+
+    #[test]
+    fn reject_functions_caller_refuses_an_intensional_answer() {
+        // Front_Page answers a newspaper whose listings are still a call.
+        let schema = Schema::builder()
+            .element("newspaper", "title.(Get_Exhibits|exhibit*)")
+            .element("exhibit", "title.date")
+            .data_element("title")
+            .data_element("date")
+            .function("Get_Exhibits", "data", "exhibit*")
+            .function("Front_Page", "data", "newspaper")
+            .build()
+            .unwrap();
+        let compiled = Arc::new(Compiled::new(schema, &NoOracle).unwrap());
+        let provider = Arc::new(Peer::new(
+            "newspaper.example.org",
+            Arc::clone(&compiled),
+            Arc::new(Registry::new()),
+        ));
+        provider.repository.store(
+            "front",
+            ITree::elem(
+                "newspaper",
+                vec![
+                    ITree::data("title", "The Sun"),
+                    ITree::func("Get_Exhibits", vec![ITree::text("all")]),
+                ],
+            ),
+        );
+        provider.declare(
+            ServiceDef::new("Front_Page", "data", "newspaper"),
+            Query::Document("front".to_owned()),
+        );
+        let daemon = NetPeer::serve(provider, "127.0.0.1:0", ServerConfig::default()).unwrap();
+        let remote = RemotePeer::connect(daemon.local_addr(), ClientConfig::default()).unwrap();
+        let today = [ITree::text("today")];
+        // A full Active XML peer takes the answer with its call intact.
+        let reader = Peer::new("reader", Arc::clone(&compiled), Arc::new(Registry::new()));
+        let page = remote
+            .invoke_service(&reader, "Front_Page", &today)
+            .unwrap();
+        assert_eq!(page[0].num_funcs(), 1);
+        // A browser-like caller that cannot process embedded calls refuses it.
+        let browser = Peer::new("browser", compiled, Arc::new(Registry::new()))
+            .with_inbound(InboundPolicy::RejectFunctions);
+        let err = remote
+            .invoke_service(&browser, "Front_Page", &today)
+            .unwrap_err();
+        assert!(
+            matches!(err, PeerError::PolicyViolation { ref function } if function == "Get_Exhibits"),
+            "{err}"
+        );
+        daemon.shutdown().unwrap();
     }
 }

@@ -2,29 +2,33 @@
 //!
 //! A peer stores intensional documents, declares Web services over them,
 //! and talks SOAP with the rest of the world. Its **Schema Enforcement
-//! module** sits on both directions of every exchange:
+//! module** rewrites only what the peer itself sends:
 //!
 //! * outbound call parameters are (i) verified against the callee's
 //!   WSDL_int description, (ii) rewritten into the required structure when
 //!   they do not conform, and (iii) rejected with an error when rewriting
-//!   fails;
+//!   fails ([`Peer::enforce_input`]);
 //! * the data a declared service is about to return goes through the same
-//!   three steps against the service's declared output type;
-//! * inbound results can additionally be screened by a receiver
-//!   [`InboundPolicy`] (the Sec. 1 capability/security considerations —
-//!   e.g. a receiver that cannot or will not invoke embedded calls).
+//!   three steps against the service's declared output type
+//!   ([`Peer::enforce_output`]).
+//!
+//! What a peer *receives* is only validated, never rewritten: a provider
+//! refuses parameters outside the service's input type
+//! ([`Peer::handle`]), so no word a remote peer sends reaches a solver.
+//! Received data can additionally be screened by an [`InboundPolicy`]
+//! (the Sec. 1 capability/security considerations — e.g. a receiver that
+//! cannot or will not invoke embedded calls). The peer is served over
+//! the network by [`NetPeer`](crate::NetPeer).
 
 use crate::repository::Repository;
-use axml_core::invoke::{InvokeError, Invoker};
+use axml_core::invoke::InvokeError;
 use axml_core::rewrite::{enforce_with, RewriteError, RewriteReport, Rewriter, Strategy};
 use axml_core::solve_cache::SolveCache;
 use axml_schema::{validate_output_instance, Compiled, ITree};
 use axml_services::{soap, Registry, ServiceDef};
-use axml_support::sync::channel::{bounded, unbounded, Receiver, Sender};
-use axml_support::sync::{Mutex, RwLock};
+use axml_support::sync::RwLock;
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 /// What a declared service computes, over the peer's repository.
 #[derive(Debug, Clone)]
@@ -281,8 +285,12 @@ impl Peer {
         out
     }
 
-    /// Handles one decoded request locally: evaluate the declared service
-    /// and run the enforcement module on the result.
+    /// Handles one decoded request locally: check the parameters against
+    /// the service's input type, evaluate the declared service, and run
+    /// the enforcement module on the result. Parameters are validated,
+    /// never rewritten: rewriting them is the caller's burden
+    /// ([`Peer::enforce_input`] before sending), so a mismatch is refused
+    /// as [`PeerError::Enforcement`] without solving a game.
     pub fn handle(&self, method: &str, params: &[ITree]) -> Result<Vec<ITree>, PeerError> {
         let (query, def) = {
             let exported = self.exported.read();
@@ -291,8 +299,10 @@ impl Peer {
                 .ok_or_else(|| PeerError::NoSuchService(method.to_owned()))?;
             (e.query.clone(), e.def.clone())
         };
-        // Inbound enforcement: parameters must be an input instance.
-        let params = self.enforce_input(&def.name, params)?;
+        let sig = self.compiled.sig_of(&def.name);
+        validate_output_instance(params, &sig.input_dfa, &self.compiled)
+            .map_err(|e| PeerError::Enforcement(e.to_string()))?;
+        // The parameters select nothing in these simple queries.
         let result = match query {
             Query::Document(name) => vec![self
                 .repository
@@ -313,13 +323,13 @@ impl Peer {
                 path.select_cloned(&tree)
             }
         };
-        let _ = params; // parameters select nothing in these simple queries
-                        // Outbound enforcement on the returned data (Sec. 7 steps i–iii).
+        // Outbound enforcement on the returned data (Sec. 7 steps i–iii).
         self.enforce_output(&def.name, &result)
     }
 
-    /// Enforcement of a forest against `τ_in(function)`: verify, else
-    /// rewrite (materializing through this peer's registry), else error.
+    /// Caller-side enforcement of call parameters against
+    /// `τ_in(function)`: verify, else rewrite (materializing through this
+    /// peer's registry), else error.
     pub fn enforce_input(&self, function: &str, params: &[ITree]) -> Result<Vec<ITree>, PeerError> {
         let sig = self.compiled.sig_of(function);
         if validate_output_instance(params, &sig.input_dfa, &self.compiled).is_ok() {
@@ -351,85 +361,6 @@ impl Peer {
         Ok(out)
     }
 
-    /// Spawns a server thread speaking SOAP envelopes over channels.
-    pub fn serve(self: &Arc<Self>) -> PeerServer {
-        let (tx, rx): (Sender<(String, Sender<String>)>, Receiver<_>) = unbounded();
-        let (done_tx, done_rx) = bounded(1);
-        let peer = Arc::clone(self);
-        let handle = std::thread::spawn(move || {
-            while let Ok((request, reply)) = rx.recv() {
-                let response = peer.handle_envelope(&request);
-                // A gone client is not the server's problem.
-                let _ = reply.send(response);
-            }
-            // Signals a clean exit; a panic drops the sender instead, which
-            // shutdown() observes as a disconnect.
-            let _ = done_tx.send(());
-        });
-        PeerServer {
-            requests: tx,
-            interface: self.interface(),
-            handle: Some(handle),
-            done: Mutex::new(done_rx),
-        }
-    }
-
-    /// Handles one XML request envelope, returning the XML reply envelope
-    /// (response or typed fault) — the server side of every transport.
-    pub fn handle_envelope(&self, request: &str) -> String {
-        let message = match soap::decode(request) {
-            Ok(m) => m,
-            Err(e) => return soap::fault("Client", &format!("bad envelope: {e}")).to_xml(),
-        };
-        match message {
-            soap::Message::Request { method, params } => match self.handle(&method, &params) {
-                Ok(result) => soap::response(&result).to_xml(),
-                Err(e) => soap::fault_envelope(&e.to_fault()).to_xml(),
-            },
-            _ => soap::fault("Client", "expected a call request").to_xml(),
-        }
-    }
-
-    /// Calls a service on a remote peer, with client-side enforcement:
-    /// parameters are rewritten to the callee's input type before sending,
-    /// and the response is screened by this peer's inbound policy and
-    /// validated against the declared output type.
-    pub fn call_remote(
-        &self,
-        server: &PeerServer,
-        method: &str,
-        params: &[ITree],
-    ) -> Result<Vec<ITree>, PeerError> {
-        if !server.interface.iter().any(|d| d.name == method) {
-            return Err(PeerError::NoSuchService(method.to_owned()));
-        }
-        // Outbound enforcement of the parameters.
-        let params = self.enforce_input(method, params)?;
-        let envelope = soap::request(method, &params).to_xml();
-        let (reply_tx, reply_rx) = bounded(1);
-        server
-            .requests
-            .send((envelope, reply_tx))
-            .map_err(|e| PeerError::Transport(e.to_string()))?;
-        let response = reply_rx
-            .recv()
-            .map_err(|e| PeerError::Transport(e.to_string()))?;
-        match soap::decode(&response).map_err(PeerError::Transport)? {
-            soap::Message::Response { result } => {
-                // Receiver-side checks: type and policy.
-                let sig = self.compiled.sig_of(method);
-                validate_output_instance(&result, &sig.output_dfa, &self.compiled)
-                    .map_err(|e| PeerError::Enforcement(e.to_string()))?;
-                self.inbound.check(&result)?;
-                Ok(result)
-            }
-            soap::Message::Fault(fault) => Err(PeerError::Fault(fault)),
-            soap::Message::Request { .. } => {
-                Err(PeerError::Transport("unexpected request".to_owned()))
-            }
-        }
-    }
-
     /// Sends a *document* to another peer under an agreed exchange schema:
     /// the Fig. 1 scenario. The sender materializes what the exchange
     /// compiled schema requires (safe rewriting), then ships the XML.
@@ -449,92 +380,6 @@ impl Peer {
         )?;
         receiver_policy.check(std::slice::from_ref(&sent))?;
         Ok((sent, report))
-    }
-}
-
-/// Handle to a running peer server.
-pub struct PeerServer {
-    requests: Sender<(String, Sender<String>)>,
-    /// WSDL_int interface advertised by the serving peer.
-    pub interface: Vec<ServiceDef>,
-    handle: Option<JoinHandle<()>>,
-    // Behind a Mutex only so `PeerServer` stays shareable (`Sync`).
-    done: Mutex<Receiver<()>>,
-}
-
-/// How long [`PeerServer::shutdown`] waits for the server thread before
-/// declaring it wedged instead of blocking forever.
-const SHUTDOWN_WAIT: std::time::Duration = std::time::Duration::from_secs(10);
-
-impl PeerServer {
-    /// Stops the server thread *deterministically*: closes the request
-    /// channel, waits (bounded) for the serve loop to drain, and joins the
-    /// thread. A panic inside the server surfaces as
-    /// [`PeerError::Transport`] instead of being swallowed; a thread that
-    /// does not stop within the bound is reported (and detached) rather
-    /// than hanging the caller.
-    pub fn shutdown(mut self) -> Result<(), PeerError> {
-        self.stop()
-    }
-
-    fn stop(&mut self) -> Result<(), PeerError> {
-        let Some(handle) = self.handle.take() else {
-            return Ok(());
-        };
-        // Closing the channel ends the serve loop.
-        let (tx, _rx) = unbounded();
-        drop(std::mem::replace(&mut self.requests, tx));
-        // Bounded wait: the loop signals `done` on clean exit and drops
-        // the sender on panic — either way recv_timeout returns promptly.
-        use axml_support::sync::channel::RecvTimeoutError;
-        match self.done.lock().recv_timeout(SHUTDOWN_WAIT) {
-            Ok(()) | Err(RecvTimeoutError::Disconnected) => match handle.join() {
-                Ok(()) => Ok(()),
-                Err(panic) => {
-                    let msg = panic
-                        .downcast_ref::<&str>()
-                        .map(|s| (*s).to_owned())
-                        .or_else(|| panic.downcast_ref::<String>().cloned())
-                        .unwrap_or_else(|| "non-string panic payload".to_owned());
-                    // A worker panic is an observable event, not just a
-                    // join-error string: count it and emit an error span.
-                    axml_obs::global().counter("peer.panics_total").inc();
-                    axml_obs::span("peer.panic").fail(&msg);
-                    Err(PeerError::Transport(format!(
-                        "peer server thread panicked: {msg}"
-                    )))
-                }
-            },
-            Err(RecvTimeoutError::Timeout) => Err(PeerError::Transport(format!(
-                "peer server thread did not stop within {SHUTDOWN_WAIT:?}"
-            ))),
-        }
-    }
-}
-
-impl Drop for PeerServer {
-    fn drop(&mut self) {
-        let _ = self.stop();
-    }
-}
-
-/// An [`Invoker`] that calls a remote peer's declared services (used when
-/// one peer materializes calls that point at another peer).
-pub struct RemoteInvoker<'a> {
-    /// The calling peer (enforcement + policy side).
-    pub caller: &'a Peer,
-    /// The remote server handle.
-    pub server: &'a PeerServer,
-}
-
-impl Invoker for RemoteInvoker<'_> {
-    fn invoke(&mut self, function: &str, params: &[ITree]) -> Result<Vec<ITree>, InvokeError> {
-        self.caller
-            .call_remote(self.server, function, params)
-            .map_err(|e| InvokeError {
-                function: function.to_owned(),
-                message: e.to_string(),
-            })
     }
 }
 
@@ -588,14 +433,14 @@ mod tests {
         Arc::new(reg)
     }
 
-    fn newspaper_peer() -> Arc<Peer> {
+    fn newspaper_peer() -> Peer {
         let peer = Peer::new("newspaper.example.org", web_compiled(), web_registry());
         peer.repository.store("front", newspaper_example());
         peer.declare(
             SDef::new("Front_Page", "data", "newspaper"),
             Query::Document("front".to_owned()),
         );
-        Arc::new(peer)
+        peer
     }
 
     #[test]
@@ -617,100 +462,20 @@ mod tests {
     }
 
     #[test]
-    fn declared_service_served_over_soap() {
-        let server_peer = newspaper_peer();
-        let server = server_peer.serve();
-        let client = Arc::new(Peer::new("reader", web_compiled(), web_registry()));
-        let result = client
-            .call_remote(&server, "Front_Page", &[ITree::text("today")])
-            .unwrap();
-        assert_eq!(result.len(), 1);
-        assert_eq!(result[0].name(), Some("newspaper"));
-        // The intensional parts travelled intact.
-        assert_eq!(result[0].num_funcs(), 2);
-        server.shutdown().unwrap();
-    }
-
-    #[test]
-    fn shutdown_reports_server_panics() {
-        // A server thread that dies mid-request drops the `done` sender
-        // without signalling; shutdown must join it and surface the panic
-        // payload instead of swallowing it or hanging.
-        let (tx, rx): (Sender<(String, Sender<String>)>, _) = unbounded();
-        let (done_tx, done_rx) = bounded(1);
-        let handle = std::thread::spawn(move || {
-            let _signals_by_drop = done_tx;
-            let (request, _reply) = rx.recv().unwrap();
-            panic!("enforcement invariant violated on {}", request.len());
-        });
-        let server = PeerServer {
-            requests: tx,
-            interface: Vec::new(),
-            handle: Some(handle),
-            done: Mutex::new(done_rx),
-        };
-        let (reply_tx, reply_rx) = bounded(1);
-        server
-            .requests
-            .send(("<boom/>".to_owned(), reply_tx))
-            .unwrap();
-        // The reply channel closes without an answer.
-        assert!(reply_rx.recv().is_err());
-        let err = server.shutdown().unwrap_err();
-        assert!(
-            matches!(err, PeerError::Transport(ref m) if m.contains("panicked")
-                && m.contains("enforcement invariant violated")),
-            "{err}"
-        );
-    }
-
-    #[test]
-    fn shutdown_leaks_no_threads() {
-        let count_threads = || -> usize {
-            #[cfg(target_os = "linux")]
-            {
-                if let Ok(entries) = std::fs::read_dir("/proc/self/task") {
-                    return entries.count();
-                }
+    fn handle_refuses_parameters_outside_the_input_type_without_solving() {
+        // τ_in(Front_Page) = data. A call in the parameters is refused as
+        // it stands: the provider validates and never rewrites, so the
+        // parameter word reaches no solver.
+        let peer = newspaper_peer();
+        let params = [ITree::func("Get_Temp", vec![ITree::data("city", "Paris")])];
+        match peer.handle("Front_Page", &params) {
+            Err(e @ PeerError::Enforcement(_)) => {
+                assert_eq!(e.to_fault().code, "Client.Enforcement")
             }
-            0
-        };
-        let baseline = count_threads();
-        for _ in 0..32 {
-            let server = newspaper_peer().serve();
-            server.shutdown().unwrap();
+            other => panic!("expected an enforcement refusal, got {other:?}"),
         }
-        let after = count_threads();
-        // Other tests run concurrently, so allow slack — but 32 leaked
-        // server threads would be unmistakable.
-        assert!(
-            after < baseline + 8,
-            "thread count grew from {baseline} to {after}"
-        );
-    }
-
-    #[test]
-    fn unknown_service_faults() {
-        let server_peer = newspaper_peer();
-        let server = server_peer.serve();
-        let client = Arc::new(Peer::new("reader", web_compiled(), web_registry()));
-        let err = client.call_remote(&server, "Nope", &[]).unwrap_err();
-        assert!(matches!(err, PeerError::NoSuchService(_)));
-    }
-
-    #[test]
-    fn reject_functions_policy_blocks_intensional_answers() {
-        // A browser-like receiver that cannot process embedded calls.
-        let server_peer = newspaper_peer();
-        let server = server_peer.serve();
-        let client = Arc::new(
-            Peer::new("browser", web_compiled(), web_registry())
-                .with_inbound(InboundPolicy::RejectFunctions),
-        );
-        let err = client
-            .call_remote(&server, "Front_Page", &[ITree::text("today")])
-            .unwrap_err();
-        assert!(matches!(err, PeerError::PolicyViolation { .. }), "{err}");
+        assert_eq!(peer.solve_cache().stats().lookups, 0);
+        assert_eq!(peer.registry.stats().calls.get("Get_Temp"), None);
     }
 
     #[test]
@@ -802,41 +567,6 @@ mod tests {
         let params = vec![ITree::data("title", "Monet")];
         let out = peer.enforce_input("Get_Date", &params).unwrap();
         assert_eq!(out, params);
-    }
-
-    #[test]
-    fn remote_invoker_adapts_peers() {
-        let server_peer = newspaper_peer();
-        let server = server_peer.serve();
-        let caller = Peer::new("caller", web_compiled(), web_registry());
-        let mut inv = RemoteInvoker {
-            caller: &caller,
-            server: &server,
-        };
-        use axml_core::invoke::Invoker as _;
-        let result = inv.invoke("Front_Page", &[ITree::text("x")]).unwrap();
-        assert_eq!(result[0].name(), Some("newspaper"));
-        assert!(inv.invoke("Ghost", &[]).is_err());
-    }
-
-    #[test]
-    fn concurrent_clients_share_a_server() {
-        let server_peer = newspaper_peer();
-        let server = Arc::new(server_peer.serve());
-        let mut handles = Vec::new();
-        for i in 0..8 {
-            let server = Arc::clone(&server);
-            handles.push(std::thread::spawn(move || {
-                let client = Peer::new(&format!("c{i}"), web_compiled(), web_registry());
-                let result = client
-                    .call_remote(&server, "Front_Page", &[ITree::text("t")])
-                    .unwrap();
-                assert_eq!(result[0].name(), Some("newspaper"));
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
     }
 }
 

@@ -2,8 +2,8 @@
 //!
 //! The workspace must build and test **offline**: no registry crate may
 //! appear in any `Cargo.toml`. This crate supplies, from scratch, the
-//! small slices of `rand`, `proptest`, `criterion`, `parking_lot` and
-//! `crossbeam` that the rest of the workspace actually uses:
+//! small slices of `rand`, `proptest`, `criterion` and `parking_lot` that
+//! the rest of the workspace actually uses:
 //!
 //! * [`rng`] — a deterministic, seedable PRNG (SplitMix64 seeding a
 //!   xoshiro256\*\* core) behind `rand`-style [`rng::Rng`] /
@@ -21,8 +21,8 @@
 //!   `benches/b*.rs` workloads keep their shape. See DESIGN.md for the
 //!   emitted `BENCH_*.json` schema.
 //! * [`sync`] — `parking_lot`-flavoured [`sync::Mutex`] / [`sync::RwLock`]
-//!   (no poison plumbing at call sites) and a `crossbeam`-flavoured
-//!   [`sync::channel`] module, all over `std::sync`.
+//!   (no poison plumbing at call sites) over `std::sync`; channels are
+//!   `std::sync::mpsc` as it stands.
 //! * [`hash`] — an FxHash-style deterministic fast hasher
 //!   ([`hash::FxHashMap`], [`hash::fx_hash_one`]) for trusted-key
 //!   interning tables and structural fingerprints on hot paths.

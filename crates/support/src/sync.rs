@@ -1,17 +1,16 @@
-//! `std::sync` behind the ergonomics the workspace was written against.
+//! `std::sync` locks behind the ergonomics the workspace was written
+//! against.
 //!
-//! The peer and services crates used `parking_lot` locks (no poison
-//! plumbing at call sites: `lock()`/`read()`/`write()` return guards
-//! directly) and `crossbeam::channel` (one cloneable `Sender` type for
-//! both bounded and unbounded channels). These thin wrappers provide the
-//! same call-site shape over `std::sync` only.
+//! The workspace's crates used `parking_lot` locks (no poison plumbing at
+//! call sites: `lock()`/`read()`/`write()` return guards directly). These
+//! thin wrappers provide the same call-site shape over `std::sync` only.
+//! Channels need no wrapper: the daemons' bounded job queues are
+//! `std::sync::mpsc::sync_channel`s.
 //!
 //! Poisoning policy: a poisoned lock means a peer thread panicked while
 //! holding shared state; continuing on that state would be silent data
 //! corruption, so the wrappers propagate the panic — the behaviour
 //! `parking_lot` callers implicitly relied on never having to think about.
-
-use std::sync::mpsc;
 
 /// A mutual-exclusion lock whose `lock()` returns the guard directly.
 #[derive(Debug, Default)]
@@ -66,99 +65,6 @@ impl<T> RwLock<T> {
     }
 }
 
-/// Multi-producer channels with one `Sender` type for bounded and
-/// unbounded flavours, as `crossbeam::channel` offered.
-pub mod channel {
-    use super::mpsc;
-
-    /// Sending half of a channel. Cloneable and shareable across threads.
-    #[derive(Debug)]
-    pub enum Sender<T> {
-        /// Unbounded (asynchronous) sender.
-        Unbounded(mpsc::Sender<T>),
-        /// Bounded (rendezvous/buffered) sender.
-        Bounded(mpsc::SyncSender<T>),
-    }
-
-    impl<T> Clone for Sender<T> {
-        fn clone(&self) -> Self {
-            match self {
-                Sender::Unbounded(s) => Sender::Unbounded(s.clone()),
-                Sender::Bounded(s) => Sender::Bounded(s.clone()),
-            }
-        }
-    }
-
-    /// Receiving half of a channel.
-    #[derive(Debug)]
-    pub struct Receiver<T>(mpsc::Receiver<T>);
-
-    /// Error returned when the receiving side is gone.
-    pub type SendError<T> = mpsc::SendError<T>;
-    /// Error returned when every sender is gone.
-    pub type RecvError = mpsc::RecvError;
-    /// Error returned by [`Sender::try_send`] on a full or closed channel.
-    pub type TrySendError<T> = mpsc::TrySendError<T>;
-    /// Error returned by [`Receiver::recv_timeout`].
-    pub type RecvTimeoutError = mpsc::RecvTimeoutError;
-
-    impl<T> Sender<T> {
-        /// Sends a value, blocking on a full bounded channel; errors when
-        /// the receiver has been dropped.
-        pub fn send(&self, value: T) -> Result<(), SendError<T>> {
-            match self {
-                Sender::Unbounded(s) => s.send(value),
-                Sender::Bounded(s) => s.send(value),
-            }
-        }
-
-        /// Sends without blocking: a full bounded channel yields
-        /// `TrySendError::Full` immediately (unbounded channels are never
-        /// full) — the backpressure primitive daemons reject work with.
-        pub fn try_send(&self, value: T) -> Result<(), TrySendError<T>> {
-            match self {
-                Sender::Unbounded(s) => s.send(value).map_err(|e| TrySendError::Disconnected(e.0)),
-                Sender::Bounded(s) => s.try_send(value),
-            }
-        }
-    }
-
-    impl<T> Receiver<T> {
-        /// Blocks for the next value; errors once all senders are dropped.
-        pub fn recv(&self) -> Result<T, RecvError> {
-            self.0.recv()
-        }
-
-        /// Blocks for the next value at most `timeout` — the bounded-wait
-        /// primitive deterministic shutdown is built on.
-        pub fn recv_timeout(&self, timeout: std::time::Duration) -> Result<T, RecvTimeoutError> {
-            self.0.recv_timeout(timeout)
-        }
-
-        /// Non-blocking receive.
-        pub fn try_recv(&self) -> Result<T, mpsc::TryRecvError> {
-            self.0.try_recv()
-        }
-
-        /// Iterates over received values until all senders are dropped.
-        pub fn iter(&self) -> mpsc::Iter<'_, T> {
-            self.0.iter()
-        }
-    }
-
-    /// An unbounded channel.
-    pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
-        let (tx, rx) = mpsc::channel();
-        (Sender::Unbounded(tx), Receiver(rx))
-    }
-
-    /// A channel holding at most `cap` queued values.
-    pub fn bounded<T>(cap: usize) -> (Sender<T>, Receiver<T>) {
-        let (tx, rx) = mpsc::sync_channel(cap);
-        (Sender::Bounded(tx), Receiver(rx))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -174,72 +80,5 @@ mod tests {
         assert_eq!(rw.read().len(), 2);
         rw.write().push(3);
         assert_eq!(rw.into_inner(), vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn channels_cross_threads() {
-        let (tx, rx) = channel::unbounded();
-        let (reply_tx, reply_rx) = channel::bounded(1);
-        let server = std::thread::spawn(move || {
-            while let Ok((v, reply)) = rx.recv() {
-                let reply: channel::Sender<i32> = reply;
-                reply.send(v + 1).unwrap();
-            }
-        });
-        tx.send((41, reply_tx.clone())).unwrap();
-        assert_eq!(reply_rx.recv().unwrap(), 42);
-        // Senders shared across threads through clones.
-        let tx2 = tx.clone();
-        let t = std::thread::spawn(move || tx2.send((1, reply_tx)).unwrap());
-        t.join().unwrap();
-        assert_eq!(reply_rx.recv().unwrap(), 2);
-        drop(tx);
-        server.join().unwrap();
-    }
-
-    #[test]
-    fn try_send_reports_backpressure() {
-        let (tx, rx) = channel::bounded(1);
-        tx.try_send(1).unwrap();
-        assert!(matches!(
-            tx.try_send(2),
-            Err(channel::TrySendError::Full(2))
-        ));
-        assert_eq!(rx.recv().unwrap(), 1);
-        tx.try_send(3).unwrap();
-        drop(rx);
-        assert!(matches!(
-            tx.try_send(4),
-            Err(channel::TrySendError::Disconnected(4))
-        ));
-        // Unbounded senders are never full.
-        let (utx, urx) = channel::unbounded();
-        for i in 0..64 {
-            utx.try_send(i).unwrap();
-        }
-        drop(urx);
-        assert!(matches!(
-            utx.try_send(0),
-            Err(channel::TrySendError::Disconnected(0))
-        ));
-    }
-
-    #[test]
-    fn recv_timeout_bounds_the_wait() {
-        let (tx, rx) = channel::unbounded();
-        tx.send(5).unwrap();
-        assert_eq!(
-            rx.recv_timeout(std::time::Duration::from_secs(1)).unwrap(),
-            5
-        );
-        assert!(matches!(
-            rx.recv_timeout(std::time::Duration::from_millis(10)),
-            Err(channel::RecvTimeoutError::Timeout)
-        ));
-        drop(tx);
-        assert!(matches!(
-            rx.recv_timeout(std::time::Duration::from_millis(10)),
-            Err(channel::RecvTimeoutError::Disconnected)
-        ));
     }
 }

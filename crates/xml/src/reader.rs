@@ -3,6 +3,7 @@
 use crate::escape::unescape;
 use crate::model::{Attribute, Document, Element, Node, NsScope, QName};
 use std::borrow::Cow;
+use std::collections::HashSet;
 use std::fmt;
 
 /// A parse error with position information.
@@ -35,6 +36,11 @@ impl std::error::Error for XmlError {}
 /// keeps every walk well inside a 2 MiB thread stack. Peers supply the
 /// documents; the bound is what makes that safe.
 pub const MAX_DEPTH: usize = 128;
+
+/// Attribute count up to which a start tag checks a new attribute's name
+/// against the earlier ones by scanning them; past it, by a hash set, so a
+/// tag with many attributes costs linear time, not quadratic.
+const ATTRS_SCANNED: usize = 8;
 
 /// A pull-parser event.
 ///
@@ -274,6 +280,7 @@ impl<'a> Reader<'a> {
         self.pos += 1; // <
         let raw_name = self.read_name()?;
         let mut attributes_raw: Vec<(&'a str, String)> = Vec::new();
+        let mut attr_names: Option<HashSet<&'a str>> = None;
         let mut ns_decls: Vec<(String, String)> = Vec::new();
         let self_closing;
         loop {
@@ -318,10 +325,17 @@ impl<'a> Reader<'a> {
                 }
                 ns_decls.push((prefix.to_owned(), value));
             } else {
-                if attributes_raw.iter().any(|(n, _)| *n == attr_name) {
+                let duplicate = match &mut attr_names {
+                    Some(names) => !names.insert(attr_name),
+                    None => attributes_raw.iter().any(|(n, _)| *n == attr_name),
+                };
+                if duplicate {
                     return Err(self.err(format!("duplicate attribute '{attr_name}'")));
                 }
                 attributes_raw.push((attr_name, value));
+                if attr_names.is_none() && attributes_raw.len() > ATTRS_SCANNED {
+                    attr_names = Some(attributes_raw.iter().map(|(n, _)| *n).collect());
+                }
             }
         }
         // Resolve namespaces with the new declarations in scope.
@@ -594,6 +608,24 @@ mod tests {
     fn error_undeclared_prefix() {
         let e = parse_document("<x:a/>").unwrap_err();
         assert!(e.message.contains("undeclared"), "{e}");
+    }
+
+    #[test]
+    fn duplicate_attribute_after_many_distinct_ones_is_refused() {
+        for distinct in [2, 10_000] {
+            let attrs: String = (0..distinct).map(|i| format!(" a{i}=\"v\"")).collect();
+            let doc = format!("<e{attrs} a0=\"v\"/>");
+            let err = parse_document(&doc).unwrap_err();
+            assert_eq!(err.message, "duplicate attribute 'a0'", "{distinct}: {err}");
+            let end_of_repeat = doc.len() - "/>".len();
+            assert_eq!(
+                err.offset, end_of_repeat,
+                "{distinct}: refused right after the repeat"
+            );
+            let unique = format!("<e{attrs}/>");
+            let root = parse_document(&unique).unwrap().root;
+            assert_eq!(root.attributes.len(), distinct);
+        }
     }
 
     #[test]

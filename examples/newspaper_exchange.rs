@@ -1,7 +1,8 @@
 //! The Fig. 1 data-exchange scenario with two Active XML peers.
 //!
-//! A newspaper peer holds an intensional front page and serves it over
-//! SOAP. Three readers with different capabilities fetch it:
+//! A newspaper peer holds an intensional front page and serves it as a
+//! loopback TCP daemon. Three readers with different capabilities fetch
+//! it:
 //!
 //! * another Active XML peer accepts the intensional document as-is;
 //! * a reader with a *partially* intensional exchange schema receives the
@@ -12,7 +13,8 @@
 //! Run with: `cargo run --example newspaper_exchange`
 
 use axml::core::rewrite::enforce;
-use axml::peer::{InboundPolicy, Peer, Query};
+use axml::net::{ClientConfig, ServerConfig};
+use axml::peer::{InboundPolicy, NetPeer, Peer, Query, RemotePeer};
 use axml::schema::{newspaper_example, validate, Compiled, NoOracle, Schema, SchemaBuilder};
 use axml::services::builtin::{GetDate, GetTemp, TimeOutGuide};
 use axml::services::{Registry, ServiceDef};
@@ -83,13 +85,24 @@ fn main() {
         ServiceDef::new("Front_Page", "data", "newspaper"),
         Query::Document("front".to_owned()),
     );
-    let server = newspaper.serve();
+    let server = NetPeer::serve(
+        Arc::clone(&newspaper),
+        "127.0.0.1:0",
+        ServerConfig::default(),
+    )
+    .expect("bind a loopback daemon");
+    let remote = RemotePeer::connect(server.local_addr(), ClientConfig::default())
+        .expect("loopback address");
 
     // Reader 1: a full Active XML peer — fetches over SOAP, accepts the
     // intensional parts.
     let peer_reader = Peer::new("reader-axml", Arc::clone(&own), Arc::clone(&registry));
-    let fetched = peer_reader
-        .call_remote(&server, "Front_Page", &[axml::schema::ITree::text("today")])
+    let fetched = remote
+        .invoke_service(
+            &peer_reader,
+            "Front_Page",
+            &[axml::schema::ITree::text("today")],
+        )
         .expect("SOAP call");
     println!(
         "Active XML reader received ({} embedded calls):",

@@ -19,8 +19,10 @@
 //! are copied straight through and only subtrees containing `int:fun`
 //! calls are materialized, so memory stays proportional to the active
 //! subtree rather than the document (DESIGN.md §13). A `serve` daemon
-//! never rewrites what it receives: it validates the document against
-//! its own schema and refuses it when it does not conform.
+//! never rewrites what it receives: it validates a shipped document
+//! against its own schema, and the parameters of an exported service's
+//! call against the service's input type, and refuses what does not
+//! conform.
 //!
 //! `serve --store-dir DIR` gives the daemon persistent warm state
 //! (DESIGN.md §11): the solver cache is loaded from `DIR` before the

@@ -1,14 +1,11 @@
-//! A three-party distributed scenario: the newspaper peer materializes a
-//! document whose embedded call is served by *another* peer (the listings
-//! provider), in order to satisfy a browser that accepts no intensional
-//! content. Exercises RemoteInvoker + Schema Enforcement across two SOAP
-//! hops.
+//! Schema negotiation before a distributed exchange: a newspaper sender
+//! and a browser receiver that accepts no intensional content agree on
+//! the exchange schema. The exchange itself, with the embedded call
+//! materialized through a second peer daemon, is
+//! `tests/net_exchange.rs::matrix_newspaper_exchange_between_daemons`.
 
-use axml::core::rewrite::Rewriter;
-use axml::peer::{negotiate, InboundPolicy, Negotiation, Peer, Proposal, Query, RemoteInvoker};
-use axml::schema::{validate, Compiled, ITree, NoOracle, Schema};
-use axml::services::{Registry, ServiceDef};
-use std::sync::Arc;
+use axml::peer::{negotiate, InboundPolicy, Negotiation, Proposal};
+use axml::schema::{NoOracle, Schema};
 
 fn vocab() -> Schema {
     Schema::builder()
@@ -31,76 +28,6 @@ fn strict_vocab() -> Schema {
         .function("Listings", "data", "exhibit*")
         .build()
         .unwrap()
-}
-
-#[test]
-fn cross_peer_materialization() {
-    let compiled = Arc::new(Compiled::new(vocab(), &NoOracle).unwrap());
-
-    // Peer B: the listings provider, serving `Listings` over SOAP from its
-    // own repository.
-    let provider = Arc::new(Peer::new(
-        "listings.example.org",
-        Arc::clone(&compiled),
-        Arc::new(Registry::new()),
-    ));
-    provider.repository.store(
-        "program",
-        ITree::elem(
-            "listings",
-            vec![
-                ITree::elem(
-                    "exhibit",
-                    vec![ITree::data("title", "Monet"), ITree::data("date", "Mon")],
-                ),
-                ITree::elem(
-                    "exhibit",
-                    vec![ITree::data("title", "Rodin"), ITree::data("date", "Tue")],
-                ),
-            ],
-        ),
-    );
-    provider.declare(
-        ServiceDef::new("Listings", "data", "exhibit*"),
-        Query::Children("program".to_owned()),
-    );
-    let provider_server = provider.serve();
-
-    // Peer A: the newspaper, holding an intensional front page that calls
-    // the provider's service.
-    let newspaper = Peer::new(
-        "newspaper.example.org",
-        Arc::clone(&compiled),
-        Arc::new(Registry::new()),
-    );
-    let front = ITree::elem(
-        "newspaper",
-        vec![
-            ITree::data("title", "The Sun"),
-            ITree::data("date", "04/10/2002"),
-            ITree::func("Listings", vec![ITree::text("exhibits")]),
-        ],
-    );
-    validate(&front, &compiled).unwrap();
-
-    // The receiver is a browser: the agreed exchange schema is fully
-    // extensional. Materializing `Listings` requires the SOAP hop to B.
-    let strict = Arc::new(Compiled::new(strict_vocab(), &NoOracle).unwrap());
-    let mut rewriter = Rewriter::new(&strict).with_k(1);
-    let mut remote = RemoteInvoker {
-        caller: &newspaper,
-        server: &provider_server,
-    };
-    let (sent, report) = rewriter.rewrite_safe(&front, &mut remote).unwrap();
-    assert_eq!(report.invoked, vec!["Listings".to_owned()]);
-    assert_eq!(sent.num_funcs(), 0);
-    assert_eq!(sent.children().len(), 4); // title, date, 2 exhibits
-    validate(&sent, &strict).unwrap();
-    InboundPolicy::RejectFunctions
-        .check(std::slice::from_ref(&sent))
-        .unwrap();
-
-    provider_server.shutdown().unwrap();
 }
 
 #[test]

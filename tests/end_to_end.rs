@@ -5,7 +5,8 @@ use axml::core::invoke::ScriptedInvoker;
 use axml::core::mixed::rewrite_mixed;
 use axml::core::rewrite::{enforce, RewriteError, Rewriter};
 use axml::core::schema_rw::schema_safe_rewrites;
-use axml::peer::{Peer, Query};
+use axml::net::{ClientConfig, ServerConfig};
+use axml::peer::{NetPeer, Peer, Query, RemotePeer};
 use axml::schema::{newspaper_example, validate, xsd, Compiled, ITree, NoOracle, Schema};
 use axml::services::builtin::{Adversarial, Flaky, GetDate, GetTemp, IllTyped, TimeOutGuide};
 use axml::services::{Registry, ServiceDef};
@@ -344,11 +345,12 @@ fn two_peer_soap_exchange_with_enforcement() {
         ServiceDef::new("Front_Page", "data", "newspaper"),
         Query::Document("front".to_owned()),
     );
-    let server = newspaper.serve();
+    let server = NetPeer::serve(newspaper, "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let remote = RemotePeer::connect(server.local_addr(), ClientConfig::default()).unwrap();
 
     let reader = Peer::new("reader", Arc::clone(&vocab), Arc::clone(&registry));
-    let page = reader
-        .call_remote(&server, "Front_Page", &[ITree::text("today")])
+    let page = remote
+        .invoke_service(&reader, "Front_Page", &[ITree::text("today")])
         .unwrap();
     assert_eq!(page.len(), 1);
     validate(&page[0], &own).unwrap();

@@ -1,9 +1,12 @@
 //! Robustness: malformed inputs never panic, concurrent use is safe, and
-//! hostile nesting gets a typed fault from a live daemon.
+//! hostile requests — deep nesting, attribute floods, parameters that
+//! would need rewriting — get an answer from a live daemon that keeps
+//! serving, without reaching its solver.
 
-use axml::net::{ClientConfig, ClientError, IoMode, NetClient, ServerConfig};
-use axml::peer::{NetPeer, Peer, RECEIVE_METHOD};
-use axml::schema::{validate_xml_stream, Compiled, ITree, NoOracle, Schema};
+use axml::core::solve_cache::SolveCache;
+use axml::net::{ClientConfig, ClientError, FaultCode, IoMode, NetClient, ServerConfig};
+use axml::peer::{NetPeer, Peer, Query, RECEIVE_METHOD};
+use axml::schema::{dsl::parse_schema_dsl, validate_xml_stream, Compiled, ITree, NoOracle, Schema};
 use axml::services::builtin::{Adversarial, GetTemp};
 use axml::services::{soap, Registry, ServiceDef};
 use axml::xml::parse_document;
@@ -172,6 +175,128 @@ fn deep_nesting_gets_a_typed_fault_on_both_engines() {
         );
         assert!(peer.repository.load("deep.xml").is_err(), "{io:?}: nothing stored");
         client.stats().unwrap_or_else(|e| panic!("{io:?}: the daemon stopped answering stats: {e}"));
+        server.shutdown().unwrap();
+    }
+}
+
+/// An `axml.receive` envelope whose `call` element carries 80 000
+/// distinct attributes, about 800 KB. A reader that compares each
+/// attribute name with every earlier one holds a daemon worker for
+/// longer than the client waits; a linear check answers at once.
+#[test]
+fn attribute_flood_is_answered_on_both_engines() {
+    const ATTRS: usize = 80_000;
+    let schema = Arc::new(
+        Compiled::new(
+            Schema::builder().element("r", "r*").build().unwrap(),
+            &NoOracle,
+        )
+        .unwrap(),
+    );
+    let plain = soap::request(
+        RECEIVE_METHOD,
+        &[ITree::text("flood.xml"), ITree::elem("r", vec![])],
+    )
+    .to_xml();
+    assert_eq!(plain.matches("<call ").count(), 1, "{plain}");
+    let flood: String = (0..ATTRS).map(|i| format!("a{i}=\"v\" ")).collect();
+    let envelope = plain.replacen("<call ", &format!("<call {flood}"), 1);
+    assert!(envelope.len() > 750_000, "{} bytes", envelope.len());
+    for io in [IoMode::Threads, IoMode::Poll] {
+        let peer = Peer::new(
+            "receiver.test",
+            Arc::clone(&schema),
+            Arc::new(Registry::new()),
+        );
+        let config = ServerConfig {
+            io,
+            ..Default::default()
+        };
+        let server = NetPeer::serve(Arc::new(peer), "127.0.0.1:0", config).unwrap();
+        let client = NetClient::new(server.local_addr(), ClientConfig::default()).unwrap();
+        match client.call(&envelope) {
+            Ok(_) | Err(ClientError::Fault(_)) => {}
+            Err(e) => panic!("{io:?}: expected a response or a typed fault, got {e}"),
+        }
+        client
+            .stats()
+            .unwrap_or_else(|e| panic!("{io:?}: the daemon stopped answering stats: {e}"));
+        server.shutdown().unwrap();
+    }
+}
+
+/// The `schema_churn` vocabulary with a provider of `Feed : exhibit -> r`
+/// over a stored `<r/>` and no services registered.
+const FEED_SCHEMA: &str = "
+element r       = exhibit*
+element exhibit = title.(date.(line | note | memo | tag))*
+element title   = data
+element date    = data
+element line    = data
+element note    = data
+element memo    = data
+element tag     = data
+function Get_Date  : title -> date | Mirror_A1 | Mirror_A2
+function Mirror_A1 : () -> date
+function Mirror_A2 : () -> date
+function Feed      : exhibit -> r
+root r
+";
+
+/// A raw `Feed` request, sent with no caller-side rewriting, whose
+/// `exhibit` parameter holds 2 000 `Get_Date` calls where the schema
+/// wants dates. A provider that rewrote it would solve (and cache) the
+/// parameter word's game; it validates instead, refuses it with a typed
+/// `Client` fault and keeps serving.
+#[test]
+fn hostile_parameters_reach_no_solver_on_both_engines() {
+    const CALLS: usize = 2_000;
+    let compiled =
+        Arc::new(Compiled::new(parse_schema_dsl(FEED_SCHEMA).unwrap(), &NoOracle).unwrap());
+    let labels = ["line", "note", "memo", "tag"];
+    let mut children = vec![ITree::data("title", "Monet")];
+    for i in 0..CALLS {
+        children.push(ITree::func(
+            "Get_Date",
+            vec![ITree::data("title", &format!("t{i}"))],
+        ));
+        children.push(ITree::data(labels[i % labels.len()], "x"));
+    }
+    let envelope = soap::request("Feed", &[ITree::elem("exhibit", children)]).to_xml();
+    for io in [IoMode::Threads, IoMode::Poll] {
+        let provider = Arc::new(
+            Peer::new(
+                "provider.test",
+                Arc::clone(&compiled),
+                Arc::new(Registry::new()),
+            )
+            .with_solve_cache(SolveCache::unpublished(512)),
+        );
+        provider.repository.store("feed", ITree::elem("r", vec![]));
+        provider.declare(
+            ServiceDef::new("Feed", "exhibit", "r"),
+            Query::Document("feed".to_owned()),
+        );
+        let config = ServerConfig {
+            io,
+            ..Default::default()
+        };
+        let server = NetPeer::serve(Arc::clone(&provider), "127.0.0.1:0", config).unwrap();
+        let client = NetClient::new(server.local_addr(), ClientConfig::default()).unwrap();
+        match client.call(&envelope) {
+            Err(ClientError::Fault(fault)) => {
+                assert_eq!(fault.code, FaultCode::Client, "{io:?}: {fault}")
+            }
+            other => panic!("{io:?}: expected a typed Client fault, got {other:?}"),
+        }
+        assert_eq!(
+            provider.solve_cache().stats().lookups,
+            0,
+            "{io:?}: the parameters reached the solver"
+        );
+        client
+            .stats()
+            .unwrap_or_else(|e| panic!("{io:?}: the daemon stopped answering stats: {e}"));
         server.shutdown().unwrap();
     }
 }

@@ -27,9 +27,8 @@
 //! and virtual time, exercising these exact retry/backoff/deadline paths.
 
 use crate::transport::{Duplex, TcpTransport, Transport};
-use crate::wire::{self, FrameType, WireError, WireFault};
+use crate::wire::{self, ChunkDigest, FrameType, WireError, WireFault};
 use axml_support::clock::Clock;
-use axml_support::hash::Fnv64;
 use axml_support::rng::{RngExt, SeedableRng, StdRng};
 use axml_support::sync::Mutex;
 use std::io::{BufReader, Write};
@@ -253,7 +252,7 @@ impl NetClient {
         let mut reader = BufReader::new(stream);
         wire::write_frame(
             &mut writer,
-            &wire::hello_with(&self.config.name, wire::CAP_CHUNKED),
+            &wire::hello_with(&self.config.name, wire::CAPS),
         )
         .map_err(ClientError::Wire)?;
         let frame = wire::read_frame(&mut reader, self.config.max_frame).map_err(|e| {
@@ -406,7 +405,8 @@ impl NetClient {
         wire::write_frame(&mut conn.writer, &wire::doc_chunk_start(id, name))
             .map_err(ClientError::Wire)?;
         let (count, total, digest) = {
-            let mut sink = ChunkSink::new(&mut conn.writer, id, chunk);
+            let digest = ChunkDigest::for_caps(conn.server_caps);
+            let mut sink = ChunkSink::new(&mut conn.writer, id, chunk, digest);
             // A mid-stream producer failure leaves the transfer half-sent;
             // the connection is dropped (never pooled), which the server
             // accounts as an abort. The retry loop re-dials and re-invokes
@@ -586,7 +586,7 @@ impl NetClient {
 
 /// An [`std::io::Write`] that cuts its input into `DocChunk` frames as
 /// bytes arrive, tracking the sequence number, cumulative length, and
-/// running FNV-64 digest the closing `DocChunkEnd` must declare.
+/// running digest the closing `DocChunkEnd` must declare.
 ///
 /// Each frame is encoded in place in one reusable buffer: the header and
 /// sequence number are reserved up front, written data is appended once,
@@ -600,11 +600,11 @@ struct ChunkSink<'a> {
     frame: Vec<u8>,
     seq: u32,
     total: u64,
-    digest: Fnv64,
+    digest: ChunkDigest,
 }
 
 impl<'a> ChunkSink<'a> {
-    fn new(writer: &'a mut Box<dyn Duplex>, id: u64, chunk: usize) -> Self {
+    fn new(writer: &'a mut Box<dyn Duplex>, id: u64, chunk: usize, digest: ChunkDigest) -> Self {
         let mut frame = Vec::with_capacity(wire::DOC_CHUNK_PREFIX + chunk);
         wire::begin_doc_chunk(&mut frame, id);
         ChunkSink {
@@ -613,7 +613,7 @@ impl<'a> ChunkSink<'a> {
             frame,
             seq: 0,
             total: 0,
-            digest: Fnv64::new(),
+            digest,
         }
     }
 
@@ -672,6 +672,7 @@ mod tests {
     use super::*;
     use crate::server::{Handler, NetServer, ServerConfig};
     use crate::wire::{FaultCode, Frame};
+    use axml_support::hash::{fnv64, xxh64, Fnv64};
     use std::sync::atomic::AtomicU32;
     use std::sync::Arc;
 
@@ -936,6 +937,47 @@ mod tests {
         );
         drop(client);
         legacy.join().unwrap();
+    }
+
+    /// A hand-rolled peer whose `Welcome` advertises `caps`. It answers
+    /// one chunked transfer and returns the digest its `DocChunkEnd`
+    /// declared.
+    fn digest_recording_peer(caps: u8) -> (SocketAddr, std::thread::JoinHandle<u64>) {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let peer = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            let mut reader = BufReader::new(stream.try_clone().unwrap());
+            let mut writer = stream;
+            let hello = wire::read_frame(&mut reader, wire::DEFAULT_MAX_FRAME).unwrap();
+            let (_, _, hello_caps) = wire::decode_hello_caps(&hello.payload).unwrap();
+            assert_eq!(hello_caps, wire::CAPS, "the client advertises both bits");
+            wire::write_frame(&mut writer, &wire::welcome_with("fake", caps)).unwrap();
+            loop {
+                let frame = wire::read_frame(&mut reader, wire::DEFAULT_MAX_FRAME).unwrap();
+                if frame.kind == FrameType::DocChunkEnd {
+                    let (_, _, digest) = wire::decode_chunk_end(&frame.payload).unwrap();
+                    wire::write_frame(&mut writer, &wire::response(frame.id, "ok")).unwrap();
+                    return digest;
+                }
+            }
+        });
+        (addr, peer)
+    }
+
+    #[test]
+    fn chunk_digest_follows_the_welcome_caps() {
+        let doc = "<doc>".to_string() + &"quote ".repeat(3_000) + "</doc>";
+        let (fnv, xxh) = (fnv64(doc.as_bytes()), xxh64(doc.as_bytes()));
+        for (caps, expected) in [(wire::CAP_CHUNKED, fnv), (wire::CAPS, xxh)] {
+            let (addr, peer) = digest_recording_peer(caps);
+            let client = NetClient::new(addr, ClientConfig::default()).unwrap();
+            let reply = client
+                .send_document_chunked(None, "d.xml", 1000, |w| w.write_all(doc.as_bytes()))
+                .unwrap();
+            assert_eq!(reply, "ok");
+            assert_eq!(peer.join().unwrap(), expected, "caps {caps:#04x}");
+        }
     }
 
     /// A hand-rolled peer that answers Hello with a duplicated Welcome,

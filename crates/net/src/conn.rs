@@ -27,7 +27,7 @@
 
 use crate::frames::{ChunkAssembler, ChunkProgress};
 use crate::server::Handler;
-use crate::wire::{self, FaultCode, Frame, FrameType, WireError, WireFault};
+use crate::wire::{self, ChunkDigest, FaultCode, Frame, FrameType, WireError, WireFault};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -316,12 +316,14 @@ impl Conn {
     }
 
     fn handshake(&mut self, frame: &Frame) -> Action {
-        match wire::decode_hello(&frame.payload) {
-            Ok((version, _peer)) if version == wire::VERSION => {
+        match wire::decode_hello_caps(&frame.payload) {
+            Ok((version, _peer, caps)) if version == wire::VERSION => {
                 self.handshaken = true;
-                Action::Reply(wire::welcome_with(&self.ep.name, wire::CAP_CHUNKED))
+                // The client's caps pick the digest its transfers close with.
+                self.assembler.set_digest(ChunkDigest::for_caps(caps));
+                Action::Reply(wire::welcome_with(&self.ep.name, wire::CAPS))
             }
-            Ok((version, _)) => self.close(Some(fault(
+            Ok((version, _, _)) => self.close(Some(fault(
                 0,
                 FaultCode::Version,
                 format!("server speaks version {}, client {version}", wire::VERSION),

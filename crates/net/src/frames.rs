@@ -24,8 +24,7 @@
 //! prefixes are compacted, and an idle decoder releases any oversized
 //! scratch back to the allocator.
 
-use crate::wire::{self, Frame, FrameType, WireError, HEADER_LEN};
-use axml_support::hash::Fnv64;
+use crate::wire::{self, ChunkDigest, Frame, FrameType, WireError, HEADER_LEN};
 
 /// Buffer capacity above which an *empty* decoder gives memory back.
 /// Idle connections (the 10k-scale case) should cost tens of bytes, not
@@ -169,7 +168,7 @@ struct Transfer {
     name: String,
     next_seq: u32,
     buf: Vec<u8>,
-    digest: Fnv64,
+    digest: ChunkDigest,
 }
 
 /// What [`ChunkAssembler::accept`] did with a chunk frame.
@@ -205,7 +204,9 @@ pub enum ChunkProgress {
 ///   [`WireError::TooLarge`] reports the running total, not the size of
 ///   the frame that crossed the line;
 /// * `DocChunkEnd` must match the observed chunk count, total byte
-///   length, and running FNV-64 digest.
+///   length, and running digest: FNV-1a-64 unless
+///   [`ChunkAssembler::set_digest`] chose another (the connection core
+///   picks XXH64 for a peer whose `Hello` advertised it).
 ///
 /// After an error the failed transfer's buffer is released immediately
 /// and the assembler enters a **drain** state for that request id:
@@ -215,18 +216,28 @@ pub enum ChunkProgress {
 /// client retry on the same pooled connection clean.
 pub struct ChunkAssembler {
     max_total: usize,
+    /// The fresh digest each new transfer starts from.
+    digest: ChunkDigest,
     transfer: Option<Transfer>,
     drain_id: Option<u64>,
 }
 
 impl ChunkAssembler {
-    /// An assembler capping cumulative transfer size at `max_total`.
+    /// An assembler capping cumulative transfer size at `max_total` and
+    /// checking FNV-1a-64 digests.
     pub fn new(max_total: usize) -> Self {
         ChunkAssembler {
             max_total,
+            digest: ChunkDigest::for_caps(0),
             transfer: None,
             drain_id: None,
         }
+    }
+
+    /// Checks transfers that start from now on against `digest`, a fresh
+    /// [`ChunkDigest`]. An open transfer keeps the digest it started with.
+    pub fn set_digest(&mut self, digest: ChunkDigest) {
+        self.digest = digest;
     }
 
     /// Whether a transfer is in flight — the line between a benign idle
@@ -288,7 +299,7 @@ impl ChunkAssembler {
                     name,
                     next_seq: 0,
                     buf: Vec::new(),
-                    digest: Fnv64::new(),
+                    digest: self.digest,
                 });
                 Ok(ChunkProgress::Pending)
             }
@@ -413,6 +424,7 @@ impl ChunkAssembler {
 mod tests {
     use super::*;
     use crate::wire::{self, DEFAULT_MAX_FRAME};
+    use axml_support::hash::{xxh64, Fnv64};
 
     fn encode(frame: &Frame) -> Vec<u8> {
         let mut buf = Vec::new();
@@ -533,6 +545,27 @@ mod tests {
             assert!(!asm.active());
             assert_eq!(asm.buffered_len(), 0);
         }
+    }
+
+    #[test]
+    fn assembler_checks_the_digest_fixed_at_chunk_start() {
+        let data = b"<doc>intensional</doc>";
+        let end = |digest| wire::doc_chunk_end(3, 1, data.len() as u64, digest);
+        let mut asm = ChunkAssembler::new(1024);
+        asm.accept(&wire::doc_chunk_start(3, "d")).unwrap();
+        asm.accept(&wire::doc_chunk(3, 0, data)).unwrap();
+        // Switching mid-transfer leaves the open transfer on FNV.
+        asm.set_digest(ChunkDigest::for_caps(wire::CAPS));
+        assert!(matches!(
+            asm.accept(&end(xxh64(data))).unwrap_err(),
+            WireError::Malformed(ref m) if m.contains("digest mismatch")
+        ));
+        asm.accept(&wire::doc_chunk_start(3, "d")).unwrap();
+        asm.accept(&wire::doc_chunk(3, 0, data)).unwrap();
+        assert!(matches!(
+            asm.accept(&end(xxh64(data))).unwrap(),
+            ChunkProgress::Complete { .. }
+        ));
     }
 
     #[test]

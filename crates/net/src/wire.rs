@@ -23,7 +23,7 @@
 //! | 0x07 | `StatsResponse` | a JSON metric snapshot (`axml-obs` format)  |
 //! | 0x08 | `DocChunkStart` | name len (u16 BE) + document name (UTF-8)   |
 //! | 0x09 | `DocChunk`      | sequence number (u32 BE) + raw chunk bytes  |
-//! | 0x0A | `DocChunkEnd`   | chunk count (u32 BE) + total bytes (u64 BE) + FNV-64 digest (u64 BE) |
+//! | 0x0A | `DocChunkEnd`   | chunk count (u32 BE) + total bytes (u64 BE) + digest (u64 BE, [`ChunkDigest`]) |
 //!
 //! A connection opens with a versioned handshake: the client sends
 //! `Hello` (request id 0); the server answers `Welcome`, or a `Fault`
@@ -40,15 +40,19 @@
 //! predating the suffix merely logs a name with a trailing marker — the
 //! handshake itself still succeeds. A client uses chunked document
 //! transfer ([`CAP_CHUNKED`]) only when the server's `Welcome` advertises
-//! it, falling back to single-frame `Request` shipping otherwise.
+//! it, falling back to single-frame `Request` shipping otherwise. Both
+//! ends of this build advertise [`CAPS`].
 //!
 //! **Chunked transfers.** A document too large for one `Request` frame
 //! travels as `DocChunkStart`, then `DocChunk` frames with consecutive
 //! sequence numbers starting at 0, then `DocChunkEnd` carrying the chunk
-//! count, cumulative byte length, and a running FNV-64 digest of the
-//! chunk bytes. All frames of one transfer carry the same request id, and
-//! the transfer is answered by exactly one `Response` or `Fault` like a
-//! plain `Request`. Reassembly rules live in
+//! count, cumulative byte length, and a running digest of the chunk
+//! bytes. Each end picks the digest from the caps the other end
+//! advertised ([`ChunkDigest::for_caps`]): XXH64 when they include
+//! [`CAP_XXH64`], FNV-1a-64 when not. A peer advertises the bit only if it
+//! computes XXH64, so both ends agree. All frames of one transfer carry
+//! the same request id, and the transfer is answered by exactly one
+//! `Response` or `Fault` like a plain `Request`. Reassembly rules live in
 //! [`ChunkAssembler`](crate::frames::ChunkAssembler).
 //!
 //! Faults are **typed**: a [`FaultCode`] plus a `retryable` flag that
@@ -59,6 +63,7 @@
 //! *before* any allocation ([`WireError::TooLarge`]) — a 4-byte length
 //! from a hostile peer never reserves memory.
 
+use axml_support::hash::{Fnv64, Xxh64};
 use std::io::{Read, Write};
 use std::time::Duration;
 
@@ -87,6 +92,52 @@ pub(crate) const MAX_DOC_NAME: usize = u16::MAX as usize;
 /// `DocChunkStart`/`DocChunk`/`DocChunkEnd` frame family.
 pub const CAP_CHUNKED: u8 = 0x01;
 
+/// Handshake capability bit: the peer closes and checks chunked
+/// transfers with an XXH64 digest instead of FNV-1a-64.
+pub const CAP_XXH64: u8 = 0x02;
+
+/// The capabilities this build advertises, in a client's `Hello` and in
+/// a server's `Welcome`.
+pub const CAPS: u8 = CAP_CHUNKED | CAP_XXH64;
+
+/// The running digest that closes a chunked transfer (`DocChunkEnd`).
+#[derive(Debug, Clone, Copy)]
+pub enum ChunkDigest {
+    /// FNV-1a-64, byte for byte as before [`CAP_XXH64`] existed.
+    Fnv64(Fnv64),
+    /// XXH64 with seed 0.
+    Xxh64(Xxh64),
+}
+
+impl ChunkDigest {
+    /// A fresh digest for a transfer to or from a peer that advertised
+    /// `caps` in its handshake: XXH64 when it set [`CAP_XXH64`],
+    /// FNV-1a-64 when it did not. Senders and receivers both decide here.
+    pub fn for_caps(caps: u8) -> ChunkDigest {
+        if caps & CAP_XXH64 != 0 {
+            ChunkDigest::Xxh64(Xxh64::new())
+        } else {
+            ChunkDigest::Fnv64(Fnv64::new())
+        }
+    }
+
+    /// Folds `bytes` into the digest.
+    pub fn update(&mut self, bytes: &[u8]) {
+        match self {
+            ChunkDigest::Fnv64(d) => d.update(bytes),
+            ChunkDigest::Xxh64(d) => d.update(bytes),
+        }
+    }
+
+    /// The digest of everything folded so far.
+    pub fn finish(&self) -> u64 {
+        match self {
+            ChunkDigest::Fnv64(d) => d.finish(),
+            ChunkDigest::Xxh64(d) => d.finish(),
+        }
+    }
+}
+
 /// The kind of a frame, i.e. its `type` byte.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FrameType {
@@ -108,7 +159,7 @@ pub enum FrameType {
     DocChunkStart,
     /// One chunk of a chunked transfer (sequence number + bytes).
     DocChunk,
-    /// Closes a chunked transfer (count + total length + FNV-64 digest).
+    /// Closes a chunked transfer (count + total length + digest).
     DocChunkEnd,
 }
 
@@ -460,11 +511,6 @@ pub fn hello_with(peer_name: &str, caps: u8) -> Frame {
     }
 }
 
-/// Decodes a `Hello` payload, returning `(version, peer name)`.
-pub fn decode_hello(payload: &[u8]) -> Result<(u16, String), WireError> {
-    decode_hello_caps(payload).map(|(v, name, _)| (v, name))
-}
-
 /// Decodes a `Hello` payload including the capability mask, returning
 /// `(version, peer name, caps)`. Payloads without the NUL suffix decode
 /// with `caps == 0`.
@@ -680,7 +726,8 @@ pub fn decode_chunk(payload: &[u8]) -> Result<(u32, &[u8]), WireError> {
 }
 
 /// Builds the `DocChunkEnd` frame closing a chunked transfer: chunk
-/// count, cumulative byte length, and the FNV-64 digest of those bytes.
+/// count, cumulative byte length, and the digest of those bytes (see
+/// [`ChunkDigest`]).
 pub fn doc_chunk_end(id: u64, count: u32, total: u64, digest: u64) -> Frame {
     let mut payload = Vec::with_capacity(4 + 8 + 8);
     payload.extend_from_slice(&count.to_be_bytes());
@@ -754,14 +801,14 @@ mod tests {
 
     #[test]
     fn handshake_payloads_decode() {
-        let (v, name) = decode_hello(&hello("np.example.org").payload).unwrap();
+        let (v, name, _) = decode_hello_caps(&hello("np.example.org").payload).unwrap();
         assert_eq!(v, VERSION);
         assert_eq!(name, "np.example.org");
         let (v, name) = decode_welcome(&welcome("archive").payload).unwrap();
         assert_eq!(v, VERSION);
         assert_eq!(name, "archive");
-        assert_eq!(decode_hello(b"NOPE\x00\x01x"), Err(WireError::BadMagic));
-        assert!(decode_hello(b"AX").is_err());
+        assert_eq!(decode_hello_caps(b"NOPE\x00\x01x"), Err(WireError::BadMagic));
+        assert!(decode_hello_caps(b"AX").is_err());
     }
 
     #[test]

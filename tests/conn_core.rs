@@ -16,13 +16,18 @@
 //! * `net.chunk.reassembly_bytes` is back to 0;
 //! * a closed connection emits and accounts nothing more.
 //!
-//! Failing seeds replay from `regressions/conn_core.seeds`.
+//! The property runs twice: once with `Hello`s that advertise no
+//! capabilities and transfers closed with FNV-1a-64, and once with
+//! `Hello`s that advertise [`wire::CAPS`] and transfers closed with
+//! XXH64, the digest those caps select.
+//!
+//! Failing seeds replay from `regressions/conn_core.seeds` and
+//! `regressions/conn_core_xxh64.seeds`.
 
 use axml::net::conn::{Action, Conn, Endpoint, Job, Refusal};
-use axml::net::wire::{self, Frame, FrameType, WireError};
+use axml::net::wire::{self, ChunkDigest, Frame, FrameType, WireError};
 use axml::net::{FaultCode, WireFault};
 use axml::obs::Registry;
-use axml_support::hash::Fnv64;
 use axml_support::prelude::*;
 use axml_support::prop::run;
 use axml_support::rng::{RngExt, SeedableRng, StdRng};
@@ -35,7 +40,7 @@ struct Transfer {
     id: u64,
     seq: u32,
     len: u64,
-    digest: Fnv64,
+    digest: ChunkDigest,
 }
 
 /// One connection under test and its peer's side of the conversation.
@@ -57,14 +62,15 @@ fn answers_request(frame: &Frame) -> bool {
 }
 
 /// The next chunk-family frame: a fresh Start, the open transfer's next
-/// chunk, or its End — each sometimes corrupted.
-fn chunk_frame(rng: &mut StdRng, transfer: &mut Option<Transfer>, id: u64) -> Frame {
+/// chunk, or its End — each sometimes corrupted. Transfers close with
+/// the digest a peer advertising `caps` computes.
+fn chunk_frame(rng: &mut StdRng, transfer: &mut Option<Transfer>, id: u64, caps: u8) -> Frame {
     let Some(t) = transfer else {
         *transfer = Some(Transfer {
             id,
             seq: 0,
             len: 0,
-            digest: Fnv64::new(),
+            digest: ChunkDigest::for_caps(caps),
         });
         return wire::doc_chunk_start(id, "doc.xml");
     };
@@ -96,10 +102,16 @@ fn chunk_frame(rng: &mut StdRng, transfer: &mut Option<Transfer>, id: u64) -> Fr
     wire::doc_chunk(t.id, seq, &piece)
 }
 
-/// Draws the next read outcome for one connection.
-fn draw(rng: &mut StdRng, transfer: &mut Option<Transfer>, id: u64) -> Result<Frame, WireError> {
+/// Draws the next read outcome for one connection whose `Hello`s
+/// advertise `caps`.
+fn draw(
+    rng: &mut StdRng,
+    transfer: &mut Option<Transfer>,
+    id: u64,
+    caps: u8,
+) -> Result<Frame, WireError> {
     match rng.random_range(0..100u32) {
-        0..=9 => Ok(wire::hello("prop")),
+        0..=9 => Ok(wire::hello_with("prop", caps)),
         10 => {
             let mut hello = wire::hello("old");
             hello.payload[4..6].copy_from_slice(&99u16.to_be_bytes());
@@ -112,7 +124,7 @@ fn draw(rng: &mut StdRng, transfer: &mut Option<Transfer>, id: u64) -> Result<Fr
             payload: vec![0xff, 0xfe],
         }),
         33..=37 => Ok(wire::stats_request(id)),
-        38..=74 => Ok(chunk_frame(rng, transfer, id)),
+        38..=74 => Ok(chunk_frame(rng, transfer, id, caps)),
         75..=78 => Ok(Frame {
             kind: *rng
                 .choose(&[FrameType::Welcome, FrameType::Response, FrameType::Fault])
@@ -140,7 +152,7 @@ fn gauge(registry: &Registry) -> i64 {
     registry.snapshot().gauge("net.chunk.reassembly_bytes")
 }
 
-fn core_holds(seed: u64) -> Result<(), TestCaseError> {
+fn core_holds(seed: u64, caps: u8) -> Result<(), TestCaseError> {
     let mut rng = StdRng::seed_from_u64(seed);
     let registry = Registry::new();
     let ep = Endpoint::new("prop-peer", MAX_DOC, &registry);
@@ -165,7 +177,7 @@ fn core_holds(seed: u64) -> Result<(), TestCaseError> {
         let mut action = if side.closed && rng.random_bool(0.3) {
             side.conn.refused(id, Refusal::Busy)
         } else {
-            let read = draw(&mut rng, &mut side.transfer, id);
+            let read = draw(&mut rng, &mut side.transfer, id, caps);
             side.conn.on_read(read)
         };
         if let Action::Queue(job) = action {
@@ -242,6 +254,16 @@ fn conn_core() {
         "conn_core",
         &ProptestConfig::with_cases(500),
         0u64..u64::MAX,
-        core_holds,
+        |seed| core_holds(seed, 0),
+    );
+}
+
+#[test]
+fn conn_core_xxh64() {
+    run(
+        "conn_core_xxh64",
+        &ProptestConfig::with_cases(500),
+        0u64..u64::MAX,
+        |seed| core_holds(seed, wire::CAPS),
     );
 }

@@ -11,7 +11,8 @@
 //!
 //! Scenarios: concurrent clients, raw protocol faults (oversized frame,
 //! malformed envelope, bad frame type, mid-frame stall, handshake
-//! violations, a repeated Hello), queue-saturation Busy backpressure, the
+//! violations, a repeated Hello, chunk digests matched and mismatched to
+//! the Hello's caps), queue-saturation Busy backpressure, the
 //! paper's Fig. 1 three-party newspaper exchange, and span correlation
 //! for clean and failed exchanges.
 
@@ -280,6 +281,35 @@ impl FaultServer {
     }
 }
 
+/// Ships a small newspaper as a raw chunked transfer on a fresh
+/// connection whose `Hello` advertises `hello_caps`, closed with the
+/// digest a peer advertising `digest_caps` computes, and returns the
+/// server's answer.
+fn raw_chunked_transfer(
+    server: &FaultServer,
+    id: u64,
+    hello_caps: u8,
+    digest_caps: u8,
+) -> wire::Frame {
+    let (mut reader, mut stream) = server.dial();
+    wire::write_frame(&mut stream, &wire::hello_with("matrix-client", hello_caps)).unwrap();
+    let welcome = wire::read_frame(&mut reader, wire::DEFAULT_MAX_FRAME).unwrap();
+    let (_, _, caps) = wire::decode_welcome_caps(&welcome.payload).unwrap();
+    assert_eq!(caps, wire::CAPS, "the Welcome advertises both bits");
+    let doc = b"<newspaper><title>The Sun</title><date>04/10/2002</date></newspaper>";
+    let mut digest = wire::ChunkDigest::for_caps(digest_caps);
+    wire::write_frame(&mut stream, &wire::doc_chunk_start(id, &format!("raw{id}.xml"))).unwrap();
+    let mut count = 0;
+    for piece in doc.chunks(16) {
+        digest.update(piece);
+        wire::write_frame(&mut stream, &wire::doc_chunk(id, count, piece)).unwrap();
+        count += 1;
+    }
+    let end = wire::doc_chunk_end(id, count, doc.len() as u64, digest.finish());
+    wire::write_frame(&mut stream, &end).unwrap();
+    wire::read_frame(&mut reader, wire::DEFAULT_MAX_FRAME).unwrap()
+}
+
 /// Drives every protocol-fault path over a raw connection and returns
 /// each reply frame, labelled. The whole vector must be byte-identical
 /// across the three servers.
@@ -375,6 +405,14 @@ fn protocol_fault_outcome(daemon: Daemon) -> Vec<(&'static str, wire::Frame)> {
             wire::read_frame(&mut reader, wire::DEFAULT_MAX_FRAME).unwrap(),
         ));
     }
+    // The digest follows the Hello's caps: FNV-1a-64 for a client that
+    // advertised chunking only, XXH64 for one that also set CAP_XXH64.
+    // A transfer closed with the other digest is refused.
+    let (fnv, xxh) = (wire::CAP_CHUNKED, wire::CAPS);
+    out.push(("fnv-hello-fnv-digest", raw_chunked_transfer(&server, 21, fnv, fnv)));
+    out.push(("fnv-hello-xxh-digest", raw_chunked_transfer(&server, 22, fnv, xxh)));
+    out.push(("xxh-hello-xxh-digest", raw_chunked_transfer(&server, 23, xxh, xxh)));
+    out.push(("xxh-hello-fnv-digest", raw_chunked_transfer(&server, 24, xxh, fnv)));
     // Handshake violation: a Request before Hello.
     {
         let (mut reader, mut stream) = server.dial();
@@ -466,6 +504,18 @@ fn matrix_protocol_faults_are_byte_identical() {
         frame("conn-survives-malformed").kind,
         wire::FrameType::StatsResponse
     );
+    for label in ["fnv-hello-fnv-digest", "xxh-hello-xxh-digest"] {
+        assert_eq!(frame(label).kind, wire::FrameType::Response, "{label}");
+    }
+    for label in ["fnv-hello-xxh-digest", "xxh-hello-fnv-digest"] {
+        let refused = fault_code(label);
+        assert_eq!(refused.code, axml::net::FaultCode::BadFrame, "{label}");
+        assert!(
+            refused.message.contains("chunk digest mismatch"),
+            "{label}: {}",
+            refused.message
+        );
+    }
 }
 
 // ---------------------------------------------------------------------

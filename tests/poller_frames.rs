@@ -13,9 +13,8 @@
 //! all derived from seeds via the workspace PRNG, so every failure
 //! reproduces from its seed.
 
-use axml::net::wire::{self, Frame, FrameType};
+use axml::net::wire::{self, ChunkDigest, Frame, FrameType};
 use axml::net::{ChunkAssembler, ChunkProgress, FrameDecoder, WireError};
-use axml_support::hash::Fnv64;
 use axml_support::rng::{Rng, RngExt, SeedableRng, StdRng};
 
 /// Ground truth: the blocking reader consuming the same bytes from an
@@ -239,14 +238,19 @@ fn corrupt_prefix_yields_the_same_typed_fault_as_blocking() {
 
 // ---------------------------------------------------------------------
 // Chunk-transfer fuzz: the reassembly taxonomy must be identical no
-// matter which reader fed the assembler its frames.
+// matter which reader fed the assembler its frames. Each test runs once
+// per chunk digest: FNV-1a-64 for a peer that advertised chunking only,
+// XXH64 for one that also advertised CAP_XXH64.
 // ---------------------------------------------------------------------
 
+/// The `Hello` caps that select each chunk digest.
+const DIGEST_CAPS: [u8; 2] = [wire::CAP_CHUNKED, wire::CAPS];
+
 /// A well-formed chunked transfer: Start, consecutive chunks, an End
-/// declaring the true count/total/FNV-64 digest.
-fn transfer_frames(id: u64, name: &str, data: &[u8], chunk: usize) -> Vec<Frame> {
+/// declaring the true count/total and the digest `caps` selects.
+fn transfer_frames(id: u64, name: &str, data: &[u8], chunk: usize, caps: u8) -> Vec<Frame> {
     let mut frames = vec![wire::doc_chunk_start(id, name)];
-    let mut digest = Fnv64::new();
+    let mut digest = ChunkDigest::for_caps(caps);
     let mut seq = 0u32;
     for piece in data.chunks(chunk.max(1)) {
         digest.update(piece);
@@ -257,12 +261,14 @@ fn transfer_frames(id: u64, name: &str, data: &[u8], chunk: usize) -> Vec<Frame>
     frames
 }
 
-/// Drives one [`ChunkAssembler`] over the chunk-family frames of a
-/// decoded stream, collapsing each step to a comparable string — the
-/// completed document's bytes are included so payload corruption at a
-/// split boundary cannot hide behind an equal-length transcript.
-fn assembler_transcript(frames: &[Frame], max_doc: usize) -> Vec<String> {
+/// Drives one [`ChunkAssembler`] checking the digest `caps` selects over
+/// the chunk-family frames of a decoded stream, collapsing each step to
+/// a comparable string — the completed document's bytes are included so
+/// payload corruption at a split boundary cannot hide behind an
+/// equal-length transcript.
+fn assembler_transcript(frames: &[Frame], max_doc: usize, caps: u8) -> Vec<String> {
     let mut asm = ChunkAssembler::new(max_doc);
+    asm.set_digest(ChunkDigest::for_caps(caps));
     frames
         .iter()
         .filter(|f| {
@@ -289,7 +295,10 @@ fn assembler_transcript(frames: &[Frame], max_doc: usize) -> Vec<String> {
 /// for every seed; corrupted variants must end in a typed error.
 #[test]
 fn seeded_chunk_fuzz_taxonomy_matches_across_readers() {
-    for seed in 0..300u64 {
+    for (caps, seed) in DIGEST_CAPS
+        .into_iter()
+        .flat_map(|caps| (0..300u64).map(move |seed| (caps, seed)))
+    {
         let mut rng = StdRng::seed_from_u64(seed);
         let id = rng.random_range(1..1000u64);
         let len = rng.random_range(0..2000usize);
@@ -299,7 +308,7 @@ fn seeded_chunk_fuzz_taxonomy_matches_across_readers() {
         }
         data.truncate(len);
         let chunk = rng.random_range(1..=600usize);
-        let mut frames = transfer_frames(id, "fuzz.xml", &data, chunk);
+        let mut frames = transfer_frames(id, "fuzz.xml", &data, chunk, caps);
         // Interleave a control frame somewhere mid-transfer: the real
         // reader answers StatsRequest inline without touching the
         // assembler, so the transcript must be unaffected.
@@ -356,23 +365,24 @@ fn seeded_chunk_fuzz_taxonomy_matches_across_readers() {
         let (blocking_frames, blocking_end) = blocking_reference(&bytes, MAX);
         let chunks = random_chunks(&mut rng, bytes.len());
         let (decoded_frames, decoded_end) = decoder_run(&bytes, MAX, &chunks);
-        assert_eq!(decoded_frames, blocking_frames, "seed {seed}: frames diverged");
-        assert_eq!(decoded_end, blocking_end, "seed {seed}: terminal state diverged");
+        let at = format!("caps {caps:#04x} seed {seed}");
+        assert_eq!(decoded_frames, blocking_frames, "{at}: frames diverged");
+        assert_eq!(decoded_end, blocking_end, "{at}: terminal state diverged");
 
-        let reference = assembler_transcript(&blocking_frames, max_doc);
-        let incremental = assembler_transcript(&decoded_frames, max_doc);
-        assert_eq!(incremental, reference, "seed {seed}: taxonomy diverged");
+        let reference = assembler_transcript(&blocking_frames, max_doc, caps);
+        let incremental = assembler_transcript(&decoded_frames, max_doc, caps);
+        assert_eq!(incremental, reference, "{at}: taxonomy diverged");
         let failed = reference.iter().any(|step| step.starts_with("err: "));
         let over_cap = len > max_doc;
         if expect_error || over_cap {
             assert!(
                 failed,
-                "seed {seed}: corruption (corrupt={corrupt}, cap={max_doc}) went undetected"
+                "{at}: corruption (corrupt={corrupt}, cap={max_doc}) went undetected"
             );
         } else {
             assert!(
                 reference.iter().any(|s| s.starts_with("complete")),
-                "seed {seed}: clean transfer did not complete: {reference:?}"
+                "{at}: clean transfer did not complete: {reference:?}"
             );
         }
     }
@@ -380,15 +390,17 @@ fn seeded_chunk_fuzz_taxonomy_matches_across_readers() {
 
 /// The three canonical corruptions pin their exact typed messages — the
 /// strings both engines put on the wire, asserted byte-for-byte after a
-/// byte-at-a-time decode.
+/// byte-at-a-time decode. Each case pins its message under FNV-1a-64 and
+/// under XXH64; the XXH64 digest pin names the 32-byte document's digest.
 #[test]
 fn chunk_corruption_messages_are_pinned() {
     let data = b"0123456789abcdef0123456789abcdef";
-    let cases: [(&str, Box<dyn Fn(&mut Vec<Frame>)>, &str); 4] = [
+    type Corrupt = Box<dyn Fn(&mut Vec<Frame>)>;
+    let cases: [(&str, Corrupt, [&str; 2]); 4] = [
         (
             "out of sequence",
             Box::new(|frames: &mut Vec<Frame>| frames.swap(1, 2)),
-            "chunk out of sequence: expected 0, got 1",
+            ["chunk out of sequence: expected 0, got 1"; 2],
         ),
         (
             "bad digest",
@@ -397,14 +409,17 @@ fn chunk_corruption_messages_are_pinned() {
                 let n = last.payload.len() - 1;
                 last.payload[n] ^= 0x01;
             }),
-            "chunk digest mismatch",
+            [
+                "chunk digest mismatch",
+                "chunk digest mismatch: declared 0x642a94958e71e6c4, observed 0x642a94958e71e6c5",
+            ],
         ),
         (
             "truncated end",
             Box::new(|frames: &mut Vec<Frame>| {
                 frames.last_mut().unwrap().payload.truncate(12);
             }),
-            "chunk-end payload must be 20 bytes, got 12",
+            ["chunk-end payload must be 20 bytes, got 12"; 2],
         ),
         (
             "wrong count",
@@ -412,27 +427,33 @@ fn chunk_corruption_messages_are_pinned() {
                 let last = frames.last_mut().unwrap();
                 last.payload[0..4].copy_from_slice(&9u32.to_be_bytes());
             }),
-            "chunk-end declares 9 chunks, received 4",
+            ["chunk-end declares 9 chunks, received 4"; 2],
         ),
     ];
-    for (label, corrupt, expected) in cases {
-        let mut frames = transfer_frames(7, "pin.xml", data, 8);
-        corrupt(&mut frames);
-        let mut bytes = Vec::new();
-        for frame in &frames {
-            wire::write_frame(&mut bytes, frame).unwrap();
+    for (label, corrupt, pins) in cases {
+        for (caps, expected) in DIGEST_CAPS.into_iter().zip(pins) {
+            let mut frames = transfer_frames(7, "pin.xml", data, 8, caps);
+            corrupt(&mut frames);
+            let mut bytes = Vec::new();
+            for frame in &frames {
+                wire::write_frame(&mut bytes, frame).unwrap();
+            }
+            let ones = vec![1usize; bytes.len()];
+            let (decoded, _) = decoder_run(&bytes, MAX, &ones);
+            let transcript = assembler_transcript(&decoded, 1 << 20, caps);
+            let err = transcript
+                .iter()
+                .find(|s| s.starts_with("err: "))
+                .unwrap_or_else(|| panic!("{label}: no error in {transcript:?}"));
+            assert!(err.contains(expected), "{label} (caps {caps:#04x}): {err}");
+            // And the blocking path reports the identical message.
+            let (blocking, _) = blocking_reference(&bytes, MAX);
+            assert_eq!(
+                assembler_transcript(&blocking, 1 << 20, caps),
+                transcript,
+                "{label} (caps {caps:#04x})"
+            );
         }
-        let ones = vec![1usize; bytes.len()];
-        let (decoded, _) = decoder_run(&bytes, MAX, &ones);
-        let transcript = assembler_transcript(&decoded, 1 << 20);
-        let err = transcript
-            .iter()
-            .find(|s| s.starts_with("err: "))
-            .unwrap_or_else(|| panic!("{label}: no error in {transcript:?}"));
-        assert!(err.contains(expected), "{label}: {err}");
-        // And the blocking path reports the identical message.
-        let (blocking, _) = blocking_reference(&bytes, MAX);
-        assert_eq!(assembler_transcript(&blocking, 1 << 20), transcript, "{label}");
     }
 }
 

@@ -247,7 +247,8 @@ root r
 /// `exhibit` parameter holds 2 000 `Get_Date` calls where the schema
 /// wants dates. A provider that rewrote it would solve (and cache) the
 /// parameter word's game; it validates instead, refuses it with a typed
-/// `Client` fault and keeps serving.
+/// `Client` fault under 1 KiB (the refused word is not echoed back
+/// whole) and keeps serving.
 #[test]
 fn hostile_parameters_reach_no_solver_on_both_engines() {
     const CALLS: usize = 2_000;
@@ -285,7 +286,12 @@ fn hostile_parameters_reach_no_solver_on_both_engines() {
         let client = NetClient::new(server.local_addr(), ClientConfig::default()).unwrap();
         match client.call(&envelope) {
             Err(ClientError::Fault(fault)) => {
-                assert_eq!(fault.code, FaultCode::Client, "{io:?}: {fault}")
+                assert_eq!(fault.code, FaultCode::Client, "{io:?}: {fault}");
+                assert!(
+                    fault.message.len() < 1024,
+                    "{io:?}: a {}-byte refusal echoes the request",
+                    fault.message.len()
+                );
             }
             other => panic!("{io:?}: expected a typed Client fault, got {other:?}"),
         }

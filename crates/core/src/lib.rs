@@ -11,12 +11,15 @@
 //!   target itself, marked by reachability for possible rewriting (Fig. 9).
 //! * [`rewrite`] — the three-stage document rewriter of Sec. 4 (parameters
 //!   bottom-up, traversal top-down, per-node word games) with execution
-//!   against live services, including the backtracking executor of Sec. 5.
+//!   against live services, including the backtracking executor of Sec. 5,
+//!   and the Schema Enforcement module's validate-or-rewrite of Sec. 7 for
+//!   a tree and for a forest against a function's input or output type.
 //! * [`stream`] — streaming bounded-memory enforcement: the same rewrite
 //!   driven incrementally off the pull parser, materializing only the
 //!   subtrees that contain function calls.
 //! * [`mixed`] — the mixed approach of Sec. 5 (eager invocation of cheap
-//!   calls, then safe analysis on actual results).
+//!   calls, then safe analysis on actual results); its select-driven
+//!   materialization pass also enriches a peer's stored documents.
 //! * [`adversary`] — strategic opponents extracted from the solved games:
 //!   worst-case type-correct answers for a given call.
 //! * [`schema_rw`] — schema-to-schema safe rewriting (Sec. 6).

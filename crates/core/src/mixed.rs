@@ -11,11 +11,12 @@
 //! invocable functions; a pre-materialization pass invokes them (up to `k`
 //! rounds, since answers may contain more calls) and splices the validated
 //! results; the ordinary safe rewriting then runs on the partially
-//! materialized document.
+//! materialized document. The pass is [`materialize`], the same walk a
+//! peer's repository enriches its documents with.
 
 use crate::invoke::Invoker;
 use crate::rewrite::{RewriteError, RewriteReport, Rewriter};
-use axml_schema::{validate_output_instance, FuncNode, ITree};
+use axml_schema::{validate_output_instance, Compiled, FuncNode, ITree};
 
 /// Decides which calls to execute eagerly during the pre-materialization
 /// pass — typically the side-effect-free / zero-cost ones (Sec. 5).
@@ -41,13 +42,22 @@ pub fn rewrite_mixed(
     policy: &dyn MixedPolicy,
     invoker: &mut dyn Invoker,
 ) -> Result<(ITree, RewriteReport), RewriteError> {
+    let compiled = rewriter.compiled();
+    let eager =
+        |name: &str| policy.pre_invoke(name) && compiled.invocable(compiled.classify_func(name));
     let mut report = RewriteReport::default();
-    let rounds = rewriter.k;
     let mut current = tree.clone();
-    for _ in 0..rounds {
-        let (next, changed) = pre_materialize(rewriter, &current, policy, invoker, &mut report)?;
-        current = next;
-        if !changed {
+    for _ in 0..rewriter.k {
+        let before = report.invoked.len();
+        current = materialize(
+            compiled,
+            &current,
+            &eager,
+            rewriter.max_calls,
+            invoker,
+            &mut report.invoked,
+        )?;
+        if report.invoked.len() == before {
             break;
         }
     }
@@ -58,81 +68,66 @@ pub fn rewrite_mixed(
     Ok((out, report))
 }
 
-/// One pass: invokes every policy-selected call at any position, splicing
-/// validated results in place. Returns the new tree and whether anything
-/// changed.
-fn pre_materialize(
-    rewriter: &mut Rewriter<'_>,
+/// One select-driven materialization pass: every call among an element's
+/// children that `select` accepts is invoked, and its answer, validated
+/// against the function's output type, replaces it. Calls left in place
+/// get their parameters walked. Answers are spliced as they are, so calls
+/// they contain wait for the next pass. Each invoked name is appended to
+/// `invoked`; with a `max_calls` budget, a call once `invoked` holds that
+/// many names fails with [`RewriteError::CallBudget`] before it is made.
+pub fn materialize(
+    compiled: &Compiled,
     tree: &ITree,
-    policy: &dyn MixedPolicy,
+    select: &dyn Fn(&str) -> bool,
+    max_calls: Option<usize>,
     invoker: &mut dyn Invoker,
-    report: &mut RewriteReport,
-) -> Result<(ITree, bool), RewriteError> {
-    match tree {
-        ITree::Text(_) => Ok((tree.clone(), false)),
+    invoked: &mut Vec<String>,
+) -> Result<ITree, RewriteError> {
+    let (label, children) = match tree {
+        ITree::Text(_) => return Ok(tree.clone()),
         ITree::Func(f) => {
-            // Calls kept at this position: recurse into parameters only.
-            let (params, changed) =
-                pre_materialize_forest(rewriter, &f.params, policy, invoker, report)?;
-            Ok((
-                ITree::Func(FuncNode {
-                    params,
-                    ..f.clone()
-                }),
-                changed,
-            ))
+            let params = f
+                .params
+                .iter()
+                .map(|p| materialize(compiled, p, select, max_calls, invoker, invoked))
+                .collect::<Result<_, _>>()?;
+            return Ok(ITree::Func(FuncNode {
+                name: f.name.clone(),
+                endpoint: f.endpoint.clone(),
+                namespace: f.namespace.clone(),
+                params,
+            }));
         }
-        ITree::Elem { label, children } => {
-            let mut changed = false;
-            let mut out = Vec::with_capacity(children.len());
-            for c in children {
-                if let ITree::Func(f) = c {
-                    let compiled = rewriter.compiled();
-                    let sym = compiled.classify_func(&f.name);
-                    if policy.pre_invoke(&f.name) && compiled.invocable(sym) {
-                        if let Some(max) = rewriter.max_calls {
-                            if report.invoked.len() >= max {
-                                return Err(RewriteError::CallBudget { max_calls: max });
-                            }
-                        }
-                        let result = invoker.invoke(&f.name, &f.params)?;
-                        report.invoked.push(f.name.clone());
-                        let sig = compiled.sig(sym).expect("function symbols have signatures");
-                        validate_output_instance(&result, &sig.output_dfa, compiled).map_err(
-                            |e| RewriteError::IllTyped {
-                                function: f.name.clone(),
-                                message: e.to_string(),
-                            },
-                        )?;
-                        out.extend(result);
-                        changed = true;
-                        continue;
-                    }
-                }
-                let (processed, c_changed) = pre_materialize(rewriter, c, policy, invoker, report)?;
-                changed |= c_changed;
-                out.push(processed);
+        ITree::Elem { label, children } => (label, children),
+    };
+    let mut out = Vec::with_capacity(children.len());
+    for c in children {
+        let f = match c {
+            ITree::Func(f) if select(&f.name) => f,
+            _ => {
+                out.push(materialize(
+                    compiled, c, select, max_calls, invoker, invoked,
+                )?);
+                continue;
             }
-            Ok((ITree::elem(label, out), changed))
+        };
+        if let Some(max) = max_calls {
+            if invoked.len() >= max {
+                return Err(RewriteError::CallBudget { max_calls: max });
+            }
         }
+        let result = invoker.invoke(&f.name, &f.params)?;
+        invoked.push(f.name.clone());
+        let sig = compiled.sig_of(&f.name);
+        validate_output_instance(&result, &sig.output_dfa, compiled).map_err(|e| {
+            RewriteError::IllTyped {
+                function: f.name.clone(),
+                message: e.to_string(),
+            }
+        })?;
+        out.extend(result);
     }
-}
-
-fn pre_materialize_forest(
-    rewriter: &mut Rewriter<'_>,
-    items: &[ITree],
-    policy: &dyn MixedPolicy,
-    invoker: &mut dyn Invoker,
-    report: &mut RewriteReport,
-) -> Result<(Vec<ITree>, bool), RewriteError> {
-    let mut changed = false;
-    let mut out = Vec::with_capacity(items.len());
-    for item in items {
-        let (processed, c) = pre_materialize(rewriter, item, policy, invoker, report)?;
-        changed |= c;
-        out.push(processed);
-    }
-    Ok((out, changed))
+    Ok(ITree::elem(label, out))
 }
 
 #[cfg(test)]

@@ -501,32 +501,6 @@ impl<'c> Rewriter<'c> {
         Ok((Cow::Owned(out), report))
     }
 
-    /// Rewrites a forest so it conforms to `τ_in(function)` — used by the
-    /// Schema Enforcement module on outbound call parameters (Sec. 7
-    /// step (ii)).
-    pub fn rewrite_to_input_type(
-        &mut self,
-        function: &str,
-        params: &[ITree],
-        invoker: &mut dyn Invoker,
-    ) -> Result<(Vec<ITree>, RewriteReport), RewriteError> {
-        let slot = TargetSlot::Input(self.compiled.classify_func(function));
-        self.rewrite_to_slot(params, slot, &format!("τ_in({function})"), invoker)
-    }
-
-    /// Rewrites a result forest so it conforms to `τ_out(function)` — used
-    /// by the Schema Enforcement module on the data a declared service is
-    /// about to return (Sec. 7).
-    pub fn rewrite_to_output_type(
-        &mut self,
-        function: &str,
-        result: &[ITree],
-        invoker: &mut dyn Invoker,
-    ) -> Result<(Vec<ITree>, RewriteReport), RewriteError> {
-        let slot = TargetSlot::Output(self.compiled.classify_func(function));
-        self.rewrite_to_slot(result, slot, &format!("τ_out({function})"), invoker)
-    }
-
     /// Stages 1–3 for a whole document.
     fn rewrite(
         &self,
@@ -539,31 +513,6 @@ impl<'c> Rewriter<'c> {
         self.analyze_params(tree, strategy, &mut Analysis::default())?;
         let mut report = RewriteReport::default();
         let out = self.rewrite_node(tree, strategy, invoker, &mut report)?;
-        Ok((out, report))
-    }
-
-    /// Safe rewriting of a bare forest into the target of `slot`.
-    fn rewrite_to_slot(
-        &self,
-        forest: &[ITree],
-        slot: TargetSlot,
-        context: &str,
-        invoker: &mut dyn Invoker,
-    ) -> Result<(Vec<ITree>, RewriteReport), RewriteError> {
-        let mut pre = Analysis::default();
-        for t in forest {
-            self.analyze_params(t, Strategy::Safe, &mut pre)?;
-        }
-        let mut report = RewriteReport::default();
-        let out = self.rewrite_word(
-            &[],
-            forest,
-            slot,
-            context,
-            Strategy::Safe,
-            invoker,
-            &mut report,
-        )?;
         Ok((out, report))
     }
 
@@ -692,7 +641,8 @@ impl<'c> Rewriter<'c> {
     /// output: the streamed prefix children are function-free and
     /// individually valid, so the DOM rewriter would copy them verbatim.
     /// Execution (forks, invocations, splices) starts at the reached
-    /// product node and consumes only the materialized `tail` items.
+    /// product node and consumes only the materialized `tail` items. With
+    /// an empty prefix this rewrites a bare forest ([`enforce_forest`]).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn rewrite_suffix(
         &self,
@@ -1022,14 +972,18 @@ fn exhausted(context: &str) -> RewriteError {
 /// Convenience: validate-or-rewrite used by the peer's Schema Enforcement
 /// module — returns `tree` unchanged when it already conforms, otherwise
 /// attempts a safe rewriting (the module's (i)/(ii)/(iii) steps in Sec. 7).
+/// A rewriting solves through a private cache, built only if a game is
+/// solved; [`enforce_with`] shares one across calls.
 pub fn enforce(
     compiled: &Compiled,
     tree: &ITree,
     k: u32,
     invoker: &mut dyn Invoker,
 ) -> Result<(ITree, RewriteReport), RewriteError> {
-    let cache = SolveCache::unpublished(crate::solve_cache::DEFAULT_CAPACITY);
-    enforce_with(compiled, tree, k, Strategy::Safe, &cache, invoker)
+    let (out, report) = Rewriter::new(compiled)
+        .with_k(k)
+        .enforce(tree, Strategy::Safe, invoker)?;
+    Ok((out.into_owned(), report))
 }
 
 /// [`enforce`] under either notion, through a shared [`SolveCache`]:
@@ -1049,6 +1003,56 @@ pub fn enforce_with(
         .with_cache(cache)
         .enforce(tree, strategy, invoker)?;
     Ok((out.into_owned(), report))
+}
+
+/// The side of a function's signature a bare forest is enforced against.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Side {
+    /// Call parameters, against `τ_in(f)`.
+    Input,
+    /// A service's result, against `τ_out(f)`.
+    Output,
+}
+
+/// Validate-or-rewrite for a bare forest: the Schema Enforcement module's
+/// (i)/(ii)/(iii) steps in Sec. 7 on the parameters a caller sends
+/// ([`Side::Input`]) or the result a declared service returns
+/// ([`Side::Output`]). Returns `forest` itself when it conforms to that
+/// side of `function`'s signature, checked without a rewriter or a cache
+/// lookup; otherwise its safe rewriting, solved through `cache`.
+pub fn enforce_forest<'t>(
+    compiled: &Compiled,
+    function: &str,
+    side: Side,
+    forest: &'t [ITree],
+    k: u32,
+    cache: &SolveCache,
+    invoker: &mut dyn Invoker,
+) -> Result<Cow<'t, [ITree]>, RewriteError> {
+    let sym = compiled.classify_func(function);
+    let sig = compiled
+        .sig(sym)
+        .expect("function symbols carry signatures");
+    let (dfa, slot, context) = match side {
+        Side::Input => (&sig.input_dfa, TargetSlot::Input(sym), "τ_in"),
+        Side::Output => (&sig.output_dfa, TargetSlot::Output(sym), "τ_out"),
+    };
+    if validate_output_instance(forest, dfa, compiled).is_ok() {
+        return Ok(Cow::Borrowed(forest));
+    }
+    let out = Rewriter::new(compiled)
+        .with_k(k)
+        .with_cache(cache)
+        .rewrite_suffix(
+            &[],
+            forest,
+            slot,
+            &format!("{context}({function})"),
+            Strategy::Safe,
+            invoker,
+            &mut RewriteReport::default(),
+        )?;
+    Ok(Cow::Owned(out))
 }
 
 #[cfg(test)]
@@ -1479,6 +1483,37 @@ mod tests {
         let (out, report) = enforce(&c, &newspaper_example(), 1, &mut inv).unwrap();
         assert_eq!(report.invoked, vec!["Get_Temp".to_owned()]);
         validate(&out, &c).unwrap();
+    }
+
+    #[test]
+    fn forest_enforcement_checks_before_it_rewrites() {
+        // A conforming forest comes back borrowed, with no call and no
+        // cache lookup.
+        let c = newspaper_compiled("title.date.temp.exhibit*", "title.date");
+        let cache = SolveCache::unpublished(8);
+        let mut inv = ScriptedInvoker::new().answer("Get_Date", vec![ITree::data("date", "Mon")]);
+        let params = [ITree::data("title", "Monet")];
+        let out = enforce_forest(&c, "Get_Date", Side::Input, &params, 1, &cache, &mut inv);
+        assert!(matches!(out, Ok(Cow::Borrowed(p)) if p == params));
+        assert_eq!((inv.calls(), cache.stats().lookups), (0, 0));
+
+        // τ_out(TimeOut) holds exhibits with a date: the call is invoked.
+        let date_call = ITree::func("Get_Date", vec![ITree::data("title", "Monet")]);
+        let result = [ITree::elem(
+            "exhibit",
+            vec![ITree::data("title", "Monet"), date_call],
+        )];
+        let out = enforce_forest(&c, "TimeOut", Side::Output, &result, 1, &cache, &mut inv);
+        assert_eq!(*out.unwrap(), [exhibit("Monet", "Mon")]);
+        assert_eq!(inv.calls(), 1);
+
+        // A refusal names the side it was enforced against.
+        let err =
+            enforce_forest(&c, "Get_Temp", Side::Input, &params, 1, &cache, &mut inv).unwrap_err();
+        let RewriteError::NotSafe { context, .. } = err else {
+            panic!("expected a safe-rewriting refusal, got {err}");
+        };
+        assert_eq!(context, "τ_in(Get_Temp)");
     }
 
     #[test]

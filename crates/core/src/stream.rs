@@ -51,7 +51,7 @@
 
 use crate::invoke::Invoker;
 use crate::rewrite::{RewriteError, RewriteReport, Rewriter, Strategy};
-use crate::solve_cache::{SolveCache, TargetSlot, DEFAULT_CAPACITY};
+use crate::solve_cache::{SolveCache, TargetSlot};
 use axml_automata::{Dfa, Symbol, NO_STATE};
 use axml_schema::{forest_from_nodes, validate, words_of, Compiled, CompiledContent, ITree, INT_NS};
 use axml_xml::{
@@ -68,8 +68,20 @@ pub struct StreamOptions {
     pub k: u32,
     /// Safe or possible rewriting.
     pub strategy: Strategy,
-    /// Shared solver cache; `None` uses a private unpublished cache.
+    /// Shared solver cache; `None` uses a private unpublished cache, built
+    /// only if a game is solved.
     pub cache: Option<SolveCache>,
+}
+
+impl StreamOptions {
+    /// A rewriter at these options' depth, through their cache.
+    fn rewriter<'c>(&self, compiled: &'c Compiled) -> Rewriter<'c> {
+        let rw = Rewriter::new(compiled).with_k(self.k);
+        match &self.cache {
+            Some(cache) => rw.with_cache(cache),
+            None => rw,
+        }
+    }
 }
 
 impl Default for StreamOptions {
@@ -619,12 +631,6 @@ fn run_engine<'c>(
     eng.run(rw, strategy, inv)
 }
 
-fn resolve_cache(opts: &StreamOptions) -> SolveCache {
-    opts.cache
-        .clone()
-        .unwrap_or_else(|| SolveCache::unpublished(DEFAULT_CAPACITY))
-}
-
 fn publish(report: &StreamReport) {
     let m = axml_obs::global();
     m.counter("enforce.stream.runs").inc();
@@ -656,10 +662,7 @@ pub fn enforce_dom<'i>(
         make: make_invoker,
         built: None,
     };
-    Rewriter::new(compiled)
-        .with_k(opts.k)
-        .with_cache(&resolve_cache(opts))
-        .dom(input, opts.strategy, &mut inv)
+    opts.rewriter(compiled).dom(input, opts.strategy, &mut inv)
 }
 
 /// Enforces the schema over the XML text of an intensional document in a
@@ -683,12 +686,11 @@ pub fn enforce_stream<'i>(
     opts: &StreamOptions,
     make_invoker: &mut dyn FnMut() -> Box<dyn Invoker + Send + 'i>,
 ) -> Result<(String, StreamReport), RewriteError> {
-    let cache = resolve_cache(opts);
     let mut inv = Inv::Lazy {
         make: make_invoker,
         built: None,
     };
-    enforce_stream_buffered(compiled, input, opts, &cache, &mut inv)
+    enforce_stream_buffered(compiled, input, opts, &mut inv)
 }
 
 /// Like [`enforce_stream`], but materializing calls through a borrowed
@@ -700,9 +702,8 @@ pub fn enforce_stream_with(
     opts: &StreamOptions,
     invoker: &mut dyn Invoker,
 ) -> Result<(String, StreamReport), RewriteError> {
-    let cache = resolve_cache(opts);
     let mut inv = Inv::Ready(invoker);
-    enforce_stream_buffered(compiled, input, opts, &cache, &mut inv)
+    enforce_stream_buffered(compiled, input, opts, &mut inv)
 }
 
 /// Like [`enforce_stream_with`], but streaming the enforced output into
@@ -718,10 +719,7 @@ pub fn enforce_stream_to(
     invoker: &mut dyn Invoker,
     sink: &mut dyn io::Write,
 ) -> Result<StreamReport, RewriteError> {
-    let cache = resolve_cache(opts);
-    Rewriter::new(compiled)
-        .with_k(opts.k)
-        .with_cache(&cache)
+    opts.rewriter(compiled)
         .rewrite_stream(input, opts.strategy, invoker, sink)
 }
 
@@ -729,23 +727,21 @@ fn enforce_stream_buffered(
     compiled: &Compiled,
     input: &str,
     opts: &StreamOptions,
-    cache: &SolveCache,
     inv: &mut Inv<'_, '_>,
 ) -> Result<(String, StreamReport), RewriteError> {
     let mut report = StreamReport::default();
     let mut buf: Vec<u8> = Vec::new();
-    let res = {
-        let mut rw = Rewriter::new(compiled).with_k(opts.k).with_cache(cache);
-        run_engine(
-            compiled,
-            input,
-            &mut rw,
-            opts.strategy,
-            inv,
-            &mut buf,
-            &mut report,
-        )
-    };
+    // The streaming attempt and its DOM fallback solve through one cache.
+    let mut rw = opts.rewriter(compiled);
+    let res = run_engine(
+        compiled,
+        input,
+        &mut rw,
+        opts.strategy,
+        inv,
+        &mut buf,
+        &mut report,
+    );
     match res {
         Ok(()) => {
             publish(&report);
@@ -758,7 +754,6 @@ fn enforce_stream_buffered(
             report.bytes_copied = 0;
             report.bytes_rewritten = 0;
             report.bytes_out = 0;
-            let mut rw = Rewriter::new(compiled).with_k(opts.k).with_cache(cache);
             let dom = match inv {
                 // The factory form hands the fallback a fresh invoker.
                 Inv::Lazy { make, .. } => {

@@ -40,6 +40,7 @@
 use crate::conn::{self, Action};
 use crate::frames::FrameDecoder;
 use crate::server::{spawn_worker, submit, ReplyTo, ServerError, Shared, Task};
+use crate::transport;
 use crate::wire::{self, Frame};
 use axml_support::poll::{Event, Interest, Poller, Waker};
 use axml_support::sync::Mutex;
@@ -350,7 +351,7 @@ fn accept_ready(
     loop {
         match listener.accept() {
             Ok((stream, _addr)) => {
-                if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
+                if transport::prepare_accepted(&stream, true).is_err() {
                     continue; // stream drops, connection resets
                 }
                 let core = shared.ep.accept();

@@ -37,6 +37,7 @@
 //! dropped.
 
 use crate::conn::{Action, Conn, Endpoint, Job, Refusal};
+use crate::transport;
 use crate::wire::{self, FaultCode, Frame, WireError, WireFault};
 use axml_support::sync::Mutex;
 use std::collections::HashMap;
@@ -413,10 +414,7 @@ fn accept_loop(
     while !shared.ep.stopping() {
         match listener.accept() {
             Ok((stream, _peer)) => {
-                // Frames go out as one write each; Nagle's algorithm would
-                // hold a small frame behind a large one until the peer's
-                // delayed ACK (see `transport`).
-                if stream.set_nodelay(true).is_err() {
+                if transport::prepare_accepted(&stream, false).is_err() {
                     continue;
                 }
                 let conn = shared.ep.accept();

@@ -18,7 +18,8 @@
 //! from *stalled mid-frame* by exactly those kinds.
 //!
 //! Every TCP stream the client dials and both server engines accept runs
-//! with `TCP_NODELAY`. Frames go out as one write each, so Nagle's
+//! with `TCP_NODELAY` ([`TcpTransport`] dials, `prepare_accepted` sets up
+//! what the engines accept). Frames go out as one write each, so Nagle's
 //! algorithm has nothing to coalesce; left on, it holds back a small
 //! frame that follows a large one (the `DocChunkEnd` after the last
 //! `DocChunk`) until the peer's delayed ACK, ~40 ms on Linux.
@@ -74,6 +75,16 @@ impl TcpTransport {
         stream.set_nodelay(true)?;
         Ok(stream)
     }
+}
+
+/// Sets up a stream a server engine accepted: Nagle's algorithm off, and
+/// nonblocking for the engine that polls for readiness.
+pub(crate) fn prepare_accepted(stream: &TcpStream, nonblocking: bool) -> io::Result<()> {
+    stream.set_nodelay(true)?;
+    if nonblocking {
+        stream.set_nonblocking(true)?;
+    }
+    Ok(())
 }
 
 impl Transport for TcpTransport {
@@ -135,6 +146,24 @@ mod tests {
         let (_listener, endpoint) = listen();
         let dialed = TcpTransport::dial(&endpoint, Duration::from_secs(2)).unwrap();
         assert!(dialed.nodelay().unwrap(), "dialed stream keeps Nagle on");
+    }
+
+    #[test]
+    fn accepted_streams_run_with_nagle_off() {
+        let (listener, endpoint) = listen();
+        for nonblocking in [false, true] {
+            let _dialed = TcpStream::connect(&endpoint).unwrap();
+            let (accepted, _) = listener.accept().unwrap();
+            prepare_accepted(&accepted, nonblocking).unwrap();
+            assert!(
+                accepted.nodelay().unwrap(),
+                "accepted stream keeps Nagle on"
+            );
+            if nonblocking {
+                let idle = (&accepted).read(&mut [0u8; 1]).unwrap_err();
+                assert_eq!(idle.kind(), io::ErrorKind::WouldBlock);
+            }
+        }
     }
 
     #[test]

@@ -11,8 +11,9 @@
 //! embedded calls through it. Rewriting is the sender's burden only:
 //!
 //! * the **sender** rewrites parameters / documents into the agreed type
-//!   before they leave ([`Peer::enforce_input`], safe rewriting against
-//!   the exchange schema);
+//!   before they leave ([`RemotePeer::invoke_service`] enforces
+//!   parameters into the service's input type, [`RemotePeer::send_document`]
+//!   a document into the exchange schema; both by safe rewriting);
 //! * the **receiver** validates everything that arrives and never
 //!   rewrites it: a provider checks call parameters against the
 //!   service's input type ([`Peer::handle`]) and enforces only its own
@@ -27,7 +28,7 @@
 
 use crate::peer::{Peer, PeerError};
 use axml_core::invoke::{InvokeError, Invoker};
-use axml_core::rewrite::{enforce_with, RewriteReport, Strategy};
+use axml_core::rewrite::{enforce_forest, enforce_with, RewriteReport, Side, Strategy};
 use axml_core::stream::{enforce_stream_to, enforce_stream_with, StreamOptions, StreamReport};
 use axml_net::wire::{FaultCode, WireFault, CAP_CHUNKED};
 use axml_net::{ClientConfig, ClientError, Handler, NetClient, NetServer, ServerConfig};
@@ -332,7 +333,15 @@ impl RemotePeer {
         method: &str,
         params: &[ITree],
     ) -> Result<Vec<ITree>, PeerError> {
-        let params = caller.enforce_input(method, params)?;
+        let params = enforce_forest(
+            &caller.compiled,
+            method,
+            Side::Input,
+            params,
+            caller.enforce.k,
+            &caller.enforce.cache,
+            &mut caller.registry.invoker(None),
+        )?;
         let envelope = soap::request(method, &params).to_xml();
         let reply = self.client.call_with_id(rid, &envelope).map_err(client_error)?;
         match soap::decode(&reply).map_err(PeerError::Transport)? {

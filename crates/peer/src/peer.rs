@@ -7,10 +7,12 @@
 //! * outbound call parameters are (i) verified against the callee's
 //!   WSDL_int description, (ii) rewritten into the required structure when
 //!   they do not conform, and (iii) rejected with an error when rewriting
-//!   fails ([`Peer::enforce_input`]);
+//!   fails ([`RemotePeer::invoke_service`](crate::RemotePeer::invoke_service));
 //! * the data a declared service is about to return goes through the same
 //!   three steps against the service's declared output type
-//!   ([`Peer::enforce_output`]).
+//!   ([`Peer::handle`]).
+//!
+//! Both run [`enforce_forest`], one side of the signature each.
 //!
 //! What a peer *receives* is only validated, never rewritten: a provider
 //! refuses parameters outside the service's input type
@@ -22,11 +24,14 @@
 
 use crate::repository::Repository;
 use axml_core::invoke::InvokeError;
-use axml_core::rewrite::{enforce_with, RewriteError, RewriteReport, Rewriter, Strategy};
+use axml_core::rewrite::{
+    enforce_forest, enforce_with, RewriteError, RewriteReport, Side, Strategy,
+};
 use axml_core::solve_cache::SolveCache;
 use axml_schema::{validate_output_instance, Compiled, ITree};
 use axml_services::{soap, Registry, ServiceDef};
 use axml_support::sync::RwLock;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -289,8 +294,9 @@ impl Peer {
     /// the service's input type, evaluate the declared service, and run
     /// the enforcement module on the result. Parameters are validated,
     /// never rewritten: rewriting them is the caller's burden
-    /// ([`Peer::enforce_input`] before sending), so a mismatch is refused
-    /// as [`PeerError::Enforcement`] without solving a game.
+    /// ([`enforce_forest`] on [`Side::Input`] before sending), so a
+    /// mismatch is refused as [`PeerError::Enforcement`] without solving
+    /// a game.
     pub fn handle(&self, method: &str, params: &[ITree]) -> Result<Vec<ITree>, PeerError> {
         let (query, def) = {
             let exported = self.exported.read();
@@ -324,41 +330,19 @@ impl Peer {
             }
         };
         // Outbound enforcement on the returned data (Sec. 7 steps i–iii).
-        self.enforce_output(&def.name, &result)
-    }
-
-    /// Caller-side enforcement of call parameters against
-    /// `τ_in(function)`: verify, else rewrite (materializing through this
-    /// peer's registry), else error.
-    pub fn enforce_input(&self, function: &str, params: &[ITree]) -> Result<Vec<ITree>, PeerError> {
-        let sig = self.compiled.sig_of(function);
-        if validate_output_instance(params, &sig.input_dfa, &self.compiled).is_ok() {
-            return Ok(params.to_vec());
-        }
-        let mut rewriter = Rewriter::new(&self.compiled)
-            .with_k(self.enforce.k)
-            .with_cache(&self.enforce.cache);
-        let mut invoker = self.registry.invoker(None);
-        let (out, _report) = rewriter.rewrite_to_input_type(function, params, &mut invoker)?;
-        Ok(out)
-    }
-
-    /// Enforcement of a forest against `τ_out(function)`.
-    pub fn enforce_output(
-        &self,
-        function: &str,
-        result: &[ITree],
-    ) -> Result<Vec<ITree>, PeerError> {
-        let sig = self.compiled.sig_of(function);
-        if validate_output_instance(result, &sig.output_dfa, &self.compiled).is_ok() {
-            return Ok(result.to_vec());
-        }
-        let mut rewriter = Rewriter::new(&self.compiled)
-            .with_k(self.enforce.k)
-            .with_cache(&self.enforce.cache);
-        let mut invoker = self.registry.invoker(None);
-        let (out, _report) = rewriter.rewrite_to_output_type(function, result, &mut invoker)?;
-        Ok(out)
+        let enforced = enforce_forest(
+            &self.compiled,
+            &def.name,
+            Side::Output,
+            &result,
+            self.enforce.k,
+            &self.enforce.cache,
+            &mut self.registry.invoker(None),
+        )?;
+        Ok(match enforced {
+            Cow::Owned(rewritten) => rewritten,
+            Cow::Borrowed(_) => result,
+        })
     }
 
     /// Sends a *document* to another peer under an agreed exchange schema:
@@ -554,19 +538,6 @@ mod tests {
         assert_eq!(sent.num_funcs(), 0, "fully materialized");
         assert!(report.invoked.len() >= 2);
         validate(&sent, &strict).unwrap();
-    }
-
-    #[test]
-    fn enforce_input_rewrites_parameters() {
-        // Calling Get_Date with an intensional title parameter is fine —
-        // τ_in(Get_Date) = title accepts it only extensionally, so the
-        // enforcement module must materialize nothing here (title is
-        // already extensional); but an embedded call inside the parameter
-        // must be resolved.
-        let peer = newspaper_peer();
-        let params = vec![ITree::data("title", "Monet")];
-        let out = peer.enforce_input("Get_Date", &params).unwrap();
-        assert_eq!(out, params);
     }
 }
 

@@ -7,7 +7,9 @@
 //! validating every answer against the service's declared output type.
 
 use axml_core::invoke::{InvokeError, Invoker};
-use axml_schema::{validate_output_instance, Compiled, ITree};
+use axml_core::mixed::materialize;
+use axml_core::rewrite::RewriteError;
+use axml_schema::{Compiled, ITree};
 use axml_support::sync::RwLock;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -93,7 +95,8 @@ impl Repository {
 
     /// Enriches the named document: every embedded call accepted by
     /// `select` is invoked (one round; answers may contain further calls,
-    /// re-run to chase them) and replaced by its validated result.
+    /// re-run to chase them) and replaced by its validated result — one
+    /// [`materialize`] pass with no call budget.
     ///
     /// Returns the number of calls materialized.
     pub fn enrich(
@@ -104,68 +107,19 @@ impl Repository {
         invoker: &mut dyn Invoker,
     ) -> Result<usize, RepoError> {
         let doc = self.load(name)?;
-        let mut count = 0usize;
-        let enriched = enrich_tree(&doc, compiled, select, invoker, &mut count)?;
-        self.store(name, enriched);
-        Ok(count)
-    }
-}
-
-fn enrich_tree(
-    tree: &ITree,
-    compiled: &Arc<Compiled>,
-    select: &dyn Fn(&str) -> bool,
-    invoker: &mut dyn Invoker,
-    count: &mut usize,
-) -> Result<ITree, RepoError> {
-    match tree {
-        ITree::Text(_) => Ok(tree.clone()),
-        ITree::Func(f) => {
-            // Calls kept in place still get their parameters enriched.
-            let params = enrich_forest(&f.params, compiled, select, invoker, count)?;
-            Ok(ITree::Func(axml_schema::FuncNode {
-                params,
-                ..f.clone()
-            }))
-        }
-        ITree::Elem { label, children } => {
-            let mut out = Vec::with_capacity(children.len());
-            for c in children {
-                if let ITree::Func(f) = c {
-                    if select(&f.name) {
-                        let result = invoker
-                            .invoke(&f.name, &f.params)
-                            .map_err(RepoError::Invoke)?;
-                        let sig = compiled.sig_of(&f.name);
-                        validate_output_instance(&result, &sig.output_dfa, compiled).map_err(
-                            |e| RepoError::IllTyped {
-                                function: f.name.clone(),
-                                message: e.to_string(),
-                            },
-                        )?;
-                        *count += 1;
-                        out.extend(result);
-                        continue;
-                    }
+        let mut invoked = Vec::new();
+        let enriched = materialize(compiled, &doc, select, None, invoker, &mut invoked).map_err(
+            |e| match e {
+                RewriteError::Invoke(e) => RepoError::Invoke(e),
+                RewriteError::IllTyped { function, message } => {
+                    RepoError::IllTyped { function, message }
                 }
-                out.push(enrich_tree(c, compiled, select, invoker, count)?);
-            }
-            Ok(ITree::elem(label, out))
-        }
+                other => unreachable!("an unbudgeted pass fails only on a call: {other}"),
+            },
+        )?;
+        self.store(name, enriched);
+        Ok(invoked.len())
     }
-}
-
-fn enrich_forest(
-    items: &[ITree],
-    compiled: &Arc<Compiled>,
-    select: &dyn Fn(&str) -> bool,
-    invoker: &mut dyn Invoker,
-    count: &mut usize,
-) -> Result<Vec<ITree>, RepoError> {
-    items
-        .iter()
-        .map(|t| enrich_tree(t, compiled, select, invoker, count))
-        .collect()
 }
 
 #[cfg(test)]

@@ -51,7 +51,7 @@ pub use marketplace::{
     MarketplaceConfig, RoutingInvoker, StrategyKind, BUYER, PRINCIPAL, SHOPPER,
 };
 pub use scenario::{
-    exchange_schema, exhibit, run_scenario, scenario_plan, Mode, Outcome, ScenarioConfig,
+    exchange_schema, exhibit, run_scenario, scenario_plan, Outcome, ScenarioConfig,
     ScenarioReport, PROVIDER, RECEIVER, SENDER,
 };
 pub use soak::{fleet_endpoint, run_soak, SoakConfig, SoakReport};

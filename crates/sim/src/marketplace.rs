@@ -18,23 +18,24 @@
 //!   listing or revoke the principal's grant, and every later appraisal
 //!   must fail with the registry's typed error.
 //!
-//! Each provider answers through a pluggable [`Strategy`]: random
-//! type-correct data, a crash-after-N daemon, or the strategic
-//! game-graph opponent that picks the worst type-correct answer
-//! (`apology`) wherever the graph admits one. Everything — topology
+//! Each provider answers through a pluggable
+//! [`Strategy`](crate::strategy::Strategy): random type-correct data, a
+//! crash-after-N daemon, or the strategic game-graph opponent that picks
+//! the worst type-correct answer (`apology`) wherever the graph admits
+//! one. Everything — topology
 //! size, document shape, fault schedule (including one-direction
 //! partitions), churn point, per-peer strategies — derives from one
 //! seed, and the run serializes to a byte-reproducible transcript
 //! checked against the same invariants as the Fig. 1 scenario.
 
-use crate::scenario::{Mode, Outcome, ScenarioReport};
+use crate::scenario::{Outcome, ScenarioReport};
 use crate::strategy::{
-    strategy_provider, CrashingStrategy, RandomStrategy, StrategicStrategy, Strategy,
+    self, strategy_provider, CrashingStrategy, RandomStrategy, StrategicStrategy,
 };
 use crate::topology::{Link, Topology};
 use crate::world::{Crash, FaultPlan, Partition, SimWorld};
 use axml_core::invoke::{InvokeError, Invoker};
-use axml_core::rewrite::{RewriteReport, Rewriter};
+use axml_core::rewrite::{enforce_with, RewriteReport, Strategy};
 use axml_core::solve_cache::SolveCache;
 use axml_net::ClientConfig;
 use axml_peer::{NetInvoker, Peer, PeerError};
@@ -74,7 +75,7 @@ pub enum StrategyKind {
 
 impl StrategyKind {
     /// Builds the concrete strategy for this kind.
-    pub fn build(&self, compiled: &Compiled) -> Arc<dyn Strategy> {
+    pub fn build(&self, compiled: &Compiled) -> Arc<dyn strategy::Strategy> {
         match self {
             StrategyKind::Random { fault_prob } => Arc::new(RandomStrategy {
                 fault_prob: *fault_prob,
@@ -125,7 +126,7 @@ pub struct MarketplaceConfig {
     /// The fault schedule.
     pub plan: FaultPlan,
     /// Safe or possible enforcement.
-    pub mode: Mode,
+    pub mode: Strategy,
     /// Document to ship; `None` generates one from the seed.
     pub doc: Option<ITree>,
     /// Number of offers when generating the document.
@@ -183,7 +184,7 @@ impl MarketplaceConfig {
                 down_ns: rng.random_range(0..400_000_000),
             });
         }
-        let mode = if rng.random_bool(0.3) { Mode::Safe } else { Mode::Possible };
+        let mode = if rng.random_bool(0.3) { Strategy::Safe } else { Strategy::Possible };
         let churn = if rng.random_bool(0.5) {
             Some(ChurnPlan {
                 after_calls: rng.random_range(0..6),
@@ -396,7 +397,7 @@ pub fn run_marketplace(config: &MarketplaceConfig) -> ScenarioReport {
         Some(doc) => doc.clone(),
         None => {
             let mut rng = StdRng::seed_from_u64(config.seed ^ 0xca7a_106d);
-            generated_catalog(&mut rng, config.offers, config.mode == Mode::Possible)
+            generated_catalog(&mut rng, config.offers, config.mode == Strategy::Possible)
         }
     };
     let cache_metrics = axml_obs::Registry::new();
@@ -404,15 +405,8 @@ pub fn run_marketplace(config: &MarketplaceConfig) -> ScenarioReport {
     let exchange = || -> Result<(ITree, RewriteReport), PeerError> {
         let mut invoker =
             RoutingInvoker::new(&shopper, &provider_links, &registry, config.churn);
-        let mut rewriter = Rewriter::new(&compiled).with_k(config.k).with_cache(&cache);
-        let (sent, report) = if validate(&doc, &compiled).is_ok() {
-            (doc.clone(), RewriteReport::default())
-        } else {
-            match config.mode {
-                Mode::Safe => rewriter.rewrite_safe(&doc, &mut invoker)?,
-                Mode::Possible => rewriter.rewrite_possible(&doc, &mut invoker)?,
-            }
-        };
+        let (sent, report) =
+            enforce_with(&compiled, &doc, config.k, config.mode, &cache, &mut invoker)?;
         buyer_link
             .remote
             .send_document(&shopper, "market", &sent, &compiled)?;
@@ -566,7 +560,7 @@ pub fn run_marketplace(config: &MarketplaceConfig) -> ScenarioReport {
 mod tests {
     use super::*;
 
-    fn pinned(seed: u64, mode: Mode, doc: ITree, strategies: Vec<StrategyKind>) -> MarketplaceConfig {
+    fn pinned(seed: u64, mode: Strategy, doc: ITree, strategies: Vec<StrategyKind>) -> MarketplaceConfig {
         MarketplaceConfig {
             seed,
             plan: FaultPlan::default(),
@@ -589,7 +583,7 @@ mod tests {
         );
         let config = pinned(
             21,
-            Mode::Possible,
+            Strategy::Possible,
             doc,
             vec![
                 StrategyKind::Random { fault_prob: 0.0 },
@@ -610,7 +604,7 @@ mod tests {
     #[test]
     fn strategic_fleet_forces_a_typed_possible_failure() {
         let doc = ITree::elem("catalog", vec![offer("laptop", Some("Get_Quote"))]);
-        let config = pinned(21, Mode::Possible, doc, vec![StrategyKind::Strategic]);
+        let config = pinned(21, Strategy::Possible, doc, vec![StrategyKind::Strategic]);
         let report = run_marketplace(&config);
         assert!(report.violations.is_empty(), "{:?}", report.violations);
         match &report.outcome {
@@ -634,7 +628,7 @@ mod tests {
         );
         let config = pinned(
             22,
-            Mode::Safe,
+            Strategy::Safe,
             doc,
             vec![StrategyKind::Random { fault_prob: 0.0 }],
         );
@@ -661,7 +655,7 @@ mod tests {
         for kind in [ChurnKind::Deregister, ChurnKind::Revoke] {
             let mut config = pinned(
                 23,
-                Mode::Safe,
+                Strategy::Safe,
                 doc.clone(),
                 vec![StrategyKind::Random { fault_prob: 0.0 }],
             );

@@ -40,7 +40,7 @@
 use crate::strategy::{strategy_provider, RandomStrategy};
 use crate::topology::Topology;
 use crate::world::{Crash, FaultPlan, Partition, SimWorld};
-use axml_core::rewrite::{RewriteReport, Rewriter};
+use axml_core::rewrite::{enforce_with, RewriteReport, Strategy};
 use axml_core::solve_cache::SolveCache;
 use axml_net::ClientConfig;
 use axml_peer::{NetInvoker, PeerError};
@@ -48,15 +48,6 @@ use axml_schema::{validate, Compiled, ITree, NoOracle, Schema};
 use axml_support::rng::{RngExt, SeedableRng, StdRng};
 use std::sync::Arc;
 use std::time::Duration;
-
-/// Which rewriting the sender's enforcement step runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Mode {
-    /// Safe rewriting (Sec. 4, Fig. 3): guaranteed before any call.
-    Safe,
-    /// Possible rewriting (Sec. 5, Fig. 9): speculative, may backtrack.
-    Possible,
-}
 
 /// Everything one scenario run depends on. Derive it wholesale from a
 /// seed with [`ScenarioConfig::from_seed`], or pin fields for a fixed
@@ -67,8 +58,8 @@ pub struct ScenarioConfig {
     pub seed: u64,
     /// The fault schedule.
     pub plan: FaultPlan,
-    /// Safe or possible enforcement.
-    pub mode: Mode,
+    /// Safe (Sec. 4, Fig. 3) or possible (Sec. 5, Fig. 9) enforcement.
+    pub mode: Strategy,
     /// Document to ship; `None` generates one from the seed.
     pub doc: Option<ITree>,
     /// Number of `exhibit` subtrees when generating the document.
@@ -125,7 +116,7 @@ impl ScenarioConfig {
         ScenarioConfig {
             seed,
             plan,
-            mode: if seed % 2 == 0 { Mode::Safe } else { Mode::Possible },
+            mode: if seed % 2 == 0 { Strategy::Safe } else { Strategy::Possible },
             doc: None,
             exhibits: rng.random_range(0..6usize),
             provider_fault_prob: rng.random_unit() * 0.15,
@@ -285,15 +276,7 @@ pub fn run_scenario(config: &ScenarioConfig) -> ScenarioReport {
             caller: &sender_peer,
             remote: provider_remote,
         };
-        let mut rewriter = Rewriter::new(&compiled).with_k(1).with_cache(&cache);
-        let (sent, report) = if validate(&doc, &compiled).is_ok() {
-            (doc.clone(), RewriteReport::default())
-        } else {
-            match config.mode {
-                Mode::Safe => rewriter.rewrite_safe(&doc, &mut invoker)?,
-                Mode::Possible => rewriter.rewrite_possible(&doc, &mut invoker)?,
-            }
-        };
+        let (sent, report) = enforce_with(&compiled, &doc, 1, config.mode, &cache, &mut invoker)?;
         receiver_remote.send_document(&sender_peer, "program", &sent, &compiled)?;
         Ok((sent, report))
     };
@@ -441,7 +424,7 @@ mod tests {
         let config = ScenarioConfig {
             seed: 7,
             plan: FaultPlan::default(),
-            mode: Mode::Safe,
+            mode: Strategy::Safe,
             doc: Some(ITree::elem(
                 "r",
                 vec![exhibit("monet", true), exhibit("rodin", false)],

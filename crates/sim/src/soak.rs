@@ -37,11 +37,10 @@ use crate::marketplace::{
     generated_catalog, marketplace_schema, ChurnKind, ChurnPlan, RoutingInvoker, StrategyKind,
     PRINCIPAL,
 };
-use crate::scenario::Mode;
 use crate::strategy::strategy_provider;
 use crate::topology::{Link, Topology};
 use crate::world::{Crash, FaultPlan, Partition, SimWorld};
-use axml_core::rewrite::Rewriter;
+use axml_core::rewrite::{enforce_with, Strategy};
 use axml_core::solve_cache::SolveCache;
 use axml_net::ClientConfig;
 use axml_peer::{envelope_handler, Peer, PeerError};
@@ -245,10 +244,10 @@ pub fn run_soak(config: &SoakConfig) -> SoakReport {
             let r = rng.random_range(0..config.peers - 1);
             if r >= sender { r + 1 } else { r }
         };
-        let mode = if rng.random_bool(0.3) { Mode::Safe } else { Mode::Possible };
+        let mode = if rng.random_bool(0.3) { Strategy::Safe } else { Strategy::Possible };
         let offers = rng.random_range(0..4usize);
         let k = rng.random_range(1..=2u32);
-        let doc = generated_catalog(&mut rng, offers, mode == Mode::Possible);
+        let doc = generated_catalog(&mut rng, offers, mode == Strategy::Possible);
         // UDDI churn *between* exchanges: occasionally toggle the
         // sender's Get_Appraisal listing — withdraw it, or restore it
         // (re-granting, since a mid-exchange Revoke may have stripped
@@ -296,15 +295,7 @@ pub fn run_soak(config: &SoakConfig) -> SoakReport {
             let sender_peer = &peers[sender];
             let mut invoker =
                 RoutingInvoker::new(sender_peer, &fan_links, &registries[sender], churn);
-            let mut rewriter = Rewriter::new(&compiled).with_k(k).with_cache(&cache);
-            let sent = if validate(&doc, &compiled).is_ok() {
-                doc.clone()
-            } else {
-                match mode {
-                    Mode::Safe => rewriter.rewrite_safe(&doc, &mut invoker)?.0,
-                    Mode::Possible => rewriter.rewrite_possible(&doc, &mut invoker)?.0,
-                }
-            };
+            let (sent, _) = enforce_with(&compiled, &doc, k, mode, &cache, &mut invoker)?;
             ship_link
                 .remote
                 .send_document(sender_peer, &doc_name, &sent, &compiled)?;

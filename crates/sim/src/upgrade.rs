@@ -45,7 +45,7 @@
 
 use crate::topology::Topology;
 use crate::world::{FaultPlan, SimWorld};
-use axml_core::rewrite::Rewriter;
+use axml_core::rewrite::{enforce_with, Rewriter, Strategy};
 use axml_core::solve_cache::SolveCache;
 use axml_net::ClientConfig;
 use axml_peer::{
@@ -376,13 +376,9 @@ pub fn run_upgrade(config: &UpgradeConfig) -> UpgradeReport {
                     caller: &sender,
                     remote: &provider_link.remote,
                 };
-                let (sent, invoked) = if validate(&doc, target).is_ok() {
-                    (doc.clone(), 0)
-                } else {
-                    let mut rewriter = Rewriter::new(target).with_k(1).with_cache(&cache);
-                    let (sent, report) = rewriter.rewrite_safe(&doc, &mut invoker)?;
-                    (sent, report.invoked.len())
-                };
+                let (sent, report) =
+                    enforce_with(target, &doc, 1, Strategy::Safe, &cache, &mut invoker)?;
+                let invoked = report.invoked.len();
                 let link = topo.remote(UPGRADE_SENDER, &fleet[slot].endpoint);
                 link.remote.send_document(&sender, &doc_name, &sent, target)?;
                 Ok((sent, invoked))

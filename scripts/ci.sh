@@ -375,6 +375,23 @@ print(f"restart scrape ok: cold misses={cold['solve_cache.misses_total']}, "
 EOF
 
 echo "== tier-1: sim gate (seeded fault injection, DESIGN.md §10) =="
+# One validate-or-rewrite (DESIGN.md §4, core::rewrite): the simulator
+# and the peer enforce through core::rewrite's entry points (enforce_with,
+# enforce_forest, the stream engine), so the goldens pin the production
+# path. Outside their test modules, neither may call the rewriter's
+# rewrite_safe/rewrite_possible itself.
+rogue_rewrites=$(
+    for f in crates/sim/src/*.rs crates/peer/src/*.rs; do
+        awk -v f="$f" '/^#\[cfg\(test\)\]/ { skip = 1 }
+            skip && /^}/ { skip = 0; next }
+            !skip && /rewrite_(safe|possible)\(/ { print f ":" NR ": " $0 }' "$f"
+    done
+)
+if [ -n "$rogue_rewrites" ]; then
+    echo "validate-or-rewrite copied outside core::rewrite:"
+    echo "$rogue_rewrites"
+    exit 1
+fi
 # The deterministic simulator suites: ≥1000 fresh seeds plus the full
 # regression corpus (regressions/sim/*.seeds replays automatically via
 # the property harness), the ported protocol-fault tests, and the golden

@@ -6,7 +6,7 @@ use axml::core::mixed::rewrite_mixed;
 use axml::core::rewrite::{enforce, RewriteError, Rewriter};
 use axml::core::schema_rw::schema_safe_rewrites;
 use axml::net::{ClientConfig, ServerConfig};
-use axml::peer::{NetPeer, Peer, Query, RemotePeer};
+use axml::peer::{NetPeer, Peer, Query, RemotePeer, Repository};
 use axml::schema::{newspaper_example, validate, xsd, Compiled, ITree, NoOracle, Schema};
 use axml::services::builtin::{Adversarial, Flaky, GetDate, GetTemp, IllTyped, TimeOutGuide};
 use axml::services::{Registry, ServiceDef};
@@ -293,6 +293,57 @@ fn repository_enrichment_chases_continuations() {
     assert_eq!(final_doc.num_funcs(), 0);
     assert_eq!(final_doc.children().len(), 5);
     validate(&final_doc, &compiled).unwrap();
+}
+
+#[test]
+fn selected_call_inside_a_kept_calls_parameters() {
+    // `f` is not selected and stays, but its parameter holds a selected
+    // `g`: mixed rewriting and repository enrichment both invoke `g`
+    // alone and splice its answer inside `f`'s parameter.
+    let compiled = Arc::new(
+        Compiled::new(
+            Schema::builder()
+                .element("r", "f")
+                .element("x", "a|g")
+                .data_element("a")
+                .function("f", "x", "a")
+                .function("g", "", "a")
+                .build()
+                .unwrap(),
+            &NoOracle,
+        )
+        .unwrap(),
+    );
+    let with_param = |param: ITree| {
+        ITree::elem(
+            "r",
+            vec![ITree::func("f", vec![ITree::elem("x", vec![param])])],
+        )
+    };
+    let doc = with_param(ITree::func("g", vec![]));
+    let want = with_param(ITree::data("a", "1"));
+    let only_g = |name: &str| name == "g";
+    let script = || ScriptedInvoker::new().answer("g", vec![ITree::data("a", "1")]);
+    let called = |inv: &ScriptedInvoker| -> Vec<String> {
+        inv.log.iter().map(|(name, _)| name.clone()).collect()
+    };
+
+    let mut invoker = script();
+    let mut rewriter = Rewriter::new(&compiled).with_k(1);
+    let (out, report) = rewrite_mixed(&mut rewriter, &doc, &only_g, &mut invoker).unwrap();
+    assert_eq!(out, want);
+    assert_eq!(report.invoked, ["g"]);
+    assert_eq!(called(&invoker), ["g"]);
+
+    let repository = Repository::new();
+    repository.store("doc", doc);
+    let mut invoker = script();
+    let n = repository
+        .enrich("doc", &compiled, &only_g, &mut invoker)
+        .unwrap();
+    assert_eq!(n, 1);
+    assert_eq!(repository.load("doc").unwrap(), want);
+    assert_eq!(called(&invoker), ["g"]);
 }
 
 #[test]

@@ -17,10 +17,11 @@
 //!
 //! and review the diff of `tests/golden/` like any other code change.
 
+use axml::core::rewrite::Strategy;
 use axml::schema::ITree;
 use axml::sim::{
     exhibit, offer, run_marketplace, run_scenario, run_upgrade, FaultPlan, MarketplaceConfig,
-    Mode, Outcome, ScenarioConfig, StrategyKind, UpgradeConfig,
+    Outcome, ScenarioConfig, StrategyKind, UpgradeConfig,
 };
 use std::path::PathBuf;
 use std::time::Duration;
@@ -61,7 +62,7 @@ fn fig1_exchange_transcript_is_stable() {
     let report = run_scenario(&ScenarioConfig {
         seed: 0x0f16_0001,
         plan: FaultPlan::default(),
-        mode: Mode::Safe,
+        mode: Strategy::Safe,
         doc: Some(fig1_doc()),
         exhibits: 0,
         provider_fault_prob: 0.0,
@@ -85,7 +86,7 @@ fn fig3_safe_rewriting_transcript_is_stable() {
             busy_prob: 0.40,
             ..FaultPlan::default()
         },
-        mode: Mode::Safe,
+        mode: Strategy::Safe,
         doc: Some(ITree::elem(
             "r",
             vec![exhibit("monet", true), exhibit("rodin", true)],
@@ -108,7 +109,7 @@ fn fig9_possible_rewriting_transcript_is_stable() {
     let report = run_scenario(&ScenarioConfig {
         seed: 0x0f16_0009,
         plan: FaultPlan::default(),
-        mode: Mode::Possible,
+        mode: Strategy::Possible,
         doc: Some(ITree::elem(
             "r",
             vec![
@@ -138,7 +139,7 @@ fn strategic_adversary_transcript_is_stable() {
     let config = MarketplaceConfig {
         seed: 3,
         plan: FaultPlan::default(),
-        mode: Mode::Possible,
+        mode: Strategy::Possible,
         doc: Some(ITree::elem(
             "catalog",
             vec![offer("laptop", Some("Get_Quote"))],

@@ -14,9 +14,10 @@
 //! AXML_SOAK_SEED=0xdeadbeef cargo test --test sim_soak replay_env_seed -- --nocapture
 //! ```
 
+use axml::core::rewrite::Strategy;
 use axml::schema::ITree;
 use axml::sim::{
-    offer, run_marketplace, run_soak, FaultPlan, MarketplaceConfig, Mode, Outcome, SoakConfig,
+    offer, run_marketplace, run_soak, FaultPlan, MarketplaceConfig, Outcome, SoakConfig,
     StrategyKind,
 };
 use std::time::Duration;
@@ -83,7 +84,7 @@ fn strategic_adversary_flips_a_random_delivery_into_typed_failure() {
     let pinned = |strategies: Vec<StrategyKind>| MarketplaceConfig {
         seed: 3,
         plan: FaultPlan::default(),
-        mode: Mode::Possible,
+        mode: Strategy::Possible,
         doc: Some(doc.clone()),
         offers: 0,
         strategies,

@@ -7,10 +7,10 @@
 //!
 //! * `dom_*` — the classical pipeline: parse the whole document, decode
 //!   it into an [`ITree`], rewrite, serialize;
-//! * `stream_*` — [`enforce_stream`]: the chunks are copied straight
-//!   from the pull parser to the output, and only the `calls` subtree is
-//!   ever materialized, so peak buffering stays proportional to the
-//!   *active* subtree while the document grows.
+//! * `stream_*` — [`enforce_stream_with`]: the chunks are copied straight
+//!   from the pull parser to the output string, and only the `calls`
+//!   subtree is ever materialized, so peak buffering for materialization
+//!   stays proportional to the *active* subtree while the document grows.
 //!
 //! The JSON report carries one [`StreamReport`] per (size × call-sites)
 //! configuration plus the process obs snapshot. The CI gate asserts the
@@ -22,7 +22,7 @@
 
 use axml_core::invoke::{Invoker, ScriptedInvoker};
 use axml_core::solve_cache::SolveCache;
-use axml_core::stream::{enforce_dom, enforce_stream, StreamOptions};
+use axml_core::stream::{enforce_dom, enforce_stream, enforce_stream_with, StreamOptions};
 use axml_schema::{Compiled, ITree, NoOracle, Schema};
 use axml_support::bench::{criterion_group, criterion_main, smoke_mode, Criterion, Throughput};
 use std::hint::black_box;
@@ -135,19 +135,10 @@ fn bench(c: &mut Criterion) {
             group.throughput(Throughput::Bytes(input.len() as u64));
             group.bench_function(format!("stream_{mib}mib_{calls}calls"), |b| {
                 b.iter(|| {
-                    let mut sink = std::io::sink();
                     let mut inv = invoker();
-                    let rep = axml_core::rewrite::Rewriter::new(&compiled)
-                        .with_k(1)
-                        .with_cache(&cache)
-                        .rewrite_stream(
-                            black_box(input.as_str()),
-                            axml_core::rewrite::Strategy::Safe,
-                            &mut inv,
-                            &mut sink,
-                        )
-                        .unwrap();
-                    black_box(rep.bytes_out)
+                    let (out, _) =
+                        enforce_stream_with(&compiled, black_box(&input), &opts, &mut inv).unwrap();
+                    black_box(out.len())
                 })
             });
             group.bench_function(format!("dom_{mib}mib_{calls}calls"), |b| {

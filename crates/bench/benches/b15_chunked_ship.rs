@@ -9,24 +9,26 @@
 //!   `DocChunkStart`/`DocChunk`/`DocChunkEnd` frames in 256 KiB chunks.
 //!   The 16 MiB point is 4× `DEFAULT_MAX_FRAME`: unshippable without
 //!   chunking, which is the protocol's reason to exist;
-//! * `enforced_chunked_4mib_*` — the full pipeline: streaming
-//!   enforcement writes straight into the chunk sink, so the sender
-//!   never holds more than the active subtree plus one chunk.
+//! * `enforced_chunked_4mib_*` — the full pipeline, as a peer ships: the
+//!   sender enforces an intensional feed once with `enforce_stream_with`,
+//!   then the transfer writes the enforced bytes.
 //!
 //! The JSON report carries one receiver-side accounting record per
 //! (size × engine) configuration: every payload byte must land in
 //! `net.chunk.bytes_total`, zero aborts, and the reassembly gauge back
 //! at zero — the same identities `tests/chunk_parity.rs` pins, asserted
-//! here by the CI gate at bench scale.
+//! here by the CI gate at bench scale. The enforced records add the
+//! feed's call sites, the invocations one ship made, and whether the
+//! receiver got the enforced bytes.
 
 use axml_core::invoke::ScriptedInvoker;
-use axml_core::stream::{enforce_stream_to, StreamOptions};
+use axml_core::stream::{enforce_stream_with, StreamOptions};
 use axml_net::{wire, ClientConfig, Handler, IoMode, NetClient, NetServer, ServerConfig};
 use axml_schema::{Compiled, ITree, NoOracle, Schema};
 use axml_support::bench::{criterion_group, criterion_main, smoke_mode, Criterion, Throughput};
 use std::hint::black_box;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 
 const MIB: usize = 1 << 20;
 const CHUNK: usize = 256 << 10;
@@ -40,9 +42,12 @@ fn io_tag(io: IoMode) -> &'static str {
 }
 
 /// Counts received document bytes and drops them — the bench measures
-/// the wire, not the repository.
+/// the wire, not the repository. While `keep` is set it also keeps the
+/// last document, for the correctness pass.
 struct DrainStore {
     bytes: AtomicU64,
+    keep: AtomicBool,
+    kept: Mutex<String>,
 }
 
 impl Handler for DrainStore {
@@ -53,6 +58,9 @@ impl Handler for DrainStore {
 
     fn handle_document(&self, _id: u64, _name: &str, text: &str) -> Result<String, wire::WireFault> {
         self.bytes.fetch_add(text.len() as u64, Ordering::Relaxed);
+        if self.keep.load(Ordering::Relaxed) {
+            *self.kept.lock().unwrap() = text.to_owned();
+        }
         Ok("<stored/>".to_owned())
     }
 }
@@ -66,6 +74,8 @@ fn fresh_registry() -> axml_obs::Registry {
 fn daemon(io: IoMode, metrics: axml_obs::Registry) -> (NetServer, Arc<DrainStore>, NetClient) {
     let store = Arc::new(DrainStore {
         bytes: AtomicU64::new(0),
+        keep: AtomicBool::new(false),
+        kept: Mutex::new(String::new()),
     });
     let server = NetServer::bind(
         "127.0.0.1:0",
@@ -118,6 +128,9 @@ fn feed_compiled() -> Compiled {
     .unwrap()
 }
 
+/// The `Get_Quote` call sites in [`feed_xml`]'s feed.
+const FEED_CALL_SITES: usize = 1;
+
 /// An intensional quote feed (B14's shape, one call site) for the
 /// end-to-end enforced-ship variant.
 fn feed_xml(target_bytes: usize) -> String {
@@ -142,6 +155,16 @@ fn feed_xml(target_bytes: usize) -> String {
 
 fn invoker() -> ScriptedInvoker {
     ScriptedInvoker::new().answer("Get_Quote", vec![ITree::data("quote", "AXML 42.17")])
+}
+
+/// Enforces `feed` as a sender does before its transfer opens, then
+/// ships the enforced bytes. Returns them and the invocations made.
+fn enforce_and_ship(client: &NetClient, compiled: &Compiled, feed: &str) -> (String, usize) {
+    let mut inv = invoker();
+    let (enforced, _) =
+        enforce_stream_with(compiled, feed, &StreamOptions::default(), &mut inv).unwrap();
+    ship_raw(client, &enforced);
+    (enforced, inv.calls())
 }
 
 fn ship_raw(client: &NetClient, input: &str) -> u64 {
@@ -204,8 +227,7 @@ fn bench(c: &mut Criterion) {
                 "{{\"id\": \"chunked_{mib}mib_{io}\", \"size_bytes\": {size}, \
                  \"io\": \"{io}\", \"chunk_bytes\": {chunk}, \
                  \"recv_bytes\": {recv}, \"chunk_frames\": {frames}, \
-                 \"aborts\": {aborts}, \"reassembly_gauge\": {gauge}, \
-                 \"sender_peak_buffer_bytes\": 0}}",
+                 \"aborts\": {aborts}, \"reassembly_gauge\": {gauge}}}",
                 io = io_tag(io),
                 size = input.len(),
                 chunk = CHUNK,
@@ -223,66 +245,48 @@ fn bench(c: &mut Criterion) {
         }
     }
 
-    // End-to-end: streaming enforcement writing straight into the chunk
-    // sink — the sender's peak buffer tracks the call-bearing subtree,
-    // not the document.
+    // End-to-end: the sender enforces the feed once, then ships the
+    // enforced bytes; each call site is invoked once per ship.
     let compiled = feed_compiled();
     let feed = feed_xml(4 * MIB);
     for io in IO_MODES {
         let metrics = fresh_registry();
-        let (server, _store, client) = daemon(io, metrics.clone());
-        let opts = StreamOptions::default();
+        let (server, store, client) = daemon(io, metrics.clone());
 
-        let mut peak = 0u64;
-        let mut out_bytes = 0u64;
-        let reply = client
-            .send_document_chunked(None, "feed.xml", CHUNK, |sink| {
-                let mut inv = invoker();
-                let rep = enforce_stream_to(&compiled, &feed, &opts, &mut inv, sink).map_err(
-                    |e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()),
-                )?;
-                peak = rep.peak_buffer_bytes;
-                out_bytes = rep.bytes_out;
-                Ok(())
-            })
-            .unwrap();
-        assert!(reply.contains("stored"), "{reply}");
+        store.keep.store(true, Ordering::Relaxed);
+        let (enforced, invocations) = enforce_and_ship(&client, &compiled, &feed);
+        store.keep.store(false, Ordering::Relaxed);
+        let received = std::mem::take(&mut *store.kept.lock().unwrap());
         let snap = metrics.snapshot();
-        assert_eq!(snap.counter("net.chunk.bytes_total"), out_bytes);
+        assert_eq!(snap.counter("net.chunk.bytes_total"), enforced.len() as u64);
         assert_eq!(snap.counter("net.chunk.aborts_total"), 0);
         assert_eq!(snap.gauge("net.chunk.reassembly_bytes"), 0);
+        assert_eq!(
+            invocations, FEED_CALL_SITES,
+            "each call site is invoked once"
+        );
         assert!(
-            peak < wire::DEFAULT_MAX_FRAME as u64 / 4,
-            "sender peak buffer {peak} bytes is not bounded"
+            received == enforced,
+            "the receiver got other bytes than were enforced"
         );
         reports.push(format!(
             "{{\"id\": \"enforced_chunked_4mib_{io}\", \"size_bytes\": {size}, \
              \"io\": \"{io}\", \"chunk_bytes\": {chunk}, \
              \"recv_bytes\": {recv}, \"chunk_frames\": {frames}, \
              \"aborts\": 0, \"reassembly_gauge\": 0, \
-             \"sender_peak_buffer_bytes\": {peak}}}",
+             \"call_sites\": {FEED_CALL_SITES}, \"invocations\": {invocations}, \
+             \"recv_equals_enforced\": {same}}}",
             io = io_tag(io),
             size = feed.len(),
             chunk = CHUNK,
             recv = snap.counter("net.chunk.bytes_total"),
             frames = snap.counter("net.chunk.frames_total"),
+            same = received == enforced,
         ));
 
         group.throughput(Throughput::Bytes(feed.len() as u64));
         group.bench_function(format!("enforced_chunked_4mib_{}", io_tag(io)), |b| {
-            b.iter(|| {
-                let reply = client
-                    .send_document_chunked(None, "feed.xml", CHUNK, |sink| {
-                        let mut inv = invoker();
-                        enforce_stream_to(&compiled, black_box(&feed), &opts, &mut inv, sink)
-                            .map(|_| ())
-                            .map_err(|e| {
-                                std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string())
-                            })
-                    })
-                    .unwrap();
-                black_box(reply.len())
-            })
+            b.iter(|| black_box(enforce_and_ship(&client, &compiled, black_box(&feed)).1))
         });
         server.shutdown().unwrap();
     }

@@ -5,8 +5,8 @@
 //! exponential and only work when output types denote **finite** languages
 //! (no stars), but they implement the definitions with no automata theory
 //! at all — the property-test suites cross-check the product-and-marking
-//! algorithms of [`crate::safe`] / [`crate::possible`] against them on
-//! small instances.
+//! game of [`crate::game`], safe and possible, against them on small
+//! instances.
 
 use axml_automata::{Dfa, Nfa, Regex, Symbol};
 use axml_schema::Compiled;

@@ -69,12 +69,13 @@ pub fn rewrite_mixed(
 }
 
 /// One select-driven materialization pass: every call among an element's
-/// children that `select` accepts is invoked, and its answer, validated
-/// against the function's output type, replaces it. Calls left in place
-/// get their parameters walked. Answers are spliced as they are, so calls
-/// they contain wait for the next pass. Each invoked name is appended to
-/// `invoked`; with a `max_calls` budget, a call once `invoked` holds that
-/// many names fails with [`RewriteError::CallBudget`] before it is made.
+/// children or a call's parameters that `select` accepts is invoked, and
+/// its answer, validated against the function's output type, replaces it.
+/// Calls left in place get their parameters walked. Answers are spliced
+/// as they are, so calls they contain wait for the next pass. Each
+/// invoked name is appended to `invoked`; with a `max_calls` budget, a
+/// call once `invoked` holds that many names fails with
+/// [`RewriteError::CallBudget`] before it is made.
 pub fn materialize(
     compiled: &Compiled,
     tree: &ITree,
@@ -83,30 +84,37 @@ pub fn materialize(
     invoker: &mut dyn Invoker,
     invoked: &mut Vec<String>,
 ) -> Result<ITree, RewriteError> {
-    let (label, children) = match tree {
-        ITree::Text(_) => return Ok(tree.clone()),
-        ITree::Func(f) => {
-            let params = f
-                .params
-                .iter()
-                .map(|p| materialize(compiled, p, select, max_calls, invoker, invoked))
-                .collect::<Result<_, _>>()?;
-            return Ok(ITree::Func(FuncNode {
-                name: f.name.clone(),
-                endpoint: f.endpoint.clone(),
-                namespace: f.namespace.clone(),
-                params,
-            }));
-        }
-        ITree::Elem { label, children } => (label, children),
-    };
-    let mut out = Vec::with_capacity(children.len());
-    for c in children {
-        let f = match c {
+    let mut forest =
+        |items| materialize_forest(compiled, items, select, max_calls, invoker, invoked);
+    Ok(match tree {
+        ITree::Text(_) => tree.clone(),
+        ITree::Elem { label, children } => ITree::elem(label, forest(children)?),
+        ITree::Func(f) => ITree::Func(FuncNode {
+            name: f.name.clone(),
+            endpoint: f.endpoint.clone(),
+            namespace: f.namespace.clone(),
+            params: forest(&f.params)?,
+        }),
+    })
+}
+
+/// [`materialize`] over a forest: selected calls are invoked and their
+/// answers spliced in their place; every other item is walked.
+fn materialize_forest(
+    compiled: &Compiled,
+    items: &[ITree],
+    select: &dyn Fn(&str) -> bool,
+    max_calls: Option<usize>,
+    invoker: &mut dyn Invoker,
+    invoked: &mut Vec<String>,
+) -> Result<Vec<ITree>, RewriteError> {
+    let mut out = Vec::with_capacity(items.len());
+    for item in items {
+        let f = match item {
             ITree::Func(f) if select(&f.name) => f,
             _ => {
                 out.push(materialize(
-                    compiled, c, select, max_calls, invoker, invoked,
+                    compiled, item, select, max_calls, invoker, invoked,
                 )?);
                 continue;
             }
@@ -127,7 +135,7 @@ pub fn materialize(
         })?;
         out.extend(result);
     }
-    Ok(ITree::elem(label, out))
+    Ok(out)
 }
 
 #[cfg(test)]

@@ -21,7 +21,7 @@
 //!   are materialized into DOM form (with the exact normalization of
 //!   [`axml_schema::forest_from_nodes`]) while the already-emitted prefix
 //!   stays streamed. At `P`'s close the suffix is rewritten with
-//!   [`Rewriter::rewrite_suffix`]: the game is built over `P`'s *full*
+//!   `Rewriter::rewrite_suffix`: the game is built over `P`'s *full*
 //!   children word (prefix symbols included, so it is the same `A_w^k`
 //!   the DOM path solves, warm in the shared [`SolveCache`]), the prefix
 //!   is advanced through forced letter moves, and only the tail items are
@@ -33,21 +33,22 @@
 //!   game is played, matching the DOM rewriter's verbatim copy.
 //! * **Universal fallback.** Any anomaly — parse error, unknown label, a
 //!   dead DFA move, malformed intensional markup, a failing suffix
-//!   rewrite — abandons streaming and re-runs the DOM pipeline on the same
-//!   input, so output bytes, typed errors, and leftmost-error-wins order
-//!   are identical to [`enforce_dom`] by construction. A prefix that dies
-//!   in the DFA is function-free, so the DOM rewriter could not have fixed
-//!   it either (rewriting only changes the word at function positions);
-//!   the fallback exists to reproduce the DOM error verbatim. Note that
-//!   invocations performed before the anomaly are *not* undone: a stateful
-//!   invoker may see calls repeated by the fallback run.
+//!   rewrite — abandons streaming, drops the output so far, and re-runs
+//!   the DOM pipeline on the same input, so output bytes, typed errors,
+//!   and leftmost-error-wins order are identical to [`enforce_dom`] by
+//!   construction. A prefix that dies in the DFA is function-free, so the
+//!   DOM rewriter could not have fixed it either (rewriting only changes
+//!   the word at function positions); the fallback exists to reproduce
+//!   the DOM error verbatim. Note that invocations performed before the
+//!   anomaly are *not* undone: a stateful invoker may see calls repeated
+//!   by the fallback run.
 //!
-//! Memory: the engine holds the frame stack of open elements (with one
-//! recorded child-symbol word per open element) plus at most one in-flight
-//! materialized region. [`StreamReport::peak_buffer_bytes`] reports the
-//! largest raw-input span buffered for materialization; per-frame word
-//! recording is O(children of open elements) and is not included in that
-//! figure.
+//! Memory: besides the output string it returns, the engine holds the
+//! frame stack of open elements (with one recorded child-symbol word per
+//! open element) plus at most one in-flight materialized region.
+//! [`StreamReport::peak_buffer_bytes`] reports the largest raw-input span
+//! buffered for materialization; per-frame word recording is O(children
+//! of open elements) and is not included in that figure.
 
 use crate::invoke::Invoker;
 use crate::rewrite::{RewriteError, RewriteReport, Rewriter, Strategy};
@@ -59,7 +60,6 @@ use axml_xml::{
     StreamWriter, WriteOptions,
 };
 use std::borrow::Cow;
-use std::io;
 
 /// Options for streaming enforcement.
 #[derive(Debug, Clone)]
@@ -116,19 +116,9 @@ pub struct StreamReport {
     pub rewrite: RewriteReport,
 }
 
-/// Why the engine stopped short of a streamed result.
-enum Stop {
-    /// Abandon streaming and re-run the DOM pipeline (parity fallback).
-    Fallback(String),
-    /// The output sink failed; no fallback, surface the error.
-    Io(io::Error),
-}
-
-impl From<io::Error> for Stop {
-    fn from(e: io::Error) -> Self {
-        Stop::Io(e)
-    }
-}
+/// The engine met an anomaly: abandon streaming and re-run the DOM
+/// pipeline, whose verdict the caller gets (parity fallback).
+struct Fallback;
 
 /// An invoker that may not exist yet: purely extensional documents never
 /// pay for constructing one.
@@ -228,27 +218,24 @@ struct Tail {
     open: Vec<Element>,
 }
 
-struct Engine<'c, 'a, 'w, 'r> {
+struct Engine<'c, 'a, 'r> {
     compiled: &'c Compiled,
     reader: Reader<'a>,
-    writer: StreamWriter<&'w mut dyn io::Write>,
+    writer: StreamWriter,
     stack: Vec<Frame<'c, 'a>>,
     tail: Option<Tail>,
     report: &'r mut StreamReport,
 }
 
-impl<'c, 'a> Engine<'c, 'a, '_, '_> {
+impl<'c, 'a> Engine<'c, 'a, '_> {
     fn run(
         &mut self,
         rw: &mut Rewriter<'c>,
         strategy: Strategy,
         inv: &mut Inv<'_, '_>,
-    ) -> Result<(), Stop> {
+    ) -> Result<(), Fallback> {
         loop {
-            let ev = self
-                .reader
-                .next_event()
-                .map_err(|e| Stop::Fallback(format!("parse error: {e}")))?;
+            let ev = self.reader.next_event().map_err(|_| Fallback)?;
             if self.tail.is_some() {
                 self.feed_tail(ev, rw, strategy, inv)?;
                 continue;
@@ -269,11 +256,9 @@ impl<'c, 'a> Engine<'c, 'a, '_, '_> {
                 // Comments and PIs vanish from the normal form but break
                 // text-run adjacency, exactly like the DOM builder.
                 Event::Comment(_) | Event::Pi { .. } => self.finalize_run()?,
-                Event::Eof => break,
+                Event::Eof => return Ok(()),
             }
         }
-        self.report.bytes_out = self.writer.bytes_written();
-        Ok(())
     }
 
     fn on_start(
@@ -281,7 +266,7 @@ impl<'c, 'a> Engine<'c, 'a, '_, '_> {
         name: QName,
         attributes: Vec<Attribute>,
         ns_decls: Vec<(String, String)>,
-    ) -> Result<(), Stop> {
+    ) -> Result<(), Fallback> {
         self.finalize_run()?;
         let is_fun = name.matches(INT_NS, "fun");
         enum Top {
@@ -299,17 +284,10 @@ impl<'c, 'a> Engine<'c, 'a, '_, '_> {
             },
         };
         match top {
-            Top::Data => {
-                let label = &self.stack.last().expect("data frame").label;
-                return Err(Stop::Fallback(format!(
-                    "'{label}' is atomic but has element children"
-                )));
-            }
-            Top::Root if is_fun => {
-                return Err(Stop::Fallback(
-                    "intensional function at document root".into(),
-                ));
-            }
+            // An atomic element with element children, or a call at the
+            // document root.
+            Top::Data => return Err(Fallback),
+            Top::Root if is_fun => return Err(Fallback),
             Top::Any | Top::Model if is_fun => {
                 let kind = if matches!(top, Top::Any) {
                     TailKind::FunRegion
@@ -336,17 +314,13 @@ impl<'c, 'a> Engine<'c, 'a, '_, '_> {
         if let Some(Frame {
             kind: Kind::Model { dfa, state, .. },
             word,
-            label,
             ..
         }) = self.stack.last_mut()
         {
             let sym = self.compiled.classify_label(&name.local);
             let next = dfa.next(*state, sym);
             if next == NO_STATE {
-                return Err(Stop::Fallback(format!(
-                    "unexpected '{}' in content of '{label}'",
-                    self.compiled.alphabet().name(sym)
-                )));
+                return Err(Fallback);
             }
             *state = next;
             word.push(sym);
@@ -362,16 +336,16 @@ impl<'c, 'a> Engine<'c, 'a, '_, '_> {
             },
             _ => self.open_frame(&name.local)?,
         };
-        let n = self.writer.start(&name.local)?;
+        let n = self.writer.start(&name.local);
         self.report.bytes_rewritten += n as u64;
         self.stack.push(frame);
         Ok(())
     }
 
-    fn open_frame(&self, label: &str) -> Result<Frame<'c, 'a>, Stop> {
+    fn open_frame(&self, label: &str) -> Result<Frame<'c, 'a>, Fallback> {
         let sym = self.compiled.classify_label(label);
         let kind = match self.compiled.content(sym) {
-            None => return Err(Stop::Fallback(format!("unknown element '{label}'"))),
+            None => return Err(Fallback),
             Some(CompiledContent::Data) => Kind::Data,
             Some(CompiledContent::Any) => Kind::Any,
             Some(CompiledContent::Model { dfa, .. }) => Kind::Model {
@@ -388,18 +362,16 @@ impl<'c, 'a> Engine<'c, 'a, '_, '_> {
         })
     }
 
-    fn on_end(&mut self) -> Result<(), Stop> {
+    fn on_end(&mut self) -> Result<(), Fallback> {
         self.finalize_run()?;
         let frame = self.stack.pop().expect("reader guarantees balanced tags");
         if let Kind::Model { dfa, state, .. } = frame.kind {
+            // The children stop before the content model is satisfied.
             if !dfa.finals[state as usize] {
-                return Err(Stop::Fallback(format!(
-                    "children of '{}' stop before the content model is satisfied",
-                    frame.label
-                )));
+                return Err(Fallback);
             }
         }
-        let n = self.writer.end(&frame.label)?;
+        let n = self.writer.end(&frame.label);
         self.report.bytes_rewritten += n as u64;
         Ok(())
     }
@@ -407,7 +379,7 @@ impl<'c, 'a> Engine<'c, 'a, '_, '_> {
     /// Flushes the pending text run of the top frame: trim, drop when
     /// whitespace-only, otherwise consume a data symbol and emit the
     /// escaped text (zero-copy when the span is borrowed and clean).
-    fn finalize_run(&mut self) -> Result<(), Stop> {
+    fn finalize_run(&mut self) -> Result<(), Fallback> {
         let Some(top) = self.stack.last_mut() else {
             return Ok(());
         };
@@ -424,17 +396,14 @@ impl<'c, 'a> Engine<'c, 'a, '_, '_> {
             let data = self.compiled.data_sym();
             let next = dfa.next(*state, data);
             if next == NO_STATE {
-                return Err(Stop::Fallback(format!(
-                    "unexpected text in content of '{}'",
-                    top.label
-                )));
+                return Err(Fallback);
             }
             *state = next;
             top.word.push(data);
         }
         let escaped = escape_text(trimmed);
         let zero_copy = borrowed && matches!(escaped, Cow::Borrowed(_));
-        let n = self.writer.raw(&escaped)?;
+        let n = self.writer.raw(&escaped);
         let text_len = escaped.len() as u64;
         if zero_copy {
             self.report.bytes_copied += text_len;
@@ -452,7 +421,7 @@ impl<'c, 'a> Engine<'c, 'a, '_, '_> {
         rw: &mut Rewriter<'c>,
         strategy: Strategy,
         inv: &mut Inv<'_, '_>,
-    ) -> Result<(), Stop> {
+    ) -> Result<(), Fallback> {
         let tail = self.tail.as_mut().expect("in tail mode");
         match ev {
             Event::StartElement {
@@ -509,11 +478,8 @@ impl<'c, 'a> Engine<'c, 'a, '_, '_> {
                     data: data.to_owned(),
                 });
             }
-            Event::Eof => {
-                return Err(Stop::Fallback(
-                    "input ended inside a materialized region".into(),
-                ));
-            }
+            // The input ended inside a materialized region.
+            Event::Eof => return Err(Fallback),
         }
         Ok(())
     }
@@ -529,15 +495,15 @@ impl<'c, 'a> Engine<'c, 'a, '_, '_> {
     /// An `int:fun` inside wildcard content: decode just the call subtree
     /// and splice its canonical serialization — the DOM rewriter copies
     /// `Any` content verbatim, no game is played.
-    fn finish_fun_region(&mut self) -> Result<(), Stop> {
+    fn finish_fun_region(&mut self) -> Result<(), Fallback> {
         let tail = self.tail.take().expect("in tail mode");
         self.account_region(tail.start_pos);
         let Some(Node::Element(e)) = tail.nodes.last() else {
-            return Err(Stop::Fallback("empty materialized region".into()));
+            return Err(Fallback);
         };
-        let t = ITree::from_xml(e).map_err(Stop::Fallback)?;
+        let t = ITree::from_xml(e).map_err(|_| Fallback)?;
         let s = serialize_item(&t);
-        let n = self.writer.raw(&s)?;
+        let n = self.writer.raw(&s);
         self.report.bytes_rewritten += n as u64;
         Ok(())
     }
@@ -550,14 +516,14 @@ impl<'c, 'a> Engine<'c, 'a, '_, '_> {
         rw: &mut Rewriter<'c>,
         strategy: Strategy,
         inv: &mut Inv<'_, '_>,
-    ) -> Result<(), Stop> {
+    ) -> Result<(), Fallback> {
         let tail = self.tail.take().expect("in tail mode");
         self.account_region(tail.start_pos);
         let frame = self.stack.pop().expect("suffix tail has an owner frame");
         let Kind::Model { sym, dfa, state } = frame.kind else {
-            return Err(Stop::Fallback("suffix tail under non-model frame".into()));
+            return Err(Fallback);
         };
-        let items = forest_from_nodes(&tail.nodes).map_err(Stop::Fallback)?;
+        let items = forest_from_nodes(&tail.nodes).map_err(|_| Fallback)?;
         let tail_word = words_of(&items, self.compiled).expect("words_of is total");
         // Validate-tail-first: when the content model admits function
         // symbols and the element is valid as parsed, splice the tail
@@ -589,14 +555,14 @@ impl<'c, 'a> Engine<'c, 'a, '_, '_> {
                 inv.get(),
                 &mut self.report.rewrite,
             )
-            .map_err(|e| Stop::Fallback(format!("suffix rewrite failed: {e}")))?
+            .map_err(|_| Fallback)?
         };
         for t in &out {
             let s = serialize_item(t);
-            let n = self.writer.raw(&s)?;
+            let n = self.writer.raw(&s);
             self.report.bytes_rewritten += n as u64;
         }
-        let n = self.writer.end(&frame.label)?;
+        let n = self.writer.end(&frame.label);
         self.report.bytes_rewritten += n as u64;
         Ok(())
     }
@@ -609,26 +575,6 @@ fn serialize_item(t: &ITree) -> String {
         ITree::Text(s) => escape_text(s).into_owned(),
         other => element_to_string(&other.to_xml(), &WriteOptions::compact()),
     }
-}
-
-fn run_engine<'c>(
-    compiled: &'c Compiled,
-    input: &str,
-    rw: &mut Rewriter<'c>,
-    strategy: Strategy,
-    inv: &mut Inv<'_, '_>,
-    sink: &mut dyn io::Write,
-    report: &mut StreamReport,
-) -> Result<(), Stop> {
-    let mut eng = Engine {
-        compiled,
-        reader: Reader::new(input),
-        writer: StreamWriter::new(sink),
-        stack: Vec::new(),
-        tail: None,
-        report,
-    };
-    eng.run(rw, strategy, inv)
 }
 
 fn publish(report: &StreamReport) {
@@ -672,9 +618,7 @@ pub fn enforce_dom<'i>(
 /// Output is byte-identical to [`enforce_dom`] with the same options, and
 /// error cases surface the identical typed [`RewriteError`]: the engine
 /// re-runs the DOM pipeline on any anomaly (see the module docs; the
-/// output buffer makes the fallback invisible to the caller). Use
-/// [`Rewriter::rewrite_stream`] to stream into an [`io::Write`] sink
-/// without buffering the output.
+/// output buffer makes the fallback invisible to the caller).
 ///
 /// `make_invoker` is only called when a rewrite actually needs to invoke —
 /// purely extensional documents never construct an invoker (the DOM
@@ -706,23 +650,6 @@ pub fn enforce_stream_with(
     enforce_stream_buffered(compiled, input, opts, &mut inv)
 }
 
-/// Like [`enforce_stream_with`], but streaming the enforced output into
-/// `sink` instead of buffering it — the convenience wrapper the network
-/// layer's chunked shipping path drives, so a document larger than RAM
-/// never exists in one allocation on the sender. Fallback semantics are
-/// [`Rewriter::rewrite_stream`]'s: a fallback after bytes were written
-/// surfaces the divergence error rather than corrupting `sink`.
-pub fn enforce_stream_to(
-    compiled: &Compiled,
-    input: &str,
-    opts: &StreamOptions,
-    invoker: &mut dyn Invoker,
-    sink: &mut dyn io::Write,
-) -> Result<StreamReport, RewriteError> {
-    opts.rewriter(compiled)
-        .rewrite_stream(input, opts.strategy, invoker, sink)
-}
-
 fn enforce_stream_buffered(
     compiled: &Compiled,
     input: &str,
@@ -730,30 +657,22 @@ fn enforce_stream_buffered(
     inv: &mut Inv<'_, '_>,
 ) -> Result<(String, StreamReport), RewriteError> {
     let mut report = StreamReport::default();
-    let mut buf: Vec<u8> = Vec::new();
     // The streaming attempt and its DOM fallback solve through one cache.
     let mut rw = opts.rewriter(compiled);
-    let res = run_engine(
+    let mut eng = Engine {
         compiled,
-        input,
-        &mut rw,
-        opts.strategy,
-        inv,
-        &mut buf,
-        &mut report,
-    );
-    match res {
-        Ok(()) => {
-            publish(&report);
-            let out = String::from_utf8(buf).expect("serializer emits UTF-8");
-            Ok((out, report))
-        }
-        Err(Stop::Io(e)) => Err(RewriteError::Invalid(format!("output write error: {e}"))),
-        Err(Stop::Fallback(_)) => {
+        reader: Reader::new(input),
+        writer: StreamWriter::default(),
+        stack: Vec::new(),
+        tail: None,
+        report: &mut report,
+    };
+    let result = match eng.run(&mut rw, opts.strategy, inv) {
+        Ok(()) => Ok(eng.writer.into_string()),
+        Err(Fallback) => {
             report.fell_back = true;
             report.bytes_copied = 0;
             report.bytes_rewritten = 0;
-            report.bytes_out = 0;
             let dom = match inv {
                 // The factory form hands the fallback a fresh invoker.
                 Inv::Lazy { make, .. } => {
@@ -765,92 +684,21 @@ fn enforce_stream_buffered(
                 }
                 Inv::Ready(_) => rw.dom(input, opts.strategy, inv),
             };
-            match dom {
-                Ok((out, rep)) => {
-                    report.bytes_out = out.len() as u64;
-                    report.bytes_rewritten = out.len() as u64;
-                    report.rewrite = rep;
-                    publish(&report);
-                    Ok((out, report))
-                }
-                Err(e) => {
-                    publish(&report);
-                    Err(e)
-                }
-            }
+            dom.map(|(out, rep)| {
+                report.bytes_rewritten = out.len() as u64;
+                report.rewrite = rep;
+                out
+            })
         }
+    };
+    if let Ok(out) = &result {
+        report.bytes_out = out.len() as u64;
     }
+    publish(&report);
+    result.map(|out| (out, report))
 }
 
 impl<'c> Rewriter<'c> {
-    /// Streams `input` through schema enforcement directly into `sink` —
-    /// the bounded-memory path: conforming regions are written as they are
-    /// parsed and never buffered.
-    ///
-    /// Because bytes may already have been written when an anomaly forces
-    /// the DOM fallback, parity degrades gracefully rather than silently:
-    /// with nothing written yet the fallback output is streamed into
-    /// `sink` as usual; otherwise the DOM pipeline is consulted for its
-    /// verdict — its typed error is returned (anomalies coincide with DOM
-    /// failures; see the module docs), and in the unexpected case where it
-    /// succeeds, an error reports the divergence instead of corrupting
-    /// `sink`. Callers that need transparent fallback should use
-    /// [`enforce_stream`]. On error the sink's contents are unspecified.
-    pub fn rewrite_stream(
-        &mut self,
-        input: &str,
-        strategy: Strategy,
-        invoker: &mut dyn Invoker,
-        sink: &mut dyn io::Write,
-    ) -> Result<StreamReport, RewriteError> {
-        let compiled = self.compiled();
-        let mut report = StreamReport::default();
-        let res = {
-            let mut inv = Inv::Ready(&mut *invoker);
-            run_engine(
-                compiled, input, self, strategy, &mut inv, sink, &mut report,
-            )
-        };
-        match res {
-            Ok(()) => {
-                publish(&report);
-                Ok(report)
-            }
-            Err(Stop::Io(e)) => Err(RewriteError::Invalid(format!("output write error: {e}"))),
-            Err(Stop::Fallback(reason)) => {
-                report.fell_back = true;
-                let written = report.bytes_copied + report.bytes_rewritten;
-                report.bytes_copied = 0;
-                report.bytes_rewritten = 0;
-                report.bytes_out = 0;
-                match self.dom(input, strategy, &mut Inv::Ready(invoker)) {
-                    Err(e) => {
-                        publish(&report);
-                        Err(e)
-                    }
-                    Ok((out, rep)) => {
-                        report.rewrite = rep;
-                        if written == 0 {
-                            sink.write_all(out.as_bytes()).map_err(|e| {
-                                RewriteError::Invalid(format!("output write error: {e}"))
-                            })?;
-                            report.bytes_out = out.len() as u64;
-                            report.bytes_rewritten = out.len() as u64;
-                            publish(&report);
-                            Ok(report)
-                        } else {
-                            publish(&report);
-                            Err(RewriteError::Invalid(format!(
-                                "streaming enforcement diverged after {written} bytes were \
-                                 written ({reason}); use enforce_stream for buffered fallback"
-                            )))
-                        }
-                    }
-                }
-            }
-        }
-    }
-
     /// The DOM pipeline with this rewriter's configuration (`k`, cache,
     /// call budget): parse, validate-or-rewrite, serialize in the compact
     /// normal form. [`enforce_dom`] runs it, and the streaming engine
@@ -974,13 +822,18 @@ mod tests {
     #[test]
     fn invalid_document_falls_back_with_identical_error() {
         let c = star_star();
-        // Wrong child order: function-free and invalid.
-        let input = "<newspaper><date>d</date><title>t</title><temp>1</temp></newspaper>";
         let opts = StreamOptions::default();
-        let dom_err = enforce_dom(&c, input, &opts, &mut || scripted()).unwrap_err();
-        let err = enforce_stream(&c, input, &opts, &mut || scripted()).unwrap_err();
-        assert_eq!(err.to_string(), dom_err.to_string());
-        assert_eq!(err, dom_err);
+        // Wrong child order (function-free and invalid), and an unknown
+        // root that falls back before a byte is written.
+        for input in [
+            "<newspaper><date>d</date><title>t</title><temp>1</temp></newspaper>",
+            "<mystery/>",
+        ] {
+            let dom_err = enforce_dom(&c, input, &opts, &mut || scripted()).unwrap_err();
+            let err = enforce_stream(&c, input, &opts, &mut || scripted()).unwrap_err();
+            assert_eq!(err.to_string(), dom_err.to_string());
+            assert_eq!(err, dom_err);
+        }
     }
 
     #[test]
@@ -1039,41 +892,5 @@ mod tests {
         assert!(out.contains("a &amp; b"), "{out}");
         assert!(out.contains("&lt;raw&gt;"), "{out}");
         assert!(!rep.fell_back);
-    }
-
-    #[test]
-    fn rewrite_stream_direct_sink_matches_buffered() {
-        let c = star_star();
-        let input = paper_xml();
-        let (buffered, _) =
-            enforce_stream(&c, &input, &StreamOptions { k: 1, ..StreamOptions::default() }, &mut || {
-                scripted()
-            })
-            .unwrap();
-        let mut sink = Vec::new();
-        let mut inv = scripted();
-        let rep = Rewriter::new(&c)
-            .with_k(1)
-            .rewrite_stream(&input, Strategy::Safe, &mut *inv, &mut sink)
-            .unwrap();
-        assert_eq!(String::from_utf8(sink).unwrap(), buffered);
-        assert_eq!(rep.bytes_out as usize, buffered.len());
-    }
-
-    #[test]
-    fn rewrite_stream_clean_fallback_before_first_byte() {
-        // A root-level anomaly (unknown element) falls back before any
-        // byte is written, so the direct-sink path still succeeds.
-        let c = star_star();
-        let input = "<mystery/>";
-        let mut sink = Vec::new();
-        let mut inv = scripted();
-        let err = Rewriter::new(&c)
-            .rewrite_stream(input, Strategy::Safe, &mut *inv, &mut sink)
-            .unwrap_err();
-        // The DOM pipeline rejects it too; the typed error is its verdict.
-        let dom_err = enforce_dom(&c, input, &StreamOptions::default(), &mut || scripted())
-            .unwrap_err();
-        assert_eq!(err, dom_err);
     }
 }

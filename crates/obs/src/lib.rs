@@ -3,7 +3,7 @@
 //!
 //! Two halves, both free of registry dependencies (DESIGN.md §6):
 //!
-//! * **Metrics** ([`metrics`]): a [`Registry`] of named counters, gauges
+//! * **Metrics**: a [`Registry`] of named counters, gauges
 //!   and fixed-bucket histograms behind atomic handles, snapshot-able to
 //!   deterministic JSON (and re-parsable from it — tests assert snapshot
 //!   monotonicity through a serialize/parse round trip).

@@ -97,28 +97,7 @@ pub fn negotiate(
     k: u32,
     oracle: &dyn PatternOracle,
 ) -> Result<Negotiation, SchemaError> {
-    let mut reasons = Vec::new();
-    for (i, p) in proposals.iter().enumerate() {
-        if let Err(reason) = receiver.accepts_schema(&p.schema) {
-            reasons.push((i, format!("receiver refuses: {reason}")));
-            continue;
-        }
-        let report = schema_safe_rewrites(sender_schema, root, &p.schema, k, oracle)?;
-        if !report.compatible() {
-            let detail = report
-                .failures
-                .first()
-                .map(|f| f.to_string())
-                .unwrap_or_else(|| "incompatible".to_owned());
-            reasons.push((i, format!("sender cannot guarantee it: {detail}")));
-            continue;
-        }
-        return Ok(Negotiation::Agreed {
-            index: i,
-            skipped: reasons,
-        });
-    }
-    Ok(Negotiation::Failed { reasons })
+    run(sender_schema, root, proposals, receiver, k, oracle, None).map(|(n, _)| n)
 }
 
 /// How a [`negotiate_with_matrix`] run split its Sec. 6 checks between
@@ -154,13 +133,31 @@ pub fn negotiate_with_matrix(
     oracle: &dyn PatternOracle,
     matrix: &CompatMatrix,
 ) -> Result<(Negotiation, MatrixUse), SchemaError> {
+    let matrix = Some((sender_name, matrix));
+    run(sender_schema, root, proposals, receiver, k, oracle, matrix)
+}
+
+/// The one negotiation loop: the first proposal the receiver accepts and
+/// the sender can guarantee wins. With a matrix, a verdict it vouches for
+/// replaces the live Sec. 6 check.
+fn run(
+    sender_schema: &Schema,
+    root: &str,
+    proposals: &[Proposal],
+    receiver: &InboundPolicy,
+    k: u32,
+    oracle: &dyn PatternOracle,
+    matrix: Option<(&str, &CompatMatrix)>,
+) -> Result<(Negotiation, MatrixUse), SchemaError> {
     let mut usage = MatrixUse::default();
     // The matrix is only authoritative for the same game: same root
     // element, same rewriting depth, and a sender it still pins.
-    let sender_fp = if matrix.root() == root && matrix.k() == k {
-        Some(Compiled::new(sender_schema.clone(), oracle)?.fingerprint())
-    } else {
-        None
+    let pinned = match matrix {
+        Some((sender_name, m)) if m.root() == root && m.k() == k => {
+            let sender_fp = Compiled::new(sender_schema.clone(), oracle)?.fingerprint();
+            Some((sender_name, sender_fp, m))
+        }
+        _ => None,
     };
     let mut reasons = Vec::new();
     for (i, p) in proposals.iter().enumerate() {
@@ -168,53 +165,44 @@ pub fn negotiate_with_matrix(
             reasons.push((i, format!("receiver refuses: {reason}")));
             continue;
         }
-        let precomputed = match sender_fp {
-            Some(fp) if matrix.fingerprint_of(&p.name).is_some() => {
+        // `Some(None)`: the matrix vouches the sender can guarantee it;
+        // `Some(Some(reason))`: it vouches the sender cannot.
+        let precomputed = match pinned {
+            Some((sender_name, fp, m)) if m.fingerprint_of(&p.name).is_some() => {
                 let to_fp = Compiled::new(p.schema.clone(), oracle)?.fingerprint();
-                matrix.can_send_pinned(sender_name, fp, &p.name, to_fp)
+                m.can_send_pinned(sender_name, fp, &p.name, to_fp)
+                    .map(|ok| {
+                        let reason = || m.reason(sender_name, &p.name).unwrap_or("incompatible");
+                        (!ok).then(|| reason().to_owned())
+                    })
             }
             _ => None,
         };
         let verdict = match precomputed {
-            Some(ok) => {
+            Some(verdict) => {
                 usage.matrix_hits += 1;
-                if ok {
-                    None
-                } else {
-                    Some(
-                        matrix
-                            .reason(sender_name, &p.name)
-                            .unwrap_or("incompatible")
-                            .to_owned(),
-                    )
-                }
+                verdict
             }
             None => {
                 usage.live_checks += 1;
                 let report = schema_safe_rewrites(sender_schema, root, &p.schema, k, oracle)?;
-                if report.compatible() {
-                    None
-                } else {
-                    Some(
-                        report
-                            .failures
-                            .first()
-                            .map(|f| f.to_string())
-                            .unwrap_or_else(|| "incompatible".to_owned()),
-                    )
-                }
+                (!report.compatible()).then(|| {
+                    report
+                        .failures
+                        .first()
+                        .map(|f| f.to_string())
+                        .unwrap_or_else(|| "incompatible".to_owned())
+                })
             }
         };
         match verdict {
             Some(detail) => reasons.push((i, format!("sender cannot guarantee it: {detail}"))),
             None => {
-                return Ok((
-                    Negotiation::Agreed {
-                        index: i,
-                        skipped: reasons,
-                    },
-                    usage,
-                ))
+                let agreed = Negotiation::Agreed {
+                    index: i,
+                    skipped: reasons,
+                };
+                return Ok((agreed, usage));
             }
         }
     }

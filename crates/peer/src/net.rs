@@ -29,7 +29,7 @@
 use crate::peer::{Peer, PeerError};
 use axml_core::invoke::{InvokeError, Invoker};
 use axml_core::rewrite::{enforce_forest, enforce_with, RewriteReport, Side, Strategy};
-use axml_core::stream::{enforce_stream_to, enforce_stream_with, StreamOptions, StreamReport};
+use axml_core::stream::{enforce_stream_with, StreamOptions};
 use axml_net::wire::{FaultCode, WireFault, CAP_CHUNKED};
 use axml_net::{ClientConfig, ClientError, Handler, NetClient, NetServer, ServerConfig};
 use axml_schema::{
@@ -388,26 +388,78 @@ impl RemotePeer {
         exchange: &Arc<Compiled>,
         invoker: &mut dyn Invoker,
     ) -> Result<(ITree, RewriteReport), PeerError> {
-        // One span tree per exchange, correlated with the receiver's
-        // `validate` span through the wire request id.
-        let rid = axml_obs::next_request_id();
-        let metrics = axml_obs::global();
-        metrics.counter("peer.exchanges_total").inc();
-        let mut ex = axml_obs::span("exchange");
-        ex.set("rid", rid);
-        ex.set("doc", name);
-        let result = self.ship_document(caller, rid, name, doc, exchange, invoker);
-        if let Err(e) = &result {
-            metrics.counter("peer.exchange_faults_total").inc();
-            ex.fail(e);
-        }
-        result
+        exchange_span(name, None, |rid| {
+            self.ship_document(caller, rid, name, doc, exchange, invoker)
+        })
     }
 
-    /// Sender-side whole-document enforcement: element documents stream
-    /// through [`enforce_stream_with`] (warming the caller's solver cache
-    /// and its `enforce.stream.*` metrics); any other root takes the DOM
-    /// pipeline through the same cache.
+    /// Ships a document as a *chunked* wire transfer — the path for
+    /// documents larger than the frame cap. `caller` enforces the document
+    /// once, as [`RemotePeer::send_document`] does, before the transfer
+    /// opens; the transfer then only writes the enforced document's compact
+    /// form in `DocChunk` frames of `chunk_bytes` bytes each, so a retry
+    /// resends those bytes and no service is called while a transfer is
+    /// open. Against a peer without chunked transfers this is the
+    /// single-frame ship. Returns the document as sent plus the rewrite
+    /// report.
+    pub fn send_document_chunked(
+        &self,
+        caller: &Peer,
+        name: &str,
+        doc: &ITree,
+        exchange: &Arc<Compiled>,
+        chunk_bytes: usize,
+    ) -> Result<(ITree, RewriteReport), PeerError> {
+        let mut invoker = caller.registry.invoker(None);
+        self.send_document_chunked_with(caller, name, doc, exchange, chunk_bytes, &mut invoker)
+    }
+
+    /// Like [`RemotePeer::send_document_chunked`], but materializing
+    /// embedded calls through an explicit [`Invoker`].
+    pub fn send_document_chunked_with(
+        &self,
+        caller: &Peer,
+        name: &str,
+        doc: &ITree,
+        exchange: &Arc<Compiled>,
+        chunk_bytes: usize,
+        invoker: &mut dyn Invoker,
+    ) -> Result<(ITree, RewriteReport), PeerError> {
+        exchange_span(name, Some(chunk_bytes), |rid| {
+            if self.client.server_caps().map_err(client_error)? & CAP_CHUNKED == 0 {
+                return self.ship_document(caller, rid, name, doc, exchange, invoker);
+            }
+            let (k, cache) = (caller.enforce.k, &caller.enforce.cache);
+            let (sent, report) = step_span("enforce", rid, |_| {
+                enforce_with(exchange, doc, k, Strategy::Safe, cache, invoker)
+                    .map_err(PeerError::from)
+            })?;
+            // Concurrent ships on one handle each get a buffer: the others
+            // take an empty one.
+            let mut text = std::mem::take(&mut *self.text.lock());
+            text.clear();
+            let compact = axml_xml::WriteOptions::compact();
+            axml_xml::write_element_into(&sent.to_xml(), &compact, &mut text);
+            let reply = step_span("ship", rid, |sp| {
+                sp.set("chunk_bytes", chunk_bytes);
+                sp.set("bytes", text.len());
+                self.client
+                    .send_document_chunked(Some(rid), name, chunk_bytes, |sink| {
+                        sink.write_all(text.as_bytes())
+                    })
+            });
+            if text.capacity() <= KEEP_TEXT_BYTES {
+                *self.text.lock() = text;
+            }
+            stored(&reply.map_err(client_error)?)?;
+            Ok((sent, report))
+        })
+    }
+
+    /// Sender-side whole-document enforcement for the single-frame ship:
+    /// element documents stream through [`enforce_stream_with`] (warming
+    /// the caller's solver cache and its `enforce.stream.*` metrics); any
+    /// other root takes the DOM pipeline through the same cache.
     fn enforce_outbound(
         caller: &Peer,
         exchange: &Compiled,
@@ -433,154 +485,8 @@ impl RemotePeer {
         Ok((sent, rep.rewrite))
     }
 
-    /// Ships a document as a *chunked* wire transfer — the path for
-    /// documents larger than the frame cap (or than sender RAM would
-    /// allow as one enforced string). The enforced output streams from
-    /// [`enforce_stream_to`] straight into `DocChunk` frames of
-    /// `chunk_bytes` bytes each, so the sender's peak memory is
-    /// O(`chunk_bytes` + the stream engine's `peak_buffer_bytes`) beyond
-    /// the input text itself. Against a pre-capability peer this falls
-    /// back transparently to the single-frame [`RemotePeer::send_document`]
-    /// pipeline (the returned report has `fell_back` set and carries the
-    /// DOM rewrite report).
-    pub fn send_document_chunked(
-        &self,
-        caller: &Peer,
-        name: &str,
-        doc: &ITree,
-        exchange: &Arc<Compiled>,
-        chunk_bytes: usize,
-    ) -> Result<StreamReport, PeerError> {
-        let mut invoker = caller.registry.invoker(None);
-        self.send_document_chunked_with(caller, name, doc, exchange, chunk_bytes, &mut invoker)
-    }
-
-    /// Like [`RemotePeer::send_document_chunked`], but materializing
-    /// embedded calls through an explicit [`Invoker`].
-    pub fn send_document_chunked_with(
-        &self,
-        caller: &Peer,
-        name: &str,
-        doc: &ITree,
-        exchange: &Arc<Compiled>,
-        chunk_bytes: usize,
-        invoker: &mut dyn Invoker,
-    ) -> Result<StreamReport, PeerError> {
-        let rid = axml_obs::next_request_id();
-        let metrics = axml_obs::global();
-        metrics.counter("peer.exchanges_total").inc();
-        let mut ex = axml_obs::span("exchange");
-        ex.set("rid", rid);
-        ex.set("doc", name);
-        ex.set("chunk_bytes", chunk_bytes);
-        let result =
-            self.ship_document_chunked(caller, rid, name, doc, exchange, chunk_bytes, invoker);
-        if let Err(e) = &result {
-            metrics.counter("peer.exchange_faults_total").inc();
-            ex.fail(e);
-        }
-        result
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn ship_document_chunked(
-        &self,
-        caller: &Peer,
-        rid: u64,
-        name: &str,
-        doc: &ITree,
-        exchange: &Arc<Compiled>,
-        chunk_bytes: usize,
-        invoker: &mut dyn Invoker,
-    ) -> Result<StreamReport, PeerError> {
-        let caps = self.client.server_caps().map_err(client_error)?;
-        if caps & CAP_CHUNKED == 0 {
-            // An old peer: ship the enforced document as one Request
-            // frame instead — same enforcement, same reply semantics.
-            let (_, rewrite) = self.ship_document(caller, rid, name, doc, exchange, invoker)?;
-            let mut report = StreamReport::default();
-            report.fell_back = true;
-            report.rewrite = rewrite;
-            return Ok(report);
-        }
-        // Concurrent ships on one handle each get a buffer: the others
-        // take an empty one.
-        let mut text = std::mem::take(&mut *self.text.lock());
-        text.clear();
-        let compact = axml_xml::WriteOptions::compact();
-        axml_xml::write_element_into(&doc.to_xml(), &compact, &mut text);
-        let result =
-            self.ship_text_chunked(caller, rid, name, &text, exchange, chunk_bytes, invoker);
-        if text.capacity() <= KEEP_TEXT_BYTES {
-            *self.text.lock() = text;
-        }
-        result
-    }
-
-    /// Streams the enforcement of `text` into a chunked transfer.
-    #[allow(clippy::too_many_arguments)]
-    fn ship_text_chunked(
-        &self,
-        caller: &Peer,
-        rid: u64,
-        name: &str,
-        text: &str,
-        exchange: &Arc<Compiled>,
-        chunk_bytes: usize,
-        invoker: &mut dyn Invoker,
-    ) -> Result<StreamReport, PeerError> {
-        let opts = StreamOptions {
-            k: caller.enforce.k,
-            cache: Some(caller.enforce.cache.clone()),
-            ..StreamOptions::default()
-        };
-        let mut report: Option<StreamReport> = None;
-        let mut enforce_err: Option<PeerError> = None;
-        let reply = {
-            let mut sp = axml_obs::span("ship");
-            sp.set("rid", rid);
-            sp.set("chunk_bytes", chunk_bytes);
-            let outcome =
-                self.client
-                    .send_document_chunked(Some(rid), name, chunk_bytes, |sink| {
-                        // Enforcement streams into the chunk sink; its
-                        // typed error is captured here because the wire
-                        // layer only understands io errors.
-                        match enforce_stream_to(exchange, text, &opts, invoker, sink) {
-                            Ok(rep) => {
-                                report = Some(rep);
-                                Ok(())
-                            }
-                            Err(e) => {
-                                enforce_err = Some(PeerError::from(e));
-                                Err(std::io::Error::new(
-                                    std::io::ErrorKind::Other,
-                                    "enforcement failed",
-                                ))
-                            }
-                        }
-                    });
-            match outcome {
-                Ok(reply) => reply,
-                Err(e) => {
-                    if let Some(pe) = enforce_err {
-                        sp.fail(&pe);
-                        return Err(pe);
-                    }
-                    sp.fail(&e);
-                    return Err(client_error(e));
-                }
-            }
-        };
-        match soap::decode(&reply).map_err(PeerError::Transport)? {
-            soap::Message::Response { .. } => Ok(report.unwrap_or_default()),
-            soap::Message::Fault(fault) => Err(PeerError::Fault(fault)),
-            soap::Message::Request { .. } => {
-                Err(PeerError::Transport("unexpected request".to_owned()))
-            }
-        }
-    }
-
+    /// The single-frame ship: enforce, then send one [`RECEIVE_METHOD`]
+    /// request frame.
     fn ship_document(
         &self,
         caller: &Peer,
@@ -590,38 +496,68 @@ impl RemotePeer {
         exchange: &Arc<Compiled>,
         invoker: &mut dyn Invoker,
     ) -> Result<(ITree, RewriteReport), PeerError> {
-        let (sent, report) = {
-            let mut sp = axml_obs::span("enforce");
-            sp.set("rid", rid);
-            match Self::enforce_outbound(caller, exchange, doc, invoker) {
-                Ok(v) => v,
-                Err(e) => {
-                    sp.fail(&e);
-                    return Err(e);
-                }
-            }
-        };
+        let (sent, report) = step_span("enforce", rid, |_| {
+            Self::enforce_outbound(caller, exchange, doc, invoker)
+        })?;
         let params = [ITree::text(name), sent.clone()];
         let envelope = soap::request(RECEIVE_METHOD, &params).to_xml();
-        let reply = {
-            let mut sp = axml_obs::span("ship");
-            sp.set("rid", rid);
+        let reply = step_span("ship", rid, |sp| {
             sp.set("bytes", envelope.len());
-            match self.client.call_with_id(rid, &envelope) {
-                Ok(r) => r,
-                Err(e) => {
-                    sp.fail(&e);
-                    return Err(client_error(e));
-                }
-            }
-        };
-        match soap::decode(&reply).map_err(PeerError::Transport)? {
-            soap::Message::Response { .. } => Ok((sent, report)),
-            soap::Message::Fault(fault) => Err(PeerError::Fault(fault)),
-            soap::Message::Request { .. } => {
-                Err(PeerError::Transport("unexpected request".to_owned()))
-            }
-        }
+            self.client.call_with_id(rid, &envelope)
+        })
+        .map_err(client_error)?;
+        stored(&reply)?;
+        Ok((sent, report))
+    }
+}
+
+/// One span tree per exchange, correlated with the receiver's `validate`
+/// span through the wire request id `ship` is handed.
+fn exchange_span<T>(
+    name: &str,
+    chunk_bytes: Option<usize>,
+    ship: impl FnOnce(u64) -> Result<T, PeerError>,
+) -> Result<T, PeerError> {
+    let rid = axml_obs::next_request_id();
+    let metrics = axml_obs::global();
+    metrics.counter("peer.exchanges_total").inc();
+    let mut ex = axml_obs::span("exchange");
+    ex.set("rid", rid);
+    ex.set("doc", name);
+    if let Some(chunk_bytes) = chunk_bytes {
+        ex.set("chunk_bytes", chunk_bytes);
+    }
+    let result = ship(rid);
+    if let Err(e) = &result {
+        metrics.counter("peer.exchange_faults_total").inc();
+        ex.fail(e);
+    }
+    result
+}
+
+/// Runs one step of an exchange under a span named `name`, failing the
+/// span with the step's error.
+fn step_span<T, E: std::fmt::Display>(
+    name: &str,
+    rid: u64,
+    step: impl FnOnce(&mut axml_obs::SpanGuard) -> Result<T, E>,
+) -> Result<T, E> {
+    let mut sp = axml_obs::span(name);
+    sp.set("rid", rid);
+    let result = step(&mut sp);
+    if let Err(e) = &result {
+        sp.fail(e);
+    }
+    result
+}
+
+/// The receiver's answer to a shipped document: a response means it was
+/// stored.
+fn stored(reply: &str) -> Result<(), PeerError> {
+    match soap::decode(reply).map_err(PeerError::Transport)? {
+        soap::Message::Response { .. } => Ok(()),
+        soap::Message::Fault(fault) => Err(PeerError::Fault(fault)),
+        soap::Message::Request { .. } => Err(PeerError::Transport("unexpected request".to_owned())),
     }
 }
 
@@ -741,10 +677,10 @@ mod tests {
         let long = ITree::elem("listings", (0..200).map(exhibit).collect());
         let short = ITree::elem("listings", vec![exhibit(7)]);
         for (name, doc) in [("long", &long), ("short", &short)] {
-            let report = remote
+            let (sent, _) = remote
                 .send_document_chunked(&peer, name, doc, &peer.compiled, 64)
                 .unwrap();
-            assert!(!report.fell_back);
+            assert_eq!(&sent, doc, "{name}");
             assert_eq!(&peer.repository.load(name).unwrap(), doc, "{name}");
         }
         daemon.shutdown().unwrap();

@@ -37,7 +37,6 @@ use crate::world::{Crash, FaultPlan, Partition, SimWorld};
 use axml_core::invoke::{InvokeError, Invoker};
 use axml_core::rewrite::{enforce_with, RewriteReport, Strategy};
 use axml_core::solve_cache::SolveCache;
-use axml_net::ClientConfig;
 use axml_peer::{NetInvoker, Peer, PeerError};
 use axml_schema::{validate, Compiled, ITree, NoOracle, Schema};
 use axml_support::rng::{RngExt, SeedableRng, StdRng};
@@ -343,23 +342,14 @@ impl Invoker for RoutingInvoker<'_> {
     }
 }
 
-fn client_template(config: &MarketplaceConfig) -> ClientConfig {
-    ClientConfig {
-        connect_timeout: Duration::from_millis(100),
-        read_timeout: Duration::from_millis(200),
-        attempts: config.attempts,
-        backoff: Duration::from_millis(10),
-        deadline: config.deadline,
-        seed: config.seed,
-        ..ClientConfig::default()
-    }
-}
-
 /// Runs one seeded marketplace exchange and checks every invariant.
 pub fn run_marketplace(config: &MarketplaceConfig) -> ScenarioReport {
     let world = SimWorld::new(config.seed, config.plan.clone());
-    let topo =
-        Topology::new(&world, marketplace_schema()).with_client_template(client_template(config));
+    let topo = Topology::new(&world, marketplace_schema()).with_retries(
+        config.seed,
+        config.attempts,
+        config.deadline,
+    );
     let compiled = Arc::clone(topo.compiled());
 
     // Buyer: the real peer pipeline, stores the enforced catalog.

@@ -42,7 +42,6 @@ use crate::topology::Topology;
 use crate::world::{Crash, FaultPlan, Partition, SimWorld};
 use axml_core::rewrite::{enforce_with, RewriteReport, Strategy};
 use axml_core::solve_cache::SolveCache;
-use axml_net::ClientConfig;
 use axml_peer::{NetInvoker, PeerError};
 use axml_schema::{validate, Compiled, ITree, NoOracle, Schema};
 use axml_support::rng::{RngExt, SeedableRng, StdRng};
@@ -221,24 +220,14 @@ fn adversarial_provider(
     strategy_provider(compiled, seed, Arc::new(RandomStrategy { fault_prob }))
 }
 
-/// The client template every scenario edge starts from (the topology
-/// overrides `name` and `metrics` per edge).
-fn client_template(config: &ScenarioConfig) -> ClientConfig {
-    ClientConfig {
-        connect_timeout: Duration::from_millis(100),
-        read_timeout: Duration::from_millis(200),
-        attempts: config.attempts,
-        backoff: Duration::from_millis(10),
-        deadline: config.deadline,
-        seed: config.seed,
-        ..ClientConfig::default()
-    }
-}
-
 /// Runs one seeded Fig. 1 exchange and checks every invariant.
 pub fn run_scenario(config: &ScenarioConfig) -> ScenarioReport {
     let world = SimWorld::new(config.seed, config.plan.clone());
-    let topo = Topology::new(&world, exchange_schema()).with_client_template(client_template(config));
+    let topo = Topology::new(&world, exchange_schema()).with_retries(
+        config.seed,
+        config.attempts,
+        config.deadline,
+    );
     let compiled = Arc::clone(topo.compiled());
 
     // Receiver: the real peer pipeline served as a sim actor.

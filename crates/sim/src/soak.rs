@@ -42,7 +42,6 @@ use crate::topology::{Link, Topology};
 use crate::world::{Crash, FaultPlan, Partition, SimWorld};
 use axml_core::rewrite::{enforce_with, Strategy};
 use axml_core::solve_cache::SolveCache;
-use axml_net::ClientConfig;
 use axml_peer::{envelope_handler, Peer, PeerError};
 use axml_schema::{validate, ITree};
 use axml_services::{soap, Registry, ServiceDef};
@@ -175,15 +174,11 @@ pub fn run_soak(config: &SoakConfig) -> SoakReport {
     let mut rng = StdRng::seed_from_u64(config.seed ^ 0xf1ee_750a_c0de);
     let plan = soak_plan(&mut rng, config.peers);
     let world = SimWorld::new(config.seed, plan);
-    let topo = Topology::new(&world, marketplace_schema()).with_client_template(ClientConfig {
-        connect_timeout: Duration::from_millis(100),
-        read_timeout: Duration::from_millis(200),
-        attempts: config.attempts,
-        backoff: Duration::from_millis(10),
-        deadline: config.deadline,
-        seed: config.seed,
-        ..ClientConfig::default()
-    });
+    let topo = Topology::new(&world, marketplace_schema()).with_retries(
+        config.seed,
+        config.attempts,
+        config.deadline,
+    );
     let compiled = Arc::clone(topo.compiled());
 
     // ---- The fleet ---------------------------------------------------

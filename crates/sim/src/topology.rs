@@ -7,7 +7,7 @@
 //! marketplace chain, and the soak fleet all assemble the same way:
 //!
 //! ```ignore
-//! let topo = Topology::new(&world, compiled).with_client_template(base);
+//! let topo = Topology::new(&world, compiled).with_retries(seed, 3, deadline);
 //! let receiver = topo.peer("receiver.example.org");     // listening peer
 //! let provider = topo.serve("provider.example.org", h); // custom handler
 //! let sender   = topo.local_peer("sender.example.org"); // client-only
@@ -23,6 +23,7 @@ use axml_net::{ClientConfig, NetClient};
 use axml_peer::{envelope_handler, Peer, RemotePeer};
 use axml_schema::Compiled;
 use std::sync::Arc;
+use std::time::Duration;
 
 /// A listening peer node: the real enforcement pipeline served as a sim
 /// actor, plus the registry its `server.*` metrics land in.
@@ -63,11 +64,21 @@ impl<'w> Topology<'w> {
         }
     }
 
-    /// Sets the client configuration template every [`Topology::remote`]
-    /// edge starts from (its `name` and `metrics` are overridden per
-    /// edge).
-    pub fn with_client_template(mut self, template: ClientConfig) -> Topology<'w> {
-        self.client_template = template;
+    /// Sets the client every [`Topology::remote`] edge starts from (its
+    /// `name` and `metrics` are overridden per edge): the simulator's
+    /// timings — 100 ms to connect, 200 ms per read, a 10 ms base backoff
+    /// with jitter seeded by `seed` — and the runner's attempt budget and
+    /// total deadline.
+    pub fn with_retries(mut self, seed: u64, attempts: u32, deadline: Duration) -> Topology<'w> {
+        self.client_template = ClientConfig {
+            connect_timeout: Duration::from_millis(100),
+            read_timeout: Duration::from_millis(200),
+            attempts,
+            backoff: Duration::from_millis(10),
+            deadline,
+            seed,
+            ..ClientConfig::default()
+        };
         self
     }
 

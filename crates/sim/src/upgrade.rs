@@ -47,7 +47,6 @@ use crate::topology::Topology;
 use crate::world::{FaultPlan, SimWorld};
 use axml_core::rewrite::{enforce_with, Rewriter, Strategy};
 use axml_core::solve_cache::SolveCache;
-use axml_net::ClientConfig;
 use axml_peer::{
     envelope_handler, negotiate_with_matrix, InboundPolicy, NetInvoker, Peer, Proposal,
 };
@@ -199,16 +198,11 @@ pub fn run_upgrade(config: &UpgradeConfig) -> UpgradeReport {
     let matrix = store.load_matrix().expect("persisted matrix reloads");
 
     let world = SimWorld::new(config.seed, FaultPlan::default());
-    let client_template = ClientConfig {
-        connect_timeout: Duration::from_millis(100),
-        read_timeout: Duration::from_millis(200),
-        attempts: 4,
-        backoff: Duration::from_millis(10),
-        deadline: Duration::from_secs(5),
-        seed: config.seed,
-        ..ClientConfig::default()
-    };
-    let topo = Topology::new(&world, Arc::clone(&compiled[0])).with_client_template(client_template);
+    let topo = Topology::new(&world, Arc::clone(&compiled[0])).with_retries(
+        config.seed,
+        4,
+        Duration::from_secs(5),
+    );
     let provider_metrics = topo.serve(
         UPGRADE_PROVIDER,
         crate::strategy::strategy_provider(

@@ -18,7 +18,7 @@
 //!   so "can I safely send to you?" costs a table lookup, not a game.
 //!
 //! Both live in one versioned, checksummed, little-endian on-disk
-//! format (see [`format`]); writes are atomic (tmp + rename) and every
+//! format (see [`format`](mod@format)); writes are atomic (tmp + rename) and every
 //! read is verified, so a torn, truncated, bit-flipped, version-skewed
 //! or foreign-schema file loads as a *cold miss* with
 //! `store.corrupt_discarded_total` incremented — never a panic, never

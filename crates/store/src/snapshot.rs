@@ -1,10 +1,12 @@
-//! Serialization of [`SolveCache`] entries (DESIGN.md §11.2).
+//! Serialization of [`SolveCache`](axml_core::solve_cache::SolveCache)
+//! entries (DESIGN.md §11.2).
 //!
 //! A snapshot is the cache's [`CacheEntry`] export — full structural
 //! keys plus solved values — encoded entry-by-entry in LRU order
 //! (least-recently used first). Loading replays the entries through
-//! [`SolveCache::preload`] in the same order, reconstructing both the
-//! contents and the relative eviction order of the persisted cache.
+//! [`SolveCache::preload`](axml_core::solve_cache::SolveCache::preload)
+//! in the same order, reconstructing both the contents and the relative
+//! eviction order of the persisted cache.
 //!
 //! What is persisted per value:
 //!

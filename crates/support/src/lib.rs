@@ -16,7 +16,7 @@
 //!   strategies), bounded choice-stream shrinking, and seed-corpus replay
 //!   from a `regressions/` directory. The [`proptest!`] macro mirrors the
 //!   upstream surface the test suites were written against.
-//! * [`bench`] — a micro-bench harness (warm-up, N timed iterations,
+//! * [`bench`](mod@bench) — a micro-bench harness (warm-up, N timed iterations,
 //!   median/p95, JSON emission) with a Criterion-compatible facade so the
 //!   `benches/b*.rs` workloads keep their shape. See DESIGN.md for the
 //!   emitted `BENCH_*.json` schema.

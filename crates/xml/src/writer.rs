@@ -144,77 +144,55 @@ fn write_node(node: &Node, options: &WriteOptions, depth: usize, out: &mut Strin
 /// indented, and text must arrive already escaped (callers decide between
 /// zero-copy spans and re-escaped runs). Used by the streaming enforcement
 /// path to splice rewritten subtree serializations between streamed regions.
-pub struct StreamWriter<W: std::io::Write> {
-    w: W,
+#[derive(Debug, Default)]
+pub struct StreamWriter {
+    out: String,
     tag_open: bool,
-    bytes: u64,
 }
 
-impl<W: std::io::Write> StreamWriter<W> {
-    /// Wraps `w`; nothing is written until the first event.
-    pub fn new(w: W) -> Self {
-        StreamWriter {
-            w,
-            tag_open: false,
-            bytes: 0,
-        }
-    }
-
-    fn put(&mut self, s: &str) -> std::io::Result<usize> {
-        self.w.write_all(s.as_bytes())?;
-        self.bytes += s.len() as u64;
-        Ok(s.len())
+impl StreamWriter {
+    fn put(&mut self, s: &str) -> usize {
+        self.out.push_str(s);
+        s.len()
     }
 
     /// Closes a pending start tag, if any, with `>`.
-    fn close_tag(&mut self) -> std::io::Result<usize> {
+    fn close_tag(&mut self) -> usize {
         if self.tag_open {
             self.tag_open = false;
             return self.put(">");
         }
-        Ok(0)
+        0
     }
 
     /// Opens `<name`, deferring the closing `>` until content arrives.
     /// Returns the number of bytes written.
-    pub fn start(&mut self, name: &str) -> std::io::Result<usize> {
-        let mut n = self.close_tag()?;
-        n += self.put("<")?;
-        n += self.put(name)?;
+    pub fn start(&mut self, name: &str) -> usize {
+        let n = self.close_tag() + self.put("<") + self.put(name);
         self.tag_open = true;
-        Ok(n)
+        n
     }
 
     /// Closes the current element: `/>` if it had no content, `</name>`
     /// otherwise. Returns the number of bytes written.
-    pub fn end(&mut self, name: &str) -> std::io::Result<usize> {
+    pub fn end(&mut self, name: &str) -> usize {
         if self.tag_open {
             self.tag_open = false;
             return self.put("/>");
         }
-        let mut n = self.put("</")?;
-        n += self.put(name)?;
-        n += self.put(">")?;
-        Ok(n)
+        self.put("</") + self.put(name) + self.put(">")
     }
 
     /// Writes pre-serialized content verbatim (escaped text or a spliced
     /// subtree serialization), closing any pending start tag first.
     /// Returns the number of bytes written.
-    pub fn raw(&mut self, s: &str) -> std::io::Result<usize> {
-        let mut n = self.close_tag()?;
-        n += self.put(s)?;
-        Ok(n)
+    pub fn raw(&mut self, s: &str) -> usize {
+        self.close_tag() + self.put(s)
     }
 
-    /// Total bytes written so far.
-    pub fn bytes_written(&self) -> u64 {
-        self.bytes
-    }
-
-    /// Unwraps the underlying sink.
-    pub fn into_inner(self) -> W {
-        self.w
+    /// The text written so far.
+    pub fn into_string(self) -> String {
+        self.out
     }
 }
 
@@ -236,15 +214,15 @@ mod tests {
 
     #[test]
     fn stream_writer_matches_compact_form() {
-        let mut sw = StreamWriter::new(Vec::new());
-        sw.start("a").unwrap();
-        sw.start("b").unwrap();
-        sw.raw("text &amp; more").unwrap();
-        sw.end("b").unwrap();
-        sw.start("c").unwrap();
-        sw.end("c").unwrap();
-        sw.end("a").unwrap();
-        let out = String::from_utf8(sw.into_inner()).unwrap();
+        let mut sw = StreamWriter::default();
+        sw.start("a");
+        sw.start("b");
+        sw.raw("text &amp; more");
+        sw.end("b");
+        sw.start("c");
+        sw.end("c");
+        sw.end("a");
+        let out = sw.into_string();
         assert_eq!(out, "<a><b>text &amp; more</b><c/></a>");
         let doc = parse_document(&out).unwrap();
         assert_eq!(doc.root.to_xml(), out);

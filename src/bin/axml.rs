@@ -15,10 +15,10 @@
 //! axml stats    <addr>
 //! ```
 //!
-//! `send` enforces the document off the pull parser: conforming regions
-//! are copied straight through and only subtrees containing `int:fun`
-//! calls are materialized, so memory stays proportional to the active
-//! subtree rather than the document (DESIGN.md §13). A `serve` daemon
+//! `send` enforces the document into the exchange schema before it
+//! leaves, then ships it: in one frame, enforced off the pull parser
+//! (DESIGN.md §13), or with `--chunk-bytes N` in `N`-byte chunks, so it
+//! may exceed the frame cap (DESIGN.md §14.4). A `serve` daemon
 //! never rewrites what it receives: it validates a shipped document
 //! against its own schema, and the parameters of an exported service's
 //! call against the service's input type, and refuses what does not
@@ -393,41 +393,31 @@ fn cmd_send(args: &[String]) -> ExitCode {
         Ok(r) => r,
         Err(e) => return fail(&e.to_string()),
     };
-    if let Some(cb) = flag_value(args, "--chunk-bytes") {
-        // Chunked shipping: the enforced output streams into
-        // fixed-size wire chunks instead of one Request frame, so the
-        // document may exceed the frame cap (and sender RAM).
-        let chunk = match cb.parse::<usize>() {
-            Ok(n) if n > 0 => n,
+    let chunk = match flag_value(args, "--chunk-bytes") {
+        None => None,
+        Some(cb) => match cb.parse::<usize>() {
+            Ok(n) if n > 0 => Some(n),
             _ => return fail(&format!("--chunk-bytes expects a positive integer, got '{cb}'")),
-        };
-        return match remote.send_document_chunked(&sender, &name, &doc, &compiled, chunk) {
-            Ok(report) => {
-                if report.fell_back && report.bytes_out == 0 {
-                    println!(
-                        "sent '{name}' to {} as one frame (peer predates chunked transfers)",
-                        remote.addr()
-                    );
-                } else {
-                    println!(
-                        "sent '{name}' to {} in {chunk}-byte chunks ({} bytes enforced, peak buffer {} bytes)",
-                        remote.addr(),
-                        report.bytes_out,
-                        report.peak_buffer_bytes
-                    );
-                }
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                println!("send failed: {e}");
-                ExitCode::from(1)
-            }
-        };
-    }
-    match remote.send_document(&sender, &name, &doc, &compiled) {
+        },
+    };
+    // Chunked shipping sends the enforced document in fixed-size wire
+    // chunks instead of one Request frame, so it may exceed the frame cap;
+    // a daemon without chunked transfers gets the single frame.
+    let how = match chunk {
+        None => String::new(),
+        Some(n) => match remote.client().server_caps() {
+            Ok(caps) if caps & axml::net::CAP_CHUNKED != 0 => format!(" in {n}-byte chunks"),
+            _ => " as one frame (peer predates chunked transfers)".to_owned(),
+        },
+    };
+    let shipped = match chunk {
+        Some(n) => remote.send_document_chunked(&sender, &name, &doc, &compiled, n),
+        None => remote.send_document(&sender, &name, &doc, &compiled),
+    };
+    match shipped {
         Ok((sent, report)) => {
             println!(
-                "sent '{name}' to {} ({} calls materialized, {} function nodes remain)",
+                "sent '{name}' to {}{how} ({} calls materialized, {} function nodes remain)",
                 remote.addr(),
                 report.invoked.len(),
                 sent.num_funcs()

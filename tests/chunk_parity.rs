@@ -5,19 +5,23 @@
 //! The chunk protocol (DESIGN.md §14) promises that splitting an
 //! enforced document into `DocChunkStart`/`DocChunk`/`DocChunkEnd`
 //! frames is *pure transport*: the receiver's handler sees exactly the
-//! bytes the in-memory streaming enforcer produces, no matter how the
-//! chunk boundaries fall. This suite drives the promise:
+//! bytes the in-memory enforcement produced, no matter how the chunk
+//! boundaries fall. This suite drives the promise:
 //!
 //! * a property sweeping random intensional newspapers through both
 //!   strategies and both network engines at random chunk sizes from one
 //!   byte up to past the document length, checking the received bytes
 //!   against an in-memory `enforce_stream` run of the same input;
-//! * a peer-level matrix case checking `send_document_chunked` stores
+//! * peer-level cases on both engines: `send_document_chunked` stores
 //!   the identical document `send_document` (single Request frame)
-//!   stores, on both engines;
+//!   stores; it enforces once, before the transfer opens, so a service
+//!   slower than the receiver's read timeout runs once and the ship
+//!   succeeds; and a document the sender cannot rewrite is refused
+//!   with no transfer opened;
 //! * an ignored spot run shipping a document ≥4× the frame cap through
-//!   both engines with sender- and receiver-side buffer accounting — the
-//!   bounded-memory witness behind the B15 bench;
+//!   both engines: each embedded call invoked once, the received bytes
+//!   equal to the enforced document's compact form, and receiver-side
+//!   buffer accounting;
 //! * an ignored stall witness timing hundreds of 1 MiB transfers on both
 //!   engines: none may wait on the receiver's delayed ACK.
 //!
@@ -25,14 +29,17 @@
 
 use axml::core::invoke::{Invoker, ScriptedInvoker};
 use axml::core::rewrite::Strategy as RwStrategy;
-use axml::core::stream::{enforce_stream, enforce_stream_to, StreamOptions};
+use axml::core::stream::{enforce_stream, StreamOptions};
 use axml::net::wire::{self, WireFault};
 use axml::net::{ClientConfig, Handler, IoMode, NetClient, NetServer, ServerConfig};
-use axml::peer::{Peer, Query, RemotePeer};
+use axml::peer::{NetPeer, Peer, PeerError, Query, RemotePeer};
 use axml::schema::{Compiled, ITree, NoOracle, Schema};
-use axml::services::{Registry, ServiceDef};
+use axml::services::{soap, Registry, ServiceDef};
+use axml::xml::{element_to_string, WriteOptions};
 use axml_support::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 const IO_MODES: [IoMode; 2] = [IoMode::Threads, IoMode::Poll];
 
@@ -58,7 +65,7 @@ fn compiled(root_model: &str) -> Compiled {
 
 /// The paper's (*) and (***) exchange schemas: one keeps calls in place,
 /// one forces everything to materialize — the two extremes of how much
-/// the enforcement rewrites while the bytes stream into the chunk sink.
+/// the enforcement rewrites before the bytes are shipped.
 const MODELS: [&str; 2] = [
     "title.date.(Get_Temp|temp).(TimeOut|exhibit*)",
     "title.date.temp.(exhibit|performance)*",
@@ -122,7 +129,8 @@ fn newspaper_strategy() -> impl Strategy<Value = ITree> {
     })
 }
 
-/// Records every chunk-shipped document the daemon receives.
+/// Records every chunk-shipped document the daemon receives, and answers
+/// as a receiving peer does.
 struct RecordingStore {
     docs: Mutex<Vec<(String, String)>>,
 }
@@ -137,7 +145,8 @@ impl Handler for RecordingStore {
             .lock()
             .unwrap()
             .push((name.to_owned(), text.to_owned()));
-        Ok(format!("<stored bytes=\"{}\"/>", text.len()))
+        let stored = format!("stored {} bytes", text.len());
+        Ok(soap::response(&[ITree::text(&stored)]).to_xml())
     }
 }
 
@@ -155,9 +164,9 @@ fn serve_store(io: IoMode, config: ServerConfig) -> (NetServer, Arc<RecordingSto
     (server, store, client)
 }
 
-/// The core parity check: enforce `input` in memory, then enforce the
-/// same input *into the wire* at the given chunk size, and require the
-/// daemon's handler to have received the identical bytes.
+/// The core parity check: enforce `input` in memory, ship the result at
+/// the given chunk size, and require the daemon's handler to have
+/// received the identical bytes.
 fn assert_wire_parity(
     compiled: &Compiled,
     input: &str,
@@ -176,16 +185,9 @@ fn assert_wire_parity(
         return; // unenforceable under this schema/strategy: nothing to ship
     };
     let (server, store, client) = serve_store(io, ServerConfig::default());
-    let mut invoker = scripted();
     let reply = client
         .send_document_chunked(None, "parity.xml", chunk_bytes, |sink| {
-            let opts = StreamOptions {
-                strategy,
-                ..StreamOptions::default()
-            };
-            enforce_stream_to(compiled, input, &opts, &mut invoker, sink)
-                .map(|_| ())
-                .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
+            sink.write_all(expected.as_bytes())
         })
         .unwrap();
     assert!(reply.contains("stored"), "{reply}");
@@ -287,12 +289,13 @@ fn peer_ship_matrix_chunked_equals_single_frame() {
             Arc::clone(&strict),
             Arc::new(Registry::new()),
         ));
-        let config = axml::net::ServerConfig {
+        let metrics = axml::obs::Registry::new();
+        let config = ServerConfig {
             io,
+            metrics: metrics.clone(),
             ..Default::default()
         };
-        let receiver =
-            axml::peer::NetPeer::serve(Arc::clone(&receiver_peer), "127.0.0.1:0", config).unwrap();
+        let receiver = NetPeer::serve(Arc::clone(&receiver_peer), "127.0.0.1:0", config).unwrap();
         let sender = Peer::new(
             "newspaper.example.org",
             Arc::clone(&strict),
@@ -307,16 +310,146 @@ fn peer_ship_matrix_chunked_equals_single_frame() {
         let (sent, _) = remote
             .send_document(&sender, "front-single", &front, &strict)
             .unwrap();
-        let report = remote
+        let (chunked_sent, _) = remote
             .send_document_chunked(&sender, "front-chunked", &front, &strict, 64)
             .unwrap();
-        assert!(!report.fell_back, "both ends speak chunked ({io:?})");
-        assert_eq!(report.bytes_out > 0, true, "{io:?}: nothing streamed");
+        assert_eq!(
+            chunked_sent, sent,
+            "{io:?}: the two ships sent different documents"
+        );
+        assert!(
+            metrics.snapshot().counter("net.chunk.frames_total") >= 3,
+            "both ends speak chunked ({io:?})"
+        );
 
         let single = receiver_peer.repository.load("front-single").unwrap();
         let chunked = receiver_peer.repository.load("front-chunked").unwrap();
         assert_eq!(single, chunked, "{io:?}: stored documents diverge");
-        assert_eq!(single, sent, "{io:?}: chunked store differs from the sent doc");
+        assert_eq!(
+            single, sent,
+            "{io:?}: chunked store differs from the sent doc"
+        );
+        receiver.shutdown().unwrap();
+    }
+}
+
+/// A newspaper whose `temp` is still a `Get_Temp` call.
+fn lazy_newspaper() -> ITree {
+    ITree::elem(
+        "newspaper",
+        vec![
+            ITree::data("title", "The Sun"),
+            ITree::data("date", "04/10/2002"),
+            ITree::func("Get_Temp", vec![ITree::data("city", "Paris")]),
+        ],
+    )
+}
+
+/// A receiving peer under `schema`, served on `io`, with its own metrics.
+fn receiving_peer(schema: &Arc<Compiled>, io: IoMode) -> (Arc<Peer>, NetPeer, axml::obs::Registry) {
+    let peer = Arc::new(Peer::new(
+        "browser.example.org",
+        Arc::clone(schema),
+        Arc::new(Registry::new()),
+    ));
+    let metrics = axml::obs::Registry::new();
+    let config = ServerConfig {
+        io,
+        read_timeout: Duration::from_millis(200),
+        metrics: metrics.clone(),
+        ..Default::default()
+    };
+    let daemon = NetPeer::serve(Arc::clone(&peer), "127.0.0.1:0", config).unwrap();
+    (peer, daemon, metrics)
+}
+
+/// The sender enforces before the transfer opens: a `Get_Temp` service
+/// that answers after 300 ms, past the receiver's 200 ms read timeout,
+/// runs once for the chunked ship, which succeeds and stores what the
+/// single-frame ship stores.
+#[test]
+fn chunked_ship_enforces_before_the_transfer_opens() {
+    let exchange = Arc::new(compiled("title.date.temp.(TimeOut|exhibit*)"));
+    for io in IO_MODES {
+        let calls = Arc::new(AtomicUsize::new(0));
+        let registry = Registry::new();
+        let counted = Arc::clone(&calls);
+        registry.register_fn(ServiceDef::new("Get_Temp", "city", "temp"), move |_| {
+            std::thread::sleep(Duration::from_millis(300));
+            counted.fetch_add(1, Ordering::SeqCst);
+            Ok(vec![ITree::data("temp", "15 C")])
+        });
+        let sender = Peer::new(
+            "newspaper.example.org",
+            Arc::clone(&exchange),
+            Arc::new(registry),
+        );
+        let (receiver_peer, receiver, _) = receiving_peer(&exchange, io);
+        let remote = RemotePeer::connect(receiver.local_addr(), ClientConfig::default()).unwrap();
+
+        let (sent, report) = remote
+            .send_document_chunked(&sender, "chunked", &lazy_newspaper(), &exchange, 64)
+            .unwrap_or_else(|e| panic!("{io:?}: chunked ship failed: {e}"));
+        assert_eq!(
+            calls.load(Ordering::SeqCst),
+            1,
+            "{io:?}: the service ran once"
+        );
+        assert_eq!(report.invoked, ["Get_Temp"], "{io:?}");
+        remote
+            .send_document(&sender, "single", &lazy_newspaper(), &exchange)
+            .unwrap();
+        let chunked = receiver_peer.repository.load("chunked").unwrap();
+        assert_eq!(
+            chunked,
+            receiver_peer.repository.load("single").unwrap(),
+            "{io:?}"
+        );
+        assert_eq!(chunked, sent, "{io:?}");
+        receiver.shutdown().unwrap();
+    }
+}
+
+/// A document the sender cannot safely rewrite is refused as the
+/// single-frame ship refuses it, before a transfer opens: the receiver
+/// counts no chunk frame and no abort.
+#[test]
+fn unenforceable_chunked_ship_opens_no_transfer() {
+    // TimeOut may answer performances, which `exhibit*` does not admit.
+    let exchange = Arc::new(compiled("title.date.temp.exhibit*"));
+    let doc = ITree::elem(
+        "newspaper",
+        vec![
+            ITree::data("title", "The Sun"),
+            ITree::data("date", "04/10/2002"),
+            ITree::data("temp", "15 C"),
+            ITree::func("TimeOut", vec![ITree::text("exhibits")]),
+        ],
+    );
+    for io in IO_MODES {
+        let sender = Peer::new(
+            "newspaper.example.org",
+            Arc::clone(&exchange),
+            Arc::new(Registry::new()),
+        );
+        let (receiver_peer, receiver, metrics) = receiving_peer(&exchange, io);
+        let remote = RemotePeer::connect(receiver.local_addr(), ClientConfig::default()).unwrap();
+
+        let single = remote
+            .send_document(&sender, "single", &doc, &exchange)
+            .unwrap_err();
+        let chunked = remote
+            .send_document_chunked(&sender, "chunked", &doc, &exchange, 64)
+            .unwrap_err();
+        assert!(
+            matches!(chunked, PeerError::Enforcement(_)),
+            "{io:?}: {chunked}"
+        );
+        assert_eq!(chunked.to_string(), single.to_string(), "{io:?}");
+        let snap = metrics.snapshot();
+        assert_eq!(snap.counter("net.chunk.frames_total"), 0, "{io:?}");
+        assert_eq!(snap.counter("net.chunk.aborts_total"), 0, "{io:?}");
+        assert!(receiver_peer.repository.load("chunked").is_err(), "{io:?}");
         receiver.shutdown().unwrap();
     }
 }
@@ -326,31 +459,45 @@ fn peer_ship_matrix_chunked_equals_single_frame() {
 // ---------------------------------------------------------------------
 
 /// Ships a ~4.2× `DEFAULT_MAX_FRAME` document through both engines in
-/// 256 KiB chunks. The sender's enforcement streams straight into the
-/// chunk sink (peak buffer far below the document), the receiver
-/// reassembles under its cumulative cap and hands the handler the exact
-/// bytes, and the reassembly gauge returns to zero. Ignored by default
-/// (builds ~17 MB of XML); `scripts/ci.sh` runs it in release mode, and
-/// the B15 bench measures the same path.
+/// 256 KiB chunks, as a peer ships it: the sender enforces the document
+/// once (its `Get_Temp` and `TimeOut` calls are each invoked once), the
+/// receiver reassembles under its cumulative cap and hands the handler
+/// the enforced document's compact form, byte for byte the in-memory
+/// enforcement of the same text, and the reassembly gauge returns to
+/// zero. Ignored by default (builds ~17 MB of XML); `scripts/ci.sh` runs
+/// it in release mode, and the B15 bench measures the same transport.
 #[test]
 #[ignore = "builds a 17 MB document; run explicitly in release mode"]
 fn spot_4x_frame_cap_ships_end_to_end() {
-    let c = compiled(MODELS[0]);
+    let exchange = Arc::new(compiled(MODELS[1]));
     let target = 4 * wire::DEFAULT_MAX_FRAME + wire::DEFAULT_MAX_FRAME / 4;
     let body: String = "lorem ipsum dolor sit amet 0123456789 "
         .chars()
         .cycle()
         .take(1 << 16)
         .collect();
+    let call = |name: &str, param: ITree| {
+        element_to_string(
+            &ITree::func(name, vec![param]).to_xml(),
+            &WriteOptions::compact(),
+        )
+    };
     let mut input = String::with_capacity(target + 4096);
-    input.push_str("<newspaper><title>big</title><date>04/10/2002</date><temp>15 C</temp>");
+    input.push_str("<newspaper><title>big</title><date>04/10/2002</date>");
+    input.push_str(&call("Get_Temp", ITree::data("city", "Paris")));
     while input.len() + (1 << 16) + 128 < target {
         input.push_str("<exhibit><title>");
         input.push_str(&body);
         input.push_str("</title><date>Mon</date></exhibit>");
     }
+    input.push_str(&call("TimeOut", ITree::text("exhibits")));
     input.push_str("</newspaper>");
     assert!(input.len() >= 4 * wire::DEFAULT_MAX_FRAME);
+    let doc = ITree::from_xml(&axml::xml::parse_document(&input).unwrap().root).unwrap();
+    let (expected, _) = enforce_stream(&exchange, &input, &StreamOptions::default(), &mut || {
+        Box::new(scripted()) as Box<dyn Invoker + Send>
+    })
+    .unwrap();
 
     for io in IO_MODES {
         let metrics = axml::obs::Registry::new();
@@ -361,40 +508,53 @@ fn spot_4x_frame_cap_ships_end_to_end() {
                 ..ServerConfig::default()
             },
         );
-        let opts = StreamOptions::default();
+        let sender = Peer::new(
+            "feeds.example.org",
+            Arc::clone(&exchange),
+            Arc::new(Registry::new()),
+        );
         let mut invoker = scripted();
-        let mut peak = 0u64;
-        let reply = client
-            .send_document_chunked(None, "big.xml", 256 << 10, |sink| {
-                let rep = enforce_stream_to(&c, &input, &opts, &mut invoker, sink)
-                    .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-                peak = rep.peak_buffer_bytes;
-                Ok(())
-            })
+        let (sent, report) = RemotePeer::from_client(client)
+            .send_document_chunked_with(
+                &sender,
+                "big.xml",
+                &doc,
+                &exchange,
+                256 << 10,
+                &mut invoker,
+            )
             .unwrap();
-        assert!(reply.contains("stored"), "{reply}");
+        assert_eq!(
+            invoker.calls(),
+            2,
+            "{io:?}: each embedded call is invoked once"
+        );
+        assert_eq!(report.invoked, ["Get_Temp", "TimeOut"], "{io:?}");
         let docs = store.docs.lock().unwrap();
         assert_eq!(docs.len(), 1, "{io:?}");
-        assert_eq!(docs[0].1.len(), input.len(), "{io:?}: byte count diverged");
-        assert_eq!(docs[0].1, input, "{io:?}: bytes diverged");
-        drop(docs);
-        // Sender-side bound: the enforcement never buffered anything close
-        // to the document — this is what makes >RAM documents shippable.
+        let received = &docs[0].1;
         assert!(
-            peak < wire::DEFAULT_MAX_FRAME as u64 / 4,
-            "{io:?}: sender peak buffer {peak} bytes is not bounded"
+            *received == element_to_string(&sent.to_xml(), &WriteOptions::compact()),
+            "{io:?}: received bytes are not the sent document's compact form"
+        );
+        assert!(
+            *received == expected,
+            "{io:?}: received bytes diverge from enforce_stream"
         );
         // Receiver-side accounting: every payload byte counted, and the
         // reassembly buffer fully released after the hand-off.
         let snap = metrics.snapshot();
         assert_eq!(
             snap.counter("net.chunk.bytes_total"),
-            input.len() as u64,
+            received.len() as u64,
             "{io:?}"
         );
-        assert!(snap.counter("net.chunk.frames_total") >= 2 + (input.len() / (256 << 10)) as u64);
+        assert!(
+            snap.counter("net.chunk.frames_total") >= 2 + (received.len() / (256 << 10)) as u64
+        );
         assert_eq!(snap.counter("net.chunk.aborts_total"), 0, "{io:?}");
         assert_eq!(snap.gauge("net.chunk.reassembly_bytes"), 0, "{io:?}");
+        drop(docs);
         server.shutdown().unwrap();
     }
 }

@@ -215,11 +215,11 @@ fn serve_and_send_roundtrip() {
     )
     .unwrap();
 
-    // Daemon answering exactly two requests, then exiting gracefully.
+    // Daemon answering exactly three requests, then exiting gracefully.
     let mut daemon = bin()
         .args(["serve"])
         .arg(&star)
-        .args(["127.0.0.1:0", "--requests", "2", "--name", "cli-peer"])
+        .args(["127.0.0.1:0", "--requests", "3", "--name", "cli-peer"])
         .stdout(std::process::Stdio::piped())
         .spawn()
         .unwrap();
@@ -247,7 +247,29 @@ fn serve_and_send_roundtrip() {
     );
     assert!(String::from_utf8_lossy(&sent.stdout).contains("sent 'front'"));
 
-    // 2: the intensional doc conforms to (*) client-side, but the
+    // 2: the same document in 16-byte chunks, with the same summary.
+    let sent = bin()
+        .args(["send"])
+        .arg(&star)
+        .arg(&addr)
+        .arg(&plain)
+        .args(["--name", "front-chunked", "--chunk-bytes", "16"])
+        .output()
+        .unwrap();
+    let stdout = String::from_utf8_lossy(&sent.stdout);
+    assert!(
+        sent.status.success(),
+        "{stdout}{}",
+        String::from_utf8_lossy(&sent.stderr)
+    );
+    assert!(
+        stdout.contains("sent 'front-chunked'")
+            && stdout.contains("in 16-byte chunks")
+            && stdout.contains("(0 calls materialized, 0 function nodes remain)"),
+        "{stdout}"
+    );
+
+    // The intensional doc conforms to (*) client-side, but the
     // receiver enforces (*) too, so shipping it under the stricter (**)
     // exchange schema fails on the sender (no services to materialize
     // Get_Temp with).
@@ -275,7 +297,7 @@ fn serve_and_send_roundtrip() {
     assert!(status.success(), "daemon exit: {status:?}");
     let summary: Vec<String> = lines.map_while(Result::ok).collect();
     assert!(
-        summary.iter().any(|l| l.contains("served 2 requests")),
+        summary.iter().any(|l| l.contains("served 3 requests")),
         "{summary:?}"
     );
 }

@@ -297,16 +297,17 @@ fn repository_enrichment_chases_continuations() {
 
 #[test]
 fn selected_call_inside_a_kept_calls_parameters() {
-    // `f` is not selected and stays, but its parameter holds a selected
-    // `g`: mixed rewriting and repository enrichment both invoke `g`
-    // alone and splice its answer inside `f`'s parameter.
+    // `f` is not selected and stays, but its parameters hold a selected
+    // `g`, inside a parameter element or as a parameter itself: mixed
+    // rewriting and repository enrichment both invoke `g` alone and
+    // splice its answer where it stood.
     let compiled = Arc::new(
         Compiled::new(
             Schema::builder()
                 .element("r", "f")
                 .element("x", "a|g")
                 .data_element("a")
-                .function("f", "x", "a")
+                .function("f", "x|a", "a")
                 .function("g", "", "a")
                 .build()
                 .unwrap(),
@@ -314,36 +315,35 @@ fn selected_call_inside_a_kept_calls_parameters() {
         )
         .unwrap(),
     );
-    let with_param = |param: ITree| {
-        ITree::elem(
-            "r",
-            vec![ITree::func("f", vec![ITree::elem("x", vec![param])])],
-        )
-    };
-    let doc = with_param(ITree::func("g", vec![]));
-    let want = with_param(ITree::data("a", "1"));
-    let only_g = |name: &str| name == "g";
-    let script = || ScriptedInvoker::new().answer("g", vec![ITree::data("a", "1")]);
-    let called = |inv: &ScriptedInvoker| -> Vec<String> {
-        inv.log.iter().map(|(name, _)| name.clone()).collect()
-    };
+    let in_x = |param: ITree| ITree::elem("x", vec![param]);
+    let bare = |param: ITree| param;
+    for wrap in [&in_x as &dyn Fn(ITree) -> ITree, &bare] {
+        let with_param = |param: ITree| ITree::elem("r", vec![ITree::func("f", vec![wrap(param)])]);
+        let doc = with_param(ITree::func("g", vec![]));
+        let want = with_param(ITree::data("a", "1"));
+        let only_g = |name: &str| name == "g";
+        let script = || ScriptedInvoker::new().answer("g", vec![ITree::data("a", "1")]);
+        let called = |inv: &ScriptedInvoker| -> Vec<String> {
+            inv.log.iter().map(|(name, _)| name.clone()).collect()
+        };
 
-    let mut invoker = script();
-    let mut rewriter = Rewriter::new(&compiled).with_k(1);
-    let (out, report) = rewrite_mixed(&mut rewriter, &doc, &only_g, &mut invoker).unwrap();
-    assert_eq!(out, want);
-    assert_eq!(report.invoked, ["g"]);
-    assert_eq!(called(&invoker), ["g"]);
+        let mut invoker = script();
+        let mut rewriter = Rewriter::new(&compiled).with_k(1);
+        let (out, report) = rewrite_mixed(&mut rewriter, &doc, &only_g, &mut invoker).unwrap();
+        assert_eq!(out, want);
+        assert_eq!(report.invoked, ["g"]);
+        assert_eq!(called(&invoker), ["g"]);
 
-    let repository = Repository::new();
-    repository.store("doc", doc);
-    let mut invoker = script();
-    let n = repository
-        .enrich("doc", &compiled, &only_g, &mut invoker)
-        .unwrap();
-    assert_eq!(n, 1);
-    assert_eq!(repository.load("doc").unwrap(), want);
-    assert_eq!(called(&invoker), ["g"]);
+        let repository = Repository::new();
+        repository.store("doc", doc);
+        let mut invoker = script();
+        let n = repository
+            .enrich("doc", &compiled, &only_g, &mut invoker)
+            .unwrap();
+        assert_eq!(n, 1, "enriched {n}");
+        assert_eq!(repository.load("doc").unwrap(), want);
+        assert_eq!(called(&invoker), ["g"]);
+    }
 }
 
 #[test]

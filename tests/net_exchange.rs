@@ -705,8 +705,8 @@ fn bulky_provider_daemon(config: ServerConfig) -> NetPeer {
 }
 
 /// Ships the oversized Fig. 1 front page: single-frame must fault with
-/// `TooLarge`, chunked (512-byte chunks, materializing `Listings` over
-/// the network mid-stream) must store the full document. Returns the
+/// `TooLarge`, chunked (512-byte chunks, `Listings` materialized over the
+/// network first) must store the full document. Returns the
 /// stored document for the cross-engine equality check.
 fn oversized_chunked_exchange_outcome(io: IoMode) -> ITree {
     let provider = bulky_provider_daemon(mode_config(io));
@@ -747,22 +747,23 @@ fn oversized_chunked_exchange_outcome(io: IoMode) -> ITree {
         "single-frame shipping of an oversized document must fault TooLarge, got {err}"
     );
 
-    // Chunked: the same document streams through in 512-byte chunks —
-    // each far below the cap — while `Listings` materializes remotely.
+    // Chunked: `Listings` materializes remotely, then the same document
+    // crosses in 512-byte chunks, each far below the cap.
     let mut invoker = NetInvoker {
         caller: &sender,
         remote: &to_provider,
     };
-    let report = to_receiver
+    let (sent, _) = to_receiver
         .send_document_chunked_with(&sender, "front", &front, &strict, 512, &mut invoker)
         .unwrap();
-    assert!(!report.fell_back, "both daemons speak chunked");
+    let bytes = axml::xml::element_to_string(&sent.to_xml(), &axml::xml::WriteOptions::compact());
     assert!(
-        report.bytes_out as usize > 4096,
+        bytes.len() > 4096,
         "the enforced document must exceed the frame cap (got {} bytes)",
-        report.bytes_out
+        bytes.len()
     );
     let stored = receiver_peer.repository.load("front").unwrap();
+    assert_eq!(stored, sent);
     validate(&stored, &receiver_peer.compiled).unwrap();
     assert_eq!(stored.num_funcs(), 0);
 

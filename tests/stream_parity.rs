@@ -21,7 +21,7 @@
 
 use axml::core::invoke::{Invoker, ScriptedInvoker};
 use axml::core::rewrite::{RewriteError, Strategy as RwStrategy};
-use axml::core::stream::{enforce_dom, enforce_stream, StreamOptions};
+use axml::core::stream::{enforce_dom, enforce_stream, enforce_stream_with, StreamOptions};
 use axml::peer::{NetInvoker, NetPeer, Peer, Query, RemotePeer};
 use axml::schema::{validate, validate_xml_stream, Compiled, ITree, NoOracle, Schema};
 use axml::services::{Registry, ServiceDef};
@@ -537,9 +537,9 @@ fn matrix_streamed_exchange_identical_across_engines_and_modes() {
 }
 
 /// Spot run backing the EXPERIMENTS.md B14 claim: a ~100 MB document
-/// with 16 call sites streams through `Rewriter::rewrite_stream` into a
-/// discarding sink with the same constant peak buffer the 1 MiB
-/// documents need. Ignored by default (builds 100 MB of XML); run with
+/// with 16 call sites streams through `enforce_stream_with` with the same
+/// constant peak buffer the 1 MiB documents need. Ignored by default
+/// (builds 100 MB of XML); run with
 /// `cargo test --release --test stream_parity -- --ignored`.
 #[test]
 #[ignore = "builds a 100 MB document; run explicitly in release mode"]
@@ -583,13 +583,15 @@ fn spot_100mb_bounded_peak() {
 
     let mut inv =
         ScriptedInvoker::new().answer("Get_Quote", vec![ITree::data("quote", "AXML 42.17")]);
-    let mut sink = std::io::sink();
-    let rep = axml::core::rewrite::Rewriter::new(&compiled)
-        .with_k(1)
-        .rewrite_stream(&input, RwStrategy::Safe, &mut inv, &mut sink)
-        .unwrap();
+    let opts = StreamOptions {
+        k: 1,
+        ..StreamOptions::default()
+    };
+    let (out, rep) = enforce_stream_with(&compiled, &input, &opts, &mut inv).unwrap();
 
     assert!(!rep.fell_back);
+    assert_eq!(rep.bytes_out, out.len() as u64);
+    assert_eq!(inv.calls(), 16, "each call site is invoked once");
     assert_eq!(rep.bytes_copied + rep.bytes_rewritten, rep.bytes_out);
     assert_eq!(rep.subtrees_materialized, 1);
     // The peak is the `calls` subtree's input span — independent of the

@@ -13,6 +13,17 @@
 //!   sender enforces an intensional feed once with `enforce_stream_with`,
 //!   then the transfer writes the enforced bytes.
 //!
+//! Two layer pairs, in process and without a socket, time one enforced
+//! ~1 MiB feed at each end of a chunked ship:
+//!
+//! * `receive_1mib_one_pass` / `receive_1mib_dom` — the receiver's work
+//!   per document: `read_validated`'s one validating, building pass, and
+//!   the three passes it replaced (`validate_xml_stream`, then
+//!   `parse_document` and `ITree::from_xml`);
+//! * `write_1mib_tree` / `write_1mib_dom` — the sender's serialization:
+//!   `ITree::write_xml`, and the `ITree::to_xml` DOM written out by
+//!   `element_to_string`. Both write into a fresh `String`.
+//!
 //! The JSON report carries one receiver-side accounting record per
 //! (size × engine) configuration: every payload byte must land in
 //! `net.chunk.bytes_total`, zero aborts, and the reassembly gauge back
@@ -24,7 +35,7 @@
 use axml_core::invoke::ScriptedInvoker;
 use axml_core::stream::{enforce_stream_with, StreamOptions};
 use axml_net::{wire, ClientConfig, Handler, IoMode, NetClient, NetServer, ServerConfig};
-use axml_schema::{Compiled, ITree, NoOracle, Schema};
+use axml_schema::{read_validated, validate_xml_stream, Compiled, ITree, NoOracle, Schema};
 use axml_support::bench::{criterion_group, criterion_main, smoke_mode, Criterion, Throughput};
 use std::hint::black_box;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -160,10 +171,17 @@ fn invoker() -> ScriptedInvoker {
 /// Enforces `feed` as a sender does before its transfer opens, then
 /// ships the enforced bytes. Returns them and the invocations made.
 fn enforce_and_ship(client: &NetClient, compiled: &Compiled, feed: &str) -> (String, usize) {
+    let (enforced, invocations) = enforce_feed(compiled, feed);
+    ship_raw(client, &enforced);
+    (enforced, invocations)
+}
+
+/// Enforces `feed` as a sender does: the enforced bytes and the
+/// invocations made.
+fn enforce_feed(compiled: &Compiled, feed: &str) -> (String, usize) {
     let mut inv = invoker();
     let (enforced, _) =
         enforce_stream_with(compiled, feed, &StreamOptions::default(), &mut inv).unwrap();
-    ship_raw(client, &enforced);
     (enforced, inv.calls())
 }
 
@@ -290,6 +308,34 @@ fn bench(c: &mut Criterion) {
         });
         server.shutdown().unwrap();
     }
+
+    // The two ends of a chunked ship, on one enforced ~1 MiB feed.
+    let (enforced, _) = enforce_feed(&compiled, &feed_xml(MIB));
+    let three_passes = || {
+        validate_xml_stream(&enforced, &compiled).unwrap();
+        ITree::from_xml(&axml_xml::parse_document(&enforced).unwrap().root).unwrap()
+    };
+    let tree = three_passes();
+    assert_eq!(read_validated(&enforced, &compiled).unwrap(), tree);
+    let compact = axml_xml::WriteOptions::compact();
+    let mut written = String::new();
+    tree.write_xml(&mut written).unwrap();
+    assert_eq!(written, enforced, "the tree writer is the DOM writer");
+    group.throughput(Throughput::Bytes(enforced.len() as u64));
+    group.bench_function("receive_1mib_one_pass", |b| {
+        b.iter(|| read_validated(black_box(&enforced), &compiled).unwrap())
+    });
+    group.bench_function("receive_1mib_dom", |b| b.iter(three_passes));
+    group.bench_function("write_1mib_tree", |b| {
+        b.iter(|| {
+            let mut out = String::new();
+            black_box(&tree).write_xml(&mut out).unwrap();
+            out
+        })
+    });
+    group.bench_function("write_1mib_dom", |b| {
+        b.iter(|| axml_xml::element_to_string(&black_box(&tree).to_xml(), &compact))
+    });
 
     group.attach_json("ship_reports", format!("[{}]", reports.join(",")));
     group.finish();

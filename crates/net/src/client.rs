@@ -134,6 +134,11 @@ struct Conn {
     /// Capability bits the remote daemon advertised (`CAP_*`). An old
     /// peer's legacy `Welcome` decodes as zero.
     server_caps: u8,
+    /// The buffer chunked transfers encode their `DocChunk` frames in,
+    /// kept for the next transfer on this connection: a fresh 256 KiB
+    /// buffer per transfer, freed as it ends, lets the allocator trim
+    /// the heap and fault the pages back in on the next one.
+    chunk_frame: Vec<u8>,
 }
 
 /// Pre-resolved handles onto the `client.*` catalogue entries.
@@ -275,6 +280,7 @@ impl NetClient {
                     writer,
                     server_name,
                     server_caps,
+                    chunk_frame: Vec::new(),
                 })
             }
             FrameType::Fault => {
@@ -362,8 +368,9 @@ impl NetClient {
     /// `produce` is invoked once per attempt with an [`std::io::Write`]
     /// sink; whatever it writes is cut into `chunk_bytes`-sized frames as
     /// it streams — the client never materializes the document, so peak
-    /// sender memory is O(`chunk_bytes`) plus whatever the producer
-    /// itself buffers. The server must advertise [`wire::CAP_CHUNKED`];
+    /// sender memory is one frame, kept on the pooled connection for its
+    /// next transfer, plus whatever the producer itself buffers. The
+    /// server must advertise [`wire::CAP_CHUNKED`];
     /// check [`NetClient::server_caps`] first to fall back to a
     /// single-frame call against old peers.
     ///
@@ -406,7 +413,8 @@ impl NetClient {
             .map_err(ClientError::Wire)?;
         let (count, total, digest) = {
             let digest = ChunkDigest::for_caps(conn.server_caps);
-            let mut sink = ChunkSink::new(&mut conn.writer, id, chunk, digest);
+            let mut sink =
+                ChunkSink::new(&mut conn.writer, &mut conn.chunk_frame, id, chunk, digest);
             // A mid-stream producer failure leaves the transfer half-sent;
             // the connection is dropped (never pooled), which the server
             // accounts as an abort. The retry loop re-dials and re-invokes
@@ -588,25 +596,31 @@ impl NetClient {
 /// bytes arrive, tracking the sequence number, cumulative length, and
 /// running digest the closing `DocChunkEnd` must declare.
 ///
-/// Each frame is encoded in place in one reusable buffer: the header and
-/// sequence number are reserved up front, written data is appended once,
-/// and the header is filled in when the frame goes out. Holds at most one
-/// chunk of data at a time.
+/// Each frame is encoded in place in the connection's frame buffer: the
+/// header and sequence number are reserved up front, written data is
+/// appended once, and the header is filled in and the digest advanced
+/// when the frame goes out. Holds at most one chunk of data at a time.
 struct ChunkSink<'a> {
     writer: &'a mut Box<dyn Duplex>,
     chunk: usize,
     /// The frame being filled: [`wire::DOC_CHUNK_PREFIX`] bytes, then up
     /// to `chunk` bytes of data.
-    frame: Vec<u8>,
+    frame: &'a mut Vec<u8>,
     seq: u32,
     total: u64,
     digest: ChunkDigest,
 }
 
 impl<'a> ChunkSink<'a> {
-    fn new(writer: &'a mut Box<dyn Duplex>, id: u64, chunk: usize, digest: ChunkDigest) -> Self {
-        let mut frame = Vec::with_capacity(wire::DOC_CHUNK_PREFIX + chunk);
-        wire::begin_doc_chunk(&mut frame, id);
+    fn new(
+        writer: &'a mut Box<dyn Duplex>,
+        frame: &'a mut Vec<u8>,
+        id: u64,
+        chunk: usize,
+        digest: ChunkDigest,
+    ) -> Self {
+        wire::begin_doc_chunk(frame, id);
+        frame.reserve(chunk);
         ChunkSink {
             writer,
             chunk,
@@ -625,8 +639,9 @@ impl<'a> ChunkSink<'a> {
     /// Sends the current frame as one write plus a flush, as
     /// [`wire::write_frame`] does, and starts the next one.
     fn emit(&mut self) -> Result<(), WireError> {
-        wire::seal_doc_chunk(&mut self.frame, self.seq)?;
-        self.writer.write_all(&self.frame)?;
+        self.digest.update(&self.frame[wire::DOC_CHUNK_PREFIX..]);
+        wire::seal_doc_chunk(self.frame, self.seq)?;
+        self.writer.write_all(self.frame)?;
         self.writer.flush()?;
         self.frame.truncate(wire::DOC_CHUNK_PREFIX);
         self.seq += 1;
@@ -648,7 +663,6 @@ impl std::io::Write for ChunkSink<'_> {
         let mut rest = data;
         while !rest.is_empty() {
             let (piece, tail) = rest.split_at(rest.len().min(self.chunk - self.held()));
-            self.digest.update(piece);
             self.frame.extend_from_slice(piece);
             self.total += piece.len() as u64;
             rest = tail;

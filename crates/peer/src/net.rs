@@ -32,11 +32,8 @@ use axml_core::rewrite::{enforce_forest, enforce_with, RewriteReport, Side, Stra
 use axml_core::stream::{enforce_stream_with, StreamOptions};
 use axml_net::wire::{FaultCode, WireFault, CAP_CHUNKED};
 use axml_net::{ClientConfig, ClientError, Handler, NetClient, NetServer, ServerConfig};
-use axml_schema::{
-    validate, validate_output_instance, validate_xml_stream, Compiled, ITree, SchemaError,
-};
+use axml_schema::{read_validated, validate, validate_output_instance, Compiled, ITree, ReadError};
 use axml_services::soap;
-use axml_support::sync::Mutex;
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::Arc;
 
@@ -203,15 +200,18 @@ fn handle_net_document(peer: &Peer, rid: u64, name: &str, text: &str) -> Result<
 
 /// Receiver side of a *chunked* Fig. 1 exchange: the document arrives as
 /// raw XML text (chunked transfers carry no SOAP envelope — the name
-/// rides in the `DocChunkStart` frame). [`validate_xml_stream`] checks the
-/// text against the receiver's schema before any tree is built; the parse
-/// into the repository's [`ITree`] form afterwards is the storage cost.
+/// rides in the `DocChunkStart` frame). One pass, [`read_validated`],
+/// checks the text against the receiver's schema and builds the
+/// repository's [`ITree`] as it goes, with no DOM in between. A schema
+/// violation is reported as the stream validator words it, malformed
+/// text after the root as `chunked document: …`, and `int:fun` markup
+/// that does not decode in [`ITree::from_xml`]'s words.
 pub fn receive_document_text(peer: &Peer, name: &str, text: &str) -> Result<String, PeerError> {
     check_name(name)?;
-    validated(validate_xml_stream(text, &peer.compiled))?;
-    let doc = axml_xml::parse_document(text)
-        .map_err(|e| PeerError::Enforcement(format!("chunked document: {e}")))
-        .and_then(|d| ITree::from_xml(&d.root).map_err(PeerError::Enforcement))?;
+    let doc = validated(read_validated(text, &peer.compiled).map_err(|e| match e {
+        ReadError::Trailing(e) => format!("chunked document: {e}"),
+        e => e.to_string(),
+    }))?;
     accept(peer, name, doc)
 }
 
@@ -230,7 +230,7 @@ fn receive_document(peer: &Peer, params: Vec<ITree>) -> Result<String, PeerError
         )));
     };
     check_name(&name)?;
-    validated(validate(&doc, &peer.compiled))?;
+    validated(validate(&doc, &peer.compiled).map_err(|e| e.to_string()))?;
     accept(peer, &name, doc)
 }
 
@@ -247,9 +247,9 @@ fn check_name(name: &str) -> Result<(), PeerError> {
 /// must already be an instance of the receiver's schema, because
 /// rewriting is the *sender's* burden under the agreed exchange schema.
 /// Counts every receipt that reaches it, accepted or refused.
-fn validated(verdict: Result<(), SchemaError>) -> Result<(), PeerError> {
+fn validated<T>(verdict: Result<T, String>) -> Result<T, PeerError> {
     axml_obs::global().counter("peer.validated_total").inc();
-    verdict.map_err(|e| PeerError::Enforcement(e.to_string()))
+    verdict.map_err(PeerError::Enforcement)
 }
 
 /// The step both receive paths end in: inbound policy, then storage.
@@ -260,21 +260,12 @@ fn accept(peer: &Peer, name: &str, doc: ITree) -> Result<String, PeerError> {
     Ok(name.to_owned())
 }
 
-/// A serialization buffer grown past this many bytes is freed after its
-/// chunked ship instead of kept, so a handle that once ships a huge
-/// document does not hold that much memory for good.
-const KEEP_TEXT_BYTES: usize = 8 << 20;
-
-/// A client handle to a remote peer daemon.
+/// A client handle to a remote peer daemon. A chunked ship writes the
+/// enforced tree's XML straight into the transfer's frames, which the
+/// pooled connection keeps for its next transfer, so nothing as large as
+/// the document is allocated per ship.
 pub struct RemotePeer {
     client: NetClient,
-    /// The buffer a chunked ship serializes its document into, kept for
-    /// the next one. A fresh ~1 MB `String` per ship, freed as the ship
-    /// ends, let glibc's malloc trim the sending thread's heap and fault
-    /// the pages back in on the next ship, in some processes and not in
-    /// others: ~280 more minor faults and ~200 µs more CPU per 983 KB
-    /// document (release build, 2-vCPU Xeon guest).
-    text: Mutex<String>,
 }
 
 impl RemotePeer {
@@ -288,10 +279,7 @@ impl RemotePeer {
     /// Wraps an already-built [`NetClient`] — e.g. one dialing an
     /// in-memory transport via [`NetClient::with_transport`].
     pub fn from_client(client: NetClient) -> RemotePeer {
-        RemotePeer {
-            client,
-            text: Mutex::new(String::new()),
-        }
+        RemotePeer { client }
     }
 
     /// The remote daemon's address.
@@ -396,12 +384,13 @@ impl RemotePeer {
     /// Ships a document as a *chunked* wire transfer — the path for
     /// documents larger than the frame cap. `caller` enforces the document
     /// once, as [`RemotePeer::send_document`] does, before the transfer
-    /// opens; the transfer then only writes the enforced document's compact
-    /// form in `DocChunk` frames of `chunk_bytes` bytes each, so a retry
-    /// resends those bytes and no service is called while a transfer is
-    /// open. Against a peer without chunked transfers this is the
-    /// single-frame ship. Returns the document as sent plus the rewrite
-    /// report.
+    /// opens; the transfer then writes the enforced tree's compact XML
+    /// ([`ITree::write_xml`]) straight into `DocChunk` frames of
+    /// `chunk_bytes` bytes each, with no DOM or text copy in between. A
+    /// retry writes the same bytes again from the tree, and no service is
+    /// called while a transfer is open. Against a peer without chunked
+    /// transfers this is the single-frame ship. Returns the document as
+    /// sent plus the rewrite report.
     pub fn send_document_chunked(
         &self,
         caller: &Peer,
@@ -434,23 +423,19 @@ impl RemotePeer {
                 enforce_with(exchange, doc, k, Strategy::Safe, cache, invoker)
                     .map_err(PeerError::from)
             })?;
-            // Concurrent ships on one handle each get a buffer: the others
-            // take an empty one.
-            let mut text = std::mem::take(&mut *self.text.lock());
-            text.clear();
-            let compact = axml_xml::WriteOptions::compact();
-            axml_xml::write_element_into(&sent.to_xml(), &compact, &mut text);
             let reply = step_span("ship", rid, |sp| {
                 sp.set("chunk_bytes", chunk_bytes);
-                sp.set("bytes", text.len());
-                self.client
-                    .send_document_chunked(Some(rid), name, chunk_bytes, |sink| {
-                        sink.write_all(text.as_bytes())
-                    })
+                let mut bytes = 0;
+                let write = |sink: &mut dyn std::io::Write| {
+                    bytes = write_tree(&sent, sink)?;
+                    Ok(())
+                };
+                let reply = self
+                    .client
+                    .send_document_chunked(Some(rid), name, chunk_bytes, write);
+                sp.set("bytes", bytes);
+                reply
             });
-            if text.capacity() <= KEEP_TEXT_BYTES {
-                *self.text.lock() = text;
-            }
             stored(&reply.map_err(client_error)?)?;
             Ok((sent, report))
         })
@@ -508,6 +493,41 @@ impl RemotePeer {
         .map_err(client_error)?;
         stored(&reply)?;
         Ok((sent, report))
+    }
+}
+
+/// Writes `tree`'s compact XML into a chunked transfer's sink and returns
+/// the number of bytes written.
+fn write_tree(tree: &ITree, sink: &mut dyn std::io::Write) -> std::io::Result<usize> {
+    let mut out = SinkWriter {
+        sink,
+        bytes: 0,
+        error: None,
+    };
+    match tree.write_xml(&mut out) {
+        Ok(()) => Ok(out.bytes),
+        Err(_) => Err(out
+            .error
+            .unwrap_or_else(|| std::io::Error::other("tree writer failed"))),
+    }
+}
+
+/// [`ITree::write_xml`]'s target for a chunked transfer: passes the text
+/// to the transfer's sink and counts it, keeping the sink's error.
+struct SinkWriter<'a> {
+    sink: &'a mut dyn std::io::Write,
+    bytes: usize,
+    error: Option<std::io::Error>,
+}
+
+impl std::fmt::Write for SinkWriter<'_> {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        if let Err(e) = self.sink.write_all(s.as_bytes()) {
+            self.error = Some(e);
+            return Err(std::fmt::Error);
+        }
+        self.bytes += s.len();
+        Ok(())
     }
 }
 
@@ -661,8 +681,9 @@ mod tests {
 
     #[test]
     fn chunked_ships_on_one_handle_each_send_their_own_document() {
-        // The handle keeps its serialization buffer between ships: the
-        // shorter second document must not carry the first one's tail.
+        // The pooled connection keeps its chunk frame buffer between
+        // ships: the shorter second document must not carry the first
+        // one's tail.
         let peer = provider();
         let daemon = NetPeer::serve(Arc::clone(&peer), "127.0.0.1:0", ServerConfig::default())
             .unwrap();

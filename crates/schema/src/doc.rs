@@ -9,7 +9,8 @@
 //! `endpointURL` and `namespaceURI` attributes, and its parameters wrapped
 //! in `int:params`/`int:param`.
 
-use axml_xml::{Element, Node};
+use axml_xml::{escape_attr, escape_text, Attribute, Element, Event, Node, QName};
+use std::borrow::Cow;
 use std::fmt;
 
 /// The namespace used to mark intensional (function-call) elements.
@@ -158,6 +159,19 @@ impl ITree {
         }
     }
 
+    /// Writes the tree's compact XML (Sec. 7 encoding for function nodes)
+    /// into `out`: byte for byte what
+    /// `element_to_string(&self.to_xml(), &WriteOptions::compact())`
+    /// returns, without building the DOM. Fails only when `out` does.
+    pub fn write_xml<W: fmt::Write + ?Sized>(&self, out: &mut W) -> fmt::Result {
+        match self {
+            ITree::Elem { label, children } => write_elem(out, label, children),
+            // A bare text tree is wrapped, as `to_xml` wraps it.
+            ITree::Text(_) => write_elem(out, "text", std::slice::from_ref(self)),
+            ITree::Func(f) => write_func(out, f),
+        }
+    }
+
     /// Decodes from XML, recognizing `int:fun` elements as function nodes.
     pub fn from_xml(e: &Element) -> Result<ITree, String> {
         if e.name.matches(INT_NS, "fun") {
@@ -235,6 +249,58 @@ fn write_children(f: &mut fmt::Formatter<'_>, children: &[ITree]) -> fmt::Result
     write!(f, "]")
 }
 
+fn write_elem<W: fmt::Write + ?Sized>(out: &mut W, label: &str, children: &[ITree]) -> fmt::Result {
+    out.write_char('<')?;
+    out.write_str(label)?;
+    if children.is_empty() {
+        return out.write_str("/>");
+    }
+    out.write_char('>')?;
+    for c in children {
+        write_child(out, c)?;
+    }
+    out.write_str("</")?;
+    out.write_str(label)?;
+    out.write_char('>')
+}
+
+fn write_child<W: fmt::Write + ?Sized>(out: &mut W, tree: &ITree) -> fmt::Result {
+    match tree {
+        ITree::Text(t) => out.write_str(&escape_text(t)),
+        other => other.write_xml(out),
+    }
+}
+
+fn write_attr<W: fmt::Write + ?Sized>(out: &mut W, name: &str, value: &str) -> fmt::Result {
+    out.write_char(' ')?;
+    out.write_str(name)?;
+    out.write_str("=\"")?;
+    out.write_str(&escape_attr(value))?;
+    out.write_char('"')
+}
+
+fn write_func<W: fmt::Write + ?Sized>(out: &mut W, f: &FuncNode) -> fmt::Result {
+    out.write_str("<int:fun")?;
+    write_attr(out, "xmlns:int", INT_NS)?;
+    write_attr(out, "methodName", &f.name)?;
+    if let Some(url) = &f.endpoint {
+        write_attr(out, "endpointURL", url)?;
+    }
+    if let Some(ns) = &f.namespace {
+        write_attr(out, "namespaceURI", ns)?;
+    }
+    if f.params.is_empty() {
+        return out.write_str("/>");
+    }
+    out.write_str("><int:params>")?;
+    for p in &f.params {
+        out.write_str("<int:param>")?;
+        write_child(out, p)?;
+        out.write_str("</int:param>")?;
+    }
+    out.write_str("</int:params></int:fun>")
+}
+
 fn push_xml(parent: &mut Element, tree: &ITree) {
     match tree {
         ITree::Text(t) => parent.children.push(Node::Text(t.clone())),
@@ -300,6 +366,275 @@ fn func_from_xml(e: &Element) -> Result<FuncNode, String> {
         namespace: e.attribute("namespaceURI").map(str::to_owned),
         params,
     })
+}
+
+/// Consecutive character data, borrowed from the reader's input while it
+/// is one piece.
+#[derive(Default)]
+struct Run<'a>(Option<Cow<'a, str>>);
+
+impl<'a> Run<'a> {
+    fn push(&mut self, t: Cow<'a, str>) {
+        match &mut self.0 {
+            Some(run) => run.to_mut().push_str(&t),
+            None => self.0 = Some(t),
+        }
+    }
+
+    /// Ends the run: its trimmed text, when that is not empty.
+    fn take_trimmed(&mut self) -> Option<String> {
+        let run = self.0.take()?;
+        let trimmed = run.trim();
+        if trimmed.is_empty() {
+            None
+        } else if trimmed.len() == run.len() {
+            Some(run.into_owned())
+        } else {
+            Some(trimmed.to_owned())
+        }
+    }
+}
+
+/// An element the [`TreeBuilder`] has open.
+enum Open<'a> {
+    /// A data element, with the text run after its last child.
+    Elem {
+        label: String,
+        children: Vec<ITree>,
+        run: Run<'a>,
+    },
+    /// An `int:fun` element: the call as decoded so far.
+    Fun(FuncNode),
+    /// An `int:params` element directly inside an `int:fun`.
+    Params,
+    /// An `int:param` element directly inside an `int:params`.
+    Param {
+        /// The element's pre-order number, which its errors are ranked by.
+        at: usize,
+        /// Child elements seen.
+        elements: usize,
+        /// The first child element, decoded.
+        tree: Option<ITree>,
+        /// The text `Element::text_content` would concatenate: the
+        /// element's text nodes as `parse_document` builds them.
+        text: Run<'a>,
+        /// Whether the last node `parse_document` would have given the
+        /// element is a text node, which further text joins.
+        in_text: bool,
+    },
+    /// An element [`ITree::from_xml`] never decodes: it is where a
+    /// decoding error was found, or below one.
+    Skipped,
+}
+
+/// Builds an [`ITree`] from pull-parser events with
+/// [`ITree::from_xml`]'s rules, without a DOM: the tree and the error that
+/// `ITree::from_xml(&parse_document(text)?.root)` gives. Text runs are
+/// merged as `parse_document` merges them and trimmed as
+/// [`forest_from_nodes`] trims them, so a comment or PI splits a run; an
+/// `int:param` without an element holds its trimmed text.
+///
+/// `ITree::from_xml` stops at the first error of a pre-order walk, and
+/// checks an `int:param` for a second element before it decodes the
+/// first. The builder finds that error only at the second element, so it
+/// keeps decoding after an error and reports, once the root has closed,
+/// the error anchored at the earliest element. The open elements are an
+/// explicit stack: no recursion.
+#[derive(Default)]
+pub(crate) struct TreeBuilder<'a> {
+    stack: Vec<Open<'a>>,
+    /// Start tags seen so far: the next element's pre-order number.
+    starts: usize,
+    root: Option<ITree>,
+    /// The first error in `ITree::from_xml`'s order, with the pre-order
+    /// number of the element it is anchored at.
+    error: Option<(usize, String)>,
+}
+
+/// The value of the attribute written `name`, as [`Element::attribute`]
+/// finds it.
+fn attribute(attributes: &[Attribute], name: &str) -> Option<String> {
+    attributes
+        .iter()
+        .find(|a| a.name.prefix.is_empty() && a.name.local == name)
+        .map(|a| a.value.clone())
+}
+
+impl<'a> TreeBuilder<'a> {
+    fn fail(&mut self, at: usize, message: impl Into<String>) {
+        if self.error.as_ref().is_none_or(|(first, _)| at < *first) {
+            self.error = Some((at, message.into()));
+        }
+    }
+
+    /// Takes the next event, up to the root's end tag.
+    pub(crate) fn feed(&mut self, event: Event<'a>) {
+        match event {
+            Event::StartElement {
+                name, attributes, ..
+            } => self.start(name, &attributes),
+            Event::EndElement { .. } => self.end(),
+            Event::Text(t) => match self.stack.last_mut() {
+                Some(Open::Elem { run, .. }) if run.0.is_some() || !t.trim().is_empty() => {
+                    run.push(t);
+                }
+                Some(Open::Param {
+                    elements: 0,
+                    text,
+                    in_text,
+                    ..
+                }) if *in_text || !t.trim().is_empty() => {
+                    text.push(t);
+                    *in_text = true;
+                }
+                _ => {}
+            },
+            Event::Comment(_) | Event::Pi { .. } => self.end_text(),
+            Event::Eof => {}
+        }
+    }
+
+    /// A node other than text starts or ends inside the top element.
+    fn end_text(&mut self) {
+        match self.stack.last_mut() {
+            Some(Open::Elem { children, run, .. }) => {
+                if let Some(t) = run.take_trimmed() {
+                    children.push(ITree::Text(t));
+                }
+            }
+            Some(Open::Param { in_text, .. }) => *in_text = false,
+            _ => {}
+        }
+    }
+
+    fn start(&mut self, name: QName, attributes: &[Attribute]) {
+        let at = self.starts;
+        self.starts += 1;
+        self.end_text();
+        let decoded = match self.stack.last_mut() {
+            None | Some(Open::Elem { .. }) => true,
+            Some(Open::Param {
+                at: param,
+                elements,
+                ..
+            }) => {
+                *elements += 1;
+                if *elements > 1 {
+                    let param = *param;
+                    self.fail(param, "int:param must hold a single tree");
+                    false
+                } else {
+                    true
+                }
+            }
+            Some(Open::Fun(_)) => {
+                if name.matches(INT_NS, "params") {
+                    self.stack.push(Open::Params);
+                    return;
+                }
+                self.fail(at, format!("unexpected element '{name}' inside int:fun"));
+                false
+            }
+            Some(Open::Params) => {
+                if name.matches(INT_NS, "param") {
+                    self.stack.push(Open::Param {
+                        at,
+                        elements: 0,
+                        tree: None,
+                        text: Run::default(),
+                        in_text: false,
+                    });
+                    return;
+                }
+                self.fail(at, format!("unexpected element '{name}' inside int:params"));
+                false
+            }
+            Some(Open::Skipped) => false,
+        };
+        let open = if !decoded {
+            Open::Skipped
+        } else if name.matches(INT_NS, "fun") {
+            match attribute(attributes, "methodName") {
+                Some(method) => Open::Fun(FuncNode {
+                    name: method,
+                    endpoint: attribute(attributes, "endpointURL"),
+                    namespace: attribute(attributes, "namespaceURI"),
+                    params: Vec::new(),
+                }),
+                None => {
+                    self.fail(at, "int:fun element is missing methodName");
+                    Open::Skipped
+                }
+            }
+        } else {
+            Open::Elem {
+                label: name.local,
+                children: Vec::new(),
+                run: Run::default(),
+            }
+        };
+        self.stack.push(open);
+    }
+
+    fn end(&mut self) {
+        let Some(open) = self.stack.pop() else {
+            return;
+        };
+        let node = match open {
+            Open::Elem {
+                label,
+                mut children,
+                mut run,
+            } => {
+                if let Some(t) = run.take_trimmed() {
+                    children.push(ITree::Text(t));
+                }
+                ITree::Elem { label, children }
+            }
+            Open::Fun(f) => ITree::Func(f),
+            Open::Param {
+                at,
+                elements,
+                tree,
+                mut text,
+                ..
+            } => {
+                let param = match (elements, tree) {
+                    (0, _) => match text.take_trimmed() {
+                        Some(t) => Some(ITree::Text(t)),
+                        None => {
+                            self.fail(at, "empty int:param");
+                            None
+                        }
+                    },
+                    (1, tree) => tree,
+                    _ => None,
+                };
+                // The stack now ends with the call's `int:params`.
+                let call = self.stack.len() - 2;
+                if let (Some(p), Open::Fun(f)) = (param, &mut self.stack[call]) {
+                    f.params.push(p);
+                }
+                return;
+            }
+            Open::Params | Open::Skipped => return,
+        };
+        match self.stack.last_mut() {
+            None => self.root = Some(node),
+            Some(Open::Elem { children, .. }) => children.push(node),
+            Some(Open::Param { tree, .. }) => *tree = Some(node),
+            Some(_) => unreachable!("only elements and params hold decoded trees"),
+        }
+    }
+
+    /// The decoded root, or the first decoding error. Call once the
+    /// reader has closed the root.
+    pub(crate) fn finish(self) -> Result<ITree, String> {
+        match self.error {
+            Some((_, message)) => Err(message),
+            None => Ok(self.root.expect("the reader closed the root")),
+        }
+    }
 }
 
 /// Builds the paper's running example: the newspaper document of Fig. 2.a.
@@ -407,6 +742,82 @@ mod tests {
         let xml = doc.to_xml().to_xml();
         let back = ITree::from_xml(&parse_document(&xml).unwrap().root).unwrap();
         assert_eq!(back, doc);
+    }
+
+    /// What the builder makes of every event of `text`.
+    fn build(text: &str) -> Result<ITree, String> {
+        let mut reader = axml_xml::Reader::new(text);
+        let mut builder = TreeBuilder::default();
+        loop {
+            match reader.next_event().unwrap() {
+                Event::Eof => return builder.finish(),
+                event => builder.feed(event),
+            }
+        }
+    }
+
+    #[test]
+    fn builder_matches_from_xml() {
+        let int = format!("xmlns:int=\"{INT_NS}\"");
+        let texts = [
+            "<r/>".to_owned(),
+            "<r>  a &amp; b  <!-- c --> d <?p x?>e<![CDATA[ f ]]> <x/>\n </r>".to_owned(),
+            "<r>\n  <x>1</x>\n  <![CDATA[  ]]>  <y/>  </r>".to_owned(),
+            format!("<int:fun {int} methodName=\"f\" endpointURL=\"u\"/>"),
+            format!(
+                "<r {int}>text<int:fun methodName=\"f\" namespaceURI=\"n\">stray\
+                 <int:params> <int:param> p <!-- c -->  <![CDATA[ q ]]> </int:param>\
+                 <int:param>t<x>1</x>u</int:param></int:params>\
+                 <int:params><int:param><int:fun methodName=\"g\"/></int:param></int:params>\
+                 </int:fun><int:params><int:param/></int:params></r>"
+            ),
+            // Text a comment cuts from the next text by a blank run.
+            format!(
+                "<r {int}><int:fun methodName=\"f\"><int:params><int:param>a<!--c--> \
+                 <![CDATA[b]]></int:param></int:params></int:fun></r>"
+            ),
+            // Errors, with earlier ones after them in the text.
+            format!("<r {int}><int:fun/></r>"),
+            format!("<r {int}><int:fun p:methodName=\"f\" xmlns:p=\"u\"/></r>"),
+            format!("<r {int}><int:fun methodName=\"f\"><x/></int:fun></r>"),
+            format!("<r {int}><int:fun methodName=\"f\"><int:params><x/></int:params></int:fun></r>"),
+            format!("<r {int}><int:fun methodName=\"f\"><int:params><int:param> <!--c--> </int:param></int:params></int:fun></r>"),
+            format!(
+                "<r {int}><int:fun methodName=\"f\"><int:params><int:param>\
+                 <a><int:fun/></a><b/></int:param></int:params></int:fun></r>"
+            ),
+            format!(
+                "<r {int}><int:fun methodName=\"f\"><int:params><int:param>\
+                 <a><int:fun/></a></int:param><int:param><b/><c/></int:param></int:params></int:fun></r>"
+            ),
+            format!("<r {int}><int:fun methodName=\"f\"><int:fun/></int:fun><int:fun/></r>"),
+        ];
+        for text in &texts {
+            let dom = ITree::from_xml(&parse_document(text).unwrap().root);
+            assert_eq!(build(text), dom, "{text}");
+        }
+    }
+
+    #[test]
+    fn write_xml_matches_the_dom_writer() {
+        let mut odd = newspaper_example();
+        odd.children_mut().unwrap().extend([
+            ITree::Func(FuncNode {
+                name: "a\"<&'b".to_owned(),
+                endpoint: Some("http://x/?a=1&b=2".to_owned()),
+                namespace: Some("urn:'q'".to_owned()),
+                params: vec![ITree::text(""), ITree::func("inner", vec![])],
+            }),
+            ITree::elem("empty", vec![]),
+            ITree::elem("blank", vec![ITree::text("")]),
+            ITree::text("x < y & z > \"w\""),
+        ]);
+        for tree in [odd, ITree::text("bare & <text>"), ITree::func("f", vec![])] {
+            let compact = axml_xml::WriteOptions::compact();
+            let mut out = String::new();
+            tree.write_xml(&mut out).unwrap();
+            assert_eq!(out, axml_xml::element_to_string(&tree.to_xml(), &compact));
+        }
     }
 
     #[test]

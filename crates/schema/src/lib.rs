@@ -59,5 +59,5 @@ pub use generate::{
 };
 pub use path::{PathError, PathQuery, Step};
 pub use refine::{schema_refines, RefineFailure};
-pub use stream::{validate_xml_stream, StreamValidator};
+pub use stream::{read_validated, validate_xml_stream, ReadError, StreamValidator};
 pub use validate::{validate, validate_output_instance, words_of};

@@ -15,9 +15,10 @@
 
 use crate::compile::{Compiled, CompiledContent};
 use crate::def::SchemaError;
-use crate::doc::INT_NS;
+use crate::doc::{ITree, TreeBuilder, INT_NS};
 use axml_automata::Dfa;
-use axml_xml::{Event, Reader};
+use axml_xml::{Event, Reader, XmlError};
+use std::fmt;
 
 enum Frame<'c> {
     /// Inside an element with a regular content model.
@@ -42,21 +43,77 @@ enum Frame<'c> {
     Param { element: bool, text: bool },
 }
 
+fn malformed(e: XmlError) -> SchemaError {
+    SchemaError::Malformed {
+        message: e.message,
+        line: e.line,
+        offset: e.offset,
+    }
+}
+
 /// Validates the XML text of an intensional document against `compiled`
-/// in a single streaming pass.
+/// in a single streaming pass. Reading stops at the root's end tag.
 pub fn validate_xml_stream(text: &str, compiled: &Compiled) -> Result<(), SchemaError> {
     let mut reader = Reader::new(text);
     let mut v = StreamValidator::new(compiled);
     loop {
-        let event = reader.next_event().map_err(|e| SchemaError::Malformed {
-            message: e.message,
-            line: e.line,
-            offset: e.offset,
-        })?;
+        let event = reader.next_event().map_err(malformed)?;
         if !v.feed(&event)? {
             return Ok(());
         }
     }
+}
+
+/// Why [`read_validated`] refused a text, in the order that
+/// [`validate_xml_stream`], then `parse_document` and
+/// [`ITree::from_xml`], run one after the other, report it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ReadError {
+    /// What [`validate_xml_stream`] reports: the text up to the root's end
+    /// tag is malformed, or not an instance of the schema.
+    Invalid(SchemaError),
+    /// The text after the root's end tag is malformed, as
+    /// `parse_document` reports it.
+    Trailing(XmlError),
+    /// The `int:fun` markup does not decode, as [`ITree::from_xml`]
+    /// reports it.
+    Decode(String),
+}
+
+impl fmt::Display for ReadError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ReadError::Invalid(e) => write!(f, "{e}"),
+            ReadError::Trailing(e) => write!(f, "{e}"),
+            ReadError::Decode(message) => f.write_str(message),
+        }
+    }
+}
+
+/// Validates the XML text of an intensional document against `compiled`
+/// and builds its tree, in one pass and without a DOM: each event goes to
+/// a [`StreamValidator`] and to a tree builder. The result equals
+/// [`validate_xml_stream`], then
+/// `ITree::from_xml(&parse_document(text)?.root)`: the same verdict, the
+/// same error (see [`ReadError`]) and the same tree. A text refused late
+/// has been built up to where it was refused.
+pub fn read_validated(text: &str, compiled: &Compiled) -> Result<ITree, ReadError> {
+    let mut reader = Reader::new(text);
+    let mut validator = StreamValidator::new(compiled);
+    let mut builder = TreeBuilder::default();
+    loop {
+        let event = reader
+            .next_event()
+            .map_err(|e| ReadError::Invalid(malformed(e)))?;
+        let open = validator.feed(&event).map_err(ReadError::Invalid)?;
+        builder.feed(event);
+        if !open {
+            break;
+        }
+    }
+    // Past the root only comments, PIs and blanks may follow.
+    while reader.next_event().map_err(ReadError::Trailing)? != Event::Eof {}
+    builder.finish().map_err(ReadError::Decode)
 }
 
 /// Incremental validator; feed it pull-parser events.
@@ -409,7 +466,22 @@ mod tests {
         .unwrap();
         let xml = "<r><blob><x><y>deep</y></x><z/></blob><a>1</a></r>";
         validate_xml_stream(xml, &c).unwrap();
+        let dom = ITree::from_xml(&axml_xml::parse_document(xml).unwrap().root);
+        assert_eq!(read_validated(xml, &c), Ok(dom.unwrap()));
         // The wildcard does not leak: 'a' is still required after blob.
         assert!(validate_xml_stream("<r><blob><x/></blob></r>", &c).is_err());
+        // The validator accepts any markup below a wildcard, but the
+        // decoder still reads calls there: one without `methodName` is
+        // valid and does not decode, and the one-pass reader says so in
+        // the decoder's words.
+        let no_method = format!("<r><blob><int:fun xmlns:int=\"{INT_NS}\"/></blob><a>1</a></r>");
+        validate_xml_stream(&no_method, &c).unwrap();
+        let message = "int:fun element is missing methodName";
+        let dom = ITree::from_xml(&axml_xml::parse_document(&no_method).unwrap().root);
+        assert_eq!(dom, Err(message.to_owned()));
+        assert_eq!(
+            read_validated(&no_method, &c),
+            Err(ReadError::Decode(message.to_owned()))
+        );
     }
 }

@@ -1,6 +1,6 @@
 //! Streaming pull parser and DOM builder.
 
-use crate::escape::unescape;
+use crate::escape::{text_run, unescape};
 use crate::model::{Attribute, Document, Element, Node, NsScope, QName};
 use std::borrow::Cow;
 use std::collections::HashSet;
@@ -266,15 +266,17 @@ impl<'a> Reader<'a> {
         Ok(Event::Text(Cow::Borrowed(text)))
     }
 
+    /// Character data up to the next `<`: one scan finds its end and
+    /// whether it holds an entity, and only then is it unescaped.
     fn parse_text(&mut self) -> Result<Event<'a>, XmlError> {
-        let end = self.rest().find('<').unwrap_or(self.rest().len());
-        let raw = &self.rest()[..end];
-        let start = self.pos;
-        self.pos += end;
-        let text = unescape(raw).map_err(|m| {
-            self.pos = start;
-            self.err(m)
-        })?;
+        let (end, amp) = text_run(self.input.as_bytes(), self.pos);
+        let raw = &self.input[self.pos..end];
+        let text = if amp {
+            unescape(raw).map_err(|m| self.err(m))?
+        } else {
+            Cow::Borrowed(raw)
+        };
+        self.pos = end;
         Ok(Event::Text(text))
     }
 
@@ -745,6 +747,55 @@ mod tests {
     fn line_numbers_in_errors() {
         let e = parse_document("<a>\n\n<b></c>\n</a>").unwrap_err();
         assert_eq!(e.line, 3);
+    }
+
+    #[test]
+    fn text_scan_across_block_edges() {
+        // The text scan folds 64-byte blocks, so put each byte it must
+        // stop at or step over at every offset across two block edges:
+        // the next tag, an entity, a character reference and a
+        // multi-byte character. The `&` after the tag falls in the block
+        // that holds the tag and belongs to the next run.
+        for n in 0..=130 {
+            let pad = "x".repeat(n);
+            for (raw, text) in [
+                ("", ""),
+                ("&amp;z", "&z"),
+                ("&#x20AC;z", "\u{20AC}z"),
+                ("\u{20AC}z", "\u{20AC}z"),
+            ] {
+                let doc = format!("<r>{pad}{raw}<b/>q&amp;</r>");
+                let mut reader = Reader::new(&doc);
+                let mut next = || reader.next_event().unwrap();
+                assert!(matches!(next(), Event::StartElement { .. }));
+                let want = format!("{pad}{text}");
+                if !want.is_empty() {
+                    match next() {
+                        Event::Text(t) => {
+                            assert_eq!(t, want, "{raw:?} at {n}");
+                            let borrowed = matches!(t, Cow::Borrowed(_));
+                            assert_eq!(borrowed, !raw.contains('&'), "{raw:?} at {n}");
+                        }
+                        other => panic!("{raw:?} at {n}: expected text, got {other:?}"),
+                    }
+                }
+                match next() {
+                    Event::StartElement { name, .. } => assert_eq!(name.local, "b", "at {n}"),
+                    other => panic!("{raw:?} at {n}: expected <b/>, got {other:?}"),
+                }
+                assert!(matches!(next(), Event::EndElement { .. }));
+                assert_eq!(next(), Event::Text(Cow::Borrowed("q&")), "{raw:?} at {n}");
+                assert!(matches!(next(), Event::EndElement { .. }));
+                assert_eq!(next(), Event::Eof);
+            }
+            // A bad entity is reported at the start of its run.
+            let doc = format!("<r>{pad}&bad;</r>");
+            let err = parse_document(&doc).unwrap_err();
+            assert_eq!(
+                (err.offset, err.message.as_str()),
+                (3, "unknown entity '&bad;'")
+            );
+        }
     }
 
     #[test]

@@ -53,14 +53,8 @@ pub fn write_document(doc: &Document, options: &WriteOptions) -> String {
 /// Serializes a single element (used by [`Element::to_xml`]).
 pub fn element_to_string(e: &Element, options: &WriteOptions) -> String {
     let mut out = String::new();
-    write_element_into(e, options, &mut out);
+    write_element(e, options, 0, &mut out);
     out
-}
-
-/// Appends what [`element_to_string`] returns to `out`, so a caller can
-/// serialize into a buffer it keeps.
-pub fn write_element_into(e: &Element, options: &WriteOptions, out: &mut String) {
-    write_element(e, options, 0, out);
 }
 
 fn write_indent(options: &WriteOptions, depth: usize, out: &mut String) {
@@ -200,17 +194,6 @@ impl StreamWriter {
 mod tests {
     use super::*;
     use crate::parse_document;
-
-    #[test]
-    fn write_element_into_appends_the_string_form() {
-        let doc = parse_document("<a x=\"1\"><b>t &amp; u</b><c/></a>").unwrap();
-        let mut out = "kept:".to_owned();
-        write_element_into(&doc.root, &WriteOptions::compact(), &mut out);
-        assert_eq!(
-            out,
-            format!("kept:{}", element_to_string(&doc.root, &WriteOptions::compact()))
-        );
-    }
 
     #[test]
     fn stream_writer_matches_compact_form() {

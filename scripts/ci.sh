@@ -521,6 +521,25 @@ echo "== tier-1: chunking gate (wire parity + fuzz + 4x-cap ship, DESIGN.md §14
 # negotiation cases of the three-way protocol-fault matrix, the
 # connection core's XXH64 property run and the XXH64 split property
 # all run under one wall-clock budget.
+#
+# The chunked path carries no DOM (DESIGN.md §13.5, §14.4): the receiver
+# validates and builds its tree in one pass, and the sender writes the
+# enforced tree straight into the chunk frames. Neither function may
+# parse into, decode from or encode into `axml_xml::Element`.
+dom_on_chunked_path=$(
+    awk 'match($0, /^ *(pub )?fn (receive_document_text|send_document_chunked_with)[(<]/) {
+            body = 1; found++; indent = $0; sub(/[^ ].*/, "", indent)
+        }
+        body && /parse_document\(|from_xml\(|\.to_xml\(/ { print FILENAME ":" NR ": " $0 }
+        body && $0 == indent "}" { body = 0 }
+        END { if (found != 2) print FILENAME ": found " found + 0 " of the 2 chunked-path functions" }' \
+        crates/peer/src/net.rs
+)
+if [ -n "$dom_on_chunked_path" ]; then
+    echo "a DOM on the chunked path:"
+    echo "$dom_on_chunked_path"
+    exit 1
+fi
 chunk_started=$(date +%s)
 timeout --kill-after=10 60 cargo test -q --offline --test chunk_parity
 timeout --kill-after=10 60 cargo test -q --offline --test poller_frames -- \
@@ -564,7 +583,9 @@ b15 = json.loads((pathlib.Path(sys.argv[1]) / "BENCH_b15_chunked_ship.json").rea
 ids = {b["id"] for b in b15["benchmarks"]}
 want = {"single_1mib_threads", "single_1mib_poll",
         "chunked_16mib_threads", "chunked_16mib_poll",
-        "enforced_chunked_4mib_threads", "enforced_chunked_4mib_poll"}
+        "enforced_chunked_4mib_threads", "enforced_chunked_4mib_poll",
+        "receive_1mib_one_pass", "receive_1mib_dom",
+        "write_1mib_tree", "write_1mib_dom"}
 assert want <= ids, f"B15 variants missing: {want - ids}"
 reports = b15["ship_reports"]
 assert reports, "B15 emitted no ship reports"

@@ -12,7 +12,9 @@
 //!   `bytes_copied + bytes_rewritten == bytes_out` accounting identity;
 //! * a property holding the streaming validator receivers run to the
 //!   verdict of DOM validation, over the same newspapers and textual
-//!   mutations of them;
+//!   mutations of them, and the chunked receiver's one pass
+//!   (`read_validated`) to the verdict, message and tree of the three
+//!   passes it replaced;
 //! * pinned regressions for error ordering (leftmost error wins) and the
 //!   error taxonomy surviving the fallback;
 //! * a transport-matrix case shipping a streamed-enforced document across
@@ -22,8 +24,11 @@
 use axml::core::invoke::{Invoker, ScriptedInvoker};
 use axml::core::rewrite::{RewriteError, Strategy as RwStrategy};
 use axml::core::stream::{enforce_dom, enforce_stream, enforce_stream_with, StreamOptions};
-use axml::peer::{NetInvoker, NetPeer, Peer, Query, RemotePeer};
-use axml::schema::{validate, validate_xml_stream, Compiled, ITree, NoOracle, Schema};
+use axml::peer::net::receive_document_text;
+use axml::peer::{NetInvoker, NetPeer, Peer, PeerError, Query, RemotePeer};
+use axml::schema::{
+    read_validated, validate, validate_xml_stream, Compiled, ITree, NoOracle, ReadError, Schema,
+};
 use axml::services::{Registry, ServiceDef};
 use axml_support::prelude::*;
 use std::sync::Arc;
@@ -296,6 +301,37 @@ fn dom_accepts(text: &str, compiled: &Compiled) -> bool {
         .is_some_and(|t| validate(&t, compiled).is_ok())
 }
 
+/// The chunked receiver's verdict, message and tree as three passes give
+/// them: `validate_xml_stream`, then `parse_document` and
+/// `ITree::from_xml`, worded as `receive_document_text` words each. The
+/// reference for the one-pass reader.
+fn three_passes(text: &str, compiled: &Compiled) -> Result<ITree, String> {
+    validate_xml_stream(text, compiled).map_err(|e| e.to_string())?;
+    let doc = axml::xml::parse_document(text).map_err(|e| format!("chunked document: {e}"))?;
+    ITree::from_xml(&doc.root)
+}
+
+/// Holds the one-pass reader, and `receive_document_text` on a peer of
+/// `compiled`, to [`three_passes`] on `text`.
+fn assert_one_pass(peer: &Peer, text: &str) {
+    let want = three_passes(text, &peer.compiled);
+    let read = read_validated(text, &peer.compiled);
+    match (&read, &want) {
+        (Ok(tree), Ok(reference)) => assert_eq!(tree, reference, "trees diverge on {text}"),
+        (Err(ReadError::Invalid(e)), Err(m)) => assert_eq!(&e.to_string(), m, "on {text}"),
+        (Err(ReadError::Trailing(e)), Err(m)) => {
+            assert_eq!(&format!("chunked document: {e}"), m, "on {text}")
+        }
+        (Err(ReadError::Decode(e)), Err(m)) => assert_eq!(e, m, "on {text}"),
+        _ => panic!("verdicts diverge on {text}: one pass {read:?}, three passes {want:?}"),
+    }
+    match (receive_document_text(peer, "doc", text), want) {
+        (Ok(_), Ok(reference)) => assert_eq!(peer.repository.load("doc").unwrap(), reference),
+        (Err(PeerError::Enforcement(m)), Err(reference)) => assert_eq!(m, reference, "on {text}"),
+        (got, want) => panic!("receiver diverges on {text}: {got:?}, three passes {want:?}"),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -313,18 +349,29 @@ proptest! {
     }
 
     /// The streaming validator receivers run reaches the verdict of DOM
-    /// validation, on each newspaper and on every mutation of it.
+    /// validation, on each newspaper and on every mutation of it; and the
+    /// chunked receiver's one pass gives the verdict, message and tree of
+    /// the three passes it replaced, content after the root included.
     #[test]
     fn validator_verdicts_match_dom(doc in newspaper_strategy(), pretty in (0u32..2).prop_map(|b| b == 1)) {
         let input = render(&doc, pretty);
         let mut inputs = mutations(&input);
+        // The validator stops at the root's end tag; the receiver reads on.
+        let trailing: Vec<String> = ["<x/>", "trailing text", "<!-- trailing comment -->"]
+            .iter()
+            .map(|tail| format!("{input}{tail}"))
+            .collect();
         inputs.push(input);
         for model in MODELS {
-            let c = compiled(model);
+            let c = Arc::new(compiled(model));
+            let peer = Peer::new("receiver", Arc::clone(&c), Arc::new(Registry::new()));
             for text in &inputs {
                 let stream = validate_xml_stream(text, &c);
                 prop_assert_eq!(stream.is_ok(), dom_accepts(text, &c),
                     "verdicts diverge on {}: stream says {:?}", text, stream);
+            }
+            for text in inputs.iter().chain(&trailing) {
+                assert_one_pass(&peer, text);
             }
         }
     }

@@ -142,8 +142,8 @@ fn feed_compiled() -> Compiled {
 /// The `Get_Quote` call sites in [`feed_xml`]'s feed.
 const FEED_CALL_SITES: usize = 1;
 
-/// An intensional quote feed (B14's shape, one call site) for the
-/// end-to-end enforced-ship variant.
+/// An intensional quote feed (a `meta` header, 64 KiB text chunks, one
+/// call site) for the end-to-end enforced-ship variant.
 fn feed_xml(target_bytes: usize) -> String {
     let chunk_body: String = "abcdefghijklmnopqrstuvwxyz0123456789 "
         .chars()

@@ -14,9 +14,9 @@
 //!   against live services, including the backtracking executor of Sec. 5,
 //!   and the Schema Enforcement module's validate-or-rewrite of Sec. 7 for
 //!   a tree and for a forest against a function's input or output type.
-//! * [`stream`] — streaming bounded-memory enforcement: the same rewrite
-//!   driven incrementally off the pull parser, materializing only the
-//!   subtrees that contain function calls.
+//! * [`stream`] — text-to-text enforcement: the DOM reference pipeline
+//!   (parse, decode, validate-or-rewrite, compact write) that the
+//!   single-frame ship and the benchmarks call.
 //! * [`mixed`] — the mixed approach of Sec. 5 (eager invocation of cheap
 //!   calls, then safe analysis on actual results); its select-driven
 //!   materialization pass also enriches a peer's stored documents.

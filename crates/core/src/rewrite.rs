@@ -46,14 +46,14 @@ pub enum RewriteError {
     NotSafe {
         /// The element label (or `τ_in(f)` context) that failed.
         context: String,
-        /// The children word, rendered.
+        /// The children word, rendered by [`Compiled::show_word`].
         word: String,
     },
     /// No rewriting can possibly succeed for the children of some node.
     NotPossible {
         /// The element label (or `τ_in(f)` context) that failed.
         context: String,
-        /// The children word, rendered.
+        /// The children word, rendered by [`Compiled::show_word`].
         word: String,
     },
     /// Every viable branch was tried and failed (possible-mode execution).
@@ -612,7 +612,7 @@ impl<'c> Rewriter<'c> {
                 None => Ok(tree.clone()),
                 Some(slot) => {
                     let children =
-                        self.rewrite_word(&[], children, slot, label, strategy, invoker, report)?;
+                        self.rewrite_word(children, slot, label, strategy, invoker, report)?;
                     Ok(ITree::elem(label, children))
                 }
             },
@@ -629,47 +629,13 @@ impl<'c> Rewriter<'c> {
     ) -> Result<Vec<ITree>, RewriteError> {
         let slot = TargetSlot::Input(self.compiled.classify_func(&f.name));
         let context = format!("τ_in({})", f.name);
-        self.rewrite_word(&[], &f.params, slot, &context, strategy, invoker, report)
+        self.rewrite_word(&f.params, slot, &context, strategy, invoker, report)
     }
 
-    /// Rewrites only the *tail* of a forest whose `prefix` symbols have
-    /// already been consumed (and emitted) by the streaming enforcer.
-    ///
-    /// The game is built over the full word `prefix · word(tail)` — the
-    /// same `A_w^k` the DOM path would build for the element — but the
-    /// prefix is advanced through forced letter moves without producing
-    /// output: the streamed prefix children are function-free and
-    /// individually valid, so the DOM rewriter would copy them verbatim.
-    /// Execution (forks, invocations, splices) starts at the reached
-    /// product node and consumes only the materialized `tail` items. With
-    /// an empty prefix this rewrites a bare forest ([`enforce_forest`]).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn rewrite_suffix(
-        &self,
-        prefix: &[Symbol],
-        tail: &[ITree],
-        slot: TargetSlot,
-        context: &str,
-        strategy: Strategy,
-        invoker: &mut dyn Invoker,
-        report: &mut RewriteReport,
-    ) -> Result<Vec<ITree>, RewriteError> {
-        // Stage 1 on the materialized tail only: the streamed prefix is
-        // function-free by construction.
-        let mut pre = Analysis::default();
-        for t in tail {
-            self.analyze_params(t, strategy, &mut pre)?;
-        }
-        self.rewrite_word(prefix, tail, slot, context, strategy, invoker, report)
-    }
-
-    /// Rewrites the forest `items`, preceded by the already emitted
-    /// `prefix` symbols, into the target of `slot`: solves the strategy's
-    /// game for the whole word, walks the prefix, then executes `items`.
-    #[allow(clippy::too_many_arguments)]
+    /// Rewrites the forest `items` into the target of `slot`: solves the
+    /// strategy's game for its word, then executes it.
     fn rewrite_word(
         &self,
-        prefix: &[Symbol],
         items: &[ITree],
         slot: TargetSlot,
         context: &str,
@@ -677,16 +643,9 @@ impl<'c> Rewriter<'c> {
         invoker: &mut dyn Invoker,
         report: &mut RewriteReport,
     ) -> Result<Vec<ITree>, RewriteError> {
-        let word: Vec<Symbol> = prefix.iter().copied().chain(self.word_of(items)).collect();
-        let game = self.solve(strategy, &word, slot, context)?;
+        let game = self.solve(strategy, &self.word_of(items), slot, context)?;
         report.games += 1;
-        let mut cur = game.start;
-        for &sym in prefix {
-            cur = game
-                .step(cur, sym, context)?
-                .ok_or_else(|| exhausted(context))?;
-        }
-        self.exec(&game, items, cur, invoker, report, context)
+        self.exec(&game, items, game.start, invoker, report, context)
     }
 
     // ------------------------------------------------------------------
@@ -950,7 +909,7 @@ impl<'c> Rewriter<'c> {
             Ok::<_, RewriteError>(Game::solve(strategy, awk, dfa, BuildMode::Lazy))
         })?;
         if !game.wins() {
-            return Err(strategy.refusal(context, self.compiled.alphabet().format_word(word)));
+            return Err(strategy.refusal(context, self.compiled.show_word(word)));
         }
         Ok(game)
     }
@@ -1040,18 +999,15 @@ pub fn enforce_forest<'t>(
     if validate_output_instance(forest, dfa, compiled).is_ok() {
         return Ok(Cow::Borrowed(forest));
     }
-    let out = Rewriter::new(compiled)
-        .with_k(k)
-        .with_cache(cache)
-        .rewrite_suffix(
-            &[],
-            forest,
-            slot,
-            &format!("{context}({function})"),
-            Strategy::Safe,
-            invoker,
-            &mut RewriteReport::default(),
-        )?;
+    let rw = Rewriter::new(compiled).with_k(k).with_cache(cache);
+    let strategy = Strategy::Safe;
+    // Stage 1: the parameters of the forest's own calls.
+    for t in forest {
+        rw.analyze_params(t, strategy, &mut Analysis::default())?;
+    }
+    let context = format!("{context}({function})");
+    let report = &mut RewriteReport::default();
+    let out = rw.rewrite_word(forest, slot, &context, strategy, invoker, report)?;
     Ok(Cow::Owned(out))
 }
 

@@ -442,9 +442,9 @@ impl RemotePeer {
     }
 
     /// Sender-side whole-document enforcement for the single-frame ship:
-    /// element documents stream through [`enforce_stream_with`] (warming
-    /// the caller's solver cache and its `enforce.stream.*` metrics); any
-    /// other root takes the DOM pipeline through the same cache.
+    /// element documents go through [`enforce_stream_with`], the text
+    /// pipeline, as their compact text; any other root goes through
+    /// `enforce_with` directly. Both solve through the caller's cache.
     fn enforce_outbound(
         caller: &Peer,
         exchange: &Compiled,

@@ -22,6 +22,10 @@ use crate::def::{Content, PatternOracle, Schema, SchemaError, ANY_ELEMENT, ANY_F
 use axml_automata::{Alphabet, Dfa, Glushkov, Nfa, Regex, Symbol};
 use std::collections::BTreeMap;
 
+/// Symbols of a refused word that a refusal names; the rest are counted.
+/// A peer's word can run to megabytes, and a refusal goes back to it.
+const WORD_SHOWN: usize = 32;
+
 /// Cap on declared patterns (class enumeration is exponential per
 /// signature group; real schemas use a handful).
 pub const MAX_PATTERNS: usize = 12;
@@ -84,7 +88,6 @@ pub struct Compiled {
     kinds: Vec<SymKind>,
     content: Vec<Option<CompiledContent>>,
     sigs: Vec<Option<SigInfo>>,
-    admits_fun: Vec<bool>,
     anyelem: Symbol,
     anyfun: Symbol,
     data: Symbol,
@@ -282,30 +285,12 @@ impl Compiled {
                 invocable: false,
             });
         }
-        // Which labels' content models can contain a function symbol at all —
-        // the streaming enforcer's lookahead: an `int:fun` child under a label
-        // that admits none is necessarily a rewrite site, and a valid-as-is
-        // splice is only worth checking where one is admitted.
-        let admits_fun: Vec<bool> = content
-            .iter()
-            .map(|slot| match slot {
-                Some(CompiledContent::Any) => true,
-                Some(CompiledContent::Model { regex, .. }) => regex.symbols().iter().any(|&s| {
-                    matches!(
-                        kinds[s as usize],
-                        SymKind::Function | SymKind::Class | SymKind::AnyFun
-                    )
-                }),
-                Some(CompiledContent::Data) | None => false,
-            })
-            .collect();
         Ok(Compiled {
             schema,
             alphabet,
             kinds,
             content,
             sigs,
-            admits_fun,
             anyelem,
             anyfun,
             data,
@@ -316,6 +301,17 @@ impl Compiled {
     /// The effective alphabet.
     pub fn alphabet(&self) -> &Alphabet {
         &self.alphabet
+    }
+
+    /// Renders `word` for a refusal: at most its first 32 symbols, then
+    /// `…(+N more)` for the `N` symbols left out.
+    pub fn show_word(&self, word: &[Symbol]) -> String {
+        let shown = word.len().min(WORD_SHOWN);
+        let mut out = self.alphabet.format_word(&word[..shown]);
+        if word.len() > shown {
+            out.push_str(&format!("…(+{} more)", word.len() - shown));
+        }
+        out
     }
 
     /// A deterministic structural hash of the compiled schema: effective
@@ -425,20 +421,6 @@ impl Compiled {
     /// True if calls classified to `sym` may be invoked by rewritings.
     pub fn invocable(&self, sym: Symbol) -> bool {
         self.sig(sym).is_some_and(|s| s.invocable)
-    }
-
-    /// True if the content model of label symbol `sym` admits function
-    /// symbols directly among its children (wildcard content admits
-    /// anything). The streaming enforcer uses this lookahead to decide
-    /// whether an element that turned out to contain `int:fun` children can
-    /// possibly be valid as-is, or is necessarily a rewrite site.
-    pub fn admits_functions(&self, sym: Symbol) -> bool {
-        self.admits_fun.get(sym as usize).copied().unwrap_or(false)
-    }
-
-    /// [`Compiled::admits_functions`] by label name.
-    pub fn admits_functions_of(&self, label: &str) -> bool {
-        self.admits_functions(self.classify_label(label))
     }
 
     /// All label symbols.

@@ -186,10 +186,8 @@ impl ITree {
 
 /// Decodes a DOM child list the way [`ITree::from_xml`] treats element
 /// content: elements recurse (recognizing `int:fun`), text is trimmed and
-/// dropped when whitespace-only, comments and PIs vanish. Exposed so the
-/// streaming enforcer can materialize a tail forest with identical
-/// normalization to the DOM path.
-pub fn forest_from_nodes(nodes: &[Node]) -> Result<Vec<ITree>, String> {
+/// dropped when whitespace-only, comments and PIs vanish.
+fn forest_from_nodes(nodes: &[Node]) -> Result<Vec<ITree>, String> {
     let mut children = Vec::new();
     for c in nodes {
         match c {
@@ -452,8 +450,8 @@ pub(crate) struct TreeBuilder<'a> {
 }
 
 /// The value of the attribute written `name`, as [`Element::attribute`]
-/// finds it.
-fn attribute(attributes: &[Attribute], name: &str) -> Option<String> {
+/// finds it: a prefixed attribute of that local name is another one.
+pub(crate) fn attribute(attributes: &[Attribute], name: &str) -> Option<String> {
     attributes
         .iter()
         .find(|a| a.name.prefix.is_empty() && a.name.local == name)

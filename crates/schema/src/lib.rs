@@ -53,7 +53,7 @@ pub use def::{
     merge, overlay, Content, ElementDef, FunctionDef, NameKind, NoOracle, PatternDef,
     PatternOracle, Predicate, Schema, SchemaBuilder, SchemaError, ANY_ELEMENT, ANY_FUNCTION, DATA,
 };
-pub use doc::{forest_from_nodes, newspaper_example, FuncNode, ITree, INT_NS};
+pub use doc::{newspaper_example, FuncNode, ITree, INT_NS};
 pub use generate::{
     generate_instance, generate_output_instance, generate_word_instance, GenConfig, GenError,
 };

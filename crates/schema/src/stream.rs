@@ -15,7 +15,7 @@
 
 use crate::compile::{Compiled, CompiledContent};
 use crate::def::SchemaError;
-use crate::doc::{ITree, TreeBuilder, INT_NS};
+use crate::doc::{attribute, ITree, TreeBuilder, INT_NS};
 use axml_automata::Dfa;
 use axml_xml::{Event, Reader, XmlError};
 use std::fmt;
@@ -52,25 +52,24 @@ fn malformed(e: XmlError) -> SchemaError {
 }
 
 /// Validates the XML text of an intensional document against `compiled`
-/// in a single streaming pass. Reading stops at the root's end tag.
+/// in a single streaming pass. Reading goes on to the end of the text,
+/// which, past the root, may hold only comments, PIs and blanks.
 pub fn validate_xml_stream(text: &str, compiled: &Compiled) -> Result<(), SchemaError> {
-    let mut reader = Reader::new(text);
-    let mut v = StreamValidator::new(compiled);
-    loop {
-        let event = reader.next_event().map_err(malformed)?;
-        if !v.feed(&event)? {
-            return Ok(());
-        }
-    }
+    read(text, compiled, |_| {}).map_err(|e| match e {
+        ReadError::Invalid(e) => e,
+        ReadError::Trailing(e) => malformed(e),
+        ReadError::Decode(_) => unreachable!("reading alone decodes nothing"),
+    })
 }
 
-/// Why [`read_validated`] refused a text, in the order that
-/// [`validate_xml_stream`], then `parse_document` and
-/// [`ITree::from_xml`], run one after the other, report it.
+/// Why [`read_validated`] refused a text, in the order it reports them:
+/// first what the streaming validator finds up to the root's end tag,
+/// then malformed text after it, then what [`ITree::from_xml`] cannot
+/// decode.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ReadError {
-    /// What [`validate_xml_stream`] reports: the text up to the root's end
-    /// tag is malformed, or not an instance of the schema.
+    /// The text up to the root's end tag is malformed, or not an instance
+    /// of the schema.
     Invalid(SchemaError),
     /// The text after the root's end tag is malformed, as
     /// `parse_document` reports it.
@@ -92,28 +91,39 @@ impl fmt::Display for ReadError {
 
 /// Validates the XML text of an intensional document against `compiled`
 /// and builds its tree, in one pass and without a DOM: each event goes to
-/// a [`StreamValidator`] and to a tree builder. The result equals
-/// [`validate_xml_stream`], then
-/// `ITree::from_xml(&parse_document(text)?.root)`: the same verdict, the
-/// same error (see [`ReadError`]) and the same tree. A text refused late
-/// has been built up to where it was refused.
+/// a [`StreamValidator`] and to a tree builder. It accepts what
+/// [`validate_xml_stream`] accepts and `ITree::from_xml` decodes, and
+/// builds the tree `ITree::from_xml(&parse_document(text)?.root)` builds;
+/// a refusal is ranked as [`ReadError`] says. A text refused late has
+/// been built up to where it was refused.
 pub fn read_validated(text: &str, compiled: &Compiled) -> Result<ITree, ReadError> {
+    let mut builder = TreeBuilder::default();
+    read(text, compiled, |event| builder.feed(event))?;
+    builder.finish().map_err(ReadError::Decode)
+}
+
+/// Reads `text` to its end: each event up to the root's end tag goes to a
+/// [`StreamValidator`] and then to `each`; past the root only comments,
+/// PIs and blanks may follow.
+fn read<'a>(
+    text: &'a str,
+    compiled: &Compiled,
+    mut each: impl FnMut(Event<'a>),
+) -> Result<(), ReadError> {
     let mut reader = Reader::new(text);
     let mut validator = StreamValidator::new(compiled);
-    let mut builder = TreeBuilder::default();
     loop {
         let event = reader
             .next_event()
             .map_err(|e| ReadError::Invalid(malformed(e)))?;
         let open = validator.feed(&event).map_err(ReadError::Invalid)?;
-        builder.feed(event);
+        each(event);
         if !open {
             break;
         }
     }
-    // Past the root only comments, PIs and blanks may follow.
     while reader.next_event().map_err(ReadError::Trailing)? != Event::Eof {}
-    builder.finish().map_err(ReadError::Decode)
+    Ok(())
 }
 
 /// Incremental validator; feed it pull-parser events.
@@ -230,10 +240,7 @@ impl<'c> StreamValidator<'c> {
                     return Ok(true);
                 }
                 if name.matches(INT_NS, "fun") {
-                    let method = attributes
-                        .iter()
-                        .find(|a| a.name.local == "methodName")
-                        .map(|a| a.value.clone())
+                    let method = attribute(attributes, "methodName")
                         .ok_or_else(|| Self::invalid("int:fun without methodName"))?;
                     let sym = self.compiled.classify_func(&method);
                     self.consume_symbol(sym)?;
@@ -400,6 +407,12 @@ mod tests {
         assert!(validate_xml_stream("<newspaper><title><b>t</b></title></newspaper>", &c).is_err());
         // Empty element whose model demands content.
         assert!(validate_xml_stream("<newspaper/>", &c).is_err());
+        // A second root after a valid one: the text does not parse.
+        let two_roots = format!("{}<newspaper/>", newspaper_example().to_xml().to_xml());
+        assert!(matches!(
+            validate_xml_stream(&two_roots, &c),
+            Err(SchemaError::Malformed { .. })
+        ));
     }
 
     #[test]

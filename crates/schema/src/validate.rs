@@ -10,21 +10,6 @@ use crate::def::SchemaError;
 use crate::doc::ITree;
 use axml_automata::Symbol;
 
-/// Symbols of a refused word that a refusal names; the rest are counted.
-/// A peer's word can run to megabytes, and a refusal goes back to it.
-const WORD_SHOWN: usize = 32;
-
-/// Renders at most the first [`WORD_SHOWN`] symbols of `word`, then
-/// `…(+N more)` for the `N` symbols left out.
-fn show_word(word: &[Symbol], compiled: &Compiled) -> String {
-    let shown = word.len().min(WORD_SHOWN);
-    let mut out = compiled.alphabet().format_word(&word[..shown]);
-    if word.len() > shown {
-        out.push_str(&format!("…(+{} more)", word.len() - shown));
-    }
-    out
-}
-
 /// Validates `tree` against the compiled schema.
 pub fn validate(tree: &ITree, compiled: &Compiled) -> Result<(), SchemaError> {
     match tree {
@@ -46,7 +31,7 @@ pub fn validate(tree: &ITree, compiled: &Compiled) -> Result<(), SchemaError> {
                     message: format!(
                         "parameters of '{}' do not match its input type (got {})",
                         f.name,
-                        show_word(&word, compiled)
+                        compiled.show_word(&word)
                     ),
                 });
             }
@@ -83,7 +68,7 @@ fn validate_element(
                 return Err(SchemaError::Invalid {
                     message: format!(
                         "children of '{label}' ({}) do not match its content model",
-                        show_word(&word, compiled)
+                        compiled.show_word(&word)
                     ),
                 });
             }
@@ -122,7 +107,7 @@ pub fn validate_output_instance(
         return Err(SchemaError::Invalid {
             message: format!(
                 "returned forest ({}) does not match the output type",
-                show_word(&word, compiled)
+                compiled.show_word(&word)
             ),
         });
     }

@@ -41,4 +41,4 @@ mod writer;
 pub use escape::{escape_attr, escape_text, unescape};
 pub use model::{Attribute, Document, Element, Node, NsScope, QName};
 pub use reader::{parse_document, Event, Reader, XmlError, MAX_DEPTH};
-pub use writer::{element_to_string, write_document, StreamWriter, WriteOptions};
+pub use writer::{element_to_string, write_document, WriteOptions};

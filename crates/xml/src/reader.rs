@@ -127,19 +127,6 @@ impl<'a> Reader<'a> {
         }
     }
 
-    /// Current byte offset into the input (the start of the next event).
-    pub fn pos(&self) -> usize {
-        self.pos
-    }
-
-    /// The full input slice the reader was created over; together with
-    /// [`Reader::pos`] this gives callers raw-span access to the original
-    /// bytes of already-consumed regions (used by the streaming enforcer
-    /// for zero-copy splicing and buffer accounting).
-    pub fn input(&self) -> &'a str {
-        self.input
-    }
-
     fn err(&self, message: impl Into<String>) -> XmlError {
         let line = 1 + self.input[..self.pos.min(self.input.len())]
             .bytes()

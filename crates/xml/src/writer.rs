@@ -130,86 +130,10 @@ fn write_node(node: &Node, options: &WriteOptions, depth: usize, out: &mut Strin
     }
 }
 
-/// An incremental serializer for the compact single-line normal form.
-///
-/// Produces byte-for-byte what [`element_to_string`] with
-/// [`WriteOptions::compact`] emits for attribute-free elements: tags are
-/// closed lazily so childless elements collapse to `<name/>`, nothing is
-/// indented, and text must arrive already escaped (callers decide between
-/// zero-copy spans and re-escaped runs). Used by the streaming enforcement
-/// path to splice rewritten subtree serializations between streamed regions.
-#[derive(Debug, Default)]
-pub struct StreamWriter {
-    out: String,
-    tag_open: bool,
-}
-
-impl StreamWriter {
-    fn put(&mut self, s: &str) -> usize {
-        self.out.push_str(s);
-        s.len()
-    }
-
-    /// Closes a pending start tag, if any, with `>`.
-    fn close_tag(&mut self) -> usize {
-        if self.tag_open {
-            self.tag_open = false;
-            return self.put(">");
-        }
-        0
-    }
-
-    /// Opens `<name`, deferring the closing `>` until content arrives.
-    /// Returns the number of bytes written.
-    pub fn start(&mut self, name: &str) -> usize {
-        let n = self.close_tag() + self.put("<") + self.put(name);
-        self.tag_open = true;
-        n
-    }
-
-    /// Closes the current element: `/>` if it had no content, `</name>`
-    /// otherwise. Returns the number of bytes written.
-    pub fn end(&mut self, name: &str) -> usize {
-        if self.tag_open {
-            self.tag_open = false;
-            return self.put("/>");
-        }
-        self.put("</") + self.put(name) + self.put(">")
-    }
-
-    /// Writes pre-serialized content verbatim (escaped text or a spliced
-    /// subtree serialization), closing any pending start tag first.
-    /// Returns the number of bytes written.
-    pub fn raw(&mut self, s: &str) -> usize {
-        self.close_tag() + self.put(s)
-    }
-
-    /// The text written so far.
-    pub fn into_string(self) -> String {
-        self.out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::parse_document;
-
-    #[test]
-    fn stream_writer_matches_compact_form() {
-        let mut sw = StreamWriter::default();
-        sw.start("a");
-        sw.start("b");
-        sw.raw("text &amp; more");
-        sw.end("b");
-        sw.start("c");
-        sw.end("c");
-        sw.end("a");
-        let out = sw.into_string();
-        assert_eq!(out, "<a><b>text &amp; more</b><c/></a>");
-        let doc = parse_document(&out).unwrap();
-        assert_eq!(doc.root.to_xml(), out);
-    }
 
     #[test]
     fn roundtrip_compact() {

@@ -59,11 +59,10 @@ assert "exchange_tcp_loopback" in ids, f"B9 loopback exchange missing: {ids}"
 EOF
 
 echo "== tier-1: linear word executor (10^5 children on a 2 MiB stack) =="
-# Safe and possible rewriting of one 100 001-child word at k = 1, through
-# the DOM rewriter and the stream engine, takes a few seconds in release
-# mode. An executor quadratic in the children count needs about 20
-# minutes per run here, and one that recurses per child overflows the
-# 2 MiB thread stack at 1 401 children.
+# Safe and possible rewriting of one 100 001-child word at k = 1 takes
+# a few seconds in release mode. An executor quadratic in the children
+# count needs about 20 minutes per run here, and one that recurses per
+# child overflows the 2 MiB thread stack at 1 401 children.
 timeout --kill-after=10 60 \
     cargo test -q --release --offline --test executor_parity -- --ignored --exact \
     a_hundred_thousand_children_rewrite_on_a_small_stack
@@ -380,8 +379,8 @@ EOF
 echo "== tier-1: sim gate (seeded fault injection, DESIGN.md §10) =="
 # One validate-or-rewrite (DESIGN.md §4, core::rewrite): the simulator
 # and the peer enforce through core::rewrite's entry points (enforce_with,
-# enforce_forest, the stream engine), so the goldens pin the production
-# path. Outside their test modules, neither may call the rewriter's
+# enforce_forest, and core::stream's text pipeline around them), so the
+# goldens pin the production path. Outside their test modules, neither may call the rewriter's
 # rewrite_safe/rewrite_possible itself.
 rogue_rewrites=$(
     for f in crates/sim/src/*.rs crates/peer/src/*.rs; do
@@ -417,16 +416,17 @@ if [ "$sim_elapsed" -ge 60 ]; then
 fi
 echo "sim gate ok in ${sim_elapsed}s (budget 60s)"
 
-echo "== tier-1: streaming-enforcement gate (parity + bounded memory, DESIGN.md §13) =="
-# The streaming enforcer's contract is byte-parity with the DOM pipeline
-# and bounded buffering. Three checks: the parity/error-taxonomy suites
-# under one wall-clock budget, the B14 smoke numbers (peak buffer flat
-# across a 16x document-size sweep, and the enforce.stream.* catalogue
-# with its accounting identity), and a live daemon scrape showing that
-# the receiver validated what it stored.
+echo "== tier-1: receiver-validator gate (streaming validation, DESIGN.md §13) =="
+# Receivers validate what they are sent and never rewrite it. Three
+# checks: the streaming validator's suites (its verdicts against DOM
+# validation, the chunked receiver's one pass against the three passes it
+# replaced, and the text pipeline's pinned errors) under one wall-clock
+# budget; a guard that keeps core::stream the DOM pipeline around the
+# rewriter; and a live daemon scrape showing that the receiver validated
+# what it stored.
 stream_started=$(date +%s)
 timeout --kill-after=10 60 cargo test -q --offline --test stream_parity
-timeout --kill-after=10 60 cargo test -q --offline -p axml-core stream::
+timeout --kill-after=10 60 cargo test -q --offline -p axml-schema stream::
 stream_elapsed=$(( $(date +%s) - stream_started ))
 if [ "$stream_elapsed" -ge 60 ]; then
     echo "streaming suites blew their wall-clock budget: ${stream_elapsed}s >= 60s"
@@ -434,55 +434,23 @@ if [ "$stream_elapsed" -ge 60 ]; then
 fi
 echo "streaming suites ok in ${stream_elapsed}s (budget 60s)"
 
-AXML_BENCH_SMOKE=1 AXML_BENCH_JSON="$json_dir" \
-    timeout --kill-after=10 300 \
-    cargo bench --offline -p axml-bench --bench b14_stream_enforce
-python3 - "$json_dir" <<'EOF'
-import json, pathlib, sys
-b14 = json.loads((pathlib.Path(sys.argv[1]) / "BENCH_b14_stream_enforce.json").read_text())
-ids = {b["id"] for b in b14["benchmarks"]}
-want = {"stream_1mib_16calls", "dom_1mib_16calls",
-        "stream_16mib_16calls", "dom_16mib_16calls"}
-assert want <= ids, f"B14 variants missing: {want - ids}"
-reports = b14["stream_reports"]
-assert reports, "B14 emitted no stream reports"
-by_calls = {}
-for r in reports:
-    assert not r["fell_back"], f"streaming fell back in the bench: {r}"
-    assert r["bytes_copied"] + r["bytes_rewritten"] == r["bytes_out"], \
-        f"byte accounting identity violated: {r}"
-    by_calls.setdefault(r["call_sites"], []).append(r)
-# Bounded memory: peak buffering must stay flat (within 2x) while the
-# document grows 16x — it tracks the call-bearing subtree, not the doc.
-for calls, rs in sorted(by_calls.items()):
-    rs.sort(key=lambda r: r["size_bytes"])
-    growth = rs[-1]["size_bytes"] / rs[0]["size_bytes"]
-    assert growth >= 16, f"B14 sweep too narrow for {calls} calls: {growth:.1f}x"
-    peaks = [r["peak_buffer_bytes"] for r in rs]
-    if calls == 0:
-        assert all(p == 0 for p in peaks), f"extensional docs buffered: {peaks}"
-    else:
-        assert min(peaks) > 0, f"{calls}-call docs never buffered: {peaks}"
-        assert max(peaks) <= 2 * min(peaks), (
-            f"peak buffer not flat for {calls} calls across {growth:.0f}x "
-            f"size growth: {peaks}")
-    print(f"B14 {calls:>2} calls: sizes {rs[0]['size_bytes']}→{rs[-1]['size_bytes']} "
-          f"({growth:.0f}x), peaks {peaks}")
-obs = b14["obs_snapshot"]["counters"]
-for name in ["enforce.stream.runs", "enforce.stream.bytes_out",
-             "enforce.stream.bytes_copied", "enforce.stream.bytes_rewritten",
-             "enforce.stream.subtrees_materialized", "enforce.stream.fallbacks"]:
-    assert name in obs, f"B14 snapshot missing counter {name}"
-assert "enforce.stream.peak_buffer_bytes" in b14["obs_snapshot"]["gauges"], \
-    "B14 snapshot missing enforce.stream.peak_buffer_bytes"
-assert obs["enforce.stream.bytes_copied"] + obs["enforce.stream.bytes_rewritten"] \
-    == obs["enforce.stream.bytes_out"], "obs-level byte identity violated"
-print(f"B14 smoke ok: {len(reports)} configs, "
-      f"{obs['enforce.stream.bytes_copied']}/{obs['enforce.stream.bytes_out']} "
-      "bytes zero-copied")
-EOF
+# One enforcement implementation (DESIGN.md §13.3): core::stream parses,
+# decodes and hands the tree to the rewriter. Outside its tests it may
+# not drive the pull parser itself, so that a second, incremental
+# enforcement engine cannot grow back beside the rewriter.
+engine_in_stream=$(
+    awk '/^#\[cfg\(test\)\]/ { skip = 1 }
+        skip && /^}/ { skip = 0; next }
+        !skip && /Reader::new\(|next_event\(/ { print FILENAME ":" NR ": " $0 }' \
+        crates/core/src/stream.rs
+)
+if [ -n "$engine_in_stream" ]; then
+    echo "a pull-parser enforcement engine in core::stream:"
+    echo "$engine_in_stream"
+    exit 1
+fi
 
-# Live scrape: the CLI sender streams its enforcement; the receiving
+# Live scrape: the CLI sender enforces before it ships; the receiving
 # daemon only validates, and accounts every receipt it validated.
 "$axml_bin" serve "$obs_dir/star.schema" 127.0.0.1:0 --name stream-gate \
     > "$obs_dir/serve-stream.out" &
@@ -522,7 +490,7 @@ echo "== tier-1: chunking gate (wire parity + fuzz + 4x-cap ship, DESIGN.md §14
 # connection core's XXH64 property run and the XXH64 split property
 # all run under one wall-clock budget.
 #
-# The chunked path carries no DOM (DESIGN.md §13.5, §14.4): the receiver
+# The chunked path carries no DOM (DESIGN.md §13.2, §14.4): the receiver
 # validates and builds its tree in one pass, and the sender writes the
 # enforced tree straight into the chunk frames. Neither function may
 # parse into, decode from or encode into `axml_xml::Element`.

@@ -16,9 +16,8 @@
 //! ```
 //!
 //! `send` enforces the document into the exchange schema before it
-//! leaves, then ships it: in one frame, enforced off the pull parser
-//! (DESIGN.md §13), or with `--chunk-bytes N` in `N`-byte chunks, so it
-//! may exceed the frame cap (DESIGN.md §14.4). A `serve` daemon
+//! leaves, then ships it: in one frame, or with `--chunk-bytes N` in
+//! `N`-byte chunks, so it may exceed the frame cap (DESIGN.md §14.4). A `serve` daemon
 //! never rewrites what it receives: it validates a shipped document
 //! against its own schema, and the parameters of an exported service's
 //! call against the service's input type, and refuses what does not
@@ -45,8 +44,9 @@ use axml::core::rewrite::Rewriter;
 use axml::core::schema_rw::schema_safe_rewrites;
 use axml::schema::{
     dsl, generate_output_instance, validate, validate_xml_stream, xsd, Compiled, GenConfig, ITree,
-    NoOracle, Schema,
+    NoOracle, Schema, SchemaError,
 };
+use axml::xml::XmlError;
 use axml_support::rng::SeedableRng;
 use std::process::ExitCode;
 
@@ -550,6 +550,19 @@ fn cmd_validate(args: &[String]) -> ExitCode {
             println!("valid");
             ExitCode::SUCCESS
         }
+        // Text that does not parse is an input error, as `load_doc` says.
+        Err(SchemaError::Malformed {
+            message,
+            line,
+            offset,
+        }) => fail(&format!(
+            "{doc_path}: {}",
+            XmlError {
+                offset,
+                line,
+                message
+            }
+        )),
         Err(e) => {
             println!("invalid: {e}");
             ExitCode::from(1)

@@ -117,6 +117,28 @@ fn validate_accepts_and_rejects() {
         .output()
         .unwrap();
     assert!(ok.status.success());
+
+    // A second root element: the text does not parse, in either mode.
+    let two_roots = fixture_dir().join("two-roots.xml");
+    write_atomic(
+        &two_roots,
+        &format!("{}<newspaper/>", std::fs::read_to_string(&doc).unwrap()),
+    );
+    for mode in [&[][..], &["--stream"][..]] {
+        let out = bin()
+            .args(["validate"])
+            .arg(&star)
+            .arg(&two_roots)
+            .args(mode)
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{mode:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("multiple root elements"),
+            "{mode:?}: {stderr}"
+        );
+    }
 }
 
 #[test]

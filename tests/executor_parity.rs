@@ -1,10 +1,9 @@
 //! Executor parity corpus: the Fig. 3 / Fig. 9 word executor's observable
 //! behaviour, pinned case by case in `regressions/executor_parity.digests`.
 //!
-//! `stream_parity` and `cache_determinism` compare two pipelines that run
-//! the *same* executor, so they cannot notice a change in the executor
-//! itself. This suite compares the executor against a recorded corpus
-//! instead. Each case is a generated document (one of the paper's
+//! `cache_determinism` compares two runs of the *same* executor, so it
+//! cannot notice a change in the executor itself. This suite compares
+//! the executor against a recorded corpus instead. Each case is a generated document (one of the paper's
 //! newspapers or a mirror-chain exhibit list), a target schema, a depth
 //! bound `k` and a strategy, run against a seeded invoker that answers
 //! every call with a random instance of the function's declared output
@@ -14,12 +13,10 @@
 //! counts wasted calls. A few calls fail outright, and some cases run
 //! under a call budget, so the fatal paths are pinned too.
 //!
-//! Every case runs twice: through `Rewriter::rewrite_safe` /
-//! `rewrite_possible` (the DOM rewriter) and through
-//! `enforce_stream_with` (the streaming enforcer, which runs the same
-//! executor on the tail of a streamed element). For each run the corpus
-//! holds a digest of the output bytes, the length and a digest of the
-//! `invoked` log, `wasted_calls`, the number of games and the error text.
+//! Every case runs through `Rewriter::rewrite_safe` / `rewrite_possible`.
+//! For each run the corpus holds a digest of the output bytes, the length
+//! and a digest of the `invoked` log, `wasted_calls`, the number of games
+//! and the error text.
 //!
 //! After an intentional behaviour change, regenerate with
 //!
@@ -34,7 +31,6 @@ mod corpus;
 use axml::core::invoke::ScriptedInvoker;
 use axml::core::rewrite::{RewriteError, RewriteReport, Rewriter, Strategy};
 use axml::core::solve_cache::SolveCache;
-use axml::core::stream::{enforce_stream_with, StreamOptions};
 use axml::schema::{Compiled, ITree, NoOracle, Schema};
 use axml::xml::{element_to_string, WriteOptions};
 use corpus::*;
@@ -74,42 +70,22 @@ struct Case<'a> {
     max_calls: Option<usize>,
 }
 
-/// Runs one case through the DOM rewriter and the streaming enforcer: two
-/// corpus lines, the second `same` when both runs agree on every field.
-fn run(case: &Case<'_>, cache: &SolveCache) -> [String; 2] {
+/// Runs one case through the rewriter: one corpus line.
+fn run(case: &Case<'_>, cache: &SolveCache) -> String {
     let mut rw = Rewriter::new(case.target).with_k(case.k).with_cache(cache);
     if let Some(max) = case.max_calls {
         rw = rw.with_max_calls(max);
     }
     let mut inv = SeededInvoker::new(case.target, case.seed);
-    let dom = match case.strategy {
+    let out = match case.strategy {
         Strategy::Safe => rw.rewrite_safe(&case.doc, &mut inv),
         Strategy::Possible => rw.rewrite_possible(&case.doc, &mut inv),
     };
-    let dom = match &dom {
+    let out = match &out {
         Ok((tree, report)) => Ok((xml_of(tree), report)),
         Err(e) => Err(e.clone()),
     };
-    let dom = record(dom, &inv.log);
-    let opts = StreamOptions {
-        k: case.k,
-        strategy: case.strategy,
-        cache: Some(cache.clone()),
-    };
-    let mut inv = SeededInvoker::new(case.target, case.seed);
-    let stream = enforce_stream_with(case.target, &xml_of(&case.doc), &opts, &mut inv);
-    let stream = match &stream {
-        Ok((xml, report)) => Ok((xml.clone(), &report.rewrite)),
-        Err(e) => Err(e.clone()),
-    };
-    let mut stream = record(stream, &inv.log);
-    if stream == dom {
-        stream = "same".to_owned();
-    }
-    [
-        format!("{} dom {dom}", case.name),
-        format!("{} stream {stream}", case.name),
-    ]
+    format!("{} dom {}", case.name, record(out, &inv.log))
 }
 
 fn strategy_name(s: Strategy) -> &'static str {
@@ -123,7 +99,7 @@ fn strategy_name(s: Strategy) -> &'static str {
 fn corpus_lines() -> Vec<String> {
     let cache = SolveCache::unpublished(4096);
     let mut lines = Vec::new();
-    let mut push = |case: Case<'_>| lines.extend(run(&case, &cache));
+    let mut push = |case: Case<'_>| lines.push(run(&case, &cache));
     let strategies = [Strategy::Safe, Strategy::Possible];
     let news = newspaper_targets();
     for d in 0..NEWSPAPERS {
@@ -175,9 +151,8 @@ fn corpus_path() -> PathBuf {
 
 const HEADER: &str = "\
 # Corpus for tests/executor_parity.rs::executor_parity (one line per run).
-# <case> <dom|stream> out=<digest of the output XML> calls=<count>:<digest of
-# the invoked log> wasted=<wasted_calls> games=<games> err=<error text>; a
-# stream line reads `same` when it matches the DOM line field for field.
+# <case> dom out=<digest of the output XML> calls=<count>:<digest of the
+# invoked log> wasted=<wasted_calls> games=<games> err=<error text>.
 # Regenerate with AXML_UPDATE_GOLDEN=1 cargo test --test executor_parity.
 ";
 
@@ -246,8 +221,7 @@ fn wide(n: usize) -> (Compiled, ITree) {
 }
 
 /// Rewrites a [`wide`] root of `children` children at k = 1 on a thread
-/// with the 2 MiB stack Rust gives spawned threads, for both strategies,
-/// through the DOM rewriter and the streaming enforcer alike.
+/// with the 2 MiB stack Rust gives spawned threads, for both strategies.
 fn rewrite_wide_on_a_small_stack(children: usize) {
     std::thread::Builder::new()
         .stack_size(2 << 20)
@@ -266,23 +240,37 @@ fn rewrite_wide_on_a_small_stack(children: usize) {
                 assert_eq!(out, want, "{strategy:?} DOM output");
                 assert_eq!(report.invoked.len(), children / 2);
                 assert_eq!(report.wasted_calls, 0);
-
-                let opts = StreamOptions {
-                    k: 1,
-                    strategy,
-                    cache: None,
-                };
-                let mut inv = answers();
-                let (xml, report) =
-                    enforce_stream_with(&c, &xml_of(&doc), &opts, &mut inv).unwrap();
-                assert_eq!(xml, xml_of(&want), "{strategy:?} streamed output");
-                assert!(!report.fell_back, "{strategy:?} stream fell back");
-                assert_eq!(report.rewrite.invoked.len(), children / 2);
             }
         })
         .expect("spawn a 2 MiB thread")
         .join()
         .expect("wide words rewrite without overflowing the stack");
+}
+
+/// A refusal names at most 32 symbols of the word it refuses, however
+/// wide the word: at k = 0 no call may be invoked, so no rewriting of a
+/// [`wide`] root reaches `a*`.
+#[test]
+fn refusals_of_wide_words_name_at_most_32_symbols() {
+    let children = 20_001;
+    let (c, doc) = wide(children);
+    let shown = ["a", "f"].repeat(16).join(".");
+    let want = format!("{shown}…(+{} more)", children - 32);
+    for strategy in [Strategy::Safe, Strategy::Possible] {
+        let mut rw = Rewriter::new(&c).with_k(0);
+        let mut inv = ScriptedInvoker::new();
+        let err = match strategy {
+            Strategy::Safe => rw.rewrite_safe(&doc, &mut inv),
+            Strategy::Possible => rw.rewrite_possible(&doc, &mut inv),
+        }
+        .unwrap_err();
+        let (RewriteError::NotSafe { word, .. } | RewriteError::NotPossible { word, .. }) = &err
+        else {
+            panic!("{strategy:?}: not a refusal: {err}");
+        };
+        assert_eq!(*word, want, "{strategy:?}");
+        assert!(err.to_string().len() < 200, "{strategy:?}: {err}");
+    }
 }
 
 /// The executor walks a word in a loop, not a recursion per child.

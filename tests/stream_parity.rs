@@ -1,33 +1,30 @@
-//! Streaming enforcement is observationally identical to the DOM pipeline.
+//! The receiver's streaming validator, and the sender's text pipeline.
 //!
-//! The streaming enforcer (`axml_core::stream`) promises byte-identical
-//! output and identical typed errors for every document × schema ×
-//! strategy combination — that is the contract that lets senders always
-//! stream. This suite drives the promise:
+//! Receivers validate what they are sent and never rewrite it. This suite
+//! holds their streaming paths to the DOM:
 //!
-//! * a property sweeping random intensional newspapers (0–4 embedded
-//!   calls, optional stray elements, pretty-printed or compact input)
-//!   across the paper's three exchange schemas and both strategies,
-//!   checking output bytes, invocation lists, typed errors, and the
-//!   `bytes_copied + bytes_rewritten == bytes_out` accounting identity;
-//! * a property holding the streaming validator receivers run to the
-//!   verdict of DOM validation, over the same newspapers and textual
-//!   mutations of them, and the chunked receiver's one pass
-//!   (`read_validated`) to the verdict, message and tree of the three
-//!   passes it replaced;
-//! * pinned regressions for error ordering (leftmost error wins) and the
-//!   error taxonomy surviving the fallback;
-//! * a transport-matrix case shipping a streamed-enforced document across
-//!   both network engines (blocking threads and the poll loop) and
-//!   checking the receiver stores what the DOM pipeline produces.
+//! * a property holding the streaming validator (`validate_xml_stream`)
+//!   to the verdict of DOM validation, over random intensional newspapers,
+//!   textual mutations of them and content after their root, and the
+//!   chunked receiver's one pass (`read_validated`) to the verdict,
+//!   message and tree of the three passes it replaced;
+//! * a pinned case where the two receive paths once named one call
+//!   differently;
+//! * pinned cases for the text pipeline senders enforce through
+//!   (`core::stream`): leftmost error first, the rewrite-error taxonomy,
+//!   and the parser's message on malformed text;
+//! * a transport-matrix case shipping an enforced document across both
+//!   network engines (blocking threads and the poll loop) and checking the
+//!   receiver stores what the DOM pipeline produces.
 
 use axml::core::invoke::{Invoker, ScriptedInvoker};
-use axml::core::rewrite::{RewriteError, Strategy as RwStrategy};
-use axml::core::stream::{enforce_dom, enforce_stream, enforce_stream_with, StreamOptions};
+use axml::core::rewrite::RewriteError;
+use axml::core::stream::{enforce_dom, enforce_stream_with, StreamOptions};
 use axml::peer::net::receive_document_text;
 use axml::peer::{NetInvoker, NetPeer, Peer, PeerError, Query, RemotePeer};
 use axml::schema::{
     read_validated, validate, validate_xml_stream, Compiled, ITree, NoOracle, ReadError, Schema,
+    SchemaError, StreamValidator, INT_NS,
 };
 use axml::services::{Registry, ServiceDef};
 use axml_support::prelude::*;
@@ -148,46 +145,6 @@ fn render(doc: &ITree, pretty: bool) -> String {
     }
 }
 
-/// The core parity check: identical bytes on success, identical typed
-/// error on failure, invocation-list parity, byte-accounting identity.
-fn assert_parity(compiled: &Compiled, input: &str, strategy: RwStrategy, k: u32) {
-    let opts = StreamOptions {
-        k,
-        strategy,
-        ..StreamOptions::default()
-    };
-    let dom = enforce_dom(compiled, input, &opts, &mut || {
-        Box::new(scripted()) as Box<dyn Invoker + Send>
-    });
-    let stream = enforce_stream(compiled, input, &opts, &mut || {
-        Box::new(scripted()) as Box<dyn Invoker + Send>
-    });
-    match (dom, stream) {
-        (Ok((dom_out, dom_rep)), Ok((out, rep))) => {
-            assert_eq!(out, dom_out, "output bytes diverge");
-            assert_eq!(
-                rep.rewrite.invoked, dom_rep.invoked,
-                "invocation lists diverge"
-            );
-            assert_eq!(
-                rep.bytes_copied + rep.bytes_rewritten,
-                rep.bytes_out,
-                "byte accounting identity broken"
-            );
-            assert_eq!(rep.bytes_out, out.len() as u64, "bytes_out miscounted");
-        }
-        (Err(dom_err), Err(err)) => {
-            assert_eq!(err, dom_err, "typed errors diverge");
-            assert_eq!(err.to_string(), dom_err.to_string());
-        }
-        (dom, stream) => panic!(
-            "verdicts diverge: dom={:?} stream={:?}",
-            dom.map(|(o, _)| o),
-            stream.map(|(o, _)| o)
-        ),
-    }
-}
-
 /// Where `xml` can be split without touching markup or an entity: one
 /// cut per non-blank text run, before a literal character with non-blank
 /// text on either side. Yields (cut, end of that character).
@@ -301,12 +258,31 @@ fn dom_accepts(text: &str, compiled: &Compiled) -> bool {
         .is_some_and(|t| validate(&t, compiled).is_ok())
 }
 
+/// The streaming validator's verdict on `text` up to the root's end tag:
+/// the first of the three passes, which leaves what follows the root to
+/// `parse_document`.
+fn validate_root(text: &str, compiled: &Compiled) -> Result<(), SchemaError> {
+    let mut reader = axml::xml::Reader::new(text);
+    let mut validator = StreamValidator::new(compiled);
+    loop {
+        let event = reader.next_event().map_err(|e| SchemaError::Malformed {
+            message: e.message,
+            line: e.line,
+            offset: e.offset,
+        })?;
+        if !validator.feed(&event)? {
+            return Ok(());
+        }
+    }
+}
+
 /// The chunked receiver's verdict, message and tree as three passes give
-/// them: `validate_xml_stream`, then `parse_document` and
-/// `ITree::from_xml`, worded as `receive_document_text` words each. The
-/// reference for the one-pass reader.
+/// them: the streaming validator up to the root's end tag, then
+/// `parse_document` and `ITree::from_xml`, worded as
+/// `receive_document_text` words each. The reference for the one-pass
+/// reader.
 fn three_passes(text: &str, compiled: &Compiled) -> Result<ITree, String> {
-    validate_xml_stream(text, compiled).map_err(|e| e.to_string())?;
+    validate_root(text, compiled).map_err(|e| e.to_string())?;
     let doc = axml::xml::parse_document(text).map_err(|e| format!("chunked document: {e}"))?;
     ITree::from_xml(&doc.root)
 }
@@ -335,32 +311,19 @@ fn assert_one_pass(peer: &Peer, text: &str) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Random documents × the three paper schemas × both strategies ×
-    /// both renderings: streaming ≡ DOM, byte for byte, error for error.
-    #[test]
-    fn stream_parity(doc in newspaper_strategy(), pretty in (0u32..2).prop_map(|b| b == 1)) {
-        for model in MODELS {
-            let c = compiled(model);
-            for strategy in [RwStrategy::Safe, RwStrategy::Possible] {
-                let input = render(&doc, pretty);
-                assert_parity(&c, &input, strategy, 1);
-            }
-        }
-    }
-
     /// The streaming validator receivers run reaches the verdict of DOM
-    /// validation, on each newspaper and on every mutation of it; and the
-    /// chunked receiver's one pass gives the verdict, message and tree of
-    /// the three passes it replaced, content after the root included.
+    /// validation, on each newspaper, on every mutation of it and on
+    /// content after its root; and the chunked receiver's one pass gives
+    /// the verdict, message and tree of the three passes it replaced.
     #[test]
     fn validator_verdicts_match_dom(doc in newspaper_strategy(), pretty in (0u32..2).prop_map(|b| b == 1)) {
         let input = render(&doc, pretty);
         let mut inputs = mutations(&input);
-        // The validator stops at the root's end tag; the receiver reads on.
-        let trailing: Vec<String> = ["<x/>", "trailing text", "<!-- trailing comment -->"]
-            .iter()
-            .map(|tail| format!("{input}{tail}"))
-            .collect();
+        inputs.extend(
+            ["<x/>", "trailing text", "<!-- trailing comment -->"]
+                .iter()
+                .map(|tail| format!("{input}{tail}")),
+        );
         inputs.push(input);
         for model in MODELS {
             let c = Arc::new(compiled(model));
@@ -369,62 +332,97 @@ proptest! {
                 let stream = validate_xml_stream(text, &c);
                 prop_assert_eq!(stream.is_ok(), dom_accepts(text, &c),
                     "verdicts diverge on {}: stream says {:?}", text, stream);
-            }
-            for text in inputs.iter().chain(&trailing) {
                 assert_one_pass(&peer, text);
             }
         }
     }
 }
 
+/// A call is named by its unprefixed `methodName` on both receive paths.
+/// Here the prefixed attribute names a `Get_Temp` that schema (*) admits
+/// after the date, and the call that gets stored is a `TimeOut`, which it
+/// does not admit there: the chunked receiver refuses the text as the
+/// single-frame receiver refuses the tree.
+#[test]
+fn regression_one_method_name_on_both_receive_paths() {
+    let c = Arc::new(compiled(MODELS[0]));
+    let text = format!(
+        "<newspaper xmlns:int=\"{INT_NS}\"><title>t</title><date>d</date>\
+         <int:fun p:methodName=\"Get_Temp\" methodName=\"TimeOut\" xmlns:p=\"u\">\
+         <int:params><int:param><city>Paris</city></int:param></int:params></int:fun>\
+         </newspaper>"
+    );
+    let tree = ITree::from_xml(&axml::xml::parse_document(&text).unwrap().root).unwrap();
+    assert_eq!(
+        tree.children()[2],
+        ITree::func("TimeOut", vec![ITree::data("city", "Paris")])
+    );
+    assert!(
+        !dom_accepts(&text, &c),
+        "the single-frame receiver accepts it"
+    );
+    assert!(validate_xml_stream(&text, &c).is_err());
+    assert!(matches!(
+        read_validated(&text, &c),
+        Err(ReadError::Invalid(_))
+    ));
+    let peer = Peer::new("receiver", Arc::clone(&c), Arc::new(Registry::new()));
+    let refused = receive_document_text(&peer, "doc", &text);
+    assert!(
+        matches!(&refused, Err(PeerError::Enforcement(m)) if m.contains("TimeOut")),
+        "{refused:?}"
+    );
+    assert!(peer.repository.load("doc").is_err());
+    assert_one_pass(&peer, &text);
+}
+
+/// Enforces `input` through the text pipeline with the scripted services.
+fn enforce_text(c: &Compiled, input: &str, opts: &StreamOptions) -> Result<String, RewriteError> {
+    let mut invoker = scripted();
+    let streamed = enforce_stream_with(c, input, opts, &mut invoker).map(|(out, _)| out);
+    let dom = enforce_dom(c, input, opts, &mut || {
+        Box::new(scripted()) as Box<dyn Invoker + Send>
+    })
+    .map(|(out, _)| out);
+    assert_eq!(streamed, dom, "the two entry points diverge on {input}");
+    streamed
+}
+
 /// Leftmost error wins: with two schema violations in document order, the
-/// streaming path reports the same (first) one the DOM path reports.
+/// text pipeline reports the first.
 #[test]
 fn regression_leftmost_error_wins() {
     let c = compiled(MODELS[1]);
     // Both the missing title (first) and the trailing stray element
-    // (second) are violations; the reported error must be the DOM one.
+    // (second) are violations.
     let input = "<newspaper><date>d</date><temp>1</temp><mystery/></newspaper>";
-    assert_parity(&c, input, RwStrategy::Safe, 1);
-    let opts = StreamOptions::default();
-    let err = enforce_stream(&c, input, &opts, &mut || {
-        Box::new(scripted()) as Box<dyn Invoker + Send>
-    })
-    .unwrap_err();
-    let msg = err.to_string();
+    let msg = enforce_text(&c, input, &StreamOptions::default())
+        .unwrap_err()
+        .to_string();
     assert!(
         !msg.contains("mystery"),
         "second error reported before the first: {msg}"
     );
 }
 
-/// The error taxonomy survives the fallback: an unrewritable document
-/// yields the same `NotSafe` the DOM rewriter produces.
+/// A document no rewriting can fix yields an error of the rewrite
+/// taxonomy, not a parse or decode error.
 #[test]
 fn regression_error_taxonomy_preserved() {
+    // (***) needs a temp, and nothing in the document can produce one.
     let c = compiled(MODELS[2]);
-    // (***) admits no TimeOut; a TimeOut with nothing else to offer makes
-    // the word unrewritable at k=0 depth... use a doc whose only plan
-    // requires an invocation that the schema's word game cannot license.
     let input = "<newspaper><title>t</title><date>d</date></newspaper>";
-    let opts = StreamOptions::default();
-    let dom_err = enforce_dom(&c, input, &opts, &mut || {
-        Box::new(scripted()) as Box<dyn Invoker + Send>
-    })
-    .unwrap_err();
-    let err = enforce_stream(&c, input, &opts, &mut || {
-        Box::new(scripted()) as Box<dyn Invoker + Send>
-    })
-    .unwrap_err();
-    assert_eq!(err, dom_err);
+    let err = enforce_text(&c, input, &StreamOptions::default()).unwrap_err();
     assert!(
-        matches!(err, RewriteError::NotSafe { .. } | RewriteError::Exhausted { .. }),
+        matches!(
+            err,
+            RewriteError::NotSafe { .. } | RewriteError::Exhausted { .. }
+        ),
         "expected a rewrite-taxonomy error, got: {err}"
     );
 }
 
-/// Malformed XML: the streaming reader hits the error mid-stream, the
-/// fallback reproduces the DOM parser's message verbatim.
+/// Malformed XML: the text pipeline refuses it with the parser's message.
 #[test]
 fn regression_malformed_input_parity() {
     let c = compiled(MODELS[0]);
@@ -434,21 +432,17 @@ fn regression_malformed_input_parity() {
         "not xml at all",
         "",
     ] {
-        let opts = StreamOptions::default();
-        let dom_err = enforce_dom(&c, input, &opts, &mut || {
-            Box::new(scripted()) as Box<dyn Invoker + Send>
-        })
-        .unwrap_err();
-        let err = enforce_stream(&c, input, &opts, &mut || {
-            Box::new(scripted()) as Box<dyn Invoker + Send>
-        })
-        .unwrap_err();
-        assert_eq!(err, dom_err, "on input {input:?}");
+        let parser = axml::xml::parse_document(input).unwrap_err();
+        assert_eq!(
+            enforce_text(&c, input, &StreamOptions::default()),
+            Err(RewriteError::Invalid(parser.to_string())),
+            "on input {input:?}"
+        );
     }
 }
 
 // ---------------------------------------------------------------------
-// Transport matrix: a streamed-enforced document over both net engines.
+// Transport matrix: an enforced document over both net engines.
 // ---------------------------------------------------------------------
 
 fn exchange_vocab() -> Schema {
@@ -558,7 +552,7 @@ fn ship_outcome(io: axml::net::IoMode) -> ITree {
     stored
 }
 
-/// The Fig. 1 exchange, streamed by the sender and validated by the
+/// The Fig. 1 exchange, enforced by the sender and validated by the
 /// receiver, over both network engines: each stores the document the DOM
 /// pipeline produces in-process from the provider's answers.
 #[test]
@@ -575,73 +569,10 @@ fn matrix_streamed_exchange_identical_across_engines_and_modes() {
     .unwrap();
     let baseline = ITree::from_xml(&axml::xml::parse_document(&dom).unwrap().root).unwrap();
     for io in [IoMode::Threads, IoMode::Poll] {
-        let streamed = ship_outcome(io);
+        let shipped = ship_outcome(io);
         assert_eq!(
-            streamed, baseline,
-            "streamed exchange over {io:?} differs from the DOM baseline"
+            shipped, baseline,
+            "the exchange over {io:?} differs from the DOM baseline"
         );
     }
-}
-
-/// Spot run backing the EXPERIMENTS.md B14 claim: a ~100 MB document
-/// with 16 call sites streams through `enforce_stream_with` with the same
-/// constant peak buffer the 1 MiB documents need. Ignored by default
-/// (builds 100 MB of XML); run with
-/// `cargo test --release --test stream_parity -- --ignored`.
-#[test]
-#[ignore = "builds a 100 MB document; run explicitly in release mode"]
-fn spot_100mb_bounded_peak() {
-    let compiled = Compiled::new(
-        Schema::builder()
-            .element("feed", "meta.chunk*.calls")
-            .data_element("meta")
-            .data_element("chunk")
-            .element("calls", "quote*")
-            .data_element("quote")
-            .function("Get_Quote", "meta", "quote*")
-            .build()
-            .unwrap(),
-        &NoOracle,
-    )
-    .unwrap();
-
-    let target = 100 * 1000 * 1000;
-    let chunk_body: String = "abcdefghijklmnopqrstuvwxyz0123456789 "
-        .chars()
-        .cycle()
-        .take(64 << 10)
-        .collect();
-    let mut input = String::with_capacity(target + 4096);
-    input.push_str("<feed><meta>nasdaq 2026-08-08</meta>");
-    while input.len() + (64 << 10) < target {
-        input.push_str("<chunk>");
-        input.push_str(&chunk_body);
-        input.push_str("</chunk>");
-    }
-    input.push_str("<calls>");
-    for i in 0..16 {
-        input.push_str(&format!(
-            "<int:fun xmlns:int=\"http://www.activexml.com/ns/int\" methodName=\"Get_Quote\">\
-             <int:params><int:param><meta>site {i}</meta></int:param></int:params></int:fun>"
-        ));
-    }
-    input.push_str("</calls></feed>");
-    assert!(input.len() >= 99 * 1000 * 1000);
-
-    let mut inv =
-        ScriptedInvoker::new().answer("Get_Quote", vec![ITree::data("quote", "AXML 42.17")]);
-    let opts = StreamOptions {
-        k: 1,
-        ..StreamOptions::default()
-    };
-    let (out, rep) = enforce_stream_with(&compiled, &input, &opts, &mut inv).unwrap();
-
-    assert!(!rep.fell_back);
-    assert_eq!(rep.bytes_out, out.len() as u64);
-    assert_eq!(inv.calls(), 16, "each call site is invoked once");
-    assert_eq!(rep.bytes_copied + rep.bytes_rewritten, rep.bytes_out);
-    assert_eq!(rep.subtrees_materialized, 1);
-    // The peak is the `calls` subtree's input span — independent of the
-    // 100 MB of extensional chunks around it.
-    assert_eq!(rep.peak_buffer_bytes, 2386, "peak buffer grew with document size");
 }
